@@ -338,6 +338,24 @@ def _search_columnar(
     return best, fallback
 
 
+#: the :class:`ISpyConfig` fields context discovery reads; with
+#: ``(site, line)`` and the kernel gate they key its memo entries, so
+#: variants that differ only elsewhere share one search
+CONTEXT_CONFIG_FIELDS: Tuple[str, ...] = (
+    "max_prefetch_distance",
+    "context_discovery_occurrences",
+    "predictor_pool_size",
+    "max_predecessors",
+    "lbr_depth",
+    "min_context_support",
+    "min_context_recall",
+    "min_context_probability",
+    "min_context_gain",
+)
+
+_UNSET = object()
+
+
 def discover_context(
     profile: ExecutionProfile,
     site: int,
@@ -348,8 +366,28 @@ def discover_context(
 
     Returns None when no combination satisfies the probability,
     recall and support requirements — the caller then injects an
-    unconditional prefetch instead.
+    unconditional prefetch instead.  Answers are memoized on the
+    profile (:meth:`ExecutionProfile.analysis_memo`).
     """
+    memo = profile.analysis_memo()
+    key = (site, line, kernel.numpy_enabled()) + tuple(
+        getattr(config, name) for name in CONTEXT_CONFIG_FIELDS
+    )
+    context = memo.contexts.get(key, _UNSET)
+    if context is not _UNSET:
+        memo.context_hits += 1
+        return context
+    context = _discover_context(profile, site, line, config)
+    memo.contexts[key] = context
+    return context
+
+
+def _discover_context(
+    profile: ExecutionProfile,
+    site: int,
+    line: int,
+    config: ISpyConfig,
+) -> Optional[ContextResult]:
     labels = label_occurrences(
         profile,
         site,

@@ -28,7 +28,7 @@ from ..cfg.fanout import (
     sites_in_window,
     window_entries,
 )
-from ..profiling.profiler import ExecutionProfile
+from ..profiling.profiler import AnalysisMemo, ExecutionProfile
 from .config import ISpyConfig
 
 
@@ -194,17 +194,40 @@ def select_site(
     if fanout_mode not in ("execution", "path"):
         raise ValueError("fanout_mode must be 'execution' or 'path'")
     samples = profile.samples_for_line(line)
-    candidates = rank_candidates(
-        profile, line, config, distance_estimator=distance_estimator
+    # The ranking reads only the window and the estimator, so every
+    # variant sharing them (and every fan-out threshold) reuses it.
+    memo = profile.analysis_memo()
+    numpy_on = kernel.numpy_enabled()
+    key = (
+        line,
+        config.min_prefetch_distance,
+        config.max_prefetch_distance,
+        distance_estimator,
+        numpy_on,
     )
+    candidates = memo.candidates.get(key)
+    if candidates is None:
+        candidates = tuple(
+            rank_candidates(
+                profile, line, config, distance_estimator=distance_estimator
+            )
+        )
+        memo.candidates[key] = candidates
+    else:
+        memo.site_hits += 1
     eligible = candidates
     if max_fanout is not None:
         if fanout_mode == "path":
             eligible = [
                 c
                 for c in candidates
-                if path_fanout(
-                    profile, c.block_id, line, config.max_prefetch_distance
+                if _path_fanout(
+                    profile,
+                    memo,
+                    c.block_id,
+                    line,
+                    config.max_prefetch_distance,
+                    numpy_on,
                 )
                 <= max_fanout
             ]
@@ -225,8 +248,25 @@ def select_site(
         miss_block=miss_block,
         sample_count=len(samples),
         chosen=chosen,
-        candidates=tuple(candidates),
+        candidates=candidates,
     )
+
+
+def _path_fanout(
+    profile: ExecutionProfile,
+    memo: AnalysisMemo,
+    site: int,
+    line: int,
+    max_cycles: float,
+    numpy_on: bool,
+) -> float:
+    """:func:`path_fanout` of one candidate, through the profile's memo."""
+    key = (site, line, max_cycles, numpy_on)
+    fanout = memo.path_fanouts.get(key)
+    if fanout is None:
+        fanout = path_fanout(profile, site, line, max_cycles)
+        memo.path_fanouts[key] = fanout
+    return fanout
 
 
 def frequent_miss_lines(

@@ -52,9 +52,10 @@ class ISpyReport:
     @property
     def conditional_fraction(self) -> float:
         """Fraction of planned targets that became conditional."""
-        if not self.considered_lines:
+        planned = self.considered_lines - len(self.uncovered_lines)
+        if not planned:
             return 0.0
-        return len(self.contexts) / self.considered_lines
+        return len(self.contexts) / planned
 
     @property
     def coverage(self) -> float:
@@ -89,6 +90,8 @@ class ISpy:
         report = ISpyReport(config=config)
         planned: List[PlannedPrefetch] = []
 
+        memo = profile.analysis_memo()
+        site_hits, context_hits = memo.site_hits, memo.context_hits
         with tracer.span("analysis:context-discovery") as span:
             for line, _count in frequent_miss_lines(profile, config):
                 report.considered_lines += 1
@@ -121,6 +124,8 @@ class ISpy:
                 lines=report.considered_lines,
                 contexts=len(report.contexts),
                 uncovered=len(report.uncovered_lines),
+                reused_sites=memo.site_hits - site_hits,
+                reused_contexts=memo.context_hits - context_hits,
             )
 
         with tracer.span(

@@ -91,6 +91,40 @@ class ProfileArrays:
         return self._line_samples.get(line, self._empty)
 
 
+class AnalysisMemo:
+    """Offline-analysis answers shared by every plan built from one
+    :class:`ExecutionProfile`.
+
+    A sweep builds many plans from one profile, and most variants
+    differ only in fields a given analysis step never reads, so they
+    would re-derive identical per-line answers.  Each table is keyed
+    on exactly the inputs its answer depends on, plus
+    :func:`repro.kernel.numpy_enabled` so reference and columnar
+    entries never serve each other:
+
+    * ``candidates`` — ranked injection candidates
+      (:func:`repro.core.injection.select_site`);
+    * ``path_fanouts`` — AsmDB's per-candidate path fan-out;
+    * ``contexts`` — :func:`repro.core.context.discover_context`
+      results (``None`` included).
+
+    ``site_hits`` / ``context_hits`` count lookups served from the
+    memo.  Like the other profile caches, the memo assumes the profile
+    is not mutated once analysis has started.
+    """
+
+    __slots__ = (
+        "candidates", "path_fanouts", "contexts", "site_hits", "context_hits",
+    )
+
+    def __init__(self) -> None:
+        self.candidates: Dict[tuple, tuple] = {}
+        self.path_fanouts: Dict[tuple, float] = {}
+        self.contexts: Dict[tuple, object] = {}
+        self.site_hits = 0
+        self.context_hits = 0
+
+
 @dataclass
 class ExecutionProfile:
     """A miss-annotated execution recording."""
@@ -109,11 +143,12 @@ class ExecutionProfile:
     #: statistics of the profiling run itself (the no-prefetch
     #: baseline measurement comes for free)
     baseline_stats: Optional[SimStats] = None
+    # lazily built lookup caches: derived data, so not compared
     _occurrence_index: Dict[int, List[int]] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, repr=False, compare=False
     )
     _line_samples: Optional[Dict[int, List[MissSample]]] = field(
-        default=None, repr=False
+        default=None, repr=False, compare=False
     )
 
     # -- path context ---------------------------------------------------
@@ -213,6 +248,16 @@ class ExecutionProfile:
             view = ProfileArrays(self)
             self._profile_arrays = view
         return view
+
+    def analysis_memo(self) -> AnalysisMemo:
+        """The cached :class:`AnalysisMemo` of this profile, a non-field
+        attribute like :meth:`arrays`, so serialization and equality
+        are untouched."""
+        memo = getattr(self, "_analysis_memo", None)
+        if memo is None:
+            memo = AnalysisMemo()
+            self._analysis_memo = memo
+        return memo
 
     # -- summary ---------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import DEFAULT_CONFIG, ISpyConfig
-from repro.core.ispy import ISpy, build_ispy_plan
+from repro.core.ispy import ISpy, ISpyReport, build_ispy_plan
 from repro.sim.cpu import simulate
 
 
@@ -107,3 +107,21 @@ class TestEndToEndSpeedup:
             for i in plan_b.plan
         )
         assert instrs_a == instrs_b
+
+
+class TestConditionalFraction:
+    def test_divides_by_planned_lines(self):
+        report = ISpyReport(config=DEFAULT_CONFIG)
+        report.considered_lines = 10
+        report.uncovered_lines = [1, 2, 3, 4, 5, 6]
+        report.contexts = {(7, 1): None, (8, 2): None}
+        # 4 planned lines, 2 of them conditional
+        assert report.conditional_fraction == 0.5
+        assert report.coverage == pytest.approx(0.4)
+
+    def test_no_planned_lines(self):
+        report = ISpyReport(config=DEFAULT_CONFIG)
+        report.considered_lines = 3
+        report.uncovered_lines = [1, 2, 3]
+        assert report.conditional_fraction == 0.0
+        assert ISpyReport(config=DEFAULT_CONFIG).conditional_fraction == 0.0
