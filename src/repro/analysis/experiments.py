@@ -41,7 +41,13 @@ from ..profiling.profiler import ExecutionProfile, profile_execution
 from ..sim.cpu import CoreSimulator
 from ..sim.stats import SimStats
 from ..sim.trace import BlockTrace
-from ..workloads.apps import ALL_APP_NAMES, APP_NAMES, app_spec, build_app
+from ..workloads.apps import (
+    ALL_APP_NAMES,
+    APP_NAMES,
+    app_spec,
+    cached_app,
+    get_app,
+)
 from ..workloads.inputs import INPUT_NAMES, input_mixes
 from ..workloads.synthesis import SyntheticApp, scaled_spec
 from . import metrics
@@ -148,11 +154,22 @@ class AppEvaluation:
 
     @property
     def app(self) -> SyntheticApp:
+        """The synthesized app, shared process-wide through
+        :func:`~repro.workloads.apps.get_app` (apps are immutable).
+
+        Only a real synthesis is timed and traced: an app another
+        evaluation in this process already built records no
+        ``synthesize`` call and no ``app:synthesize`` span.
+        """
         if self._app is None:
-            with self.perf.stage("synthesize"), self.tracer.span(
-                "app:synthesize", app=self.name
-            ):
-                self._app = build_app(self.name, scale=self.settings.scale)
+            scale = self.settings.scale
+            app = cached_app(self.name, scale)
+            if app is None:
+                with self.perf.stage("synthesize"), self.tracer.span(
+                    "app:synthesize", app=self.name
+                ):
+                    app = get_app(self.name, scale)
+            self._app = app
         return self._app
 
     @property
@@ -596,29 +613,33 @@ class AppEvaluation:
         if prefetcher.supports_plan_replay and prefetcher.produces_plan:
             stats = self.run_plan(self._plan_for(prefetcher))
         else:
-            trained = (
-                self._train_result_for(prefetcher)
-                if prefetcher.requires_profile and not prefetcher.produces_plan
-                else None
-            )
-            ctx = zoo.ReplayContext(
-                data_traffic=self._eval_data_traffic(),
-                warmup=self.settings.warmup,
-                trained=trained,
-            )
-            view = self._view(prefetcher)
-            stats = self._variant_stats(
-                variant, lambda trace: prefetcher.simulate(view, trace, ctx)
-            )
+            stats = self._variant_stats(variant, prefetcher)
         self._stats[variant] = stats
         return stats
 
-    def _variant_stats(self, variant: str, builder) -> SimStats:
-        """Store-backed wrapper for variants simulated outside run_plan."""
+    def _variant_stats(
+        self, variant: str, prefetcher: "zoo.Prefetcher"
+    ) -> SimStats:
+        """Store-backed stats for a member simulated outside run_plan.
+
+        The cache is consulted first: a hit never synthesizes the app,
+        loads the profile or trains the member.
+        """
         key = self._key("stats", variant=variant)
         cached = self._cached_stats(key)
         if cached is not None:
             return cached
+        trained = (
+            self._train_result_for(prefetcher)
+            if prefetcher.requires_profile and not prefetcher.produces_plan
+            else None
+        )
+        ctx = zoo.ReplayContext(
+            data_traffic=self._eval_data_traffic(),
+            warmup=self.settings.warmup,
+            trained=trained,
+        )
+        view = self._view(prefetcher)
         replay = self.eval_trace
         with self.perf.stage("simulate", units=len(replay.block_ids)), (
             self.tracer.span(
@@ -628,7 +649,7 @@ class AppEvaluation:
                 blocks=len(replay.block_ids),
             )
         ):
-            stats = builder(replay)
+            stats = prefetcher.simulate(view, replay, ctx)
         self._remember_stats(key, stats)
         return stats
 

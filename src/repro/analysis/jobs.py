@@ -4,7 +4,10 @@ Jobs are top-level functions (picklable by the default
 ``ProcessPoolExecutor`` machinery); each worker builds its own
 :class:`~repro.analysis.experiments.Evaluator` against the shared
 on-disk artifact store, so cross-process communication is limited to
-content-addressed files plus the returned statistics.
+content-addressed files plus the returned statistics.  The apps
+themselves come from the process-wide
+:func:`~repro.workloads.apps.get_app` memo, so a worker synthesizes
+each app at most once, however many of its jobs use it.
 
 Telemetry crosses the same boundary the same way: when the parent is
 tracing, each job runs under its own :class:`~repro.obs.trace.Tracer`

@@ -1,0 +1,91 @@
+"""The evaluator's process-wide app sharing.
+
+``AppEvaluation.app`` goes through the :func:`repro.workloads.apps.get_app`
+memo, so every evaluation in a process — and every job a pool worker
+runs — reuses one :class:`SyntheticApp` per ``(name, scale)``.  These
+tests pin the two halves of that contract: telemetry records only a
+real synthesis, and an app used for a full evaluation stays equal to a
+freshly built one (sharing is only sound because apps are immutable).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analysis.experiments import Evaluator, ExperimentSettings
+from repro.obs.trace import Tracer
+from repro.perf import PerfRegistry
+from repro.runconfig import RunConfig
+from repro.workloads import apps as apps_mod
+from repro.workloads.apps import build_app
+
+SETTINGS = ExperimentSettings(
+    profile_length=8_000, eval_length=10_000, warmup=2_000, scale=0.2
+)
+
+
+@pytest.fixture
+def empty_app_memo(monkeypatch):
+    """Run the test against an empty process-wide app memo."""
+    monkeypatch.setattr(apps_mod, "_CACHE", {})
+
+
+def _evaluator(perf=None, tracer=None):
+    return Evaluator(
+        config=RunConfig(
+            settings=SETTINGS, perf=perf or PerfRegistry(), tracer=tracer
+        )
+    )
+
+
+def _synth_spans(tracer):
+    return [
+        e
+        for e in tracer.snapshot()
+        if e["ph"] == "X" and e["name"] == "app:synthesize"
+    ]
+
+
+class TestSharedApp:
+    def test_evaluators_share_one_app_and_time_one_synthesis(
+        self, empty_app_memo
+    ):
+        first_perf, second_perf = PerfRegistry(), PerfRegistry()
+        first_tracer, second_tracer = Tracer(), Tracer()
+        first = _evaluator(first_perf, first_tracer)["kafka"].app
+        second = _evaluator(second_perf, second_tracer)["kafka"].app
+        assert first is second
+        assert first_perf.calls("synthesize") == 1
+        assert second_perf.calls("synthesize") == 0
+        assert len(_synth_spans(first_tracer)) == 1
+        assert _synth_spans(second_tracer) == []
+
+
+class TestAppImmutability:
+    """A full evaluation must leave the shared app as it was built."""
+
+    @pytest.mark.parametrize("name", ["wordpress", "verilator"])
+    def test_full_evaluation_keeps_app_equal_to_fresh_build(
+        self, empty_app_memo, name
+    ):
+        evaluation = _evaluator()[name]
+        evaluation.profile
+        evaluation.ispy_plan()
+        evaluation.stats_for("ispy")
+        evaluation.stats_for("contiguous8")
+        shared = evaluation.app
+        assert apps_mod.get_app(name, SETTINGS.scale) is shared
+
+        fresh = build_app(name, scale=SETTINGS.scale)
+        assert shared.spec == fresh.spec
+        assert shared.program.name == fresh.program.name
+        assert list(shared.program) == list(fresh.program)
+        assert shared.model.entry == fresh.model.entry
+        assert shared.model.type_markers == fresh.model.type_markers
+        assert shared.model.block_ids() == fresh.model.block_ids()
+        for block_id in fresh.model.block_ids():
+            assert shared.model.terminator(block_id) == fresh.model.terminator(
+                block_id
+            )
+        assert shared.dispatch_block == fresh.dispatch_block
+        assert shared.handler_entries == fresh.handler_entries

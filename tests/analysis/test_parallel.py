@@ -7,6 +7,8 @@ statistics — and a warm cache replaces simulation entirely.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -20,11 +22,15 @@ from repro.analysis.jobs import (
     split_worker_budget,
 )
 from repro.io import ArtifactStore, stats_to_record
+from repro.obs.trace import Tracer
 from repro.perf import PerfRegistry
 from repro.runconfig import RunConfig
+from repro.workloads import apps as apps_mod
 
 APPS = ("wordpress", "kafka")
-VARIANTS = ("baseline", "ideal", "asmdb", "ispy")
+#: contiguous8 is a mechanism member: it replays outside run_plan, on
+#: whatever app object the worker already holds
+VARIANTS = ("baseline", "ideal", "asmdb", "ispy", "contiguous8")
 
 SETTINGS = ExperimentSettings(
     profile_length=12_000, eval_length=15_000, warmup=3_000, scale=0.25
@@ -73,6 +79,22 @@ class TestParallelEqualsSerial:
             evaluator["wordpress"].stats_for(variant)
         assert perf.calls("simulate") == 0
 
+    def test_workers_synthesize_each_app_at_most_once(self, monkeypatch):
+        # an empty memo, so forked workers cannot inherit the parent's apps
+        monkeypatch.setattr(apps_mod, "_CACHE", {})
+        tracer = Tracer()
+        evaluator = Evaluator(
+            config=RunConfig(settings=SETTINGS, jobs=2, tracer=tracer)
+        )
+        evaluator.prewarm(apps=APPS, variants=VARIANTS)
+        synth = Counter(
+            (e["tid"], e["args"]["app"])
+            for e in tracer.snapshot()
+            if e["ph"] == "X" and e["name"] == "app:synthesize"
+        )
+        assert synth, "no worker synthesized anything"
+        assert max(synth.values()) == 1, synth
+
     def test_ephemeral_store_created_for_parallel_runs(self):
         evaluator = Evaluator(config=RunConfig(settings=SETTINGS, jobs=2))
         assert evaluator.store is None
@@ -111,6 +133,34 @@ class TestPersistentWarmRun:
                 stats_to_record(warm["wordpress"].stats_for(variant))
                 == serial_records[("wordpress", variant)]
             )
+
+    def test_warm_mechanism_variants_never_synthesize_or_train(
+        self, tmp_path, monkeypatch
+    ):
+        variants = DEFAULT_PREWARM_VARIANTS + ("nextline", "fdip", "mana")
+        cache = tmp_path / "cache"
+        cold = Evaluator(config=RunConfig(settings=SETTINGS, store=cache))
+        cold.prewarm(apps=["wordpress"], variants=variants)
+
+        # a fresh process's view: nothing memoized, only the store
+        monkeypatch.setattr(apps_mod, "_CACHE", {})
+        warm_perf = PerfRegistry()
+        warm = Evaluator(
+            config=RunConfig(settings=SETTINGS, store=cache, perf=warm_perf)
+        )
+        warm.prewarm(apps=["wordpress"], variants=variants)
+        for stage in ("synthesize", "profile", "simulate", "store-hit:profile"):
+            assert warm_perf.calls(stage) == 0, stage
+        trained = {
+            name: counter.calls
+            for name, counter in warm_perf.counters.items()
+            if name.startswith("plan:") and counter.calls
+        }
+        assert trained == {}
+        for variant in variants:
+            assert stats_to_record(
+                warm["wordpress"].stats_for(variant)
+            ) == stats_to_record(cold["wordpress"].stats_for(variant)), variant
 
 
 class TestKeyGranularity:
