@@ -6,10 +6,6 @@ committed at ``HEAD`` and fails when a guarded headline number drops
 below ``--min-ratio`` of the committed value.  The guarded
 benchmarks:
 
-* ``BENCH_parallel_shards.json`` — the exact-mode *projected
-  8-worker speedup* of the multi-level round decomposition.  The
-  projection is a 1-worker Amdahl model (see the benchmark module),
-  so it is stable across host core counts.
 * ``BENCH_batched_sweep.json`` — the *measured* plan-batched sweep
   speedup (one ``columnar-plan-batch`` pass vs per-variant
   ``columnar-plan`` replays).  This is a wall-clock ratio of two
@@ -30,7 +26,6 @@ into a shared phase).
 
 Usage::
 
-    python -m pytest benchmarks/test_parallel_shards.py -x -q
     python -m pytest benchmarks/test_batched_sweep.py -x -q
     python scripts/bench_diff.py [--only NAME] [--fresh PATH]
         [--committed PATH] [--min-ratio 0.9]
@@ -55,12 +50,6 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _parallel_metric(payload: dict) -> float:
-    return float(
-        payload["measured"]["modes"]["exact"]["projected_speedup"]["8"]
-    )
-
-
 def _batched_metric(payload: dict) -> float:
     return float(payload["measured"]["speedup"])
 
@@ -81,16 +70,6 @@ def _matrix_metric(payload: dict) -> float:
 
 
 GUARDS = {
-    "parallel-shards": {
-        "relpath": "benchmarks/results/BENCH_parallel_shards.json",
-        "metric": _parallel_metric,
-        "label": "exact projected 8-worker speedup",
-        "hint": (
-            "the parallel executor's projected speedup regressed; "
-            "either fix the serial-work regression or consciously "
-            "recommit the benchmark JSON with justification"
-        ),
-    },
     "batched-sweep": {
         "relpath": "benchmarks/results/BENCH_batched_sweep.json",
         "metric": _batched_metric,

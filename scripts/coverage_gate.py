@@ -43,9 +43,6 @@ GATED_TREES = {
     "src/repro/sim/array_replay.py": os.path.join(
         "src", "repro", "sim", "array_replay.py"
     ),
-    "src/repro/sim/parallel.py": os.path.join(
-        "src", "repro", "sim", "parallel.py"
-    ),
     "src/repro/sim/stats.py": os.path.join(
         "src", "repro", "sim", "stats.py"
     ),

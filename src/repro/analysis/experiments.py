@@ -100,7 +100,6 @@ class AppEvaluation:
         perf: Optional[perf_mod.PerfRegistry] = None,
         tracer=None,
         shard_insns: Optional[int] = None,
-        parallel=None,
         plan_batch: Optional[bool] = None,
     ):
         self.name = name
@@ -115,12 +114,6 @@ class AppEvaluation:
         #: checkpoints key on it (a checkpoint is only valid for the
         #: exact shard geometry that wrote it).
         self.shard_insns = shard_insns
-        #: optional :class:`~repro.sim.parallel.ParallelConfig` fanning
-        #: each replay's shards across worker processes.  ``exact``
-        #: mode is another execution knob (bit-identical, absent from
-        #: cache keys); ``tolerant`` trades documented accuracy for
-        #: speed, so persistent caching is disabled for its stats.
-        self.parallel = parallel
         #: batch whole sweep variant sets through one trace pass
         #: (:meth:`run_plans`).  Tri-state: ``True`` forces the batched
         #: backend, ``False`` disables it, ``None`` (default) enables
@@ -254,18 +247,11 @@ class AppEvaluation:
 
     # -- simulation --------------------------------------------------------
 
-    def _tolerant_replay(self) -> bool:
-        """True when replays run under the tolerant parallel mode,
-        whose statistics are approximate — they must neither be served
-        from nor written to the persistent store (stats keys describe
-        the exact result)."""
-        return self.parallel is not None and self.parallel.mode == "tolerant"
-
     def _cached_stats(self, key: str) -> Optional[SimStats]:
         stats = self._sim_cache.get(key)
         if stats is not None:
             return stats
-        if self.store is not None and not self._tolerant_replay():
+        if self.store is not None:
             stats = self.store.load_stats(key)
             if stats is not None:
                 self.perf.count("store-hit:stats")
@@ -275,7 +261,7 @@ class AppEvaluation:
 
     def _remember_stats(self, key: str, stats: SimStats) -> None:
         self._sim_cache[key] = stats
-        if self.store is not None and not self._tolerant_replay():
+        if self.store is not None:
             self.store.save_stats(key, stats)
 
     def _checkpointer(self, stats_key: str):
@@ -326,7 +312,6 @@ class AppEvaluation:
                     warmup=self.settings.warmup,
                     shard_insns=self.shard_insns,
                     checkpointer=self._checkpointer(key),
-                    parallel=self.parallel,
                     hash_bits=hash_bits,
                     track_exact_context=track_exact_context,
                 ),
@@ -401,11 +386,10 @@ class AppEvaluation:
             else []
         )
         # The batch shares one trace pass, so it cannot compose with
-        # the per-replay process fan-out or the per-replay resume
-        # checkpoints (those key on a single variant's stats key).
+        # the per-replay resume checkpoints (those key on a single
+        # variant's stats key).
         eligible = (
             len(batchable) >= (1 if self.plan_batch else 2)
-            and self.parallel is None
             and not (self.store is not None and self.shard_insns is not None)
         )
         if eligible and batchable:
@@ -480,7 +464,6 @@ class AppEvaluation:
                     warmup=self.settings.warmup,
                     shard_insns=self.shard_insns,
                     checkpointer=self._checkpointer(key),
-                    parallel=self.parallel,
                 ),
             )
             span.set(backend=ideal.last_replay_backend)
@@ -741,41 +724,6 @@ class Evaluator:
         self.jobs = config.jobs
         self.shard_insns: Optional[int] = getattr(config, "shard_insns", None)
         self.perf = perf_mod.registry(config.perf)
-        # Intra-trace shard parallelism: one ParallelConfig shared by
-        # every AppEvaluation.  The shard pools' worker count comes out
-        # of the same budget the sweep-level ``jobs`` draw from, so
-        # --jobs and --parallel-shards can no longer multiply into
-        # unbounded process counts (satellite of the PR 6 executor).
-        self.parallel = None
-        # Provenance of the jobs/shard-pool budget split (filled by
-        # split_worker_budget; surfaced in the manifest's parallel
-        # section so a clamped run records that it was clamped).
-        self.parallel_budget: Optional[dict] = None
-        parallel_mode = getattr(config, "parallel_shards", None)
-        if parallel_mode is not None:
-            if self.shard_insns is None:
-                import warnings
-
-                warnings.warn(
-                    "parallel_shards requires shard_insns; replaying "
-                    "whole traces sequentially",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                from ..sim.parallel import ParallelConfig
-                from .jobs import split_worker_budget
-
-                self.parallel_budget = {}
-                _, shard_workers = split_worker_budget(
-                    self.jobs, None, getattr(config, "worker_budget", None),
-                    record=self.parallel_budget,
-                )
-                self.parallel = ParallelConfig(
-                    mode=parallel_mode,
-                    workers=shard_workers,
-                    perf=self.perf,
-                )
         #: tri-state --plan-batch knob, forwarded to every
         #: AppEvaluation (see AppEvaluation.plan_batch)
         self.plan_batch: Optional[bool] = getattr(config, "plan_batch", None)
@@ -800,7 +748,6 @@ class Evaluator:
                 perf=self.perf,
                 tracer=self.tracer,
                 shard_insns=self.shard_insns,
-                parallel=self.parallel,
                 plan_batch=self.plan_batch,
             )
         return self._apps[name]

@@ -32,9 +32,8 @@ def simulate_ideal(
 
 class IdealPrefetcher(Prefetcher):
     """The no-miss bound through the zoo protocol.  It rides the
-    CoreSimulator replay path (ideal mode), so sharded and parallel
-    execution apply bit-identically; there is no plan and nothing to
-    train."""
+    CoreSimulator replay path (ideal mode), so sharded execution
+    applies bit-identically; there is no plan and nothing to train."""
 
     planner = "ideal"
     requires_profile = False
@@ -62,7 +61,6 @@ class IdealPrefetcher(Prefetcher):
             warmup=ctx.warmup,
             shard_insns=ctx.shard_insns,
             checkpointer=ctx.checkpointer,
-            parallel=ctx.parallel,
         )
         self._last_core = core
         return stats

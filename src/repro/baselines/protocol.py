@@ -15,15 +15,15 @@ the two phases the harness already distinguishes:
 
 Plan-producing schemes inherit :meth:`Prefetcher.simulate` unchanged:
 it drives :class:`~repro.sim.cpu.CoreSimulator`, so they get the
-columnar kernel, ``--shard-insns`` streaming, ``--parallel-shards``
-and the plan-batched sweep backend for free.  Mechanism schemes (the
+columnar kernel, ``--shard-insns`` streaming and the plan-batched
+sweep backend for free.  Mechanism schemes (the
 run-time loops) override it and advertise what they support through
 the capability flags:
 
 ``produces_plan``         training yields a ``PrefetchPlan``
 ``requires_profile``      training needs an ``ExecutionProfile``
 ``supports_plan_replay``  the CoreSimulator replay path applies
-``supports_sharding``     ``shard_insns``/``parallel`` are honoured
+``supports_sharding``     ``shard_insns`` is honoured
 ``supports_batch``        eligible for ``columnar-plan-batch`` sweeps
 
 The registry maps variant names (``"ispy"``, ``"asmdb"``,
@@ -69,9 +69,8 @@ class ReplayContext:
     """Execution knobs for one :meth:`Prefetcher.simulate` call.
 
     Everything here is how-to-run state, not what-to-run state: the
-    statistics of a replay are bit-identical whatever the sharding or
-    parallel settings (for prefetchers whose capability flags allow
-    them).  ``trained`` optionally carries a cached
+    statistics of a replay are bit-identical whatever the sharding
+    (for prefetchers whose capability flags allow it).  ``trained`` optionally carries a cached
     :meth:`Prefetcher.train_result` artifact so the harness's train
     cache is reused instead of retraining inside the replay.
     """
@@ -81,7 +80,6 @@ class ReplayContext:
     warmup: int = 0
     shard_insns: Optional[int] = None
     checkpointer: object = None
-    parallel: object = None
     hash_bits: int = 16
     track_exact_context: bool = False
     trained: object = None
@@ -145,7 +143,7 @@ class Prefetcher(ABC):
     produces_plan: ClassVar[bool] = True
     #: statistics come from the CoreSimulator plan-replay path
     supports_plan_replay: ClassVar[bool] = True
-    #: shard_insns / parallel shard replay apply (bit-identical)
+    #: shard_insns streaming applies (bit-identical)
     supports_sharding: ClassVar[bool] = True
     #: eligible for the columnar-plan-batch sweep backend
     supports_batch: ClassVar[bool] = True
@@ -214,7 +212,6 @@ class Prefetcher(ABC):
             warmup=ctx.warmup,
             shard_insns=ctx.shard_insns,
             checkpointer=ctx.checkpointer,
-            parallel=ctx.parallel,
         )
         self._last_core = core
         return stats
@@ -236,7 +233,7 @@ class Prefetcher(ABC):
 
     def _reject_sharding(self, ctx: ReplayContext) -> None:
         """Guard for mechanism loops that replay whole traces only."""
-        if ctx.shard_insns is not None or ctx.parallel is not None:
+        if ctx.shard_insns is not None:
             raise ValueError(
                 f"{self.name} does not support sharded replay "
                 "(supports_sharding is False); run it whole-trace"

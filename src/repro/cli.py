@@ -45,11 +45,6 @@ Examples
     # stream replays in 20k-instruction shards; with a cache directory,
     # a killed run resumes from the last completed shard when re-run
     python -m repro evaluate wordpress --shard-insns 20000 --cache .repro-cache
-    # fan each trace's shards across worker processes, bit-identically
-    python -m repro evaluate wordpress --shard-insns 20000 --parallel-shards exact
-    # sweep-level jobs and shard pools drawing from one 8-process budget
-    python -m repro report --jobs 2 --shard-insns 20000 \\
-        --parallel-shards exact --worker-budget 8
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ from typing import List, Optional, Tuple
 from .analysis import experiments as exp
 from .analysis.reporting import percent, render_table
 from .baselines import protocol as zoo
-from .runconfig import RunConfig, add_run_arguments
+from .runconfig import RunConfig, add_run_arguments, positive_int
 from .workloads.apps import ALL_APP_NAMES, APP_NAMES
 
 #: figure name -> experiments function (single-table figures only)
@@ -453,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="program name recorded in the sidecar (default: file stem)",
     )
     p_ingest.add_argument(
-        "--shard-insns", type=int, default=100_000, metavar="N",
+        "--shard-insns", type=positive_int, default=100_000, metavar="N",
         help="instructions per on-disk shard (default: 100000)",
     )
     p_ingest.add_argument(

@@ -27,11 +27,11 @@ from typing import Any, Dict, List, Optional, Union
 
 MANIFEST_FORMAT = "run-manifest"
 # Version 2 extended the parallel section with per-round accounting
-# ("rounds") and the worker-budget split provenance ("worker_budget",
-# "clamped") when the multi-level parallel executor landed.
+# and the worker-budget split provenance.
 # Version 3 added the "batch" section (plan-batched sweep replay:
 # the --plan-batch mode, sweep/variant/fallback counts).
-MANIFEST_VERSION = 3
+# Version 4 dropped the "parallel" section with parallel shard replay.
+MANIFEST_VERSION = 4
 
 PathLike = Union[str, Path]
 
@@ -57,15 +57,6 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
     },
     "jobs": int,
     "shard_insns": (int, type(None)),  # trace shard budget, None = whole-trace
-    "parallel": {
-        "mode": (str, type(None)),        # exact/tolerant, None = sequential
-        "workers": (int, type(None)),     # shard-pool size, None = sequential
-        "busy_seconds": (int, float),     # worker-seconds spent computing
-        "idle_seconds": (int, float),     # worker-seconds spent waiting
-        "rounds": dict,                   # round -> {calls, seconds, units}
-        "worker_budget": (int, type(None)),  # --worker-budget, None = unset
-        "clamped": bool,                  # shard pools clamped to the budget
-    },
     "kernel": {
         "numpy_available": bool,
         "numpy_enabled": bool,
@@ -152,10 +143,6 @@ def validate_manifest(payload: Any) -> List[str]:
         )
     for name, entry in payload["stages"].items():
         _check_fields(entry, _STAGE_FIELDS, f"manifest.stages[{name!r}]", errors)
-    for name, entry in payload["parallel"]["rounds"].items():
-        _check_fields(
-            entry, _STAGE_FIELDS, f"manifest.parallel.rounds[{name!r}]", errors
-        )
     for backend, calls in payload["backend_counts"].items():
         if not isinstance(calls, int) or isinstance(calls, bool):
             errors.append(
@@ -218,8 +205,6 @@ class RunManifest:
         import repro
         from .. import kernel
 
-        parallel_cfg = getattr(evaluator, "parallel", None)
-        budget_record = getattr(evaluator, "parallel_budget", None)
         store = getattr(evaluator, "store", None)
         if store is not None:
             hits, misses = store.counters()
@@ -264,29 +249,6 @@ class RunManifest:
             "settings": dataclasses.asdict(evaluator.settings),
             "jobs": evaluator.jobs,
             "shard_insns": getattr(evaluator, "shard_insns", None),
-            "parallel": {
-                "mode": (
-                    parallel_cfg.mode if parallel_cfg is not None else None
-                ),
-                "workers": (
-                    parallel_cfg.resolve_workers()
-                    if parallel_cfg is not None
-                    else None
-                ),
-                "busy_seconds": evaluator.perf.seconds("parallel:busy"),
-                "idle_seconds": evaluator.perf.seconds("parallel:idle"),
-                "rounds": evaluator.perf.parallel_rounds(),
-                "worker_budget": (
-                    budget_record.get("worker_budget")
-                    if budget_record is not None
-                    else None
-                ),
-                "clamped": (
-                    bool(budget_record.get("clamped"))
-                    if budget_record is not None
-                    else False
-                ),
-            },
             "kernel": {
                 "numpy_available": kernel.HAVE_NUMPY,
                 "numpy_enabled": kernel.numpy_enabled(),

@@ -136,29 +136,6 @@ class PerfRegistry:
         """Wall-clock work recorded across every stage."""
         return sum(entry.seconds for entry in self.counters.values())
 
-    def parallel_rounds(self) -> Dict[str, dict]:
-        """Per-round accounting of the parallel shard executor.
-
-        One entry per ``parallel:<round>`` stage the pool ran —
-        ``l1-summary``/``l1-scan``/``l2-scan``/``l3-scan`` for exact
-        mode, ``tolerant``/``ideal`` for the others, plus setup stages
-        like ``write-shards`` and ``data-decode`` — excluding the
-        aggregate busy/idle/per-task counters.  Feeds the run
-        manifest's parallel section.
-        """
-        skip = ("parallel:busy", "parallel:idle", "parallel:shard")
-        rounds: Dict[str, dict] = {}
-        for name in sorted(self.counters):
-            if not name.startswith("parallel:") or name in skip:
-                continue
-            entry = self.counters[name]
-            rounds[name[len("parallel:"):]] = {
-                "calls": entry.calls,
-                "seconds": entry.seconds,
-                "units": entry.units,
-            }
-        return rounds
-
     # -- reporting ------------------------------------------------------
 
     def report(self, title: str = "per-stage timing") -> str:
@@ -192,27 +169,7 @@ class PerfRegistry:
                 f"{name}={calls}" for name, calls in sorted(backends.items())
             )
             lines.append(f"replay backends: {summary}")
-        utilization = self.worker_utilization()
-        if utilization is not None:
-            busy = self.seconds("parallel:busy")
-            idle = self.seconds("parallel:idle")
-            lines.append(
-                f"shard workers: {utilization:.0%} busy "
-                f"({busy:.3f}s busy / {idle:.3f}s idle across "
-                f"{self.units('parallel:shard') or self.calls('parallel:shard')}"
-                f" shard tasks)"
-            )
         return "\n".join(lines)
-
-    def worker_utilization(self) -> Optional[float]:
-        """Busy fraction of the parallel shard pool's worker-seconds,
-        or None when no parallel rounds ran."""
-        busy = self.seconds("parallel:busy")
-        idle = self.seconds("parallel:idle")
-        total = busy + idle
-        if total <= 0.0:
-            return None
-        return busy / total
 
 
 #: Process-wide default registry (the CLI's ``--timing`` view).

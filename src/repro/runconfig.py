@@ -62,12 +62,6 @@ class RunConfig:
     #: knob, not an experiment setting: results are bit-identical, so
     #: it never enters result cache keys.
     shard_insns: Optional[int] = None
-    #: fan each trace's shards across worker processes: ``"exact"``
-    #: (bit-identical, no-plan columnar backends, sequential fallback
-    #: otherwise) or ``"tolerant"`` (any backend, documented stats
-    #: tolerance — see :mod:`repro.sim.parallel`); requires
-    #: ``shard_insns``.  Like it, an execution knob: never cached on.
-    parallel_shards: Optional[str] = None
     #: batch whole sweep variant sets through one trace pass per app
     #: (the ``columnar-plan-batch`` backend): True forces it, False
     #: disables it, None (default) batches automatically whenever a
@@ -75,11 +69,6 @@ class RunConfig:
     #: Per-variant results are bit-identical to independent replays,
     #: so — like every execution knob — it never enters cache keys.
     plan_batch: Optional[bool] = None
-    #: total worker-process budget shared between sweep-level ``jobs``
-    #: and intra-trace shard workers (see
-    #: :func:`repro.analysis.jobs.split_worker_budget`); None sizes
-    #: shard pools at one worker per CPU
-    worker_budget: Optional[int] = None
     #: print the per-stage timing report when the run finishes
     timing: bool = False
     #: write a Chrome-trace-event JSONL of the run's spans here
@@ -96,6 +85,10 @@ class RunConfig:
     _root_span: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.shard_insns is not None and self.shard_insns < 1:
+            raise ValueError(
+                f"shard_insns must be at least 1, got {self.shard_insns}"
+            )
         if self.settings is None:
             from .analysis.experiments import ExperimentSettings
 
@@ -122,7 +115,6 @@ class RunConfig:
             store=store,
             numpy_kernel=False if getattr(args, "no_numpy_kernel", False) else None,
             shard_insns=getattr(args, "shard_insns", None),
-            parallel_shards=getattr(args, "parallel_shards", None),
             plan_batch=(
                 True
                 if getattr(args, "plan_batch", False)
@@ -130,7 +122,6 @@ class RunConfig:
                 if getattr(args, "no_plan_batch", False)
                 else None
             ),
-            worker_budget=getattr(args, "worker_budget", None),
             timing=getattr(args, "timing", False),
             trace_path=getattr(args, "trace", None),
             manifest_path=getattr(args, "manifest", None),
@@ -177,6 +168,16 @@ class RunConfig:
             print(evaluator.perf.report())
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    import argparse
+
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def add_run_arguments(
     parser: "argparse.ArgumentParser",
     jobs_default: int = 1,
@@ -218,20 +219,11 @@ def add_run_arguments(
         "columnar NumPy kernel; results are identical either way)",
     )
     run.add_argument(
-        "--shard-insns", type=int, default=None, metavar="N",
+        "--shard-insns", type=positive_int, default=None, metavar="N",
         help="stream evaluation traces in shards of N retired "
         "instructions (bounded memory; with --cache, killed runs "
         "resume from the last completed shard; results are "
         "bit-identical to whole-trace replay)",
-    )
-    run.add_argument(
-        "--parallel-shards", choices=("exact", "tolerant"), default=None,
-        metavar="MODE",
-        help="replay each trace's shards across worker processes "
-        "(requires --shard-insns): 'exact' is bit-identical and "
-        "serves the no-plan columnar backends (others fall back to "
-        "sequential replay), 'tolerant' serves every backend with a "
-        "documented statistics tolerance",
     )
     batch = run.add_mutually_exclusive_group()
     batch.add_argument(
@@ -244,12 +236,6 @@ def add_run_arguments(
     batch.add_argument(
         "--no-plan-batch", action="store_true",
         help="always replay sweep variants one at a time",
-    )
-    run.add_argument(
-        "--worker-budget", type=int, default=None, metavar="N",
-        help="total worker processes shared between --jobs sweep "
-        "workers and --parallel-shards pools (warns and clamps the "
-        "shard pools when --jobs alone would oversubscribe it)",
     )
 
     telemetry = parser.add_argument_group("telemetry")

@@ -391,9 +391,7 @@ class ArrayCarry:
 def _gather_l1(view, rows: np.ndarray):
     """The L1I access stream of a shard: a CSR gather of each executed
     block's cache lines.  Returns ``(counts_pe, cum_pe,
-    block_of_access, l1_lines)`` — shared by the sequential kernel and
-    the parallel executor's workers, so both derive the identical
-    stream."""
+    block_of_access, l1_lines)``."""
     n_local = len(rows)
     counts_pe = view.line_counts[rows]
     cum_pe = np.zeros(n_local + 1, dtype=np.int64)
@@ -417,10 +415,7 @@ def _merge_l2_stream(
     """One shard's L2 access stream: per retired block, that block's
     instruction L1 misses first, then its data lines.
 
-    Returns ``(l2_lines, l2_blocks, l2_is_instr)``.  Shared by the
-    sequential kernel and the parallel executor's workers (every round
-    that touches L2 or L3 re-derives the identical stream from the L1
-    hit flags and the pre-decoded data lines)."""
+    Returns ``(l2_lines, l2_blocks, l2_is_instr)``."""
     n_miss = len(miss_lines)
     if data_lines_py:
         data_lines = np.asarray(data_lines_py, dtype=np.int64)
@@ -459,11 +454,9 @@ def _timing_fold(
     ``np.add.accumulate`` over the per-block cycle increments, at each
     miss the fill-port/stall recurrence runs per miss.
 
-    This is the one inherently sequential piece of the replay — every
-    float add depends on the entry ``now``/``busy``, and float addition
-    is not associative — so the parallel executor runs exactly this
-    fold in the parent while workers precompute everything else.
-    Returns the exit ``(now, busy, frontend_stalls)``.
+    Every float add depends on the entry ``now``/``busy``, and float
+    addition is not associative, so this fold must replay in reference
+    order.  Returns the exit ``(now, busy, frontend_stalls)``.
     """
     record_events = block_cycles is not None
     penalty = (
@@ -547,10 +540,6 @@ def array_shard_replay(
     offset: int = 0,
     eff: int = 0,
     record_events: bool = False,
-    l1_precomputed: Optional[tuple] = None,
-    l2_precomputed: Optional[tuple] = None,
-    l3_precomputed: Optional[tuple] = None,
-    data_stream: Optional[tuple] = None,
 ) -> Optional[ReplayEvents]:
     """Replay one shard (trace rows at global positions ``offset ..
     offset+len(rows)``) of the no-plan columnar path, continuing from
@@ -562,18 +551,6 @@ def array_shard_replay(
     does; otherwise this shard's counts accumulate onto the carry.
     With ``record_events`` the per-shard observer view is returned,
     with ``miss_trace_index`` already global.
-
-    ``l1_precomputed``/``l2_precomputed``/``l3_precomputed`` are the
-    parallel executor's injection points: each is a ``(hits_bytes,
-    evicts_bytes, end_state)`` triple from a worker that already ran
-    the exact LRU sweep of that level for this shard (from the
-    composed true start state).  The corresponding sweep is skipped
-    and the end state installed; every other operation — stream
-    derivation, timing, counters — runs unchanged, which is what
-    keeps the parallel exact mode bit-identical to this sequential
-    path.  ``data_stream`` is a ``(lines, counts)`` pair the caller
-    already decoded from the data-traffic model (the caller owns
-    advancing the model); when absent the model is decoded here.
     """
     n_local = len(rows)
     reset_local = eff - offset if offset <= eff < offset + n_local else None
@@ -584,16 +561,12 @@ def array_shard_replay(
     total_accesses = int(cum_pe[-1])
 
     l1_geom = machine.l1i
-    if l1_precomputed is None:
-        l1_hits_b, l1_evicts_b, _ = _lru_stream(
-            l1_lines.tolist(),
-            (l1_lines % l1_geom.num_sets).tolist(),
-            l1_geom.ways,
-            carry.l1_state,
-        )
-    else:
-        l1_hits_b, l1_evicts_b, l1_end_state = l1_precomputed
-        carry.l1_state = l1_end_state
+    l1_hits_b, l1_evicts_b, _ = _lru_stream(
+        l1_lines.tolist(),
+        (l1_lines % l1_geom.num_sets).tolist(),
+        l1_geom.ways,
+        carry.l1_state,
+    )
     l1_hits = _flags(l1_hits_b)
 
     miss_pos = np.flatnonzero(~l1_hits)
@@ -602,12 +575,9 @@ def array_shard_replay(
     n_miss = len(miss_pos)
 
     # -- data-traffic stream (exact model replay, per retired block) ---
-    if data_stream is not None:
-        data_lines_py, data_counts_py = data_stream
-    else:
-        data_lines_py, data_counts_py = _decode_data_stream(
-            data_traffic, view.instruction_counts[rows].tolist()
-        )
+    data_lines_py, data_counts_py = _decode_data_stream(
+        data_traffic, view.instruction_counts[rows].tolist()
+    )
 
     # -- L2 stream: per block, instruction misses then data lines ------
     l2_lines, l2_blocks, l2_is_instr = _merge_l2_stream(
@@ -615,16 +585,12 @@ def array_shard_replay(
     )
 
     l2_geom = machine.l2
-    if l2_precomputed is None:
-        l2_hits_b, l2_evicts_b, _ = _lru_stream(
-            l2_lines.tolist(),
-            (l2_lines % l2_geom.num_sets).tolist(),
-            l2_geom.ways,
-            carry.l2_state,
-        )
-    else:
-        l2_hits_b, l2_evicts_b, l2_end_state = l2_precomputed
-        carry.l2_state = l2_end_state
+    l2_hits_b, l2_evicts_b, _ = _lru_stream(
+        l2_lines.tolist(),
+        (l2_lines % l2_geom.num_sets).tolist(),
+        l2_geom.ways,
+        carry.l2_state,
+    )
     l2_hits = _flags(l2_hits_b)
 
     # -- L3 stream: the L2 misses, in order ----------------------------
@@ -633,16 +599,12 @@ def array_shard_replay(
     l3_blocks = l2_blocks[l3_sel]
     l3_is_instr = l2_is_instr[l3_sel]
     l3_geom = machine.l3
-    if l3_precomputed is None:
-        l3_hits_b, l3_evicts_b, _ = _lru_stream(
-            l3_lines.tolist(),
-            (l3_lines % l3_geom.num_sets).tolist(),
-            l3_geom.ways,
-            carry.l3_state,
-        )
-    else:
-        l3_hits_b, l3_evicts_b, l3_end_state = l3_precomputed
-        carry.l3_state = l3_end_state
+    l3_hits_b, l3_evicts_b, _ = _lru_stream(
+        l3_lines.tolist(),
+        (l3_lines % l3_geom.num_sets).tolist(),
+        l3_geom.ways,
+        carry.l3_state,
+    )
     l3_hits = _flags(l3_hits_b)
 
     # -- hit level of every instruction miss ---------------------------

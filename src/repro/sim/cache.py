@@ -163,7 +163,7 @@ class Cache:
 
         *state* maps set index to an ordered ``{line: None}`` recency
         dict, oldest first — the representation the columnar LRU sweep
-        and the parallel executor's composition law both produce.  Used
+        produces.  Used
         to install a carried replay state; any pending-prefetch
         bookkeeping is cleared (the no-plan paths never prefetch).
         """

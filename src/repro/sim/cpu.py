@@ -172,7 +172,6 @@ class CoreSimulator:
         warmup: int = 0,
         shard_insns: Optional[int] = None,
         checkpointer=None,
-        parallel=None,
     ) -> SimStats:
         """Replay *trace* and return the populated statistics.
 
@@ -185,17 +184,13 @@ class CoreSimulator:
         ShardedTrace` passed as *trace*) the replay streams the trace
         shard by shard — bounded memory, bit-identical statistics —
         and an optional *checkpointer* (see :mod:`repro.sim.streaming`)
-        records per-shard state so a killed run can resume.  An
-        optional *parallel* :class:`~repro.sim.parallel.ParallelConfig`
-        fans the shards across worker processes (falling back to
-        sequential replay when the configuration is ineligible).
+        records per-shard state so a killed run can resume.
         """
         from .trace import ShardedTrace
 
         if (
             shard_insns is not None
             or checkpointer is not None
-            or parallel is not None
             or isinstance(trace, ShardedTrace)
         ):
             from .streaming import run_sharded
@@ -207,7 +202,6 @@ class CoreSimulator:
                 warmup=warmup,
                 shard_insns=shard_insns,
                 checkpointer=checkpointer,
-                parallel=parallel,
             )
         with get_tracer().span(
             "sim:run",
@@ -420,7 +414,6 @@ def simulate(
     warmup: int = 0,
     prefetch_insertion_fraction: float = 0.5,
     shard_insns: Optional[int] = None,
-    parallel=None,
 ) -> SimStats:
     """One-shot convenience wrapper around :class:`CoreSimulator`."""
     core = CoreSimulator(
@@ -439,5 +432,4 @@ def simulate(
         observer=observer,
         warmup=warmup,
         shard_insns=shard_insns,
-        parallel=parallel,
     )

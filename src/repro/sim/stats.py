@@ -163,69 +163,6 @@ class ShardMergeError(ValueError):
 
 
 @dataclass(frozen=True)
-class CarryUpdate:
-    """One shard's integer-counter contribution to an array-replay
-    carry, produced worker-side by the parallel executor.
-
-    ``ints`` maps carry counter slots (``l1_dh`` … ``l3_ev``,
-    ``l1i_accesses``, ``l1i_misses``, ``program_instructions``) to this
-    shard's contribution; ``miss_levels`` is the shard's per-level
-    instruction-miss histogram.  ``resets`` selects the reference
-    loop's warmup semantics: the shard containing the warmup boundary
-    *replaces* the carried counters with its post-boundary values
-    (integers counted from the boundary), every other shard *adds*.
-    Integer addition is exact and order-independent, which is what
-    lets workers compute these summaries in parallel while the parent
-    applies them in shard order.
-    """
-
-    resets: bool
-    ints: Tuple[Tuple[str, int], ...]
-    miss_levels: Tuple[Tuple[str, int], ...] = ()
-
-    @classmethod
-    def combine(
-        cls,
-        resets: bool,
-        parts: Iterable[Dict[str, int]],
-        miss_levels: Dict[str, int],
-    ) -> "CarryUpdate":
-        """Fold one shard's per-round counter dicts into one update.
-
-        The rounds touch disjoint counter slots (round 2 owns the L1
-        and program counters, round 3 the L2 counters, round 4 the L3
-        counters), so a plain union suffices; a duplicate key would
-        mean two rounds claimed the same slot and is rejected.
-        """
-        ints: Dict[str, int] = {}
-        for part in parts:
-            for name, value in part.items():
-                if name in ints:
-                    raise ShardMergeError(
-                        f"carry counter {name!r} produced by two rounds"
-                    )
-                ints[name] = int(value)
-        return cls(
-            resets=bool(resets),
-            ints=tuple(sorted(ints.items())),
-            miss_levels=tuple(sorted(miss_levels.items())),
-        )
-
-    def apply(self, carry) -> None:
-        """Advance *carry*'s integer counters across this shard."""
-        if self.resets:
-            for name, value in self.ints:
-                setattr(carry, name, value)
-            carry.miss_level_counts = dict(self.miss_levels)
-        else:
-            for name, value in self.ints:
-                setattr(carry, name, getattr(carry, name) + value)
-            levels = carry.miss_level_counts
-            for name, value in self.miss_levels:
-                levels[name] = levels.get(name, 0) + value
-
-
-@dataclass(frozen=True)
 class ShardStats:
     """Partial :class:`SimStats` covering a contiguous shard range.
 

@@ -32,8 +32,7 @@ but does not checkpoint — its state lives across many rich objects
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import kernel
 from ..obs.trace import get_tracer
@@ -262,6 +261,10 @@ def _ideal_carry_payload(carry: Tuple[int, int]) -> dict:
     return {"l1i_accesses": carry[0], "program_instructions": carry[1]}
 
 
+def _ideal_carry_restore(payload: dict) -> Tuple[int, int]:
+    return int(payload["l1i_accesses"]), int(payload["program_instructions"])
+
+
 def _data_model_payload(model) -> Optional[dict]:
     if model is None:
         return None
@@ -291,8 +294,11 @@ class StoreCheckpointer:
     (result key, shard budget) — with the shard index.  After each
     save the previous shard's checkpoint is dropped, so at most two
     exist at any instant (crash-safe: a kill between save and delete
-    leaves both, and ``load_latest`` picks the newer).  ``finalize``
-    prunes every checkpoint once a run completes.
+    leaves both, and ``load_latest`` picks the newer).  A newest
+    checkpoint that cannot be read back (truncated, not gzip, not
+    JSON) is reported as ``sim:resume-invalid`` and the run replays
+    from the start.  ``finalize`` prunes every checkpoint once a run
+    completes.
     """
 
     def __init__(self, store, base_parts: Dict[str, object]):
@@ -318,8 +324,12 @@ class StoreCheckpointer:
             key = self._key(index)
             if self.store.has("shards", key):
                 payload = self.store.load_shard_state(key)
-                if payload is not None:
-                    return index, payload
+                if payload is None:
+                    get_tracer().instant(
+                        "sim:resume-invalid", shard=index, reason="unreadable"
+                    )
+                    return None
+                return index, payload
         return None
 
     def finalize(self, num_shards: int) -> None:
@@ -336,16 +346,8 @@ def _checkpoint(
     merged: ShardStats,
     carry_payload: dict,
     data_model,
-    data_payload: Optional[dict] = None,
 ) -> dict:
-    """One shard's resume payload (sequential format, all executors).
-
-    *data_payload* overrides the live model snapshot: the parallel
-    executor pre-decodes every shard's data stream up front (the
-    decode advances the RNG), so it passes the state captured right
-    after *this* shard's decode — exactly what a sequential resume
-    from this checkpoint must start from.
-    """
+    """One shard's resume payload."""
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -355,10 +357,7 @@ def _checkpoint(
         "shard_insns": shard_insns,
         "merged": merged.to_payload(),
         "carry": carry_payload,
-        "data_model": (
-            data_payload if data_payload is not None
-            else _data_model_payload(data_model)
-        ),
+        "data_model": _data_model_payload(data_model),
     }
 
 
@@ -368,18 +367,28 @@ def _load_checkpoint(
     num_shards: int,
     shard_insns: Optional[int],
     data_model,
-) -> Optional[Tuple[int, ShardStats, dict]]:
+    restore_carry: Callable[[dict], object],
+) -> Optional[Tuple[int, ShardStats, object]]:
     """Validate and decode the latest checkpoint, or None to start
-    fresh.  Any mismatch (format, backend, shard geometry, data-model
-    presence) discards the checkpoint rather than failing the run."""
+    fresh.
+
+    *restore_carry* decodes the backend's carry payload.  Any mismatch
+    (format, backend, shard geometry, data-model presence) or a body
+    that does not decode (missing keys, wrong types, a merged range
+    other than shards ``0..index``) discards the checkpoint with a
+    ``sim:resume-invalid`` instant naming the reason, rather than
+    failing the run; *data_model* is left untouched in that case.
+    """
     if checkpointer is None:
         return None
     loaded = checkpointer.load_latest(num_shards)
     if loaded is None:
         return None
     index, payload = loaded
+    tracer = get_tracer()
     valid = (
-        payload.get("format") == CHECKPOINT_FORMAT
+        isinstance(payload, dict)
+        and payload.get("format") == CHECKPOINT_FORMAT
         and payload.get("version") == CHECKPOINT_VERSION
         and payload.get("backend") == backend
         and payload.get("num_shards") == num_shards
@@ -388,13 +397,27 @@ def _load_checkpoint(
         and (payload.get("data_model") is None) == (data_model is None)
     )
     if not valid:
-        get_tracer().instant("sim:resume-invalid", shard=index)
+        tracer.instant("sim:resume-invalid", shard=index, reason="header")
         return None
-    if data_model is not None:
-        _data_model_restore(data_model, payload["data_model"])
-    merged = ShardStats.from_payload(payload["merged"])
-    get_tracer().instant("sim:resume", shard=index)
-    return index, merged, payload["carry"]
+    saved_model = _data_model_payload(data_model)
+    try:
+        merged = ShardStats.from_payload(payload["merged"])
+        if (
+            (merged.first, merged.last) != (0, index)
+            or len(merged.ints) != len(SHARD_INT_FIELDS)
+            or len(merged.floats) != len(SHARD_FLOAT_FIELDS)
+        ):
+            raise ValueError("merged stats do not cover shards 0..index")
+        carry = restore_carry(payload["carry"])
+        if data_model is not None:
+            _data_model_restore(data_model, payload["data_model"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        if data_model is not None:
+            _data_model_restore(data_model, saved_model)
+        tracer.instant("sim:resume-invalid", shard=index, reason="body")
+        return None
+    tracer.instant("sim:resume", shard=index)
+    return index, merged, carry
 
 
 # -- the driver --------------------------------------------------------------
@@ -407,7 +430,6 @@ def run_sharded(
     warmup: int = 0,
     shard_insns: Optional[int] = None,
     checkpointer: Optional[StoreCheckpointer] = None,
-    parallel=None,
 ) -> SimStats:
     """Replay *trace* shard by shard on *core* (a
     :class:`~repro.sim.cpu.CoreSimulator`).
@@ -420,16 +442,6 @@ def run_sharded(
     order-independent merge is the reported :class:`SimStats`, and the
     final simulator state (hierarchy, engine, fill port) is identical
     to the whole-trace replay's.
-
-    *parallel* (a :class:`~repro.sim.parallel.ParallelConfig`) fans
-    the shards across worker processes.  ``exact`` mode is
-    bit-identical and serves the no-plan columnar backends; any
-    configuration it cannot serve (observer, kernel disabled, seeded
-    state, plan-bearing engine, single shard) falls back to the
-    sequential drivers below with a ``sim:parallel-fallback`` instant.
-    ``tolerant`` mode serves every backend by replaying each shard
-    from an approximated start state — see :mod:`repro.sim.parallel`
-    for the documented tolerance; it ignores *checkpointer*.
     """
     program = core.program
     machine = core.machine
@@ -484,23 +496,6 @@ def run_sharded(
 
     num_shards = len(bounds)
 
-    # Parallel eligibility: exact mode needs the no-plan columnar
-    # fast path (the stitching proof covers exactly its L1 sweep);
-    # tolerant mode needs a replay a fresh worker simulator can
-    # reproduce (pristine state, no observer).  Ineligible requests
-    # fall back to the sequential drivers, visibly.
-    use_parallel = False
-    if parallel is not None:
-        reason = _parallel_ineligible(parallel.mode, fallback, engine)
-        if reason is None and num_shards <= 1:
-            reason = "single-shard"
-        if reason is None:
-            use_parallel = True
-        else:
-            tracer.instant(
-                "sim:parallel-fallback", mode=parallel.mode, reason=reason
-            )
-
     def shard_ids(index: int):
         start, stop = bounds[index]
         if sharded is not None:
@@ -522,18 +517,7 @@ def run_sharded(
         shards=num_shards,
         shard_insns=shard_insns,
     ) as span:
-        if use_parallel:
-            if parallel.mode == "exact":
-                core.last_replay_backend = "columnar"
-                core.last_fallback_reason = None
-            _run_parallel(
-                core, view, warmup, total, bounds, shard_rows, shard_insns,
-                checkpointer, tracer, parallel, sharded, inline,
-            )
-            span.set(
-                parallel=parallel.mode, workers=parallel.resolve_workers()
-            )
-        elif fallback is not None:
+        if fallback is not None:
             core.last_replay_backend = "reference"
             core.last_fallback_reason = fallback
             _run_reference_stream(
@@ -615,12 +599,11 @@ def _run_ideal_stream(
     prev = SimStats()
     start_shard = 0
     resumed = _load_checkpoint(
-        checkpointer, "columnar-ideal", len(bounds), shard_insns, None
+        checkpointer, "columnar-ideal", len(bounds), shard_insns, None,
+        _ideal_carry_restore,
     )
     if resumed is not None:
-        start_shard, merged, carry_payload = resumed
-        acc_l1i = int(carry_payload["l1i_accesses"])
-        acc_pi = int(carry_payload["program_instructions"])
+        start_shard, merged, (acc_l1i, acc_pi) = resumed
         start_shard += 1
         prev = SimStats()
         prev.l1i_accesses = acc_l1i
@@ -682,11 +665,10 @@ def _run_array_stream(
     start_shard = 0
     resumed = _load_checkpoint(
         checkpointer, "columnar", len(bounds), shard_insns,
-        core.data_traffic,
+        core.data_traffic, _array_carry_restore,
     )
     if resumed is not None:
-        start_shard, merged, carry_payload = resumed
-        carry = _array_carry_restore(carry_payload)
+        start_shard, merged, carry = resumed
         start_shard += 1
         prev = _array_snapshot(carry, cpi)
     for index in range(start_shard, len(bounds)):
@@ -749,11 +731,10 @@ def _run_plan_stream(
     start_shard = 0
     resumed = _load_checkpoint(
         checkpointer, "columnar-plan", len(bounds), shard_insns,
-        core.data_traffic,
+        core.data_traffic, lambda payload: _plan_carry_restore(ctx, payload),
     )
     if resumed is not None:
-        start_shard, merged, carry_payload = resumed
-        carry = _plan_carry_restore(ctx, carry_payload)
+        start_shard, merged, carry = resumed
         start_shard += 1
         prev = _plan_snapshot(ctx, carry)
     for index in range(start_shard, len(bounds)):
@@ -896,379 +877,6 @@ def run_plan_batch(
         # benchmark reporting (observation only)
         core.last_batch_phases = dict(batch.phase_seconds)
     return reasons
-
-
-# -- parallel drivers --------------------------------------------------------
-
-
-def _parallel_ineligible(mode, fallback, engine) -> Optional[str]:
-    """Why a parallel request cannot be served, or None when it can.
-
-    ``exact`` requires the no-plan columnar fast path; ``tolerant``
-    requires a replay a fresh worker can reproduce, which rules out
-    observers and pre-seeded hierarchy/engine state (but not a
-    disabled kernel or a plan — workers replicate both).
-    """
-    if mode == "exact":
-        if fallback is not None:
-            return fallback
-        if engine is not None:
-            return "plan-backend"
-        return None
-    if fallback in ("observer", "state-not-pristine", "plan-ineligible"):
-        return fallback
-    return None
-
-
-def _run_parallel(
-    core, view, warmup, total, bounds, shard_rows, shard_insns,
-    checkpointer, tracer, parallel, sharded, inline,
-):
-    """Pool lifecycle shared by the parallel drivers: workers consume
-    an on-disk shard directory, so an in-memory trace is first written
-    out (to a temporary directory, removed when the run ends)."""
-    import shutil
-    import tempfile
-
-    from .. import perf as perf_mod
-    from .parallel import ShardPool, pool_payload
-    from .trace import write_trace_shards
-
-    perf = perf_mod.registry(parallel.perf)
-    tmp = None
-    try:
-        if sharded is not None:
-            shard_dir = sharded.directory
-        else:
-            tmp = tempfile.mkdtemp(prefix="repro-parallel-shards-")
-            with perf.stage("parallel:write-shards", units=len(bounds)):
-                write_trace_shards(inline, core.program, tmp, shard_insns)
-            shard_dir = tmp
-        payload = pool_payload(
-            core, shard_dir, parallel.mode, parallel.prefix_blocks
-        )
-        with ShardPool(payload, parallel.resolve_workers()) as pool:
-            if parallel.mode == "tolerant":
-                if checkpointer is not None:
-                    tracer.instant("sim:parallel-no-checkpoint")
-                _run_parallel_tolerant(
-                    core, warmup, total, bounds, tracer, pool, perf
-                )
-            elif core.ideal:
-                _run_parallel_ideal(
-                    core, view, warmup, total, bounds, shard_insns,
-                    checkpointer, tracer, pool, perf,
-                )
-            else:
-                _run_parallel_array(
-                    core, view, warmup, total, bounds, shard_rows,
-                    shard_insns, checkpointer, tracer, pool, perf,
-                )
-    finally:
-        if tmp is not None:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _run_parallel_array(
-    core, view, warmup, total, bounds, shard_rows, shard_insns,
-    checkpointer, tracer, pool, perf,
-):
-    """Exact parallel no-plan replay: one summarize/compose/scan round
-    per cache level (see :mod:`repro.sim.parallel` for the composition
-    law and the round pipeline), then a parallel accounting reduction
-    — worker-computed :class:`~repro.sim.stats.CarryUpdate` integer
-    deltas applied in shard order, plus the one inherently serial
-    piece, the float timing chain (``_timing_fold``).
-
-    The data-traffic stream is pre-decoded shard by shard in the
-    parent (the decode advances the model's RNG, so it is sequential
-    by nature); the model snapshot captured after each shard's decode
-    is written into that shard's checkpoint, keeping checkpoints in
-    the identical sequential format — a killed parallel run resumes
-    sequentially and vice versa."""
-    import numpy as np
-
-    from .array_replay import (
-        ArrayCarry,
-        _decode_data_stream,
-        _timing_fold,
-        array_finish,
-    )
-    from .parallel import compose_lru_state
-    from .stats import CarryUpdate
-
-    stats = core.stats
-    machine = core.machine
-    eff = warmup if 0 < warmup < total else 0
-    cpi = 1.0 / machine.base_ipc
-    carry = ArrayCarry()
-    merged = ShardStats.identity()
-    prev = SimStats()
-    start_shard = 0
-    resumed = _load_checkpoint(
-        checkpointer, "columnar", len(bounds), shard_insns,
-        core.data_traffic,
-    )
-    if resumed is not None:
-        start_shard, merged, carry_payload = resumed
-        carry = _array_carry_restore(carry_payload)
-        start_shard += 1
-        prev = _array_snapshot(carry, cpi)
-
-    remaining = list(range(start_shard, len(bounds)))
-    resets: Dict[int, Optional[int]] = {}
-    for index in remaining:
-        start, stop = bounds[index]
-        resets[index] = eff - start if start <= eff < stop else None
-
-    # Data-traffic pre-decode: per shard, in order, from the carried
-    # model state — with a post-shard snapshot for each checkpoint.
-    streams: Dict[int, tuple] = {}
-    data_payloads: Dict[int, Optional[dict]] = {}
-    if core.data_traffic is not None:
-        with perf.stage("parallel:data-decode", units=len(remaining)):
-            for index in remaining:
-                streams[index] = _decode_data_stream(
-                    core.data_traffic,
-                    view.instruction_counts[shard_rows(index)].tolist(),
-                )
-                data_payloads[index] = _data_model_payload(core.data_traffic)
-    else:
-        for index in remaining:
-            streams[index] = ([], [])
-            data_payloads[index] = None
-
-    # Rounds 1-4: summarize/compose/scan down the hierarchy.  Each
-    # scan round fixes the next level's access stream, so its summary
-    # rides along and the parent only ever composes start states.
-    summaries = pool.run_round(
-        "l1-summary", [(index,) for index in remaining], perf, tracer
-    )
-    l1_states = {start_shard: carry.l1_state}
-    for index, summary in zip(remaining, summaries):
-        l1_states[index + 1] = compose_lru_state(
-            l1_states[index], summary, machine.l1i.ways
-        )
-    r2 = pool.run_round(
-        "l1-scan",
-        [
-            (index, l1_states[index], streams[index], resets[index])
-            for index in remaining
-        ],
-        perf,
-        tracer,
-    )
-    l2_states = {start_shard: carry.l2_state}
-    for index, out in zip(remaining, r2):
-        l2_states[index + 1] = compose_lru_state(
-            l2_states[index], out["l2_summary"], machine.l2.ways
-        )
-    r3 = pool.run_round(
-        "l2-scan",
-        [
-            (index, l2_states[index], out["l1_hits"], streams[index],
-             resets[index])
-            for index, out in zip(remaining, r2)
-        ],
-        perf,
-        tracer,
-    )
-    l3_states = {start_shard: carry.l3_state}
-    for index, out in zip(remaining, r3):
-        l3_states[index + 1] = compose_lru_state(
-            l3_states[index], out["l3_summary"], machine.l3.ways
-        )
-    # Accounting reduction, overlapped with round 4: the fold for
-    # shard *i* (integer deltas via CarryUpdate, the order-dependent
-    # float timing chain, the checkpoint) runs while workers are still
-    # scanning shards > *i*, so the fix-up itself runs in parallel
-    # with the round and only composition + merge stay strictly
-    # serial.  Results arrive in submission order, which is shard
-    # order — exactly what the telescoping fold needs.
-    def _fold_shard(position, out4):
-        nonlocal merged, prev
-        index = remaining[position]
-        out2, out3 = r2[position], r3[position]
-        reset_local = resets[index]
-        folded = time.perf_counter()
-        with tracer.span("sim:shard", index=index, offset=bounds[index][0],
-                         parallel=True):
-            CarryUpdate.combine(
-                reset_local is not None,
-                (out2["counters"], out3["counters"], out4["counters"]),
-                out4["miss_levels"],
-            ).apply(carry)
-            carry.l1_state = l1_states[index + 1]
-            carry.l2_state = l2_states[index + 1]
-            carry.l3_state = l3_states[index + 1]
-            incr = np.frombuffer(out4["incr"], dtype=np.float64)
-            if reset_local is None:
-                frontend_stalls = carry.frontend_stalls
-                count_from = 0
-            else:
-                frontend_stalls = 0.0
-                count_from = reset_local
-            carry.now, carry.busy, carry.frontend_stalls = _timing_fold(
-                machine,
-                incr,
-                np.frombuffer(out4["miss_blocks"], dtype=np.int64).tolist(),
-                np.frombuffer(out4["levels"], dtype=np.int8).tolist(),
-                carry.now,
-                carry.busy,
-                frontend_stalls,
-                count_from,
-                len(incr),
-            )
-        cur = _array_snapshot(carry, cpi)
-        merged = merged.merge(ShardStats.delta(index, prev, cur))
-        prev = cur
-        if checkpointer is not None:
-            checkpointer.save(
-                index,
-                _checkpoint(
-                    "columnar", index, len(bounds), shard_insns, merged,
-                    _array_carry_payload(carry), core.data_traffic,
-                    data_payload=data_payloads[index],
-                ),
-            )
-        perf.add("parallel:fold", time.perf_counter() - folded)
-
-    pool.run_round(
-        "l3-scan",
-        [
-            (index, l3_states[index], out2["l1_hits"], out3["l2_hits"],
-             streams[index], resets[index])
-            for index, out2, out3 in zip(remaining, r2, r3)
-        ],
-        perf,
-        tracer,
-        consume=_fold_shard,
-    )
-    array_finish(carry, machine, stats, core.hierarchy)
-    _apply_merged(stats, merged)
-    if checkpointer is not None:
-        checkpointer.finalize(len(bounds))
-
-
-def _run_parallel_ideal(
-    core, view, warmup, total, bounds, shard_insns, checkpointer, tracer,
-    pool, perf,
-):
-    """Exact parallel ideal replay: workers sum each shard's counters
-    (post-reset when the warmup boundary lands inside), the parent
-    replays the sequential accumulate-or-reset fold over the sums."""
-    stats = core.stats
-    eff = warmup if 0 < warmup < total else 0
-    cpi = 1.0 / core.machine.base_ipc
-    acc_l1i = 0
-    acc_pi = 0
-    merged = ShardStats.identity()
-    prev = SimStats()
-    start_shard = 0
-    resumed = _load_checkpoint(
-        checkpointer, "columnar-ideal", len(bounds), shard_insns, None
-    )
-    if resumed is not None:
-        start_shard, merged, carry_payload = resumed
-        acc_l1i = int(carry_payload["l1i_accesses"])
-        acc_pi = int(carry_payload["program_instructions"])
-        start_shard += 1
-        prev = SimStats()
-        prev.l1i_accesses = acc_l1i
-        prev.program_instructions = acc_pi
-        prev.compute_cycles = acc_pi * cpi
-
-    remaining = list(range(start_shard, len(bounds)))
-    resets = {}
-    for index in remaining:
-        start, stop = bounds[index]
-        resets[index] = eff - start if start <= eff < stop else None
-    sums = pool.run_round(
-        "ideal", [(index, resets[index]) for index in remaining],
-        perf, tracer,
-    )
-    for index, (sum_l1i, sum_pi) in zip(remaining, sums):
-        if resets[index] is None:
-            acc_l1i += sum_l1i
-            acc_pi += sum_pi
-        else:
-            acc_l1i = sum_l1i
-            acc_pi = sum_pi
-        cur = SimStats()
-        cur.l1i_accesses = acc_l1i
-        cur.program_instructions = acc_pi
-        cur.compute_cycles = acc_pi * cpi
-        merged = merged.merge(ShardStats.delta(index, prev, cur))
-        prev = cur
-        if checkpointer is not None:
-            checkpointer.save(
-                index,
-                _checkpoint(
-                    "columnar-ideal", index, len(bounds), shard_insns,
-                    merged, _ideal_carry_payload((acc_l1i, acc_pi)), None,
-                ),
-            )
-    stats.clear()
-    stats.l1i_accesses = acc_l1i
-    stats.program_instructions = acc_pi
-    stats.compute_cycles = acc_pi * cpi
-    _apply_merged(stats, merged)
-    if checkpointer is not None:
-        checkpointer.finalize(len(bounds))
-
-
-def _run_parallel_tolerant(core, warmup, total, bounds, tracer, pool, perf):
-    """Tolerant parallel replay: every shard in a fresh worker
-    simulator warmed by a short prefix of its predecessor.
-
-    Shards entirely inside the warmup region contribute identity
-    partials (the merge still needs their indices for adjacency) but
-    dispatch no worker task.  Worker statistics are folded into
-    running cumulative snapshots so the standard :class:`ShardStats`
-    delta/merge algebra applies unchanged.  The final hierarchy and
-    engine are left cold — stats-only, per the documented tolerance.
-    """
-    stats = core.stats
-    eff = warmup if 0 < warmup < total else 0
-    executed = []
-    tasks = []
-    for index, (start, stop) in enumerate(bounds):
-        if stop <= eff:
-            continue
-        executed.append(index)
-        tasks.append(
-            (index, eff - start if start <= eff < stop else None)
-        )
-    results = pool.run_round("tolerant", tasks, perf, tracer)
-    by_index = dict(zip(executed, results))
-    merged = ShardStats.identity()
-    prev = SimStats()
-    backend = core.last_replay_backend
-    totals = SimStats()
-    for index in range(len(bounds)):
-        payload = by_index.get(index)
-        if payload is not None:
-            for name in SHARD_INT_FIELDS:
-                setattr(
-                    totals, name, getattr(totals, name) + int(payload[name])
-                )
-            for name in SHARD_FLOAT_FIELDS:
-                setattr(
-                    totals, name,
-                    getattr(totals, name) + float(payload[name]),
-                )
-            for level, count in payload["miss_levels"].items():
-                totals.miss_level_counts[level] = (
-                    totals.miss_level_counts.get(level, 0) + count
-                )
-            backend = payload["backend"]
-        cur = _copy_stats(totals)
-        merged = merged.merge(ShardStats.delta(index, prev, cur))
-        prev = cur
-    stats.clear()
-    _apply_merged(stats, merged)
-    core.last_replay_backend = backend
-    core.last_fallback_reason = None
 
 
 # -- profiler streaming ------------------------------------------------------

@@ -381,8 +381,8 @@ class ShardedTrace:
         """One shard's block-id column as an ``int64`` NumPy array.
 
         ``.npy`` chunks are memory-mapped (``mmap_mode="r"``), so a
-        parallel worker reads only the pages it touches and never
-        receives pickled trace data; JSON chunks are decoded.  Requires
+        reader touches only the pages it needs; JSON chunks are
+        decoded.  Requires
         NumPy — callers on the pure-Python path use :meth:`shard`.
         """
         import os

@@ -405,8 +405,8 @@ def write_ingested(
     """Persist *workload* as a shard directory plus ``program.json``.
 
     The trace lands in the exact :func:`write_trace_shards` format, so
-    every consumer of on-disk shards (streaming, parallel workers,
-    resume checkpoints) reads it unchanged; the sidecar carries the
+    every consumer of on-disk shards (streaming, resume checkpoints)
+    reads it unchanged; the sidecar carries the
     reconstructed program and the ingestion report.
     """
     directory = os.fspath(directory)

@@ -16,11 +16,7 @@ from repro.analysis.experiments import (
     Evaluator,
     ExperimentSettings,
 )
-from repro.analysis.jobs import (
-    reset_budget_warnings,
-    resolve_jobs,
-    split_worker_budget,
-)
+from repro.analysis.jobs import resolve_jobs
 from repro.io import ArtifactStore, stats_to_record
 from repro.obs.trace import Tracer
 from repro.perf import PerfRegistry
@@ -65,6 +61,19 @@ class TestParallelEqualsSerial:
                     stats_to_record(evaluator[name].stats_for(variant))
                     == serial_records[(name, variant)]
                 ), f"{name}/{variant} diverged under jobs=2"
+
+    def test_sharded_workers_bit_identical(self):
+        """--jobs 2 --shard-insns N: every worker streams its replays
+        in shards, bit-identically to a serial whole-trace run."""
+        config = RunConfig(settings=SETTINGS, jobs=2, shard_insns=4_000)
+        evaluator = Evaluator(config=config)
+        evaluator.prewarm(apps=["wordpress"], variants=("baseline", "ideal"))
+        serial = Evaluator(SETTINGS)
+        for variant in ("baseline", "ideal"):
+            assert (
+                stats_to_record(evaluator["wordpress"].stats_for(variant))
+                == stats_to_record(serial["wordpress"].stats_for(variant))
+            ), f"{variant} diverged under jobs=2 with shard_insns"
 
     def test_parallel_prewarm_populates_memory_caches(self):
         evaluator = Evaluator(config=RunConfig(settings=SETTINGS, jobs=2))
@@ -241,114 +250,6 @@ def test_resolve_jobs():
     assert resolve_jobs(0) >= 1
     assert resolve_jobs(None) >= 1
     assert resolve_jobs(-2) >= 1
-
-
-class TestWorkerBudget:
-    """One budget shared by --jobs and --parallel-shards pools."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_dedup(self):
-        """Each test sees a process that has warned about nothing."""
-        reset_budget_warnings()
-        yield
-        reset_budget_warnings()
-
-    def test_no_budget_resolves_independently(self):
-        jobs, shard_workers = split_worker_budget(2, 3, None)
-        assert (jobs, shard_workers) == (2, 3)
-
-    def test_budget_split_evenly(self):
-        assert split_worker_budget(2, None, 8) == (2, 4)
-        assert split_worker_budget(1, None, 8) == (1, 8)
-        assert split_worker_budget(3, None, 8) == (3, 2)
-
-    def test_jobs_alone_oversubscribing_warns_and_floors_shards(self):
-        with pytest.warns(RuntimeWarning, match="oversubscribes"):
-            jobs, shard_workers = split_worker_budget(4, None, 2)
-        assert (jobs, shard_workers) == (4, 1)
-
-    def test_requested_shard_workers_clamped_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            jobs, shard_workers = split_worker_budget(2, 8, 8)
-        assert (jobs, shard_workers) == (2, 4)
-
-    def test_identical_oversubscription_warns_once_per_process(self):
-        """Re-validating the same budget split (once per sweep job,
-        once per benchmark repeat...) must not repeat the warning."""
-        import warnings
-
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            split_worker_budget(2, 8, 8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert split_worker_budget(2, 8, 8) == (2, 4)
-        reset_budget_warnings()
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            split_worker_budget(2, 8, 8)
-
-    def test_distinct_oversubscription_still_warns(self):
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            split_worker_budget(2, 8, 8)
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            split_worker_budget(2, 16, 8)
-
-    def test_record_captures_split_provenance(self):
-        record: dict = {}
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            split_worker_budget(2, 8, 8, record=record)
-        assert record == {
-            "worker_budget": 8, "jobs": 2, "shard_workers": 4,
-            "clamped": True,
-        }
-        record = {}
-        split_worker_budget(2, 3, 8, record=record)
-        assert record == {
-            "worker_budget": 8, "jobs": 2, "shard_workers": 3,
-            "clamped": False,
-        }
-        record = {}
-        split_worker_budget(2, 3, None, record=record)
-        assert record == {
-            "worker_budget": None, "jobs": 2, "shard_workers": 3,
-            "clamped": False,
-        }
-
-    def test_within_budget_passes_through_silently(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert split_worker_budget(2, 3, 8) == (2, 3)
-
-    def test_both_flags_set_together_end_to_end(self):
-        """--jobs 2 --shard-insns N --parallel-shards exact
-        --worker-budget 2: the sweep fans out *and* each worker's
-        shard pool respects its one-process share, bit-identically."""
-        config = RunConfig(
-            settings=SETTINGS,
-            jobs=2,
-            shard_insns=4_000,
-            parallel_shards="exact",
-            worker_budget=2,
-        )
-        evaluator = Evaluator(config=config)
-        assert evaluator.parallel is not None
-        assert evaluator.parallel.mode == "exact"
-        assert evaluator.parallel.resolve_workers() == 1
-        evaluator.prewarm(apps=["wordpress"], variants=("baseline", "ideal"))
-        serial = Evaluator(SETTINGS)
-        for variant in ("baseline", "ideal"):
-            assert (
-                stats_to_record(evaluator["wordpress"].stats_for(variant))
-                == stats_to_record(serial["wordpress"].stats_for(variant))
-            ), f"{variant} diverged under jobs x parallel-shards"
-
-    def test_parallel_without_shards_warns_and_stays_sequential(self):
-        with pytest.warns(RuntimeWarning, match="requires shard_insns"):
-            evaluator = Evaluator(
-                config=RunConfig(settings=SETTINGS, parallel_shards="exact")
-            )
-        assert evaluator.parallel is None
 
 
 def test_default_prewarm_variants_are_known():

@@ -16,6 +16,7 @@ from repro.core.hashing import context_mask
 from repro.core.instructions import PrefetchInstr, PrefetchPlan
 from repro.profiling.profiler import profile_execution
 from repro.sim.params import line_of
+from repro.sim.streaming import StoreCheckpointer
 from repro.sim.trace import BlockInfo, BlockTrace, Program
 from repro.workloads.adversarial import ADVERSARIAL_APP_NAMES
 from repro.workloads.apps import build_app, get_app
@@ -96,6 +97,22 @@ def make_random_plan(rng, program, n_sites=6, hash_bits=16):
     plan = PrefetchPlan(f"random-{n_sites}s")
     plan.extend(instrs)
     return plan
+
+
+class KillAfter(StoreCheckpointer):
+    """A checkpointer that dies after its k-th successful save — the
+    crash model for the resume tests."""
+
+    def __init__(self, store, parts, kill_at):
+        super().__init__(store, parts)
+        self.kill_at = kill_at
+        self.saves = 0
+
+    def save(self, index, payload):
+        super().save(index, payload)
+        self.saves += 1
+        if self.saves >= self.kill_at:
+            raise KeyboardInterrupt("simulated crash")
 
 
 def hierarchy_state(core):

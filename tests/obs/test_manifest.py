@@ -24,8 +24,8 @@ SETTINGS = ExperimentSettings(
 
 @pytest.fixture(scope="module")
 def evaluator():
-    # a private registry: the global one may carry parallel-round
-    # entries from earlier test files, and the manifest reports them
+    # a private registry: the global one may carry stage entries from
+    # earlier test files, and the manifest reports them
     ev = Evaluator(config=RunConfig(settings=SETTINGS, perf=PerfRegistry()))
     ev.prewarm(apps=["wordpress"], variants=("baseline", "ispy"))
     return ev
@@ -97,53 +97,6 @@ class TestCollect:
         assert section["hit_rate"] is not None
 
 
-class TestParallelSection:
-    """Round accounting and worker-budget provenance (schema v2)."""
-
-    def test_sequential_run_has_empty_parallel_section(self, manifest):
-        section = manifest.payload["parallel"]
-        assert section["mode"] is None
-        assert section["workers"] is None
-        assert section["rounds"] == {}
-        assert section["worker_budget"] is None
-        assert section["clamped"] is False
-
-    def test_parallel_run_records_rounds_and_budget(self):
-        from repro import kernel
-
-        if not kernel.numpy_enabled():
-            pytest.skip(
-                "the exact executor needs the numpy kernel; without it "
-                "sharded runs fall back to sequential streaming"
-            )
-        config = RunConfig(
-            settings=SETTINGS, shard_insns=2_000, parallel_shards="exact",
-            worker_budget=1,
-        )
-        ev = Evaluator(config=config)
-        ev.prewarm(apps=["wordpress"], variants=("baseline",))
-        parallel_manifest = RunManifest.collect(ev, command="evaluate")
-        assert parallel_manifest.validate() == []
-        section = parallel_manifest.payload["parallel"]
-        assert section["mode"] == "exact"
-        assert section["worker_budget"] == 1
-        assert section["clamped"] is False
-        for stage in ("l1-summary", "l1-scan", "l2-scan", "l3-scan"):
-            entry = section["rounds"][stage]
-            assert entry["calls"] >= 1
-            assert entry["units"] >= 1
-            assert entry["seconds"] >= 0
-        # pool bookkeeping stays out of the per-round table
-        assert "busy" not in section["rounds"]
-        assert "shard" not in section["rounds"]
-
-    def test_rounds_entries_are_schema_checked(self, manifest):
-        payload = json.loads(json.dumps(manifest.payload))
-        payload["parallel"]["rounds"] = {"l1-scan": {"calls": 1}}
-        errors = validate_manifest(payload)
-        assert any("rounds['l1-scan']" in error for error in errors)
-
-
 class TestValidation:
     def test_missing_field_reported(self, manifest):
         payload = json.loads(json.dumps(manifest.payload))
@@ -176,6 +129,14 @@ class TestValidation:
 
     def test_non_dict_payload(self):
         assert validate_manifest([1, 2, 3])
+
+    def test_version_3_payload_rejected(self, manifest):
+        """A v3 manifest, with its parallel section, is not a v4 one."""
+        payload = json.loads(json.dumps(manifest.payload))
+        payload["version"] = 3
+        payload["parallel"] = {"mode": None, "workers": None, "rounds": {}}
+        errors = validate_manifest(payload)
+        assert any("unsupported version 3" in e for e in errors)
 
 
 class TestWriteLoad:

@@ -8,8 +8,7 @@ cache level, and the prefetch engine's runtime state — across
 
 * the sequential reference loop and the columnar kernel,
 * ``--shard-insns`` streaming over the materialized trace,
-* the on-disk :class:`ShardedTrace` consumed directly,
-* ``--parallel-shards`` exact mode, and
+* the on-disk :class:`ShardedTrace` consumed directly, and
 * the plan-batched executor (``run_plan_batch``).
 
 An ingested program is ordinary simulator input; nothing downstream
@@ -24,7 +23,6 @@ import pytest
 
 from repro import kernel
 from repro.sim.cpu import CoreSimulator
-from repro.sim.parallel import ParallelConfig
 from repro.sim.streaming import run_plan_batch
 
 from ..conftest import (
@@ -46,11 +44,10 @@ def _gate(backend):
 
 
 def _replay(program, trace, backend, plan=None, warmup=0,
-            shard_insns=None, parallel=None):
+            shard_insns=None):
     with _gate(backend)():
         core = CoreSimulator(program, plan=plan)
-        stats = core.run(trace, warmup=warmup, shard_insns=shard_insns,
-                         parallel=parallel)
+        stats = core.run(trace, warmup=warmup, shard_insns=shard_insns)
     return core, stats
 
 
@@ -110,26 +107,6 @@ class TestIngestedBitIdentity:
         )
         assert _snap(disk_core) == _snap(seq_core)
 
-    @pytest.mark.parametrize("with_plan", (False, True))
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_parallel_exact(self, ingested_fixture, workers, with_plan):
-        workload, _ = ingested_fixture
-        plan = _plan(workload.program) if with_plan else None
-        seq_core, _ = _replay(
-            workload.program, workload.trace, "columnar", plan=plan,
-            shard_insns=2048,
-        )
-        par_core, _ = _replay(
-            workload.program, workload.trace, "columnar", plan=plan,
-            shard_insns=2048,
-            parallel=ParallelConfig(mode="exact", workers=workers),
-        )
-        context = f"workers={workers} plan={with_plan}"
-        assert _snap(par_core) == _snap(seq_core), context
-        assert par_core.last_replay_backend == (
-            seq_core.last_replay_backend
-        ), context
-
     def test_plan_batch(self, ingested_fixture):
         """A sweep-style variant set over the ingested program batches
         cleanly and lands on the per-variant reference answers."""
@@ -156,9 +133,9 @@ class TestIngestedBitIdentity:
 
     def test_acceptance_matrix(self, ingested_fixture):
         """The headline guarantee in one table: sequential reference,
-        sequential columnar, shard-streamed, on-disk shards, parallel
-        exact, and plan-batched replays of the ingested fixture all
-        produce the same snapshot."""
+        sequential columnar, shard-streamed, on-disk shards and
+        plan-batched replays of the ingested fixture all produce the
+        same snapshot."""
         workload, sharded = ingested_fixture
         program, trace = workload.program, workload.trace
         plan = _plan(program)
@@ -175,11 +152,6 @@ class TestIngestedBitIdentity:
         snapshots["shard-streamed"] = _snap(core)
         core, _ = _replay(program, sharded, "columnar", plan=plan)
         snapshots["on-disk-shards"] = _snap(core)
-        core, _ = _replay(
-            program, trace, "columnar", plan=plan, shard_insns=2048,
-            parallel=ParallelConfig(mode="exact", workers=2),
-        )
-        snapshots["parallel-exact"] = _snap(core)
         core = CoreSimulator(program, plan=plan)
         with kernel.force_numpy_kernel():
             reasons = run_plan_batch([core], trace, shard_insns=2048)

@@ -23,7 +23,6 @@ from repro import kernel
 from repro.sim.columnar import columnar_view
 from repro.sim.cpu import CoreSimulator
 from repro.sim.datatraffic import make_data_traffic
-from repro.sim.parallel import ParallelConfig, compose_lru_state
 from repro.sim.trace import (
     ShardedTrace,
     shard_bounds,
@@ -54,7 +53,7 @@ def _gate(backend):
 
 
 def _replay(program, trace, backend, plan=None, ideal=False,
-            traffic_seed=None, warmup=0, shard_insns=None, parallel=None):
+            traffic_seed=None, warmup=0, shard_insns=None):
     data_traffic = None
     if traffic_seed is not None:
         data_traffic = make_data_traffic(
@@ -64,8 +63,7 @@ def _replay(program, trace, backend, plan=None, ideal=False,
         core = CoreSimulator(
             program, plan=plan, data_traffic=data_traffic, ideal=ideal
         )
-        stats = core.run(trace, warmup=warmup, shard_insns=shard_insns,
-                         parallel=parallel)
+        stats = core.run(trace, warmup=warmup, shard_insns=shard_insns)
     return core, stats
 
 
@@ -217,424 +215,6 @@ class TestShardCut:
             shard_bounds([1, 2, 3], 0)
 
 
-#: The four replay backend configurations: the pure-Python reference
-#: loop, the no-plan columnar kernel, the columnar-ideal path, and the
-#: plan-bearing columnar path (exact mode serves the two no-plan
-#: columnar ones in parallel; the rest must fall back unchanged).
-PARALLEL_CONFIGS = {
-    "reference": dict(backend="reference"),
-    "columnar": dict(backend="columnar", traffic_seed=321, warmup=60),
-    "columnar-ideal": dict(backend="columnar", ideal=True, warmup=60),
-    "columnar-plan": dict(backend="columnar", plan=True),
-}
-
-#: 1 worker, 2 workers, and "many" relative to the 2-3 shard budgets.
-WORKER_COUNTS = (1, 2, 4)
-
-
-class TestParallel:
-    """Parallel-vs-sequential differential sweep (PR 6 tentpole).
-
-    Exact mode must be ``==`` sequential sharded replay — statistics,
-    final cache residency and engine state — whether it runs the
-    two-round stitched executor or falls back (plan backends,
-    disabled kernel, single shard).  Tolerant mode must respect its
-    documented contract: exact instruction/access counters and an L1
-    miss over-count bounded by ``(num_shards - 1) * capacity``.
-    """
-
-    def _case(self, config_name, length=360):
-        spec = dict(PARALLEL_CONFIGS[config_name])
-        rng = random.Random(hash(config_name) % 10_000)
-        program = make_random_program(rng, n_blocks=40)
-        trace = make_random_trace(rng, 40, length=length, fanout=3)
-        if spec.pop("plan", False):
-            spec["plan"] = make_random_plan(rng, program, n_sites=6)
-        return program, trace, spec
-
-    @pytest.mark.parametrize("config_name", sorted(PARALLEL_CONFIGS))
-    def test_exact_bit_identity_sweep(self, config_name):
-        """shard sizes {1, 37, whole} x worker counts {1, 2, 4}."""
-        program, trace, spec = self._case(config_name)
-        ideal = spec.get("ideal", False)
-        for shard_insns in SHARD_SIZES:
-            seq_core, seq_stats = _replay(
-                program, trace, shard_insns=shard_insns, **spec
-            )
-            for workers in WORKER_COUNTS:
-                core, stats = _replay(
-                    program, trace, shard_insns=shard_insns,
-                    parallel=ParallelConfig(mode="exact", workers=workers),
-                    **spec,
-                )
-                context = (
-                    f"config={config_name} shard_insns={shard_insns} "
-                    f"workers={workers}"
-                )
-                assert stats == seq_stats, context
-                assert core.last_replay_backend == (
-                    seq_core.last_replay_backend
-                ), context
-                if not ideal:
-                    assert hierarchy_state(core) == hierarchy_state(
-                        seq_core
-                    ), context
-                assert engine_state(core) == engine_state(seq_core), context
-
-    @pytest.mark.parametrize("config_name", sorted(PARALLEL_CONFIGS))
-    def test_tolerant_contract(self, config_name):
-        """Exact counter fields match; L1 misses stay within the
-        documented per-boundary cold-miss bound."""
-        program, trace, spec = self._case(config_name)
-        shard_insns = 37
-        seq_core, seq_stats = _replay(
-            program, trace, shard_insns=shard_insns, **spec
-        )
-        core, stats = _replay(
-            program, trace, shard_insns=shard_insns,
-            parallel=ParallelConfig(mode="tolerant", workers=2),
-            **spec,
-        )
-        assert stats.program_instructions == seq_stats.program_instructions
-        assert stats.l1i_accesses == seq_stats.l1i_accesses
-        assert stats.prefetch_instructions_executed == (
-            seq_stats.prefetch_instructions_executed
-        )
-        num_shards = len(trace_shard_bounds(trace, program, shard_insns))
-        geometry = seq_core.machine.l1i
-        bound = (num_shards - 1) * geometry.num_sets * geometry.ways
-        assert abs(stats.l1i_misses - seq_stats.l1i_misses) <= bound
-        if spec.get("plan") is None and not spec.get("ideal", False):
-            # pure LRU: a cold boundary can only ever add misses
-            assert stats.l1i_misses >= seq_stats.l1i_misses
-
-    def test_single_shard_falls_back_to_sequential(self):
-        """A one-shard trace never pays for a pool."""
-        rng = random.Random(77)
-        program = make_random_program(rng, n_blocks=24)
-        trace = make_random_trace(rng, 24, length=200)
-        seq_core, seq_stats = _replay(
-            program, trace, "columnar", shard_insns=10**9
-        )
-        core, stats = _replay(
-            program, trace, "columnar", shard_insns=10**9,
-            parallel=ParallelConfig(mode="exact", workers=4),
-        )
-        assert stats == seq_stats
-        assert hierarchy_state(core) == hierarchy_state(seq_core)
-
-    @pytest.mark.parametrize("mode", ("exact", "tolerant"))
-    def test_on_disk_sharded_trace(self, mode, tmp_path):
-        """Workers consume the on-disk shard format directly."""
-        rng = random.Random(88)
-        program = make_random_program(rng, n_blocks=40)
-        trace = make_random_trace(rng, 40, length=500, fanout=3)
-        total = sum(
-            program.block(b).instruction_count for b in trace.block_ids
-        )
-        sharded = write_trace_shards(trace, program, tmp_path, total // 8)
-        _seq_core, seq_stats = _replay(
-            program, trace, "columnar", shard_insns=total // 8
-        )
-        with kernel.force_numpy_kernel():
-            core = CoreSimulator(program)
-            stats = core.run(
-                sharded, parallel=ParallelConfig(mode=mode, workers=2)
-            )
-        if mode == "exact":
-            assert stats == seq_stats
-        else:
-            assert stats.program_instructions == (
-                seq_stats.program_instructions
-            )
-            assert stats.l1i_accesses == seq_stats.l1i_accesses
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(mode="sloppy")
-
-
-class TestComposeLRUState:
-    """The stitching law against the real per-access LRU sweep."""
-
-    @staticmethod
-    def _summary_of(lines, sets, ways):
-        """A shard's per-set distinct-lines-by-last-access summary,
-        built naively (the worker builds it vectorized)."""
-        per_set = {}
-        for line, set_index in zip(lines, sets):
-            bucket = per_set.setdefault(set_index, [])
-            if line in bucket:
-                bucket.remove(line)
-            bucket.append(line)
-        return [[s, bucket[-ways:]] for s, bucket in per_set.items()]
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_lru_stream_exactly(self, seed):
-        """Composing a shard's summary onto any start state yields the
-        same end state — same lines, same recency order, same dict
-        insertion order — as streaming every access through the LRU."""
-        from repro.sim.array_replay import _lru_stream
-
-        rng = random.Random(400 + seed)
-        num_sets, ways = 8, rng.choice((2, 4))
-        state = {}
-        chunks = []
-        for _ in range(4):
-            lines = [rng.randrange(64) for _ in range(rng.randint(1, 120))]
-            chunks.append(lines)
-        for lines in chunks:
-            sets = [line % num_sets for line in lines]
-            _hits, _evicts, streamed = _lru_stream(
-                lines, sets, ways,
-                {k: dict(v) for k, v in state.items()},
-            )
-            composed = compose_lru_state(
-                state, self._summary_of(lines, sets, ways), ways
-            )
-            assert {
-                k: list(v) for k, v in streamed.items() if v
-            } == {k: list(v) for k, v in composed.items() if v}
-            state = composed
-
-    def test_empty_summary_is_identity(self):
-        state = {0: {5: None, 9: None}}
-        assert compose_lru_state(state, [], 4) == state
-
-    def test_pure_no_input_mutation(self):
-        state = {0: {1: None, 2: None}}
-        before = {k: list(v) for k, v in state.items()}
-        compose_lru_state(state, [[0, [3, 4]], [1, [7]]], 2)
-        assert {k: list(v) for k, v in state.items()} == before
-
-
-class TestWorkerRoundsInProcess:
-    """The exact-mode round tasks, run in this process (no pool).
-
-    These call the very functions the pool dispatches —
-    ``_init_worker`` plus the four ``_task_*`` rounds — directly, so
-    the round logic is (a) checked against a sequential replay and the
-    naive summary oracle and (b) visible to coverage, which cannot see
-    into forked pool workers.
-    """
-
-    @pytest.fixture()
-    def rig(self, tmp_path):
-        from repro.sim import parallel
-
-        rng = random.Random(424242)
-        program = make_random_program(rng, n_blocks=64)
-        trace = make_random_trace(rng, 64, length=500, fanout=3)
-        total = sum(
-            program.block(b).instruction_count for b in trace.block_ids
-        )
-        sharded = write_trace_shards(trace, program, tmp_path, total // 6)
-        assert sharded.num_shards >= 4
-        with kernel.force_numpy_kernel():
-            core = CoreSimulator(program)
-            parallel._init_worker(
-                parallel.pool_payload(core, tmp_path, "exact", 64)
-            )
-            yield parallel, core, program, trace, sharded
-
-    @staticmethod
-    def _chain(parallel, machine, num_shards, resets):
-        """Drive all four rounds in-process, exactly as the parent
-        does: compose each level's start states between rounds."""
-        data = ([], [])
-        l1_states, state = {}, {}
-        for index in range(num_shards):
-            l1_states[index] = state
-            state = compose_lru_state(
-                state, parallel._task_l1_summary(index), machine.l1i.ways
-            )
-        l1_final = state
-        r2 = [
-            parallel._task_l1_scan(
-                index, l1_states[index], data, resets[index]
-            )
-            for index in range(num_shards)
-        ]
-        l2_states, state = {}, {}
-        for index, out in enumerate(r2):
-            l2_states[index] = state
-            state = compose_lru_state(
-                state, out["l2_summary"], machine.l2.ways
-            )
-        l2_final = state
-        r3 = [
-            parallel._task_l2_scan(
-                index, l2_states[index], r2[index]["l1_hits"], data,
-                resets[index],
-            )
-            for index in range(num_shards)
-        ]
-        l3_states, state = {}, {}
-        for index, out in enumerate(r3):
-            l3_states[index] = state
-            state = compose_lru_state(
-                state, out["l3_summary"], machine.l3.ways
-            )
-        l3_final = state
-        r4 = [
-            parallel._task_l3_scan(
-                index, l3_states[index], r2[index]["l1_hits"],
-                r3[index]["l2_hits"], data, resets[index],
-            )
-            for index in range(num_shards)
-        ]
-        return r2, r3, r4, (l1_final, l2_final, l3_final)
-
-    @staticmethod
-    def _fold(r2, r3, r4, resets):
-        """Apply each shard's CarryUpdate onto a bare counter carry."""
-        from types import SimpleNamespace
-
-        from repro.sim.stats import CarryUpdate
-
-        carry = SimpleNamespace(
-            l1_dh=0, l1_dm=0, l1_ev=0, l2_dh=0, l2_dm=0, l2_ev=0,
-            l3_dh=0, l3_dm=0, l3_ev=0, l1i_accesses=0, l1i_misses=0,
-            program_instructions=0, miss_level_counts={},
-        )
-        for index, (out2, out3, out4) in enumerate(zip(r2, r3, r4)):
-            CarryUpdate.combine(
-                resets[index] is not None,
-                (out2["counters"], out3["counters"], out4["counters"]),
-                out4["miss_levels"],
-            ).apply(carry)
-        return carry
-
-    def test_l1_summary_matches_naive_oracle(self, rig):
-        parallel, core, _program, _trace, sharded = rig
-        geom = core.machine.l1i
-        for index in range(sharded.num_shards):
-            l1_lines = parallel._shard_gather(index)[4]
-            naive = TestComposeLRUState._summary_of(
-                l1_lines.tolist(),
-                (l1_lines % geom.num_sets).tolist(),
-                geom.ways,
-            )
-            vectorized = parallel._task_l1_summary(index)
-            assert {s: tuple(b) for s, b in vectorized} == {
-                s: tuple(b) for s, b in naive
-            }, f"shard {index}"
-
-    def test_shard_l2_stream_is_the_l1_miss_stream(self, rig):
-        import numpy as np
-
-        from repro.sim.array_replay import _flags
-
-        parallel, _core, _program, _trace, sharded = rig
-        machine = _core.machine
-        num = sharded.num_shards
-        resets = {index: None for index in range(num)}
-        r2, _r3, _r4, _finals = self._chain(parallel, machine, num, resets)
-        for index in range(num):
-            hits = _flags(r2[index]["l1_hits"])
-            _rows, l2_lines, l2_blocks, l2_is_instr = (
-                parallel._shard_l2_stream(index, r2[index]["l1_hits"],
-                                          ([], []))
-            )
-            # no data model: the L2 stream is exactly the L1 misses
-            assert bool(l2_is_instr.all())
-            assert len(l2_lines) == int((~hits).sum())
-            assert (np.diff(l2_blocks) >= 0).all(), "merge order broken"
-
-    def test_round_chain_reproduces_sequential_accounting(self, rig):
-        parallel, core, program, trace, sharded = rig
-        machine = core.machine
-        num = sharded.num_shards
-        resets = {index: None for index in range(num)}
-        seq_core, seq_stats = _replay(program, trace, "columnar")
-        r2, r3, r4, finals = self._chain(parallel, machine, num, resets)
-        carry = self._fold(r2, r3, r4, resets)
-
-        assert carry.l1i_accesses == seq_stats.l1i_accesses
-        assert carry.l1i_misses == seq_stats.l1i_misses
-        assert carry.program_instructions == seq_stats.program_instructions
-        assert carry.miss_level_counts == seq_stats.miss_level_counts
-        hier = seq_core.hierarchy
-        for prefix, cache in (("l1", hier.l1i), ("l2", hier.l2),
-                              ("l3", hier.l3)):
-            assert getattr(carry, f"{prefix}_dh") == cache.stats.demand_hits
-            assert getattr(carry, f"{prefix}_dm") == cache.stats.demand_misses
-            assert getattr(carry, f"{prefix}_ev") == cache.stats.evictions
-
-        # the composed end states are the sequential residency
-        resident = hierarchy_state(seq_core)
-        for level, final in zip(("l1i", "l2", "l3"), finals):
-            composed = {
-                s: list(reversed(list(d))) for s, d in final.items() if d
-            }
-            expected = {
-                s: lines for s, lines in resident[level].items() if lines
-            }
-            assert composed == expected, level
-
-    def test_ideal_task_sums_shard_columns(self, rig):
-        parallel, _core, program, _trace, sharded = rig
-        ids = sharded.shard(0).block_ids
-        lines, instructions = parallel._task_ideal(0, None)
-        assert instructions == sum(
-            program.block(b).instruction_count for b in ids
-        )
-        assert lines == sum(len(program.lines_of(b)) for b in ids)
-        cut = len(ids) // 2
-        post_lines, post_instructions = parallel._task_ideal(0, cut)
-        assert post_instructions == sum(
-            program.block(b).instruction_count for b in ids[cut:]
-        )
-        assert post_lines == sum(len(program.lines_of(b)) for b in ids[cut:])
-
-    def test_tolerant_task_first_shard_is_cold_exact(self, rig):
-        parallel, _core, program, _trace, sharded = rig
-        ids = sharded.shard(0).block_ids
-        out = parallel._task_tolerant(0, None)
-        # shard 0 has no warm-up prefix: its tolerant replay is just a
-        # cold exact replay of the shard
-        assert out["l1i_accesses"] == sum(
-            len(program.lines_of(b)) for b in ids
-        )
-        assert out["backend"] == "columnar"
-        assert sum(out["miss_levels"].values()) == out["l1i_misses"]
-
-    def test_pool_task_entry_times_and_traces(self, rig):
-        parallel, *_ = rig
-        result, seconds, events = parallel._pool_task("ideal", (0, None))
-        assert seconds >= 0
-        assert events is None, "no tracer, no shipped spans"
-        parallel._W["tracing"] = True
-        try:
-            traced, _seconds, events = parallel._pool_task("ideal", (0, None))
-        finally:
-            parallel._W["tracing"] = False
-        assert traced == result
-        assert events, "worker spans recorded for parent absorption"
-
-    def test_reset_counters_match_sequential_warmup(self, rig):
-        parallel, core, program, trace, sharded = rig
-        machine = core.machine
-        num = sharded.num_shards
-        # land the warmup reset strictly inside shard 1, exactly as
-        # the driver computes the per-shard local reset index
-        start, stop = sharded.bounds[1]
-        eff = start + (stop - start) // 2
-        resets = {
-            index: eff - s if s <= eff < e else None
-            for index, (s, e) in enumerate(sharded.bounds)
-        }
-        _seq_core, seq_stats = _replay(
-            program, trace, "columnar", warmup=eff
-        )
-        r2, r3, r4, _finals = self._chain(parallel, machine, num, resets)
-        carry = self._fold(r2, r3, r4, resets)
-        assert carry.l1i_accesses == seq_stats.l1i_accesses
-        assert carry.l1i_misses == seq_stats.l1i_misses
-        assert carry.program_instructions == seq_stats.program_instructions
-        assert carry.miss_level_counts == seq_stats.miss_level_counts
-
-
 class TestOnDiskShards:
     """write_trace_shards / ShardedTrace round trip and replay."""
 
@@ -696,8 +276,8 @@ class TestAdversarialApps:
     """The zoo's stress generators run through the same invariants.
 
     Hash saturation, Bloom-heavy miss storms and phase-changing call
-    chains are exactly the inputs that would expose a sharding or
-    parallelism bug the benign factories miss — so the randomized
+    chains are exactly the inputs that would expose a sharding bug the
+    benign factories miss — so the randomized
     sweep samples them from the shared conftest strategy."""
 
     @settings(max_examples=8, deadline=None)
@@ -710,18 +290,3 @@ class TestAdversarialApps:
                 app.program, trace, backend, plan=plan,
                 shard_sizes=(37, 10**9),
             )
-
-    @settings(max_examples=6, deadline=None)
-    @given(case=adversarial_workloads())
-    def test_parallel_exact_bit_identity(self, case):
-        name, app, trace = case
-        seq_core, seq_stats = _replay(
-            app.program, trace, "columnar", shard_insns=37
-        )
-        core, stats = _replay(
-            app.program, trace, "columnar", shard_insns=37,
-            parallel=ParallelConfig(mode="exact", workers=2),
-        )
-        assert stats == seq_stats, name
-        assert hierarchy_state(core) == hierarchy_state(seq_core), name
-        assert engine_state(core) == engine_state(seq_core), name

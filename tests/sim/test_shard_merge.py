@@ -134,42 +134,3 @@ class TestAdjacency:
         tail = ShardStats.merge_all(parts[1:])
         with pytest.raises(ShardMergeError):
             tail.finalize()
-
-
-class TestCarryUpdate:
-    """The per-shard accounting delta the parallel fold applies."""
-
-    @staticmethod
-    def _carry(**overrides):
-        from types import SimpleNamespace
-
-        base = dict(l1_dh=1, l1_dm=2, l2_dh=3, miss_level_counts={"l2": 3})
-        base.update(overrides)
-        return SimpleNamespace(**base)
-
-    def test_plain_shard_adds(self):
-        from repro.sim.stats import CarryUpdate
-
-        carry = self._carry()
-        CarryUpdate.combine(
-            False, ({"l1_dh": 4}, {"l2_dh": 5}), {"l2": 1, "l3": 7}
-        ).apply(carry)
-        assert (carry.l1_dh, carry.l1_dm, carry.l2_dh) == (5, 2, 8)
-        assert carry.miss_level_counts == {"l2": 4, "l3": 7}
-
-    def test_reset_shard_replaces(self):
-        from repro.sim.stats import CarryUpdate
-
-        carry = self._carry()
-        CarryUpdate.combine(
-            True, ({"l1_dh": 4, "l1_dm": 0},), {"memory": 2}
-        ).apply(carry)
-        assert (carry.l1_dh, carry.l1_dm) == (4, 0)
-        assert carry.l2_dh == 3, "untouched counters survive a reset"
-        assert carry.miss_level_counts == {"memory": 2}
-
-    def test_duplicate_counter_across_rounds_raises(self):
-        from repro.sim.stats import CarryUpdate
-
-        with pytest.raises(ShardMergeError):
-            CarryUpdate.combine(False, ({"l1_dh": 1}, {"l1_dh": 2}), {})

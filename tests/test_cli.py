@@ -19,6 +19,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["evaluate", "redis"])
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_shard_insns_rejected(self, value, capsys):
+        """Rejected while parsing, before any synthesis or profiling."""
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "wordpress", *FAST, "--shard-insns", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --shard-insns: must be at least 1, got {value}" in err
+        assert "Traceback" not in err
+
+    def test_runconfig_rejects_nonpositive_shard_insns(self):
+        from repro.runconfig import RunConfig
+
+        with pytest.raises(ValueError, match="shard_insns"):
+            RunConfig(shard_insns=0)
+
+    @pytest.mark.parametrize(
+        "flag", [["--parallel-shards", "exact"], ["--worker-budget", "4"]]
+    )
+    def test_removed_parallel_shard_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "wordpress", *FAST, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_figure_registry_covers_paper(self):
         expected = {
             "table1", "fig01", "fig03", "fig04", "fig05", "fig10",

@@ -7,17 +7,17 @@ the accounting identities every figure ultimately rests on.
 
 import tempfile
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernel
 from repro.core.instructions import PrefetchInstr, PrefetchPlan
 from repro.io import ArtifactStore
 from repro.sim.cpu import CoreSimulator, simulate
 from repro.sim.params import MachineParams
 from repro.sim.streaming import StoreCheckpointer
 from repro.sim.trace import BlockInfo, BlockTrace, Program
+
+from .conftest import KillAfter as _KillAfter
 
 # -- strategies -------------------------------------------------------------
 
@@ -152,22 +152,6 @@ class TestPrefetchedSimulationInvariants:
         assert stats.cycles > 0
 
 
-class _KillAfter(StoreCheckpointer):
-    """A checkpointer that dies after its k-th successful save —
-    the crash model for the resume invariants below."""
-
-    def __init__(self, store, parts, kill_at):
-        super().__init__(store, parts)
-        self.kill_at = kill_at
-        self.saves = 0
-
-    def save(self, index, payload):
-        super().save(index, payload)
-        self.saves += 1
-        if self.saves >= self.kill_at:
-            raise KeyboardInterrupt("simulated crash")
-
-
 class TestShardedResumeInvariants:
     """Killing a sharded run after any number of checkpoints and
     re-running it against the same ArtifactStore must produce exactly
@@ -227,81 +211,6 @@ class TestShardedResumeInvariants:
                 checkpointer=StoreCheckpointer(store, parts),
             )
         assert resumed == whole
-
-    @given(programs_with_traces(), st.integers(1, 4), st.booleans())
-    @settings(max_examples=8, deadline=None)
-    def test_killed_parallel_run_resumes_to_identical_result(
-        self, case, kill_at, resume_parallel
-    ):
-        """Exact parallel replay writes the sequential checkpoint
-        format: killing the pooled run mid-flight and resuming — with
-        either executor — converges on the whole-trace statistics."""
-        from repro.sim.parallel import ParallelConfig
-
-        program, trace = case
-        whole = simulate(program, trace)
-
-        with tempfile.TemporaryDirectory() as tmp:
-            store = ArtifactStore(tmp)
-            parts = {"case": "parallel-resume"}
-            try:
-                CoreSimulator(program).run(
-                    trace, shard_insns=25,
-                    checkpointer=_KillAfter(store, parts, kill_at),
-                    parallel=ParallelConfig(mode="exact", workers=2),
-                )
-            except KeyboardInterrupt:
-                pass
-            resumed = CoreSimulator(program).run(
-                trace, shard_insns=25,
-                checkpointer=StoreCheckpointer(store, parts),
-                parallel=(
-                    ParallelConfig(mode="exact", workers=2)
-                    if resume_parallel
-                    else None
-                ),
-            )
-        assert resumed == whole
-
-
-class TestCompositionLawInvariants:
-    """The level-parameterized LRU stitching law behind exact parallel
-    replay: for *any* access stream and *any* split of it into chunks,
-    composing the per-chunk summaries equals streaming every access —
-    checked here for the L2 and L3 geometries, which reuse the law
-    that was first written for the L1I."""
-
-    @pytest.mark.skipif(
-        not kernel.HAVE_NUMPY, reason="the vectorized summary needs numpy"
-    )
-    @given(
-        st.lists(st.integers(0, 2047), min_size=0, max_size=400),
-        st.lists(st.integers(0, 400), min_size=0, max_size=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_compose_of_split_equals_whole_stream(self, lines, raw_cuts):
-        from repro.sim.array_replay import _lru_stream
-        from repro.sim.parallel import _lru_summary, compose_lru_state
-
-        machine = MachineParams()
-        cuts = sorted({min(cut, len(lines)) for cut in raw_cuts})
-        chunks = [
-            lines[start:stop]
-            for start, stop in zip([0] + cuts, cuts + [len(lines)])
-        ]
-        for level in (machine.l2, machine.l3):
-            sets = [line % level.num_sets for line in lines]
-            _hits, _evicts, whole = _lru_stream(lines, sets, level.ways, {})
-            state = {}
-            for chunk in chunks:
-                state = compose_lru_state(
-                    state,
-                    _lru_summary(chunk, level.num_sets, level.ways),
-                    level.ways,
-                )
-            assert {k: list(v) for k, v in whole.items() if v} == {
-                k: list(v) for k, v in state.items() if v
-            }
 
 
 class TestMachineInvariants:
