@@ -8,21 +8,23 @@ out of the 32-deep FIFO decrement theirs.  A tiny reduction turns each
 counter into an "is-nonzero" bit; a conditional prefetch fires iff its
 context-hash bits are a *subset* of those bits.
 
-Because at most 32 entries are ever accounted, a 6-bit counter (the
-paper's choice) can never overflow; we assert this invariant rather
-than silently saturate.
+A push increments the new entry's bits before the oldest entry is
+evicted, so a counter momentarily accounts ``depth + 1`` entries.  The
+counter width is therefore derived, the way hardware would size it,
+from the depth and the most times one block sets a single bit:
+``(depth + 1) x that multiplicity`` must fit.  At the paper's 32-entry
+LBR with one hash per block that is 33, i.e. the 6-bit counters of
+Fig. 7; a deeper LBR gets wider counters, so no counter can overflow.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Deque, Iterable, Mapping, Sequence, Tuple
 
 #: LBR depth on x86-64 (paper Section IV).
 LBR_DEPTH = 32
-
-#: Counter width from Fig. 7: 16 bits x 6-bit counters = 96 bits.
-COUNTER_BITS = 6
 
 
 class LBRRuntimeHash:
@@ -40,7 +42,6 @@ class LBRRuntimeHash:
         bit_positions: Mapping[int, Tuple[int, ...]],
         hash_bits: int = 16,
         depth: int = LBR_DEPTH,
-        counter_bits: int = COUNTER_BITS,
     ):
         if hash_bits <= 0:
             raise ValueError("hash_bits must be positive")
@@ -48,8 +49,6 @@ class LBRRuntimeHash:
             raise ValueError("LBR depth must be positive")
         self.hash_bits = hash_bits
         self.depth = depth
-        self.counter_bits = counter_bits
-        self._max_count = (1 << counter_bits) - 1
         self._positions = bit_positions
         self._counters = [0] * hash_bits
         self._fifo: Deque[int] = deque()
@@ -66,13 +65,7 @@ class LBRRuntimeHash:
             return
         self._fifo.append(block_id)
         for bit in positions:
-            count = self._counters[bit] + 1
-            if count > self._max_count:
-                raise OverflowError(
-                    "runtime-hash counter overflow: LBR deeper than the "
-                    "counter width allows"
-                )
-            self._counters[bit] = count
+            self._counters[bit] += 1
             self._bits |= 1 << bit
         if len(self._fifo) > self.depth:
             evicted = self._fifo.popleft()
@@ -97,10 +90,23 @@ class LBRRuntimeHash:
         """The block-id → hash-bit-positions table this filter hashes with."""
         return self._positions
 
-    @property
-    def max_count(self) -> int:
-        """Largest value a counter may reach before :meth:`push` raises."""
-        return self._max_count
+    @cached_property
+    def counter_bits(self) -> int:
+        """Counter width that holds the largest possible count.
+
+        A counter peaks at ``depth + 1`` entries (the new entry is
+        counted before the oldest is evicted) times the most times one
+        block sets a single bit: 6 bits at the paper's depth 32.
+        """
+        per_entry = max(
+            (
+                max(map(pos.count, pos))
+                for pos in self._positions.values()
+                if pos
+            ),
+            default=1,
+        )
+        return ((self.depth + 1) * per_entry).bit_length()
 
     def history(self) -> Tuple[int, ...]:
         """Current LBR contents, oldest first (for tests/examples)."""

@@ -387,31 +387,19 @@ def _profile_execution_columnar(
     """
     import numpy as np
 
-    from ..sim.array_replay import array_replay
     from ..sim.columnar import columnar_view
+    from ..sim.streaming import stream_replay_events
 
     machine = machine or MachineParams()
     stats = SimStats()
-    if shard_insns is not None:
-        from ..sim.streaming import stream_replay_events
-
-        events = stream_replay_events(
-            program,
-            trace,
-            machine,
-            stats,
-            data_traffic=data_traffic,
-            shard_insns=shard_insns,
-        )
-    else:
-        events = array_replay(
-            program,
-            trace,
-            machine,
-            stats,
-            data_traffic=data_traffic,
-            record_events=True,
-        )
+    events = stream_replay_events(
+        program,
+        trace,
+        machine,
+        stats,
+        data_traffic=data_traffic,
+        shard_insns=shard_insns,
+    )
 
     step = sample_period
     if step <= 0:

@@ -2,12 +2,20 @@
 
 Replays a :class:`BlockTrace` over the Table I hierarchy and produces
 **bit-identical** :class:`SimStats` to :class:`CoreSimulator`'s
-per-event reference loop, for runs with no observer hooks: the no-plan
-baseline/ideal/profiling replays (:func:`array_replay`,
-:func:`ideal_replay`) and — since the plan-aware kernel —
-plan-bearing evaluations as well (:func:`plan_replay`, covering the
-I-SPY `Cprefetch`/`Lprefetch`/`CLprefetch` variants and the AsmDB
-baseline).
+per-event reference loop, for runs with no observer hooks.  Every entry
+point is a carry-threaded shard kernel; :mod:`repro.sim.streaming`
+drives them (a whole-trace replay is its one-shard case):
+
+* :func:`array_shard_replay` + :func:`array_finish` — the no-plan
+  baseline and profiling replays (``record_events`` returns the
+  observer view the profiler needs);
+* :func:`plan_shard_replay` + :func:`_plan_finish` — plan-bearing
+  evaluations, covering the I-SPY `Cprefetch`/`Lprefetch`/`CLprefetch`
+  variants and the AsmDB baseline;
+* :class:`PlanBatch` — V plan variants in one pass over each shard.
+
+The all-hits ideal bound needs no kernel: it is two column sums per
+shard, kept in the streaming driver.
 
 The decomposition exploits the fact that, without prefetches, every
 cache level is plain LRU-with-demand-fill and the three levels are
@@ -52,7 +60,7 @@ from .hierarchy import MemoryHierarchy
 from .params import MachineParams
 from .replacement import LRUStack
 from .stats import SimStats
-from .trace import BlockTrace, Program
+from .trace import Program
 
 #: miss-level codes used internally (index into the tables below)
 _LEVEL_NAMES = ("l1", "l2", "l3", "memory")
@@ -326,28 +334,6 @@ def _decode_data_stream(data_traffic, instr_counts: List[int]):
 
 def _flags(buffer) -> np.ndarray:
     return np.frombuffer(bytes(buffer), dtype=np.uint8).astype(bool)
-
-
-def ideal_replay(
-    program: Program,
-    trace: BlockTrace,
-    machine: MachineParams,
-    stats: SimStats,
-    warmup: int = 0,
-) -> SimStats:
-    """The all-hits upper bound: counters only, no hierarchy state."""
-    view = columnar_view(program)
-    rows = view.trace_rows(trace)
-    length = len(rows)
-    eff = warmup if 0 < warmup < length else 0
-    cpi = 1.0 / machine.base_ipc
-
-    stats.clear()
-    stats.l1i_accesses = int(view.line_counts[rows[eff:]].sum())
-    program_instructions = int(view.instruction_counts[rows[eff:]].sum())
-    stats.program_instructions = program_instructions
-    stats.compute_cycles = program_instructions * cpi
-    return stats
 
 
 class ArrayCarry:
@@ -733,42 +719,6 @@ def array_finish(
         stats.prefetches_useful = hierarchy.l1i.stats.prefetch_hits
 
 
-def array_replay(
-    program: Program,
-    trace: BlockTrace,
-    machine: MachineParams,
-    stats: SimStats,
-    data_traffic=None,
-    warmup: int = 0,
-    hierarchy: Optional[MemoryHierarchy] = None,
-    record_events: bool = False,
-) -> Optional[ReplayEvents]:
-    """Replay *trace* with no prefetch plan; populate *stats* exactly.
-
-    The whole-trace path is the single-shard case of
-    :func:`array_shard_replay` — sharded replays (``repro.sim.
-    streaming``) run the same kernel per chunk with the carry threaded
-    through, which is what keeps the two bit-identical.
-
-    When *hierarchy* is given its caches, cache statistics and fill
-    port are left in the identical final state the reference loop
-    would produce.  With ``record_events`` the per-block cycles and
-    per-miss events (the observer view) are returned for the profiler.
-    """
-    view = columnar_view(program)
-    rows = view.trace_rows(trace)
-    length = len(rows)
-    # The reference clears counters when `index == warmup`; a boundary
-    # outside the trace never fires, so statistics then cover the run.
-    eff = warmup if 0 < warmup < length else 0
-    carry = ArrayCarry()
-    events = array_shard_replay(
-        view, rows, machine, carry, data_traffic, 0, eff, record_events
-    )
-    array_finish(carry, machine, stats, hierarchy)
-    return events
-
-
 def _install_cache(cache, sets, pending, dh, dm, pf, ph, pu, ev) -> None:
     """Install plan-replay residency + post-warmup counters into *cache*.
 
@@ -873,20 +823,15 @@ class PlanContext:
                         hashed_row[row] = True
                         for bit in pos:
                             contrib_rows[row, bit] += 1
-                max_single = (
-                    int(contrib_rows.max()) if contrib_rows.size else 0
-                )
-                entry = (positions, contrib_rows, hashed_row, max_single)
+                entry = (positions, contrib_rows, hashed_row)
                 statics[ckey] = entry
             self.contrib_rows = entry[1]
             self.hashed_row = entry[2]
-            self.max_single = entry[3]
         else:
             self.depth = 0
             self.hash_bits = 0
             self.contrib_rows = None
             self.hashed_row = None
-            self.max_single = 0
 
         # -- geometry scalars and per-row tables ------------------------
         l1_geom = machine.l1i
@@ -938,8 +883,8 @@ class PlanCarry:
 
     * ``tracker_tail`` — the last ``depth`` *hashed* retired block ids,
       oldest first.  Prepending them as a virtual prefix reproduces the
-      counting-Bloom window (and its transient overflow peaks) for
-      every site occurrence in the next shard exactly.
+      counting-Bloom window for every site occurrence in the next shard
+      exactly.
     * ``exact_tail`` — the last ``exact_depth`` retired block ids, the
       Fig. 21 ground-truth window carried across the boundary.
     """
@@ -1000,11 +945,9 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
                            eff, shared: Optional[dict] = None):
     """Vectorized per-shard decision tables for the plan replay.
 
-    Returns ``None`` — without mutating *carry* or any external state —
-    when the shard would overflow a runtime-hash counter (the caller
-    must fall back to the reference loop, which raises at the exact
-    same push).  Otherwise returns the shard's site-plan entries and
-    counter deltas for :func:`plan_shard_replay` to apply.
+    Returns the shard's site-plan entries and counter deltas for
+    :func:`plan_shard_replay` to apply, without mutating *carry* or any
+    external state.
 
     The carried tails make every window computation exact: counting-
     Bloom windows are prefix-sum differences over a virtual sequence
@@ -1052,7 +995,7 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
         # variants with matching configuration build it once.
         mkey = (
             "bloom", hash_bits, depth, tuple(carry.tracker_tail),
-            id(ctx.contrib_rows), tracker.max_count,
+            id(ctx.contrib_rows),
         )
         mach = shared.get(mkey) if shared is not None else None
         if mach is None:
@@ -1087,40 +1030,16 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
                 for b in view.block_ids[rows[hashed_local[-depth:]]].tolist()
             ]
 
-            # Overflow guard: the reference increments every bit of the
-            # new entry *before* evicting the FIFO tail, so the
-            # transient peak is a (depth+1)-entry window over this
-            # shard's pushes.  A depth-entry tail covers every such
-            # window (at most depth prior entries precede an in-shard
-            # push).  If any peak would exceed the counter maximum, the
-            # reference raises OverflowError mid-push; bail out
-            # (pre-mutation) and let it do exactly that.
-            overflow = False
-            if (
-                ctx.max_single
-                and (depth + 1) * ctx.max_single > tracker.max_count
-            ):
-                pushes = hashed_idx[hashed_idx >= n_tail]
-                if len(pushes):
-                    push_rank = hashed_count[pushes + 1]
-                    starts = np.zeros(len(pushes), dtype=np.int64)
-                    deep = push_rank > depth + 1
-                    starts[deep] = hashed_idx[push_rank[deep] - (depth + 1)]
-                    peaks = prefix[pushes + 1] - prefix[starts]
-                    overflow = int(peaks.max()) > tracker.max_count
             mach = {
                 "prefix": prefix,
                 "hashed_count": hashed_count,
                 "hashed_idx": hashed_idx,
                 "new_hashed": new_hashed,
-                "overflow": overflow,
                 "window": {},
                 "fires": {},
             }
             if shared is not None:
                 shared[mkey] = mach
-        if mach["overflow"]:
-            return None
         prefix = mach["prefix"]
         hashed_count = mach["hashed_count"]
         hashed_idx = mach["hashed_idx"]
@@ -1293,18 +1212,35 @@ def plan_shard_replay(
     offset: int = 0,
     eff: int = 0,
     data_traffic=None,
-) -> bool:
-    """Replay one shard of the plan-bearing path, continuing from and
-    updating *carry*.
+) -> None:
+    """Columnar replay of one shard of a plan-bearing simulation,
+    continuing from and updating *carry*.
 
-    Returns ``False`` — before mutating the carry or the data-traffic
-    model — when a runtime-hash counter would overflow in this shard;
-    the caller must finish the remaining trace with the reference loop
-    (which raises at the same push).
+    After the last shard, :func:`_plan_finish` leaves the stats, the
+    hierarchy and the engine's runtime state (in-flight map, tracker
+    window, Fig. 21 counters) bit-identical to the reference
+    :class:`PrefetchEngine`/:class:`FetchEngine` composition; a
+    whole-trace replay is the one-shard case.  The decomposition:
+    every *decision* that feeds the sequential core loop is
+    precomputed with arrays —
+
+    * conditional fire/suppress outcomes come from a vectorized
+      counting-Bloom model: per-block contribution vectors, prefix
+      sums, and sliding-window (LBR-depth) counter values as
+      prefix-sum differences, evaluated at each site occurrence;
+    * exact-context (Fig. 21) ground truth comes from per-block
+      occurrence arrays and ``searchsorted`` window membership;
+    * coalescing targets are compiled per site once
+      (:meth:`PrefetchPlan.compiled_sites`);
+    * the data-traffic stream is bulk-decoded from raw MT19937 words.
+
+    What remains inherently sequential — LRU state, the in-flight map,
+    fill-port serialization and half-priority prefetch insertion — runs
+    in one flat loop over plain lists/dicts/scalars that replays the
+    reference's float operations in the identical order, so equality
+    is exact, never approximate.
     """
     pre = _plan_shard_precompute(ctx, carry, rows, offset, eff)
-    if pre is None:
-        return False
 
     view = ctx.view
     reset_local = pre["reset_local"]
@@ -1312,8 +1248,6 @@ def plan_shard_replay(
     site_plan = pre["site_plan"]
 
     # -- data-traffic stream (exact model replay, per retired block) ---
-    # Past this point the replay mutates external state (the traffic
-    # model's RNG/accumulator), so every bail-out has already happened.
     data_lines_py, data_counts_py = _decode_data_stream(
         data_traffic, view.instruction_counts[rows].tolist()
     )
@@ -1718,18 +1652,14 @@ def plan_shard_replay(
             for b in view.block_ids[rows[-ctx.exact_depth:]].tolist()
         ]
         carry.exact_tail = (carry.exact_tail + ids_tail)[-ctx.exact_depth:]
-    return True
 
 
-def _plan_finish(
-    ctx: PlanContext,
-    carry: PlanCarry,
-    stats: SimStats,
-    hierarchy: Optional[MemoryHierarchy],
-    engine,
-) -> None:
-    """Populate *stats*, *hierarchy* and the *engine* runtime state
-    from a completed plan carry."""
+def _plan_stats(
+    ctx: PlanContext, carry: PlanCarry, stats: SimStats
+) -> SimStats:
+    """Write the counters of *carry* into *stats* (cleared first) — the
+    stats the replay would report if it ended at the carry's
+    position."""
     stats.clear()
     stats.l1i_accesses = carry.l1i_accesses
     stats.l1i_misses = carry.sim_misses
@@ -1745,6 +1675,9 @@ def _plan_finish(
         carry.program_instructions * ctx.cpi
         + carry.executed * ctx.prefetch_cpi
     )
+    # Prefetch usefulness is the L1I's prefetch-hit count, carried in
+    # the loop counters (see _install_cache).
+    stats.prefetches_useful = carry.l1_ph
     miss_level_counts: Dict[str, int] = {}
     if carry.c2:
         miss_level_counts["l2"] = carry.c2
@@ -1753,7 +1686,19 @@ def _plan_finish(
     if carry.cm:
         miss_level_counts["memory"] = carry.cm
     stats.miss_level_counts = miss_level_counts
+    return stats
 
+
+def _plan_finish(
+    ctx: PlanContext,
+    carry: PlanCarry,
+    stats: SimStats,
+    hierarchy: Optional[MemoryHierarchy],
+    engine,
+) -> None:
+    """Populate *stats*, *hierarchy* and the *engine* runtime state
+    from a completed plan carry."""
+    _plan_stats(ctx, carry, stats)
     if hierarchy is not None:
         _install_cache(
             hierarchy.l1i,
@@ -1774,7 +1719,6 @@ def _plan_finish(
             carry.l3_pf, carry.l3_ph, carry.l3_pu, carry.l3_ev,
         )
         hierarchy.fill_port.busy_until = carry.busy
-        stats.prefetches_useful = hierarchy.l1i.stats.prefetch_hits
 
     engine.restore_runtime_state(
         dict(carry.inflight),
@@ -1783,64 +1727,6 @@ def _plan_finish(
         carry.tp,
         carry.fp,
     )
-
-
-def plan_replay(
-    program: Program,
-    trace: BlockTrace,
-    machine: MachineParams,
-    stats: SimStats,
-    engine,
-    data_traffic=None,
-    warmup: int = 0,
-    hierarchy: Optional[MemoryHierarchy] = None,
-) -> bool:
-    """Columnar replay of a plan-bearing simulation; populate exactly.
-
-    Returns True when *stats*, the *hierarchy* and the *engine*'s
-    runtime state (in-flight map, tracker window, Fig. 21 counters)
-    have been left bit-identical to the reference
-    :class:`PrefetchEngine`/:class:`FetchEngine` composition.  Returns
-    False — **before mutating anything** — when the run is ineligible
-    (pre-seeded engine state, or a runtime-hash configuration whose
-    counters would overflow mid-replay), in which case the caller must
-    take the reference loop.
-
-    The whole-trace path is the single-shard case of
-    :func:`plan_shard_replay`.  The decomposition: every *decision*
-    that feeds the sequential core loop is precomputed with arrays —
-
-    * conditional fire/suppress outcomes come from a vectorized
-      counting-Bloom model: per-block contribution vectors, prefix
-      sums, and sliding-window (LBR-depth) counter values as
-      prefix-sum differences, evaluated at each site occurrence;
-    * exact-context (Fig. 21) ground truth comes from per-block
-      occurrence arrays and ``searchsorted`` window membership;
-    * coalescing targets are compiled per site once
-      (:meth:`PrefetchPlan.compiled_sites`);
-    * the data-traffic stream is bulk-decoded from raw MT19937 words.
-
-    What remains inherently sequential — LRU state, the in-flight map,
-    fill-port serialization and half-priority prefetch insertion — runs
-    in one flat loop over plain lists/dicts/scalars that replays the
-    reference's float operations in the identical order, so equality
-    is exact, never approximate.
-    """
-    if not engine.is_pristine():
-        get_tracer().instant("sim:plan-fallback", reason="engine-state")
-        return False
-
-    view = columnar_view(program)
-    rows = view.trace_rows(trace)
-    n = len(rows)
-    eff = warmup if 0 < warmup < n else 0
-    ctx = PlanContext(program, machine, engine, hierarchy)
-    carry = PlanCarry(ctx)
-    if not plan_shard_replay(ctx, carry, rows, 0, eff, data_traffic):
-        get_tracer().instant("sim:plan-fallback", reason="bloom-overflow")
-        return False
-    _plan_finish(ctx, carry, stats, hierarchy, engine)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1879,10 +1765,9 @@ def plan_replay(
 #     speculation against the real arrival time; a late pop-miss
 #     invalidates only that variant, which falls back to the
 #     per-variant replay (reason ``late-prefetch-miss``).
-#   * in-flight insertion is unconditional whenever every fill level's
-#     latency is positive (arrival = start + penalty > now always);
-#     a machine configured otherwise is rejected at admission
-#     (reason ``nonpositive-latency``).
+#   * in-flight insertion is unconditional: every fill level's latency
+#     is positive (:class:`MachineParams` rejects any other), so
+#     arrival = start + penalty > now always.
 #
 # The timestamp LRU encodes recency as float64 stamps: demand touches
 # use fresh integer stamps, prefetch depth-`pd` insertions use the
@@ -2379,9 +2264,6 @@ class PlanBatch:
                 slot.fail("engine-state")
                 continue
             ctx = PlanContext(program, machine, slot.engine, slot.hierarchy)
-            if min(ctx.penalty[1:]) <= 0.0:
-                slot.fail("nonpositive-latency")
-                continue
             if pds is None:
                 pds = (ctx.pd1, ctx.pd2, ctx.pd3)
             elif (ctx.pd1, ctx.pd2, ctx.pd3) != pds:
@@ -2424,23 +2306,16 @@ class PlanBatch:
         rows_list = rows.tolist()
         counts_list = view.instruction_counts[rows].tolist()
 
-        # Per-variant decision tables; a counter-overflow bails the slot
-        # out here, before anything (carry, data model) has mutated.
+        # Per-variant decision tables.
         t0 = time.perf_counter()
-        pres = {}
         shared_pre: dict = {}
-        for slot in live:
-            pre = _plan_shard_precompute(
+        pres = {
+            slot.index: _plan_shard_precompute(
                 slot.ctx, slot.carry, rows, offset, eff, shared=shared_pre
             )
-            if pre is None:
-                slot.fail("bloom-overflow")
-            else:
-                pres[slot.index] = pre
+            for slot in live
+        }
         t0 = self._mark("precompute", t0)
-        live = [s for s in live if s.alive]
-        if not live:
-            return
 
         # Shared trace decode: each variant advances its own model, but
         # identical model states hit the decode cache and come back as
@@ -2695,25 +2570,3 @@ class PlanBatch:
 
     def results(self) -> List[Optional[str]]:
         return [slot.reason for slot in self.slots]
-
-
-def batched_plan_replay(program, trace, machine, slots, warmup: int = 0):
-    """Evaluate V plan variants in a single pass over *trace*.
-
-    *slots* is a sequence of per-variant ``(stats, engine, hierarchy,
-    data_traffic)`` tuples, mirroring :func:`plan_replay`'s per-run
-    arguments.  Returns a list of per-slot outcomes: ``None`` when the
-    slot was batched (its stats/hierarchy/engine are now bit-identical
-    to an independent :func:`plan_replay` run), else the fallback
-    reason string.  Failed slots' stats/engine/hierarchy are left
-    untouched, but their data-traffic models may have advanced — rerun
-    them through the per-variant path with freshly built objects.
-    """
-    batch = PlanBatch(program, machine, slots)
-    view = columnar_view(program)
-    rows = view.trace_rows(trace)
-    n = len(rows)
-    eff = warmup if 0 < warmup < n else 0
-    batch.run_shard(rows, 0, eff)
-    batch.finish()
-    return batch.results()

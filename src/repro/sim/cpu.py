@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from .. import kernel
-from ..obs.trace import get_tracer
 from .frontend import FetchEngine
 from .hierarchy import MemoryHierarchy
 from .params import MachineParams
 from .prefetch_engine import PrefetchEngine
 from .stats import SimStats
-from .trace import BlockTrace, Program
+from .trace import BlockTrace, Program, ShardedTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..core.instructions import PrefetchPlan
@@ -118,7 +116,7 @@ class CoreSimulator:
         self.last_replay_backend = "reference"
         #: why the last run() fell back to the reference loop, when it
         #: did: "observer", "kernel-disabled", "state-not-pristine" or
-        #: "plan-ineligible"; None when a columnar path served the run
+        #: "engine-state"; None when a columnar path served the run
         self.last_fallback_reason: Optional[str] = None
         self.engine: Optional[PrefetchEngine] = None
         self._instr_counts: Dict[int, int] = {
@@ -186,15 +184,13 @@ class CoreSimulator:
         and an optional *checkpointer* (see :mod:`repro.sim.streaming`)
         records per-shard state so a killed run can resume.
         """
-        from .trace import ShardedTrace
+        from .streaming import replay, run_sharded
 
         if (
             shard_insns is not None
             or checkpointer is not None
             or isinstance(trace, ShardedTrace)
         ):
-            from .streaming import run_sharded
-
             return run_sharded(
                 self,
                 trace,
@@ -203,91 +199,8 @@ class CoreSimulator:
                 shard_insns=shard_insns,
                 checkpointer=checkpointer,
             )
-        with get_tracer().span(
-            "sim:run",
-            program=self.program.name,
-            blocks=len(trace.block_ids),
-            ideal=self.ideal,
-            observed=observer is not None,
-        ) as span:
-            stats = self._replay(trace, observer, warmup)
-            span.set(backend=self.last_replay_backend)
-            if self.last_fallback_reason is not None:
-                span.set(fallback=self.last_fallback_reason)
-        return stats
-
-    def _replay(
-        self,
-        trace: BlockTrace,
-        observer: Optional[TraceObserver],
-        warmup: int,
-    ) -> SimStats:
-        stats = self.stats
-        engine = self.engine
-
-        # Columnar fast paths: with no observer there are no per-event
-        # hooks to honour, so the replay can run on the array kernel —
-        # bit-identical by construction (see repro/sim/array_replay.py)
-        # and differentially tested.  Plan-free runs take `columnar`
-        # (or the ideal counter path); plan-bearing runs take
-        # `columnar-plan`.  A non-pristine hierarchy/engine (re-used
-        # simulator, pre-seeded state) falls back to the reference
-        # loop, which composes with existing state.  The first failing
-        # check, in the same short-circuit order the selection always
-        # used, is recorded as the fallback reason.
-        if observer is not None:
-            fallback: Optional[str] = "observer"
-        elif not kernel.numpy_enabled():
-            fallback = "kernel-disabled"
-        elif not self._hierarchy_pristine():
-            fallback = "state-not-pristine"
-        else:
-            fallback = None
-        if fallback is None:
-            if engine is None:
-                from .array_replay import array_replay, ideal_replay
-
-                self.last_replay_backend = "columnar"
-                self.last_fallback_reason = None
-                if self.ideal:
-                    return ideal_replay(
-                        self.program, trace, self.machine, stats, warmup=warmup
-                    )
-                array_replay(
-                    self.program,
-                    trace,
-                    self.machine,
-                    stats,
-                    data_traffic=self.data_traffic,
-                    warmup=warmup,
-                    hierarchy=self.hierarchy,
-                )
-                return stats
-            from .array_replay import plan_replay
-
-            if plan_replay(
-                self.program,
-                trace,
-                self.machine,
-                stats,
-                engine,
-                data_traffic=self.data_traffic,
-                warmup=warmup,
-                hierarchy=self.hierarchy,
-            ):
-                self.last_replay_backend = "columnar-plan"
-                self.last_fallback_reason = None
-                return stats
-            fallback = "plan-ineligible"
-        self.last_replay_backend = "reference"
-        self.last_fallback_reason = fallback
-
-        fetch = self._make_fetch(observer)
-        warmup_boundary = warmup if warmup > 0 else -1
-        _now, program_instructions = self._reference_stream(
-            fetch, observer, trace.block_ids, 0, warmup_boundary, 0.0, 0
-        )
-        return self._reference_finish(program_instructions)
+        # A whole-trace replay is the driver's one-shard case.
+        return replay(self, trace, observer=observer, warmup=warmup)
 
     def _make_fetch(self, observer: Optional[TraceObserver]) -> FetchEngine:
         if observer is not None:

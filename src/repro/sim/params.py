@@ -106,6 +106,21 @@ class MachineParams:
     l3_fill_occupancy: float = 4.0
     memory_fill_occupancy: float = 26.0
 
+    def __post_init__(self) -> None:
+        # Every replay path relies on these being positive (a prefetch
+        # always lands strictly in the future; time always advances),
+        # so a machine that violates it cannot be built.
+        for name in (
+            "l2_latency", "l3_latency", "memory_latency",
+            "base_ipc", "issue_width",
+            "l2_fill_occupancy", "l3_fill_occupancy",
+            "memory_fill_occupancy",
+        ):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)!r}"
+                )
+
     def fill_occupancy(self, level: str) -> float:
         """Fill-port occupancy in cycles for a line arriving from *level*."""
         if level == "l1":

@@ -1,25 +1,27 @@
-"""Sharded streaming replay: bounded memory, partial stats, resume.
+"""The replay driver: backend selection, the shard loop, resume.
 
-This module drives any replay backend shard-by-shard over a trace —
-either an in-memory :class:`BlockTrace` cut on the fly or an on-disk
-:class:`ShardedTrace` materialized one chunk at a time — and merges
-the per-shard partial statistics (:class:`~repro.sim.stats.ShardStats`)
-into the whole-run :class:`SimStats`.  The result is **bit-identical**
-to the whole-trace paths:
+Every sequential replay of a :class:`~repro.sim.cpu.CoreSimulator`
+runs through :func:`replay`.  It picks the backend — the per-event
+reference loop, or one of the columnar kernels of
+:mod:`repro.sim.array_replay` — and streams the trace through it shard
+by shard: an in-memory :class:`BlockTrace` cut on the fly, or an
+on-disk :class:`ShardedTrace` materialized one chunk at a time.  A
+whole-trace replay is literally the one-shard case ``[(0, len)]``.
+The per-shard partial statistics (:class:`~repro.sim.stats.ShardStats`)
+merge into the reported :class:`SimStats`, which is therefore
+**bit-identical** however the trace is cut:
 
-* the columnar kernels (:mod:`repro.sim.array_replay`) are already
-  written as carry-threaded shard kernels, and the whole-trace entry
-  points are their single-shard case;
+* the columnar kernels are carry-threaded shard kernels;
 * the reference loop streams through
   :meth:`CoreSimulator._reference_stream`, whose per-block state lives
   in the real simulator objects — a shard boundary is just a loop
   break.
 
-Carry-over state at a shard boundary is exactly what the tentpole
-contract names: the LRU residency of every level, the in-flight
-prefetch arrival map, the Bloom runtime-hash window (as the hashed-id
-tail that regenerates it), the exact-context LBR window tail, the
-float time/stall accumulators and the since-last-reset counters.
+Carry-over state at a shard boundary is the LRU residency of every
+level, the in-flight prefetch arrival map, the Bloom runtime-hash
+window (as the hashed-id tail that regenerates it), the exact-context
+LBR window tail, the float time/stall accumulators and the
+since-last-reset counters.
 
 With a *checkpointer* the columnar backends persist that carry after
 every shard (JSON round-trips Python floats exactly, so a resumed run
@@ -48,15 +50,6 @@ CHECKPOINT_FORMAT = "replay-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-# -- cumulative snapshots ----------------------------------------------------
-#
-# A "snapshot" is the SimStats the backend would report if the run
-# ended at the current shard boundary (since-last-reset counters,
-# cumulative float accumulators).  ShardStats.delta of consecutive
-# snapshots yields the per-shard partials whose merge telescopes back
-# to the final whole-run values.
-
-
 def _copy_stats(stats: SimStats) -> SimStats:
     snap = SimStats()
     for name in SHARD_INT_FIELDS:
@@ -64,47 +57,6 @@ def _copy_stats(stats: SimStats) -> SimStats:
     for name in SHARD_FLOAT_FIELDS:
         setattr(snap, name, getattr(stats, name))
     snap.miss_level_counts = dict(stats.miss_level_counts)
-    return snap
-
-
-def _array_snapshot(carry, cpi: float) -> SimStats:
-    snap = SimStats()
-    snap.l1i_accesses = carry.l1i_accesses
-    snap.l1i_misses = carry.l1i_misses
-    snap.frontend_stall_cycles = carry.frontend_stalls
-    snap.program_instructions = carry.program_instructions
-    snap.compute_cycles = carry.program_instructions * cpi
-    snap.miss_level_counts = dict(carry.miss_level_counts)
-    return snap
-
-
-def _plan_snapshot(ctx, carry) -> SimStats:
-    snap = SimStats()
-    snap.l1i_accesses = carry.l1i_accesses
-    snap.l1i_misses = carry.sim_misses
-    snap.frontend_stall_cycles = carry.frontend_stalls
-    snap.late_prefetch_hits = carry.late_hits
-    snap.late_prefetch_stall_cycles = carry.late_stall
-    snap.prefetches_issued = carry.issued
-    snap.prefetches_resident = carry.resident
-    snap.prefetches_suppressed = carry.suppressed
-    snap.prefetch_instructions_executed = carry.executed
-    snap.program_instructions = carry.program_instructions
-    snap.compute_cycles = (
-        carry.program_instructions * ctx.cpi
-        + carry.executed * ctx.prefetch_cpi
-    )
-    # Prefetch usefulness is the L1I's prefetch-hit count, carried in
-    # the loop counters (see _install_cache / _plan_finish).
-    snap.prefetches_useful = carry.l1_ph
-    levels: Dict[str, int] = {}
-    if carry.c2:
-        levels["l2"] = carry.c2
-    if carry.c3:
-        levels["l3"] = carry.c3
-    if carry.cm:
-        levels["memory"] = carry.cm
-    snap.miss_level_counts = levels
     return snap
 
 
@@ -124,7 +76,7 @@ def _apply_merged(stats: SimStats, merged: ShardStats) -> None:
     stats.miss_level_counts = dict(final.miss_level_counts)
 
 
-# -- carry (de)serialization -------------------------------------------------
+# -- carry (de)serialization helpers -----------------------------------------
 
 
 def _lru_states_payload(states: Dict[int, Dict[int, None]]) -> list:
@@ -143,56 +95,6 @@ def _lru_states_restore(payload: list) -> Dict[int, Dict[int, None]]:
     }
 
 
-_ARRAY_CARRY_INTS = (
-    "l1_dh", "l1_dm", "l1_ev",
-    "l2_dh", "l2_dm", "l2_ev",
-    "l3_dh", "l3_dm", "l3_ev",
-    "l1i_accesses", "l1i_misses", "program_instructions",
-)
-
-
-def _array_carry_payload(carry) -> dict:
-    return {
-        "l1": _lru_states_payload(carry.l1_state),
-        "l2": _lru_states_payload(carry.l2_state),
-        "l3": _lru_states_payload(carry.l3_state),
-        "now": carry.now,
-        "busy": carry.busy,
-        "frontend_stalls": carry.frontend_stalls,
-        "ints": {name: getattr(carry, name) for name in _ARRAY_CARRY_INTS},
-        "miss_levels": dict(carry.miss_level_counts),
-    }
-
-
-def _array_carry_restore(payload: dict):
-    from .array_replay import ArrayCarry
-
-    carry = ArrayCarry()
-    carry.l1_state = _lru_states_restore(payload["l1"])
-    carry.l2_state = _lru_states_restore(payload["l2"])
-    carry.l3_state = _lru_states_restore(payload["l3"])
-    carry.now = float(payload["now"])
-    carry.busy = float(payload["busy"])
-    carry.frontend_stalls = float(payload["frontend_stalls"])
-    for name in _ARRAY_CARRY_INTS:
-        setattr(carry, name, int(payload["ints"][name]))
-    carry.miss_level_counts = {
-        str(k): int(v) for k, v in payload["miss_levels"].items()
-    }
-    return carry
-
-
-_PLAN_CARRY_INTS = (
-    "late_hits", "sim_misses", "issued", "resident",
-    "c2", "c3", "cm",
-    "l1_dh", "l1_dm", "l1_ph", "l1_pf", "l1_pu", "l1_ev",
-    "l2_dh", "l2_dm", "l2_ph", "l2_pf", "l2_pu", "l2_ev",
-    "l3_dh", "l3_dm", "l3_ph", "l3_pf", "l3_pu", "l3_ev",
-    "l1i_accesses", "program_instructions",
-    "suppressed", "executed", "tp", "fp",
-)
-
-
 def _dense_sets_payload(sets: list) -> list:
     """Dense ``[recency-list-or-None] * num_sets`` -> sparse pairs.
 
@@ -204,65 +106,6 @@ def _dense_sets_payload(sets: list) -> list:
         for index, recency in enumerate(sets)
         if recency is not None
     ]
-
-
-def _plan_carry_payload(carry) -> dict:
-    return {
-        "l1_sets": _dense_sets_payload(carry.l1_sets),
-        "l2_sets": _dense_sets_payload(carry.l2_sets),
-        "l3_sets": _dense_sets_payload(carry.l3_sets),
-        "l1_pend": sorted(int(line) for line in carry.l1_pend),
-        "l2_pend": sorted(int(line) for line in carry.l2_pend),
-        "l3_pend": sorted(int(line) for line in carry.l3_pend),
-        "inflight": [
-            [int(line), arrival] for line, arrival in carry.inflight.items()
-        ],
-        "now": carry.now,
-        "busy": carry.busy,
-        "frontend_stalls": carry.frontend_stalls,
-        "late_stall": carry.late_stall,
-        "ints": {name: getattr(carry, name) for name in _PLAN_CARRY_INTS},
-        "tracker_tail": [int(b) for b in carry.tracker_tail],
-        "exact_tail": [int(b) for b in carry.exact_tail],
-    }
-
-
-def _plan_carry_restore(ctx, payload: dict):
-    from .array_replay import PlanCarry
-
-    carry = PlanCarry(ctx)
-    for dense, res, entries in (
-        (carry.l1_sets, carry.l1_res, payload["l1_sets"]),
-        (carry.l2_sets, carry.l2_res, payload["l2_sets"]),
-        (carry.l3_sets, carry.l3_res, payload["l3_sets"]),
-    ):
-        for index, lines in entries:
-            recency = [int(line) for line in lines]
-            dense[int(index)] = recency
-            res.update(recency)
-    carry.l1_pend = {int(line) for line in payload["l1_pend"]}
-    carry.l2_pend = {int(line) for line in payload["l2_pend"]}
-    carry.l3_pend = {int(line) for line in payload["l3_pend"]}
-    carry.inflight = {
-        int(line): float(arrival) for line, arrival in payload["inflight"]
-    }
-    carry.now = float(payload["now"])
-    carry.busy = float(payload["busy"])
-    carry.frontend_stalls = float(payload["frontend_stalls"])
-    carry.late_stall = float(payload["late_stall"])
-    for name in _PLAN_CARRY_INTS:
-        setattr(carry, name, int(payload["ints"][name]))
-    carry.tracker_tail = [int(b) for b in payload["tracker_tail"]]
-    carry.exact_tail = [int(b) for b in payload["exact_tail"]]
-    return carry
-
-
-def _ideal_carry_payload(carry: Tuple[int, int]) -> dict:
-    return {"l1i_accesses": carry[0], "program_instructions": carry[1]}
-
-
-def _ideal_carry_restore(payload: dict) -> Tuple[int, int]:
-    return int(payload["l1i_accesses"]), int(payload["program_instructions"])
 
 
 def _data_model_payload(model) -> Optional[dict]:
@@ -379,8 +222,6 @@ def _load_checkpoint(
     ``sim:resume-invalid`` instant naming the reason, rather than
     failing the run; *data_model* is left untouched in that case.
     """
-    if checkpointer is None:
-        return None
     loaded = checkpointer.load_latest(num_shards)
     if loaded is None:
         return None
@@ -420,6 +261,284 @@ def _load_checkpoint(
     return index, merged, carry
 
 
+# -- backends ----------------------------------------------------------------
+#
+# A backend supplies the steps of the shared shard loop (:func:`_stream`):
+# ``step`` replays one shard, ``snapshot`` is the SimStats the run would
+# report if it ended at the current shard boundary (since-last-reset
+# counters, cumulative float accumulators — ShardStats.delta of
+# consecutive snapshots telescopes back to the final values), ``finish``
+# populates the simulator, and ``payload``/``restore`` are the carry
+# codec.  ``name`` is the backend a checkpoint records; the reference
+# loop has none and is never checkpointed.
+
+
+class _ReferenceBackend:
+    """The per-event reference loop over the simulator's own objects."""
+
+    name = None
+
+    def __init__(self, core, observer, warmup: int):
+        self.core = core
+        self.observer = observer
+        self.fetch = core._make_fetch(observer)
+        self.warmup_boundary = warmup if warmup > 0 else -1
+        self.now = 0.0
+        self.program_instructions = 0
+
+    def step(self, block_ids, start: int) -> None:
+        self.now, self.program_instructions = self.core._reference_stream(
+            self.fetch,
+            self.observer,
+            block_ids,
+            start,
+            self.warmup_boundary,
+            self.now,
+            self.program_instructions,
+        )
+
+    def snapshot(self) -> SimStats:
+        return _copy_stats(self.finish())
+
+    def finish(self) -> SimStats:
+        return self.core._reference_finish(self.program_instructions)
+
+
+class _IdealBackend:
+    """The all-hits upper bound: counters only, no hierarchy state.
+
+    The carry is ``(l1i_accesses, program_instructions)`` since the
+    last warmup reset."""
+
+    name = "columnar-ideal"
+    data_model = None
+
+    def __init__(self, core, view, eff: int):
+        self.stats = core.stats
+        self.view = view
+        self.eff = eff
+        self.cpi = 1.0 / core.machine.base_ipc
+        self.carry: Tuple[int, int] = (0, 0)
+
+    def step(self, rows, start: int) -> None:
+        accesses, instructions = self.carry
+        reset_local = self.eff - start
+        if 0 <= reset_local < len(rows):
+            rows = rows[reset_local:]
+            accesses = instructions = 0
+        self.carry = (
+            accesses + int(self.view.line_counts[rows].sum()),
+            instructions + int(self.view.instruction_counts[rows].sum()),
+        )
+
+    def _write(self, stats: SimStats) -> SimStats:
+        stats.clear()
+        stats.l1i_accesses, stats.program_instructions = self.carry
+        stats.compute_cycles = stats.program_instructions * self.cpi
+        return stats
+
+    def snapshot(self) -> SimStats:
+        return self._write(SimStats())
+
+    def finish(self) -> None:
+        self._write(self.stats)
+
+    def payload(self) -> dict:
+        accesses, instructions = self.carry
+        return {"l1i_accesses": accesses, "program_instructions": instructions}
+
+    @staticmethod
+    def restore(payload: dict) -> Tuple[int, int]:
+        return (
+            int(payload["l1i_accesses"]),
+            int(payload["program_instructions"]),
+        )
+
+
+_ARRAY_CARRY_INTS = (
+    "l1_dh", "l1_dm", "l1_ev",
+    "l2_dh", "l2_dm", "l2_ev",
+    "l3_dh", "l3_dm", "l3_ev",
+    "l1i_accesses", "l1i_misses", "program_instructions",
+)
+
+
+class _ArrayBackend:
+    """No-plan columnar replay (:func:`~repro.sim.array_replay.
+    array_shard_replay`)."""
+
+    name = "columnar"
+
+    def __init__(self, core, view, eff: int):
+        from .array_replay import ArrayCarry
+
+        self.core = core
+        self.view = view
+        self.eff = eff
+        self.data_model = core.data_traffic
+        self.carry = ArrayCarry()
+
+    def step(self, rows, start: int) -> None:
+        from .array_replay import array_shard_replay
+
+        array_shard_replay(
+            self.view,
+            rows,
+            self.core.machine,
+            self.carry,
+            data_traffic=self.data_model,
+            offset=start,
+            eff=self.eff,
+        )
+
+    def snapshot(self) -> SimStats:
+        from .array_replay import array_finish
+
+        snap = SimStats()
+        array_finish(self.carry, self.core.machine, snap)
+        return snap
+
+    def finish(self) -> None:
+        from .array_replay import array_finish
+
+        core = self.core
+        array_finish(self.carry, core.machine, core.stats, core.hierarchy)
+
+    def payload(self) -> dict:
+        carry = self.carry
+        return {
+            "l1": _lru_states_payload(carry.l1_state),
+            "l2": _lru_states_payload(carry.l2_state),
+            "l3": _lru_states_payload(carry.l3_state),
+            "now": carry.now,
+            "busy": carry.busy,
+            "frontend_stalls": carry.frontend_stalls,
+            "ints": {name: getattr(carry, name) for name in _ARRAY_CARRY_INTS},
+            "miss_levels": dict(carry.miss_level_counts),
+        }
+
+    @staticmethod
+    def restore(payload: dict):
+        from .array_replay import ArrayCarry
+
+        carry = ArrayCarry()
+        carry.l1_state = _lru_states_restore(payload["l1"])
+        carry.l2_state = _lru_states_restore(payload["l2"])
+        carry.l3_state = _lru_states_restore(payload["l3"])
+        carry.now = float(payload["now"])
+        carry.busy = float(payload["busy"])
+        carry.frontend_stalls = float(payload["frontend_stalls"])
+        for name in _ARRAY_CARRY_INTS:
+            setattr(carry, name, int(payload["ints"][name]))
+        carry.miss_level_counts = {
+            str(k): int(v) for k, v in payload["miss_levels"].items()
+        }
+        return carry
+
+
+_PLAN_CARRY_INTS = (
+    "late_hits", "sim_misses", "issued", "resident",
+    "c2", "c3", "cm",
+    "l1_dh", "l1_dm", "l1_ph", "l1_pf", "l1_pu", "l1_ev",
+    "l2_dh", "l2_dm", "l2_ph", "l2_pf", "l2_pu", "l2_ev",
+    "l3_dh", "l3_dm", "l3_ph", "l3_pf", "l3_pu", "l3_ev",
+    "l1i_accesses", "program_instructions",
+    "suppressed", "executed", "tp", "fp",
+)
+
+
+class _PlanBackend:
+    """Plan-bearing columnar replay (:func:`~repro.sim.array_replay.
+    plan_shard_replay`)."""
+
+    name = "columnar-plan"
+
+    def __init__(self, core, view, eff: int):
+        from .array_replay import PlanCarry, PlanContext
+
+        self.core = core
+        self.eff = eff
+        self.data_model = core.data_traffic
+        self.ctx = PlanContext(
+            program=core.program,
+            machine=core.machine,
+            engine=core.engine,
+            hierarchy=core.hierarchy,
+        )
+        self.carry = PlanCarry(self.ctx)
+
+    def step(self, rows, start: int) -> None:
+        from .array_replay import plan_shard_replay
+
+        plan_shard_replay(
+            self.ctx, self.carry, rows, start, self.eff, self.data_model
+        )
+
+    def snapshot(self) -> SimStats:
+        from .array_replay import _plan_stats
+
+        return _plan_stats(self.ctx, self.carry, SimStats())
+
+    def finish(self) -> None:
+        from .array_replay import _plan_finish
+
+        core = self.core
+        _plan_finish(
+            self.ctx, self.carry, core.stats, core.hierarchy, core.engine
+        )
+
+    def payload(self) -> dict:
+        carry = self.carry
+        return {
+            "l1_sets": _dense_sets_payload(carry.l1_sets),
+            "l2_sets": _dense_sets_payload(carry.l2_sets),
+            "l3_sets": _dense_sets_payload(carry.l3_sets),
+            "l1_pend": sorted(int(line) for line in carry.l1_pend),
+            "l2_pend": sorted(int(line) for line in carry.l2_pend),
+            "l3_pend": sorted(int(line) for line in carry.l3_pend),
+            "inflight": [
+                [int(line), arrival]
+                for line, arrival in carry.inflight.items()
+            ],
+            "now": carry.now,
+            "busy": carry.busy,
+            "frontend_stalls": carry.frontend_stalls,
+            "late_stall": carry.late_stall,
+            "ints": {name: getattr(carry, name) for name in _PLAN_CARRY_INTS},
+            "tracker_tail": [int(b) for b in carry.tracker_tail],
+            "exact_tail": [int(b) for b in carry.exact_tail],
+        }
+
+    def restore(self, payload: dict):
+        from .array_replay import PlanCarry
+
+        carry = PlanCarry(self.ctx)
+        for dense, res, entries in (
+            (carry.l1_sets, carry.l1_res, payload["l1_sets"]),
+            (carry.l2_sets, carry.l2_res, payload["l2_sets"]),
+            (carry.l3_sets, carry.l3_res, payload["l3_sets"]),
+        ):
+            for index, lines in entries:
+                recency = [int(line) for line in lines]
+                dense[int(index)] = recency
+                res.update(recency)
+        carry.l1_pend = {int(line) for line in payload["l1_pend"]}
+        carry.l2_pend = {int(line) for line in payload["l2_pend"]}
+        carry.l3_pend = {int(line) for line in payload["l3_pend"]}
+        carry.inflight = {
+            int(line): float(arrival) for line, arrival in payload["inflight"]
+        }
+        carry.now = float(payload["now"])
+        carry.busy = float(payload["busy"])
+        carry.frontend_stalls = float(payload["frontend_stalls"])
+        carry.late_stall = float(payload["late_stall"])
+        for name in _PLAN_CARRY_INTS:
+            setattr(carry, name, int(payload["ints"][name]))
+        carry.tracker_tail = [int(b) for b in payload["tracker_tail"]]
+        carry.exact_tail = [int(b) for b in payload["exact_tail"]]
+        return carry
+
+
 # -- the driver --------------------------------------------------------------
 
 
@@ -436,38 +555,49 @@ def run_sharded(
 
     Accepts an in-memory :class:`BlockTrace` (cut greedily on
     ``shard_insns`` retired instructions) or an on-disk
-    :class:`ShardedTrace` (one chunk materialized at a time).  Backend
-    selection mirrors ``CoreSimulator._replay`` exactly; every backend
-    produces per-shard :class:`ShardStats` partials whose
-    order-independent merge is the reported :class:`SimStats`, and the
-    final simulator state (hierarchy, engine, fill port) is identical
-    to the whole-trace replay's.
+    :class:`ShardedTrace` (one chunk materialized at a time); see
+    :func:`replay`.
+    """
+    if shard_insns is None and not isinstance(trace, ShardedTrace):
+        raise ValueError("shard_insns is required to shard an in-memory trace")
+    return replay(core, trace, observer, warmup, shard_insns, checkpointer)
+
+
+def replay(
+    core,
+    trace,
+    observer=None,
+    warmup: int = 0,
+    shard_insns: Optional[int] = None,
+    checkpointer: Optional[StoreCheckpointer] = None,
+) -> SimStats:
+    """Replay *trace* on *core*: the one driver behind every sequential
+    replay.
+
+    An in-memory trace with no ``shard_insns`` is the single shard
+    ``[(0, len(trace))]``.  Every backend produces per-shard
+    :class:`ShardStats` partials whose order-independent merge is the
+    reported :class:`SimStats`, and the final simulator state
+    (hierarchy, engine, fill port) is independent of the cut.
     """
     program = core.program
-    machine = core.machine
-    stats = core.stats
     engine = core.engine
     tracer = get_tracer()
-
-    if isinstance(trace, ShardedTrace):
-        sharded: Optional[ShardedTrace] = trace
-        inline: Optional[BlockTrace] = None
-        total = len(sharded)
+    sharded = trace if isinstance(trace, ShardedTrace) else None
+    if sharded is not None:
         bounds: Optional[List[Tuple[int, int]]] = list(sharded.bounds)
         shard_insns = sharded.shard_insns
+    elif shard_insns is None:
+        bounds = [(0, len(trace))]
     else:
-        sharded = None
-        inline = trace
-        total = len(trace)
-        if shard_insns is None:
-            raise ValueError(
-                "shard_insns is required to shard an in-memory trace"
-            )
         bounds = None
 
-    # Backend selection: the same short-circuit order as
-    # CoreSimulator._replay, so sharded and whole-trace runs always
-    # agree on which kernel serves a configuration.
+    # Backend selection: with no observer there are no per-event hooks
+    # to honour, so a columnar kernel serves the run — bit-identical by
+    # construction and differentially tested.  State a kernel cannot
+    # reconstruct from scratch (a re-used simulator, a pre-seeded
+    # engine) takes the reference loop, which composes with it.  The
+    # first failing check is the recorded fallback reason.
     if observer is not None:
         fallback: Optional[str] = "observer"
     elif not kernel.numpy_enabled():
@@ -475,315 +605,103 @@ def run_sharded(
     elif not core._hierarchy_pristine():
         fallback = "state-not-pristine"
     elif engine is not None and not engine.is_pristine():
-        tracer.instant("sim:plan-fallback", reason="engine-state")
-        fallback = "plan-ineligible"
+        fallback = "engine-state"
     else:
         fallback = None
 
-    view = None
-    rows_full = None
-    if fallback is None:
+    if fallback is not None:
+        if bounds is None:
+            bounds = trace_shard_bounds(trace, program, shard_insns)
+        backend = _ReferenceBackend(core, observer, warmup)
+        core.last_replay_backend = "reference"
+
+        def shard(index: int):
+            if sharded is not None:
+                return sharded.shard(index).block_ids
+            start, stop = bounds[index]
+            return trace.block_ids[start:stop]
+
+    else:
         from .columnar import columnar_view
 
         view = columnar_view(program)
+        rows_full = None if sharded is not None else view.trace_rows(trace)
         if bounds is None:
-            rows_full = view.trace_rows(inline)
             bounds = view.shard_bounds(rows_full, shard_insns)
-        elif inline is not None:
-            rows_full = view.trace_rows(inline)
-    elif bounds is None:
-        bounds = trace_shard_bounds(inline, program, shard_insns)
+        eff = warmup if 0 < warmup < len(trace) else 0
+        if engine is not None:
+            backend = _PlanBackend(core, view, eff)
+            core.last_replay_backend = "columnar-plan"
+        else:
+            backend = (_IdealBackend if core.ideal else _ArrayBackend)(
+                core, view, eff
+            )
+            core.last_replay_backend = "columnar"
 
-    num_shards = len(bounds)
-
-    def shard_ids(index: int):
-        start, stop = bounds[index]
-        if sharded is not None:
-            return sharded.shard(index).block_ids
-        return inline.block_ids[start:stop]
-
-    def shard_rows(index: int):
-        start, stop = bounds[index]
-        if rows_full is not None:
+        def shard(index: int):
+            if rows_full is None:
+                return view.trace_rows(sharded.shard(index))
+            start, stop = bounds[index]
             return rows_full[start:stop]
-        return view.trace_rows(sharded.shard(index))
 
+    core.last_fallback_reason = fallback
     with tracer.span(
         "sim:run",
         program=program.name,
-        blocks=total,
+        blocks=len(trace),
         ideal=core.ideal,
         observed=observer is not None,
-        shards=num_shards,
+        shards=len(bounds),
         shard_insns=shard_insns,
     ) as span:
-        if fallback is not None:
-            core.last_replay_backend = "reference"
-            core.last_fallback_reason = fallback
-            _run_reference_stream(
-                core, observer, warmup, bounds, shard_ids, tracer
-            )
-        elif engine is None and core.ideal:
-            core.last_replay_backend = "columnar"
-            core.last_fallback_reason = None
-            _run_ideal_stream(
-                core, view, warmup, total, bounds, shard_rows,
-                shard_insns, checkpointer, tracer,
-            )
-        elif engine is None:
-            core.last_replay_backend = "columnar"
-            core.last_fallback_reason = None
-            _run_array_stream(
-                core, view, warmup, total, bounds, shard_rows,
-                shard_insns, checkpointer, tracer,
-            )
-        else:
-            _run_plan_stream(
-                core, view, warmup, total, bounds, shard_rows, shard_ids,
-                shard_insns, checkpointer, tracer,
-            )
+        _stream(backend, shard, bounds, shard_insns, checkpointer, core.stats)
         span.set(backend=core.last_replay_backend)
-        if core.last_fallback_reason is not None:
-            span.set(fallback=core.last_fallback_reason)
-    return stats
+        if fallback is not None:
+            span.set(fallback=fallback)
+    return core.stats
 
 
-def _run_reference_stream(core, observer, warmup, bounds, shard_ids, tracer):
-    """Stream the reference loop shard by shard (no checkpointing:
-    the reference state lives across rich objects with no serialized
-    form — see the module docstring)."""
-    stats = core.stats
-    fetch = core._make_fetch(observer)
-    warmup_boundary = warmup if warmup > 0 else -1
-    now = 0.0
-    program_instructions = 0
-    parts: List[ShardStats] = []
+def _stream(backend, shard, bounds, shard_insns, checkpointer, stats) -> None:
+    """The shard loop every sequential backend runs: resume from the
+    latest valid checkpoint, then for each remaining shard replay,
+    snapshot, merge the :class:`ShardStats` delta and save; finally
+    finish the backend and report the merge."""
+    tracer = get_tracer()
+    num_shards = len(bounds)
+    if backend.name is None:
+        checkpointer = None
+    merged = ShardStats.identity()
     prev = SimStats()
-    for index, (start, _stop) in enumerate(bounds):
-        with tracer.span("sim:shard", index=index, offset=start):
-            now, program_instructions = core._reference_stream(
-                fetch,
-                observer,
-                shard_ids(index),
-                start,
-                warmup_boundary,
-                now,
-                program_instructions,
-            )
-        cpi = 1.0 / core.machine.base_ipc
-        prefetch_cpi = 1.0 / core.machine.issue_width
-        cur = _copy_stats(stats)
-        cur.program_instructions = program_instructions
-        cur.compute_cycles = (
-            program_instructions * cpi
-            + stats.prefetch_instructions_executed * prefetch_cpi
+    first = 0
+    resumed = None
+    if checkpointer is not None:
+        resumed = _load_checkpoint(
+            checkpointer, backend.name, num_shards, shard_insns,
+            backend.data_model, backend.restore,
         )
-        cur.prefetches_useful = core.hierarchy.l1i.stats.prefetch_hits
-        parts.append(ShardStats.delta(index, prev, cur))
-        prev = cur
-    core._reference_finish(program_instructions)
-    _apply_merged(stats, ShardStats.merge_all(parts))
-
-
-def _run_ideal_stream(
-    core, view, warmup, total, bounds, shard_rows, shard_insns,
-    checkpointer, tracer,
-):
-    """Counter-only all-hits upper bound, shard-streamed."""
-    stats = core.stats
-    eff = warmup if 0 < warmup < total else 0
-    cpi = 1.0 / core.machine.base_ipc
-    acc_l1i = 0
-    acc_pi = 0
-    merged = ShardStats.identity()
-    prev = SimStats()
-    start_shard = 0
-    resumed = _load_checkpoint(
-        checkpointer, "columnar-ideal", len(bounds), shard_insns, None,
-        _ideal_carry_restore,
-    )
     if resumed is not None:
-        start_shard, merged, (acc_l1i, acc_pi) = resumed
-        start_shard += 1
-        prev = SimStats()
-        prev.l1i_accesses = acc_l1i
-        prev.program_instructions = acc_pi
-        prev.compute_cycles = acc_pi * cpi
-    for index in range(start_shard, len(bounds)):
-        start, _stop = bounds[index]
+        index, merged, backend.carry = resumed
+        first = index + 1
+        prev = backend.snapshot()
+    for index in range(first, num_shards):
+        start = bounds[index][0]
         with tracer.span("sim:shard", index=index, offset=start):
-            rows = shard_rows(index)
-            n_local = len(rows)
-            reset_local = (
-                eff - start if start <= eff < start + n_local else None
-            )
-            if reset_local is None:
-                acc_l1i += int(view.line_counts[rows].sum())
-                acc_pi += int(view.instruction_counts[rows].sum())
-            else:
-                acc_l1i = int(view.line_counts[rows[reset_local:]].sum())
-                acc_pi = int(
-                    view.instruction_counts[rows[reset_local:]].sum()
-                )
-        cur = SimStats()
-        cur.l1i_accesses = acc_l1i
-        cur.program_instructions = acc_pi
-        cur.compute_cycles = acc_pi * cpi
+            backend.step(shard(index), start)
+        cur = backend.snapshot()
         merged = merged.merge(ShardStats.delta(index, prev, cur))
         prev = cur
         if checkpointer is not None:
             checkpointer.save(
                 index,
                 _checkpoint(
-                    "columnar-ideal", index, len(bounds), shard_insns,
-                    merged, _ideal_carry_payload((acc_l1i, acc_pi)), None,
+                    backend.name, index, num_shards, shard_insns, merged,
+                    backend.payload(), backend.data_model,
                 ),
             )
-    stats.clear()
-    stats.l1i_accesses = acc_l1i
-    stats.program_instructions = acc_pi
-    stats.compute_cycles = acc_pi * cpi
+    backend.finish()
     _apply_merged(stats, merged)
     if checkpointer is not None:
-        checkpointer.finalize(len(bounds))
-
-
-def _run_array_stream(
-    core, view, warmup, total, bounds, shard_rows, shard_insns,
-    checkpointer, tracer,
-):
-    """No-plan columnar replay, shard-streamed with carry."""
-    from .array_replay import ArrayCarry, array_finish, array_shard_replay
-
-    stats = core.stats
-    machine = core.machine
-    eff = warmup if 0 < warmup < total else 0
-    cpi = 1.0 / machine.base_ipc
-    carry = ArrayCarry()
-    merged = ShardStats.identity()
-    prev = SimStats()
-    start_shard = 0
-    resumed = _load_checkpoint(
-        checkpointer, "columnar", len(bounds), shard_insns,
-        core.data_traffic, _array_carry_restore,
-    )
-    if resumed is not None:
-        start_shard, merged, carry = resumed
-        start_shard += 1
-        prev = _array_snapshot(carry, cpi)
-    for index in range(start_shard, len(bounds)):
-        start, _stop = bounds[index]
-        with tracer.span("sim:shard", index=index, offset=start):
-            array_shard_replay(
-                view,
-                shard_rows(index),
-                machine,
-                carry,
-                data_traffic=core.data_traffic,
-                offset=start,
-                eff=eff,
-            )
-        cur = _array_snapshot(carry, cpi)
-        merged = merged.merge(ShardStats.delta(index, prev, cur))
-        prev = cur
-        if checkpointer is not None:
-            checkpointer.save(
-                index,
-                _checkpoint(
-                    "columnar", index, len(bounds), shard_insns, merged,
-                    _array_carry_payload(carry), core.data_traffic,
-                ),
-            )
-    array_finish(carry, machine, stats, core.hierarchy)
-    _apply_merged(stats, merged)
-    if checkpointer is not None:
-        checkpointer.finalize(len(bounds))
-
-
-def _run_plan_stream(
-    core, view, warmup, total, bounds, shard_rows, shard_ids, shard_insns,
-    checkpointer, tracer,
-):
-    """Plan-bearing columnar replay, shard-streamed with carry.
-
-    When a shard's precompute detects a runtime-hash counter overflow
-    ahead, the carried state — bit-identical to the reference's at the
-    boundary — is installed into the real simulator objects and the
-    remaining shards stream through the reference loop, which raises
-    ``OverflowError`` at the exact push the whole-trace reference
-    would."""
-    from .array_replay import (
-        PlanCarry,
-        PlanContext,
-        _plan_finish,
-        plan_shard_replay,
-    )
-
-    stats = core.stats
-    machine = core.machine
-    engine = core.engine
-    eff = warmup if 0 < warmup < total else 0
-    ctx = PlanContext(program=core.program, machine=machine, engine=engine,
-                      hierarchy=core.hierarchy)
-    carry = PlanCarry(ctx)
-    merged = ShardStats.identity()
-    prev = SimStats()
-    start_shard = 0
-    resumed = _load_checkpoint(
-        checkpointer, "columnar-plan", len(bounds), shard_insns,
-        core.data_traffic, lambda payload: _plan_carry_restore(ctx, payload),
-    )
-    if resumed is not None:
-        start_shard, merged, carry = resumed
-        start_shard += 1
-        prev = _plan_snapshot(ctx, carry)
-    for index in range(start_shard, len(bounds)):
-        start, _stop = bounds[index]
-        with tracer.span("sim:shard", index=index, offset=start):
-            ok = plan_shard_replay(
-                ctx, carry, shard_rows(index), start, eff,
-                core.data_traffic,
-            )
-        if not ok:
-            tracer.instant("sim:plan-fallback", reason="bloom-overflow")
-            _plan_finish(ctx, carry, stats, core.hierarchy, engine)
-            now = carry.now
-            program_instructions = carry.program_instructions
-            fetch = core._make_fetch(None)
-            warmup_boundary = warmup if warmup > 0 else -1
-            for rest in range(index, len(bounds)):
-                now, program_instructions = core._reference_stream(
-                    fetch,
-                    None,
-                    shard_ids(rest),
-                    bounds[rest][0],
-                    warmup_boundary,
-                    now,
-                    program_instructions,
-                )
-            core._reference_finish(program_instructions)
-            core.last_replay_backend = "reference"
-            core.last_fallback_reason = "plan-ineligible"
-            if checkpointer is not None:
-                checkpointer.finalize(len(bounds))
-            return
-        cur = _plan_snapshot(ctx, carry)
-        merged = merged.merge(ShardStats.delta(index, prev, cur))
-        prev = cur
-        if checkpointer is not None:
-            checkpointer.save(
-                index,
-                _checkpoint(
-                    "columnar-plan", index, len(bounds), shard_insns,
-                    merged, _plan_carry_payload(carry), core.data_traffic,
-                ),
-            )
-    _plan_finish(ctx, carry, stats, core.hierarchy, engine)
-    _apply_merged(stats, merged)
-    core.last_replay_backend = "columnar-plan"
-    core.last_fallback_reason = None
-    if checkpointer is not None:
-        checkpointer.finalize(len(bounds))
+        checkpointer.finalize(num_shards)
 
 
 def run_plan_batch(
@@ -796,20 +714,19 @@ def run_plan_batch(
     shard-streamed.
 
     *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances (one
-    per variant, pristine state).  Returns per-slot outcomes exactly
-    like :func:`~repro.sim.array_replay.batched_plan_replay`: ``None``
+    per variant, pristine state).  Returns per-slot outcomes: ``None``
     when the slot was batched — its stats/hierarchy/engine are now
     bit-identical to the per-variant replay with the same
     ``shard_insns`` — else the fallback reason; failed slots must be
     rerun through the per-variant path with fresh objects.
 
-    With ``shard_insns`` the trace is cut on the same greedy
-    instruction bounds as :func:`run_sharded`, the variant axis runs
-    inside each shard, and every variant's reported counters flow
-    through the per-variant :class:`ShardStats` merge, mirroring the
-    sequential sharded driver's algebra.
+    The trace is cut on the same greedy instruction bounds as
+    :func:`replay` (one shard without ``shard_insns``), the variant
+    axis runs inside each shard, and every variant's reported counters
+    flow through the per-variant :class:`ShardStats` merge, mirroring
+    the sequential driver's algebra.
     """
-    from .array_replay import PlanBatch
+    from .array_replay import PlanBatch, _plan_stats
     from .columnar import columnar_view
 
     program = cores[0].program
@@ -844,29 +761,19 @@ def run_plan_batch(
         variants=len(cores),
         shards=len(bounds),
     ) as span:
-        if len(bounds) <= 1:
-            batch.run_shard(rows_full, 0, eff)
-            batch.finish()
-        else:
-            merged: Dict[int, ShardStats] = {}
-            prev: Dict[int, SimStats] = {
-                s.index: _plan_snapshot(s.ctx, s.carry) for s in batch.live()
-            }
-            for index, (start, stop) in enumerate(bounds):
-                with tracer.span("sim:shard", index=index, offset=start):
-                    batch.run_shard(rows_full[start:stop], start, eff)
-                for slot in batch.live():
-                    cur = _plan_snapshot(slot.ctx, slot.carry)
-                    delta = ShardStats.delta(index, prev[slot.index], cur)
-                    acc = merged.get(slot.index)
-                    merged[slot.index] = (
-                        delta if acc is None else acc.merge(delta)
-                    )
-                    prev[slot.index] = cur
-            batch.finish()
-            for slot in batch.slots:
-                if slot.alive and slot.reason is None:
-                    _apply_merged(slot.stats, merged[slot.index])
+        merged = {s.index: ShardStats.identity() for s in batch.live()}
+        prev = {s.index: SimStats() for s in batch.live()}
+        for index, (start, stop) in enumerate(bounds):
+            with tracer.span("sim:shard", index=index, offset=start):
+                batch.run_shard(rows_full[start:stop], start, eff)
+            for slot in batch.live():
+                cur = _plan_stats(slot.ctx, slot.carry, SimStats())
+                delta = ShardStats.delta(index, prev[slot.index], cur)
+                merged[slot.index] = merged[slot.index].merge(delta)
+                prev[slot.index] = cur
+        batch.finish()
+        for slot in batch.live():
+            _apply_merged(slot.stats, merged[slot.index])
         reasons = batch.results()
         span.set(fallbacks=sum(r is not None for r in reasons))
     for core, reason in zip(cores, reasons):
@@ -890,14 +797,15 @@ def stream_replay_events(
     data_traffic=None,
     shard_insns: Optional[int] = None,
 ):
-    """Shard-streamed equivalent of ``array_replay(record_events=True)``.
+    """The profiler's recorded no-plan replay: the per-block cycles and
+    per-miss events (the observer view) as one whole-trace
+    :class:`~repro.sim.array_replay.ReplayEvents`.
 
     Replays shard by shard through the carried kernel (bounded replay
-    working set) and concatenates the per-shard observer views into
-    one whole-trace :class:`~repro.sim.array_replay.ReplayEvents` —
-    bit-identical to the whole-trace recording, with global trace
-    indices.  Populates *stats* like the whole-trace call (no
-    hierarchy, no warmup: the profiler's configuration).
+    working set; one shard without ``shard_insns``) and concatenates
+    the per-shard views, with global trace indices.  Populates *stats*
+    like a whole-trace replay (no hierarchy, no warmup: the profiler's
+    configuration).
     """
     import numpy as np
 
@@ -905,26 +813,27 @@ def stream_replay_events(
         array_shard_replay
     from .columnar import columnar_view
 
-    if shard_insns is None:
-        raise ValueError("stream_replay_events requires shard_insns")
     view = columnar_view(program)
     rows_full = view.trace_rows(trace)
-    bounds = view.shard_bounds(rows_full, shard_insns)
+    bounds = (
+        view.shard_bounds(rows_full, shard_insns)
+        if shard_insns is not None
+        else [(0, len(rows_full))]
+    )
     carry = ArrayCarry()
-    chunks = []
-    for index, (start, stop) in enumerate(bounds):
-        chunks.append(
-            array_shard_replay(
-                view,
-                rows_full[start:stop],
-                machine,
-                carry,
-                data_traffic=data_traffic,
-                offset=start,
-                eff=0,
-                record_events=True,
-            )
+    chunks = [
+        array_shard_replay(
+            view,
+            rows_full[start:stop],
+            machine,
+            carry,
+            data_traffic=data_traffic,
+            offset=start,
+            eff=0,
+            record_events=True,
         )
+        for start, stop in bounds
+    ]
     array_finish(carry, machine, stats)
     return ReplayEvents(
         block_cycles=np.concatenate([c.block_cycles for c in chunks]),

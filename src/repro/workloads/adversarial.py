@@ -17,11 +17,12 @@ evaluates on:
 ``bloom-storm``
     Every block aliases onto *one single* hash bit and the footprint
     is a multiple of the L1I, so replay is a miss storm in which each
-    LBR push increments the same Bloom counter.  At the default
-    32-deep LBR the 6-bit counters cannot overflow (peak 33 < 63), but
-    any ``lbr_depth > 63`` overflows deterministically — the workload
-    that proves the columnar plan backend's overflow bail-out path
-    stays live.
+    LBR push increments the same Bloom counter, driving it to its
+    ``lbr_depth + 1`` peak.  The tracker derives its counter width from
+    the depth (6 bits at the default 32-deep LBR, peak 33), so this is
+    the workload that asserts no counter ever exceeds that width — and
+    that the columnar backends stay bit-identical to the reference at
+    any depth.
 ``phase-chain``
     Deep RPC-style call chains (five layers of small functions) whose
     request mix *rotates* through distinct phases within one trace —
@@ -246,7 +247,7 @@ BLOOM_STORM_BIT = 0
 
 
 def build_bloom_storm(scale: float = 1.0) -> SyntheticApp:
-    """Bloom-overflow-heavy miss storm: one hash bit, a footprint
+    """Bloom-counter-peak miss storm: one hash bit, a footprint
     several L1I multiples wide, and long rotating rings so almost
     every fetch misses."""
     spec = _BLOOM_STORM_SPEC

@@ -115,6 +115,18 @@ class KillAfter(StoreCheckpointer):
             raise KeyboardInterrupt("simulated crash")
 
 
+class PeakCounters(list):
+    """A runtime-hash counter list that records the largest value ever
+    stored — install it as ``tracker._counters`` to observe the
+    transient peak of a push (counted before the eviction)."""
+
+    peak = 0
+
+    def __setitem__(self, index, value):
+        self.peak = max(self.peak, value)
+        super().__setitem__(index, value)
+
+
 def hierarchy_state(core):
     """The complete final cache state of a replay: per level, per set,
     MRU-first resident lines, pending-prefetch sets, fill-port clock."""

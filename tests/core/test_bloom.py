@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.core.bloom import LBRRuntimeHash, exact_history_match
 from repro.core.hashing import bit_position_table, context_mask
 
+from ..conftest import PeakCounters
+
 
 def make_hash(n_blocks=64, hash_bits=16, depth=32):
     addresses = {i: 0x400000 + 0x40 * i for i in range(n_blocks)}
@@ -58,12 +60,21 @@ class TestPushEvict:
         assert runtime.history() == ()
 
     def test_counter_overflow_guard(self):
-        addresses = {0: 0x400000}
-        table = bit_position_table(addresses, 4)
-        runtime = LBRRuntimeHash(table, hash_bits=4, depth=100, counter_bits=2)
-        with pytest.raises(OverflowError):
-            for _ in range(100):
-                runtime.push(0)
+        """The counter width is derived from the depth, so no push can
+        overflow it: 6 bits at the paper's depth 32 (Fig. 7), and a
+        counter every entry shares peaks at depth + 1 — the new entry
+        is counted before the oldest is evicted."""
+        table = bit_position_table({0: 0x400000}, 4)
+        assert LBRRuntimeHash(table, hash_bits=4, depth=32).counter_bits == 6
+        runtime = LBRRuntimeHash(table, hash_bits=4, depth=100)
+        counters = runtime._counters = PeakCounters(runtime._counters)
+        for _ in range(300):
+            runtime.push(0)
+        assert counters.peak == 101
+        assert counters.peak <= 2 ** runtime.counter_bits - 1
+        # a block whose two hashes coincide sets its bit twice per entry
+        doubled = LBRRuntimeHash({0: (1, 1)}, hash_bits=4, depth=32)
+        assert doubled.counter_bits == (2 * 33).bit_length()
 
     def test_reset(self):
         runtime, _ = make_hash()

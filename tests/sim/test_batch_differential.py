@@ -1,8 +1,8 @@
 """Differential tests: plan-batched replay vs per-variant replay.
 
-The batched backend (:func:`repro.sim.streaming.run_plan_batch` /
-:func:`repro.sim.array_replay.batched_plan_replay`) evaluates a whole
-variant set in one pass over the trace.  Its contract is exact: every
+The batched backend (:func:`repro.sim.streaming.run_plan_batch` over
+:class:`repro.sim.array_replay.PlanBatch`) evaluates a whole variant
+set in one pass over the trace.  Its contract is exact: every
 successfully batched variant must be ``==`` the same variant replayed
 on its own — every statistic, the final residency of every cache
 level, and the prefetch engine's runtime state — against both the

@@ -77,6 +77,22 @@ class TestMachineParams:
         with pytest.raises(ValueError):
             MachineParams().miss_penalty("l4")
 
+    @pytest.mark.parametrize(
+        "field",
+        (
+            "l2_latency", "l3_latency", "memory_latency",
+            "base_ipc", "issue_width",
+            "l2_fill_occupancy", "l3_fill_occupancy",
+            "memory_fill_occupancy",
+        ),
+    )
+    @pytest.mark.parametrize("value", (0, -1))
+    def test_rejects_nonpositive(self, field, value):
+        """Replay relies on positive latencies, throughput and fill
+        occupancies; a machine without them cannot be built."""
+        with pytest.raises(ValueError, match=field):
+            MachineParams(**{field: value})
+
     def test_penalties_monotonic(self):
         m = MachineParams()
         levels = ["l1", "l2", "l3", "memory"]

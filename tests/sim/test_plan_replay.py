@@ -1,6 +1,6 @@
 """Differential tests: plan-bearing columnar replay vs the reference loop.
 
-``plan_replay`` (the ``columnar-plan`` backend) must be *bit-identical*
+``plan_shard_replay`` (the ``columnar-plan`` backend) must be *bit-identical*
 to :class:`CoreSimulator`'s reference loop whenever it elects to run:
 every statistic, every float, the final cache residency, the fill-port
 clock, and the prefetch engine's runtime state (inflight map, counting
@@ -264,8 +264,9 @@ class TestAppPlans:
 
 
 class TestFallbacks:
-    """Configurations plan_replay cannot model select the reference
-    loop; ``last_replay_backend`` makes the selection observable."""
+    """Configurations the columnar plan kernel cannot model select the
+    reference loop; ``last_replay_backend`` makes the selection
+    observable."""
 
     def _plan_and_program(self):
         program = make_program([64] * 6)
@@ -311,6 +312,7 @@ class TestFallbacks:
             core.engine.inflight[line_of(program.block(3).address)] = 100.0
             core.run(trace)
         assert core.last_replay_backend == "reference"
+        assert core.last_fallback_reason == "engine-state"
 
     def test_empty_plan_takes_plain_columnar(self):
         """A plan with no instructions builds no engine at all, so the

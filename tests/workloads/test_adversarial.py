@@ -2,12 +2,13 @@
 
 Each generator exists to provoke one specific mechanism, so each gets
 a property pinning that provocation: ``hash-alias`` must collapse the
-16-bit context hash onto its two alias bits, ``bloom-storm`` must trip
-the runtime-hash counter overflow on any LBR deeper than the counter
-width (and the columnar backends' bail-out paths must survive it), and
-``phase-chain`` must actually change its instruction footprint between
-phases.  Registry integration — the three are first-class apps next to
-the paper's nine — is pinned here too.
+16-bit context hash onto its two alias bits, ``bloom-storm`` must drive
+one runtime-hash counter to its ``depth + 1`` peak on any LBR depth —
+within the tracker's derived counter width, and with every columnar
+backend still bit-identical to the reference — and ``phase-chain``
+must actually change its instruction footprint between phases.
+Registry integration — the three are first-class apps next to the
+paper's nine — is pinned here too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.core.hashing import context_bit_positions, context_mask
 from repro.core.instructions import PrefetchInstr, PrefetchPlan
 from repro.sim.cpu import CoreSimulator
 from repro.sim.params import line_of
-from repro.sim.stats import SimStats
 from repro.sim.streaming import run_plan_batch
 from repro.workloads.adversarial import (
     ADVERSARIAL_APP_NAMES,
@@ -37,8 +37,11 @@ from repro.workloads.apps import ALL_APP_NAMES, APP_NAMES, get_app
 
 from ..conftest import (
     ADVERSARIAL_TEST_SCALE,
+    PeakCounters,
     adversarial_app,
     adversarial_workloads,
+    engine_state,
+    hierarchy_state,
 )
 
 
@@ -153,7 +156,7 @@ class TestHashAlias:
 
 
 class TestBloomStorm:
-    """Every block hits one Bloom counter; deep LBRs overflow it."""
+    """Every block hits one Bloom counter; deep LBRs widen it."""
 
     def test_single_bit_saturation(self):
         app = adversarial_app("bloom-storm")
@@ -171,48 +174,72 @@ class TestBloomStorm:
         assert stats.l1i_misses > 0
 
     @settings(max_examples=6, deadline=None)
-    @given(depth=st.integers(64, 256), seed=st.integers(0, 2**10))
-    def test_deep_lbr_overflows_reference(self, depth, seed):
-        """Any LBR deeper than the counter width overflows on this
-        workload — deterministically, whatever the walk seed."""
+    @given(depth=st.integers(33, 256), seed=st.integers(0, 2**10))
+    def test_deep_lbr_columnar_matches_reference(self, depth, seed):
+        """Past the paper's depth the storm drives the shared counter
+        beyond 6 bits; the columnar plan backend still serves the run,
+        whole-trace and sharded, bit-identical to the reference."""
+        app = adversarial_app("bloom-storm")
+        trace = app.trace(400, seed=seed)
+        plan = _conditional_plan(app.program)
+
+        def run(shard_insns=None):
+            core = CoreSimulator(app.program, plan=plan, lbr_depth=depth)
+            stats = core.run(trace, shard_insns=shard_insns)
+            return core, (stats, hierarchy_state(core), engine_state(core))
+
+        with kernel.reference_path():
+            _, reference = run()
+        with kernel.force_numpy_kernel():
+            for shard_insns in (None, 1000):
+                core, columnar = run(shard_insns)
+                assert core.last_replay_backend == "columnar-plan"
+                assert columnar == reference, f"shard_insns={shard_insns}"
+
+    @settings(max_examples=6, deadline=None)
+    @given(depth=st.integers(33, 256), seed=st.integers(0, 2**10))
+    def test_deep_lbr_counters_fit_the_derived_width(self, depth, seed):
+        """Every block sets the one storm bit, so its counter peaks at
+        depth + 1 once the LBR fills — and never exceeds the width
+        the tracker derives from its depth."""
         app = adversarial_app("bloom-storm")
         trace = app.trace(400, seed=seed)
         core = CoreSimulator(
             app.program, plan=_conditional_plan(app.program),
             lbr_depth=depth,
         )
+        tracker = core.engine.tracker
+        counters = tracker._counters = PeakCounters(tracker._counters)
         with kernel.reference_path():
-            with pytest.raises(OverflowError, match="runtime-hash"):
-                core.run(trace)
+            core.run(trace)
+        assert counters.peak == min(depth + 1, len(trace.block_ids))
+        assert counters.peak <= 2 ** tracker.counter_bits - 1
 
-    def test_columnar_bailout_reproduces_the_overflow(self):
-        """The sequential columnar path pre-detects the overflow,
-        falls back to the reference loop, and surfaces the same
-        error the hardware model defines."""
-        app = adversarial_app("bloom-storm")
-        trace = app.trace(400, seed=1)
-        core = CoreSimulator(
-            app.program, plan=_conditional_plan(app.program), lbr_depth=128
-        )
-        with kernel.force_numpy_kernel():
-            with pytest.raises(OverflowError, match="runtime-hash"):
-                core.run(trace)
-
-    def test_batch_fails_the_slot_with_a_reason(self):
-        """The plan-batched executor must not poison the batch: the
-        overflowing slot bounces with ``bloom-overflow`` and untouched
-        stats while healthy slots still batch."""
+    def test_batch_serves_deep_and_default_lbr(self):
+        """The plan-batched executor serves a deep-LBR slot next to a
+        default one, each bit-identical to its own sequential replay."""
         app = adversarial_app("bloom-storm")
         trace = app.trace(400, seed=1)
         plan = _conditional_plan(app.program)
-        deep = CoreSimulator(app.program, plan=plan, lbr_depth=128)
-        safe = CoreSimulator(app.program, plan=plan, lbr_depth=32)
+        depths = (128, 32)
         with kernel.force_numpy_kernel():
-            reasons = run_plan_batch([deep, safe], trace)
-        assert reasons == ["bloom-overflow", None]
-        assert deep.stats == SimStats()
-        assert safe.last_replay_backend == "columnar-plan-batch"
-        assert safe.stats.program_instructions > 0
+            batched = [
+                CoreSimulator(app.program, plan=plan, lbr_depth=depth)
+                for depth in depths
+            ]
+            reasons = run_plan_batch(batched, trace)
+            solo = [
+                CoreSimulator(app.program, plan=plan, lbr_depth=depth)
+                for depth in depths
+            ]
+            for core in solo:
+                core.run(trace)
+        assert reasons == [None, None]
+        for batch_core, solo_core in zip(batched, solo):
+            assert batch_core.last_replay_backend == "columnar-plan-batch"
+            assert batch_core.stats == solo_core.stats
+            assert hierarchy_state(batch_core) == hierarchy_state(solo_core)
+            assert engine_state(batch_core) == engine_state(solo_core)
 
 
 class TestPhaseChain:
