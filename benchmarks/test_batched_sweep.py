@@ -1,27 +1,27 @@
-"""Plan-batched sweep benchmark: one trace pass vs per-variant replay.
+"""Batched sweep benchmark: one V-wide plan batch vs V one-slot batches.
 
-Times a fig18-style five-variant minimum-distance sweep on the
-wordpress workload two ways — five independent ``columnar-plan``
-replays (the sequential backend every variant would otherwise use)
-against one ``columnar-plan-batch`` pass over the same trace — and
-asserts the batch's contract along the way: every variant's statistics,
-final cache residency, and engine state are ``==`` the per-variant
-run, both whole-trace and composed with ``--shard-insns`` streaming.
+Every plan replay runs on one kernel (``PlanBatch``); a single
+simulation is a one-slot batch.  This benchmark times a fig18-style
+five-variant minimum-distance sweep on the wordpress workload two
+ways — five independent ``CoreSimulator.run`` replays (five one-slot
+batches) against one five-slot ``run_plan_batch`` pass over the same
+trace — and asserts the batch's contract along the way: every
+variant's statistics, final cache residency, and engine state are
+``==`` the per-variant run, both whole-trace and composed with
+``--shard-insns`` streaming.
 
 Honesty note — the recorded speedup is a real measured wall-clock
-ratio, best-of-N both sides, with the batch's own measured phase
-decomposition alongside.  The design target for this backend was 3x;
-the measured ratio on this workload is below that, and the
-decomposition shows why: the batch fully shares the trace decode, the
-Bloom-filter window reconstruction and the L2/L3 sweeps across
-variants (the sweeps run lane-vectorized over a variant-major axis),
-but two phases are inherently per-variant and dominate the residue —
-phase A (the prefetch-issue / L1 decision walk, pure Python because
+ratio, best-of-N both sides (interleaved), with the batch's own
+measured phase decomposition alongside.  Both sides run the same
+kernel, so the ratio measures only what a wider batch shares: the
+trace decode, the Bloom-filter window reconstruction, the per-round
+overhead of the lane-vectorized L2/L3 sweeps, and the one vectorized
+write-back.
+Phase A (the prefetch-issue / L1 decision walk, pure Python because
 its control flow is data-dependent per variant) and the float timing
-fold (kept as a sequential ``+=`` chain because float associativity
-is exactly what bit-identity forbids reordering).  Those two scale
-linearly with the variant count on both sides of the ratio, bounding
-the end-to-end batch win well below the shared-phase win.  The JSON
+fold (kept as a sequential ``+=`` chain because float associativity is
+exactly what bit-identity forbids reordering) scale linearly with the
+variant count on both sides of the ratio, bounding the win.  The JSON
 records both the ratio and the decomposition so a future reader can
 see exactly which slice any further optimization must attack.
 """
@@ -42,12 +42,19 @@ from .conftest import write_json, write_result
 
 APP = "wordpress"
 MINIMA = (5, 13, 27, 54, 108)
-REPEATS = 3
+REPEATS = 5
 SHARD_INSNS = 200_000
 
-#: regression floor for the measured end-to-end ratio (the committed
-#: ratio itself is guarded by scripts/bench_diff.py at 0.9x)
-SPEEDUP_FLOOR = 1.5
+#: regression floor for the measured V-wide / one-slot ratio.  When
+#: this definition was introduced, fourteen interleaved best-of-3 and
+#: best-of-5 readings on a 2-vCPU host spread from 0.95x to 1.22x
+#: (median 1.09x): a wider batch shares only its decode, Bloom windows
+#: and sweep rounds, and the host's speed swings by more than that.
+#: The floor sits one quartile spread below the lowest reading, so it
+#: catches a batch that has become slower than one-slot replays, not
+#: host noise.  The committed ratio itself is guarded by
+#: scripts/bench_diff.py at 0.9x.
+SPEEDUP_FLOOR = 0.9
 
 
 def _snapshot(core):
@@ -115,16 +122,16 @@ def test_batched_sweep(results_dir):
         _solo_pass(program, evaluation, plans[:1], warmup)
         _batched_pass(program, evaluation, plans, warmup)
 
-        t_solo, solo_snaps = min(
-            (_solo_pass(program, evaluation, plans, warmup)
-             for _ in range(REPEATS)),
-            key=lambda r: r[0],
-        )
-        t_batch, batch_snaps, phases = min(
-            (_batched_pass(program, evaluation, plans, warmup)
-             for _ in range(REPEATS)),
-            key=lambda r: r[0],
-        )
+        # interleaved, so a swing in host speed hits both sides alike
+        solo_runs = []
+        batch_runs = []
+        for _ in range(REPEATS):
+            solo_runs.append(_solo_pass(program, evaluation, plans, warmup))
+            batch_runs.append(
+                _batched_pass(program, evaluation, plans, warmup)
+            )
+        t_solo, solo_snaps = min(solo_runs, key=lambda r: r[0])
+        t_batch, batch_snaps, phases = min(batch_runs, key=lambda r: r[0])
 
         # the contract: bit-identical per variant, whole-trace...
         assert batch_snaps == solo_snaps
@@ -153,6 +160,10 @@ def test_batched_sweep(results_dir):
         k: phases.get(k, 0.0) for k in ("phase-a", "fold", "finish")
     }
     payload = {
+        "definition": (
+            f"one {len(MINIMA)}-slot PlanBatch pass (run_plan_batch) vs "
+            f"{len(MINIMA)} one-slot batches (CoreSimulator.run), same kernel"
+        ),
         "host": {"python": sys.version.split()[0]},
         "workload": {
             "app": APP,
@@ -186,8 +197,9 @@ def test_batched_sweep(results_dir):
             "batch_phase_seconds splits the batched wall into phases "
             "shared across variants "
             f"({', '.join(sorted(shared))}) and inherently per-variant "
-            f"phases ({', '.join(sorted(per_variant))}).  The design "
-            "target was 3x; the measured ratio falls short because "
+            f"phases ({', '.join(sorted(per_variant))}).  Both sides "
+            "run the same kernel (the per-variant side is one-slot "
+            "batches), so the ratio is what a wider batch shares; "
             "phase A (data-dependent Python decision walk) and the "
             "sequential float timing fold cannot be shared or "
             "reordered without breaking bit-identity, and they scale "
@@ -198,12 +210,12 @@ def test_batched_sweep(results_dir):
 
     rows = [
         {
-            "configuration": f"per-variant columnar-plan x{len(MINIMA)}",
+            "configuration": f"one-slot batches x{len(MINIMA)}",
             "wall_s": round(t_solo, 3),
             "speedup": "1.00x",
         },
         {
-            "configuration": "columnar-plan-batch",
+            "configuration": f"one {len(MINIMA)}-slot batch",
             "wall_s": round(t_batch, 3),
             "speedup": f"{speedup:.2f}x",
         },
@@ -221,7 +233,7 @@ def test_batched_sweep(results_dir):
     table = render_table(
         rows,
         title=(
-            f"plan-batched sweep ({APP}, {len(MINIMA)} variants, "
+            f"batched sweep ({APP}, {len(MINIMA)} variants, "
             "bit-identity verified)"
         ),
     )

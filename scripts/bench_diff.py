@@ -6,10 +6,12 @@ committed at ``HEAD`` and fails when a guarded headline number drops
 below ``--min-ratio`` of the committed value.  The guarded
 benchmarks:
 
-* ``BENCH_batched_sweep.json`` — the *measured* plan-batched sweep
-  speedup (one ``columnar-plan-batch`` pass vs per-variant
-  ``columnar-plan`` replays).  This is a wall-clock ratio of two
-  runs on the same host, so host speed divides out.
+* ``BENCH_batched_sweep.json`` — the *measured* batched sweep
+  speedup: one V-slot plan-kernel batch vs V one-slot batches (the
+  per-variant ``CoreSimulator.run`` replays).  Both sides run the same
+  kernel, so the ratio is what a wider batch shares.  This is a
+  wall-clock ratio of two runs on the same host, so host speed
+  divides out.
 * ``BENCH_ingest.json`` — the ingestion frontend's *relative
   throughput* (full-ingest rate over pure record-decode rate, both
   measured in the same process), so host speed divides out and the
@@ -73,9 +75,10 @@ GUARDS = {
     "batched-sweep": {
         "relpath": "benchmarks/results/BENCH_batched_sweep.json",
         "metric": _batched_metric,
-        "label": "measured plan-batched sweep speedup",
+        "label": "measured V-wide vs one-slot batched sweep speedup",
         "hint": (
-            "the plan-batched sweep's measured speedup regressed; "
+            "the V-wide batch's measured speedup over one-slot "
+            "batches regressed; "
             "check the batch_phase_seconds decomposition for "
             "per-variant work creeping into a shared phase, or "
             "consciously recommit the benchmark JSON with "

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines.asmdb import AsmDBResult
     from ..core.ispy import ISpyResult
 from ..profiling.profiler import ExecutionProfile, profile_execution
-from ..sim.cpu import CoreSimulator
+from ..sim.cpu import CoreSimulator, builds_engine
 from ..sim.stats import SimStats
 from ..sim.trace import BlockTrace
 from ..workloads.apps import (
@@ -100,7 +100,6 @@ class AppEvaluation:
         perf: Optional[perf_mod.PerfRegistry] = None,
         tracer=None,
         shard_insns: Optional[int] = None,
-        plan_batch: Optional[bool] = None,
     ):
         self.name = name
         self.settings = settings
@@ -114,14 +113,6 @@ class AppEvaluation:
         #: checkpoints key on it (a checkpoint is only valid for the
         #: exact shard geometry that wrote it).
         self.shard_insns = shard_insns
-        #: batch whole sweep variant sets through one trace pass
-        #: (:meth:`run_plans`).  Tri-state: ``True`` forces the batched
-        #: backend, ``False`` disables it, ``None`` (default) enables
-        #: it automatically whenever two or more uncached plan variants
-        #: are requested together.  Another pure execution knob —
-        #: batched results are bit-identical per variant, so it is
-        #: absent from every cache key.
-        self.plan_batch = plan_batch
         self._app: Optional[SyntheticApp] = None
         self._profile: Optional[ExecutionProfile] = None
         self._eval_trace: Optional[BlockTrace] = None
@@ -347,11 +338,11 @@ class AppEvaluation:
         the corresponding :meth:`run_plan` call.
 
         Cache hits (memory or store) fill their slots without
-        simulating; the remaining misses run as one
-        ``columnar-plan-batch`` pass over the trace when eligible
-        (see :attr:`plan_batch`), and any variant the batch cannot
-        take — or that it bails out of mid-run — falls back to its
-        own :meth:`run_plan` with fresh simulator objects.
+        simulating.  When two or more misses carry prefetches they run
+        as one plan batch over the trace (results are bit-identical
+        either way); a variant the batch does not take — a miss with
+        no prefetches, a single miss, or every variant when the kernel
+        is off — runs its own :meth:`run_plan`.
         """
         requests = []
         for item in plans:
@@ -380,19 +371,13 @@ class AppEvaluation:
             else:
                 misses.append(i)
 
-        batchable = (
-            [i for i in misses if requests[i][0] is not None]
-            if self.plan_batch is not False
-            else []
-        )
+        batchable = [i for i in misses if builds_engine(requests[i][0])]
         # The batch shares one trace pass, so it cannot compose with
         # the per-replay resume checkpoints (those key on a single
         # variant's stats key).
-        eligible = (
-            len(batchable) >= (1 if self.plan_batch else 2)
-            and not (self.store is not None and self.shard_insns is not None)
-        )
-        if eligible and batchable:
+        if len(batchable) >= 2 and not (
+            self.store is not None and self.shard_insns is not None
+        ):
             from ..sim.streaming import run_plan_batch
 
             replay = trace if trace is not None else self.eval_trace
@@ -428,7 +413,10 @@ class AppEvaluation:
                 if reason is not None:
                     self.perf.count("batch-fallback")
                     continue
-                self.perf.count("simulate:columnar-plan-batch", units=blocks)
+                self.perf.count("batch-replay")
+                self.perf.count(
+                    f"simulate:{core.last_replay_backend}", units=blocks
+                )
                 stats = core.stats
                 stats.false_positive_rate = (  # type: ignore[attr-defined]
                     core.engine.conditional_false_positive_rate
@@ -724,9 +712,6 @@ class Evaluator:
         self.jobs = config.jobs
         self.shard_insns: Optional[int] = getattr(config, "shard_insns", None)
         self.perf = perf_mod.registry(config.perf)
-        #: tri-state --plan-batch knob, forwarded to every
-        #: AppEvaluation (see AppEvaluation.plan_batch)
-        self.plan_batch: Optional[bool] = getattr(config, "plan_batch", None)
         # the config's tracer when it has one, else whatever tracer is
         # installed process-wide (the null tracer when tracing is off)
         self.tracer = (
@@ -748,7 +733,6 @@ class Evaluator:
                 perf=self.perf,
                 tracer=self.tracer,
                 shard_insns=self.shard_insns,
-                plan_batch=self.plan_batch,
             )
         return self._apps[name]
 

@@ -15,8 +15,8 @@ the two phases the harness already distinguishes:
 
 Plan-producing schemes inherit :meth:`Prefetcher.simulate` unchanged:
 it drives :class:`~repro.sim.cpu.CoreSimulator`, so they get the
-columnar kernel, ``--shard-insns`` streaming and the plan-batched
-sweep backend for free.  Mechanism schemes (the
+columnar plan kernel, ``--shard-insns`` streaming and batched sweeps
+for free.  Mechanism schemes (the
 run-time loops) override it and advertise what they support through
 the capability flags:
 
@@ -24,7 +24,7 @@ the capability flags:
 ``requires_profile``      training needs an ``ExecutionProfile``
 ``supports_plan_replay``  the CoreSimulator replay path applies
 ``supports_sharding``     ``shard_insns`` is honoured
-``supports_batch``        eligible for ``columnar-plan-batch`` sweeps
+``supports_batch``        variants share one plan-kernel pass in sweeps
 
 The registry maps variant names (``"ispy"``, ``"asmdb"``,
 ``"nextline"``, …) to factories; :func:`get_prefetcher` instantiates
@@ -145,7 +145,7 @@ class Prefetcher(ABC):
     supports_plan_replay: ClassVar[bool] = True
     #: shard_insns streaming applies (bit-identical)
     supports_sharding: ClassVar[bool] = True
-    #: eligible for the columnar-plan-batch sweep backend
+    #: variants can share one plan-kernel pass (``run_plans`` sweeps)
     supports_batch: ClassVar[bool] = True
 
     name: str = "prefetcher"

@@ -46,7 +46,7 @@ class EpochResult:
     #: profile collected during this epoch (input to the next plan)
     profile: Optional[ExecutionProfile] = None
     #: replay backend the epoch's simulation ran on (``reference``,
-    #: ``columnar`` or ``columnar-plan``)
+    #: ``columnar``, or ``columnar-plan`` for the plan kernel)
     backend: str = "reference"
 
 

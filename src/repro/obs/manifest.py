@@ -28,10 +28,12 @@ from typing import Any, Dict, List, Optional, Union
 MANIFEST_FORMAT = "run-manifest"
 # Version 2 extended the parallel section with per-round accounting
 # and the worker-budget split provenance.
-# Version 3 added the "batch" section (plan-batched sweep replay:
-# the --plan-batch mode, sweep/variant/fallback counts).
+# Version 3 added the "batch" section (batched sweep replay: the
+# batching mode, sweep/variant/fallback counts).
 # Version 4 dropped the "parallel" section with parallel shard replay.
-MANIFEST_VERSION = 4
+# Version 5 dropped batch.mode with the batching knob: every plan
+# replay runs on one kernel, so batching is no longer a choice.
+MANIFEST_VERSION = 5
 
 PathLike = Union[str, Path]
 
@@ -71,7 +73,6 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "hit_rate": (int, float, type(None)),
     },
     "batch": {
-        "mode": (bool, type(None)),   # --plan-batch tri-state (None = auto)
         "sweeps": int,                # batched trace passes executed
         "batched_replays": int,       # variants served by a batched pass
         "fallbacks": int,             # variants bounced to solo replay
@@ -257,11 +258,8 @@ class RunManifest:
             },
             "store": store_section,
             "batch": {
-                "mode": getattr(evaluator, "plan_batch", None),
                 "sweeps": evaluator.perf.calls("sweep:batch"),
-                "batched_replays": evaluator.perf.calls(
-                    "simulate:columnar-plan-batch"
-                ),
+                "batched_replays": evaluator.perf.calls("batch-replay"),
                 "fallbacks": evaluator.perf.calls("batch-fallback"),
             },
             "backend_counts": evaluator.perf.backend_counts(),

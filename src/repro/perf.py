@@ -119,12 +119,12 @@ class PerfRegistry:
     def backend_counts(self, prefix: str = "simulate:") -> Dict[str, int]:
         """Simulate calls per replay backend.
 
-        The simulator records one ``simulate:<backend>`` event per
-        :meth:`CoreSimulator.run` — ``reference`` for the pure-Python
-        loop, ``columnar`` for the plan-free array kernel and
-        ``columnar-plan`` for plan-bearing array replay — so the
-        ``--timing`` report can show which implementation actually
-        served each replay.
+        The evaluation records one ``simulate:<backend>`` event per
+        replay — ``reference`` for the pure-Python loop, ``columnar``
+        for the plan-free array kernel and ``columnar-plan`` for the
+        plan kernel, whether the replay ran alone or in a batched
+        sweep — so the ``--timing`` report can show which
+        implementation actually served each replay.
         """
         return {
             name[len(prefix):]: entry.calls

@@ -62,13 +62,6 @@ class RunConfig:
     #: knob, not an experiment setting: results are bit-identical, so
     #: it never enters result cache keys.
     shard_insns: Optional[int] = None
-    #: batch whole sweep variant sets through one trace pass per app
-    #: (the ``columnar-plan-batch`` backend): True forces it, False
-    #: disables it, None (default) batches automatically whenever a
-    #: sweep requests two or more uncached plan variants together.
-    #: Per-variant results are bit-identical to independent replays,
-    #: so — like every execution knob — it never enters cache keys.
-    plan_batch: Optional[bool] = None
     #: print the per-stage timing report when the run finishes
     timing: bool = False
     #: write a Chrome-trace-event JSONL of the run's spans here
@@ -115,13 +108,6 @@ class RunConfig:
             store=store,
             numpy_kernel=False if getattr(args, "no_numpy_kernel", False) else None,
             shard_insns=getattr(args, "shard_insns", None),
-            plan_batch=(
-                True
-                if getattr(args, "plan_batch", False)
-                else False
-                if getattr(args, "no_plan_batch", False)
-                else None
-            ),
             timing=getattr(args, "timing", False),
             trace_path=getattr(args, "trace", None),
             manifest_path=getattr(args, "manifest", None),
@@ -224,18 +210,6 @@ def add_run_arguments(
         "instructions (bounded memory; with --cache, killed runs "
         "resume from the last completed shard; results are "
         "bit-identical to whole-trace replay)",
-    )
-    batch = run.add_mutually_exclusive_group()
-    batch.add_argument(
-        "--plan-batch", action="store_true",
-        help="force the batched sweep backend: evaluate every plan "
-        "variant of a sweep in one pass over the trace (default: "
-        "automatic when a sweep has two or more uncached variants; "
-        "per-variant results are bit-identical either way)",
-    )
-    batch.add_argument(
-        "--no-plan-batch", action="store_true",
-        help="always replay sweep variants one at a time",
     )
 
     telemetry = parser.add_argument_group("telemetry")

@@ -9,10 +9,10 @@ drives them (a whole-trace replay is its one-shard case):
 * :func:`array_shard_replay` + :func:`array_finish` — the no-plan
   baseline and profiling replays (``record_events`` returns the
   observer view the profiler needs);
-* :func:`plan_shard_replay` + :func:`_plan_finish` — plan-bearing
-  evaluations, covering the I-SPY `Cprefetch`/`Lprefetch`/`CLprefetch`
-  variants and the AsmDB baseline;
-* :class:`PlanBatch` — V plan variants in one pass over each shard.
+* :class:`PlanBatch` — every plan-bearing replay (the I-SPY
+  `Cprefetch`/`Lprefetch`/`CLprefetch` variants and the AsmDB
+  baseline): one simulation is a one-slot batch, a sweep of V plan
+  variants shares one pass over each shard.
 
 The all-hits ideal bound needs no kernel: it is two column sums per
 shard, kept in the streaming driver.
@@ -49,7 +49,6 @@ import gc
 import time
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -719,18 +718,21 @@ def array_finish(
         stats.prefetches_useful = hierarchy.l1i.stats.prefetch_hits
 
 
-def _install_cache(cache, sets, pending, dh, dm, pf, ph, pu, ev) -> None:
+def _install_cache(cache, set_ids, stacks, pending, dh, dm, pf, ph, pu,
+                   ev) -> None:
     """Install plan-replay residency + post-warmup counters into *cache*.
 
-    ``sets`` maps set index to the final recency list (MRU first) —
+    ``stacks`` holds each set's final recency list (MRU first) —
     exactly the :class:`LRUStack` internal layout, so installation is
     a wrap, not a conversion.
     """
     installed = cache._sets
     installed.clear()
     ways = cache.ways
-    for set_index, recency in sets.items():
-        stack = LRUStack(ways)
+    new = LRUStack.__new__  # the fields are set right here
+    for set_index, recency in zip(set_ids, stacks):
+        stack = new(LRUStack)
+        stack.ways = ways
         stack._stack = recency
         installed[set_index] = stack
     cache._pending_prefetched.clear()
@@ -759,7 +761,7 @@ class PlanContext:
         program: Program,
         machine: MachineParams,
         engine,
-        hierarchy: Optional[MemoryHierarchy] = None,
+        hierarchy: MemoryHierarchy,
     ):
         view = columnar_view(program)
         self.view = view
@@ -843,14 +845,9 @@ class PlanContext:
         self.l1_ways = l1_geom.ways
         self.l2_ways = l2_geom.ways
         self.l3_ways = l3_geom.ways
-        if hierarchy is not None:
-            self.pd1 = hierarchy.l1i.prefetch_insertion_depth()
-            self.pd2 = hierarchy.l2.prefetch_insertion_depth()
-            self.pd3 = hierarchy.l3.prefetch_insertion_depth()
-        else:  # pragma: no cover - CoreSimulator always passes hierarchy
-            self.pd1 = self.l1_ways // 2
-            self.pd2 = self.l2_ways // 2
-            self.pd3 = self.l3_ways // 2
+        self.pd1 = hierarchy.l1i.prefetch_insertion_depth()
+        self.pd2 = hierarchy.l2.prefetch_insertion_depth()
+        self.pd3 = hierarchy.l3.prefetch_insertion_depth()
         self.pairs_list = view.line_set_pairs(self.l1_ns)
         incr_row = statics.get(("incr", self.cpi))
         if incr_row is None:
@@ -874,12 +871,14 @@ class PlanContext:
 
 
 class PlanCarry:
-    """Cross-shard state for the plan-bearing replay.
+    """Cross-shard state of one plan-replay slot, outside the L2/L3
+    lanes.
 
-    Flat mirrors of the reference structures (per-set recency lists,
-    residency/pending sets, the in-flight arrival map), the float
-    accumulators, the since-last-reset counters, and two id tails that
-    stand in for the sliding context windows at shard boundaries:
+    Flat mirrors of the reference L1I (per-set recency lists, the
+    residency and pending sets), the in-flight map as line -> issue
+    index into ``arrivals``, the float accumulators, the
+    since-last-reset counters, and two id tails that stand in for the
+    sliding context windows at shard boundaries:
 
     * ``tracker_tail`` — the last ``depth`` *hashed* retired block ids,
       oldest first.  Prepending them as a virtual prefix reproduces the
@@ -890,10 +889,8 @@ class PlanCarry:
     """
 
     __slots__ = (
-        "l1_sets", "l2_sets", "l3_sets",
-        "l1_res", "l2_res", "l3_res",
-        "l1_pend", "l2_pend", "l3_pend",
-        "inflight",
+        "l1_sets", "l1_res", "l1_pend",
+        "inflight", "arrivals",
         "now", "busy", "frontend_stalls", "late_stall",
         "late_hits", "sim_misses", "issued", "resident",
         "c2", "c3", "cm",
@@ -907,15 +904,10 @@ class PlanCarry:
 
     def __init__(self, ctx: PlanContext):
         self.l1_sets: list = [None] * ctx.l1_ns
-        self.l2_sets: list = [None] * ctx.l2_ns
-        self.l3_sets: list = [None] * ctx.l3_ns
         self.l1_res: set = set()
-        self.l2_res: set = set()
-        self.l3_res: set = set()
         self.l1_pend: set = set()
-        self.l2_pend: set = set()
-        self.l3_pend: set = set()
-        self.inflight: Dict[int, float] = {}
+        self.inflight: Dict[int, int] = {}
+        self.arrivals: List[float] = []
         self.now = 0.0
         self.busy = 0.0
         self.frontend_stalls = 0.0
@@ -942,12 +934,12 @@ class PlanCarry:
 
 
 def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
-                           eff, shared: Optional[dict] = None):
+                           eff, shared: dict):
     """Vectorized per-shard decision tables for the plan replay.
 
     Returns the shard's site-plan entries and counter deltas for
-    :func:`plan_shard_replay` to apply, without mutating *carry* or any
-    external state.
+    :meth:`PlanBatch.run_shard` to apply, without mutating *carry* or
+    any external state.
 
     The carried tails make every window computation exact: counting-
     Bloom windows are prefix-sum differences over a virtual sequence
@@ -991,13 +983,13 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
         n_tail = len(carry.tracker_tail)
         # The prefix-sum machinery (and every per-row window derived
         # from it) depends only on (hash table, depth, carried tail) —
-        # not the plan — so batched sweeps hand in a *shared* memo and
-        # variants with matching configuration build it once.
+        # not the plan — so a batch hands every slot one *shared* memo
+        # and slots with matching configuration build it once.
         mkey = (
             "bloom", hash_bits, depth, tuple(carry.tracker_tail),
             id(ctx.contrib_rows),
         )
-        mach = shared.get(mkey) if shared is not None else None
+        mach = shared.get(mkey)
         if mach is None:
             hashed_t = ctx.hashed_row[rows]
             contrib_shard = np.where(
@@ -1038,8 +1030,7 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
                 "window": {},
                 "fires": {},
             }
-            if shared is not None:
-                shared[mkey] = mach
+            shared[mkey] = mach
         prefix = mach["prefix"]
         hashed_count = mach["hashed_count"]
         hashed_idx = mach["hashed_idx"]
@@ -1067,12 +1058,9 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
         else:
             n_ex = 0
             virt_rows = rows
-        if shared is not None:
-            occ_cache = shared.setdefault(
-                ("exact", exact_depth, tuple(carry.exact_tail)), {}
-            )
-        else:
-            occ_cache = {}
+        occ_cache = shared.setdefault(
+            ("exact", exact_depth, tuple(carry.exact_tail)), {}
+        )
 
         for row, instrs in site_rows.items():
             if all(instr.context_mask is None for instr in instrs):
@@ -1148,9 +1136,9 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
         cost = len(instrs) * prefetch_cpi
         fires_list = fires_by_row.get(row)
         if fires_list is None:
-            shared = ([instr.targets for instr in instrs], cost)
+            entry = ([instr.targets for instr in instrs], cost)
             for t in ts.tolist():
-                site_plan[t] = shared
+                site_plan[t] = entry
         else:
             targets = [instr.targets for instr in instrs]
             codes = np.zeros(len(ts), dtype=np.int64)
@@ -1205,455 +1193,6 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
     }
 
 
-def plan_shard_replay(
-    ctx: PlanContext,
-    carry: PlanCarry,
-    rows,
-    offset: int = 0,
-    eff: int = 0,
-    data_traffic=None,
-) -> None:
-    """Columnar replay of one shard of a plan-bearing simulation,
-    continuing from and updating *carry*.
-
-    After the last shard, :func:`_plan_finish` leaves the stats, the
-    hierarchy and the engine's runtime state (in-flight map, tracker
-    window, Fig. 21 counters) bit-identical to the reference
-    :class:`PrefetchEngine`/:class:`FetchEngine` composition; a
-    whole-trace replay is the one-shard case.  The decomposition:
-    every *decision* that feeds the sequential core loop is
-    precomputed with arrays —
-
-    * conditional fire/suppress outcomes come from a vectorized
-      counting-Bloom model: per-block contribution vectors, prefix
-      sums, and sliding-window (LBR-depth) counter values as
-      prefix-sum differences, evaluated at each site occurrence;
-    * exact-context (Fig. 21) ground truth comes from per-block
-      occurrence arrays and ``searchsorted`` window membership;
-    * coalescing targets are compiled per site once
-      (:meth:`PrefetchPlan.compiled_sites`);
-    * the data-traffic stream is bulk-decoded from raw MT19937 words.
-
-    What remains inherently sequential — LRU state, the in-flight map,
-    fill-port serialization and half-priority prefetch insertion — runs
-    in one flat loop over plain lists/dicts/scalars that replays the
-    reference's float operations in the identical order, so equality
-    is exact, never approximate.
-    """
-    pre = _plan_shard_precompute(ctx, carry, rows, offset, eff)
-
-    view = ctx.view
-    reset_local = pre["reset_local"]
-    rows_list = rows.tolist()
-    site_plan = pre["site_plan"]
-
-    # -- data-traffic stream (exact model replay, per retired block) ---
-    data_lines_py, data_counts_py = _decode_data_stream(
-        data_traffic, view.instruction_counts[rows].tolist()
-    )
-    if data_lines_py:
-        data_arr = np.asarray(data_lines_py, dtype=np.int64)
-        d2_list = (data_arr % ctx.l2_ns).tolist()
-        d3_list = (data_arr % ctx.l3_ns).tolist()
-    else:
-        d2_list = []
-        d3_list = []
-
-    l1_ns = ctx.l1_ns
-    l2_ns = ctx.l2_ns
-    l3_ns = ctx.l3_ns
-    l1_ways = ctx.l1_ways
-    l2_ways = ctx.l2_ways
-    l3_ways = ctx.l3_ways
-    pd1 = ctx.pd1
-    pd2 = ctx.pd2
-    pd3 = ctx.pd3
-    pairs_list = ctx.pairs_list
-    incr_row = ctx.incr_row
-    penalty = ctx.penalty
-    occupancy = ctx.occupancy
-
-    # -- the sequential core loop --------------------------------------
-    # Continuation of the reference structures from the carry: per-set
-    # recency lists (MRU first — LRUStack's exact layout) in dense
-    # index-addressed tables, whole-cache residency sets, pending-
-    # prefetch sets, the in-flight arrival map and scalar counters.
-    l1_sets = carry.l1_sets
-    l2_sets = carry.l2_sets
-    l3_sets = carry.l3_sets
-    l1_res = carry.l1_res
-    l2_res = carry.l2_res
-    l3_res = carry.l3_res
-    l1_pend = carry.l1_pend
-    l2_pend = carry.l2_pend
-    l3_pend = carry.l3_pend
-    inflight = carry.inflight
-    inflight_pop = inflight.pop
-
-    now = carry.now
-    busy = carry.busy
-    frontend_stalls = carry.frontend_stalls
-    late_hits = carry.late_hits
-    late_stall = carry.late_stall
-    sim_misses = carry.sim_misses
-    issued = carry.issued
-    resident = carry.resident
-    c2 = carry.c2
-    c3 = carry.c3
-    cm = carry.cm
-    l1_dh, l1_dm, l1_ph = carry.l1_dh, carry.l1_dm, carry.l1_ph
-    l1_pf, l1_pu, l1_ev = carry.l1_pf, carry.l1_pu, carry.l1_ev
-    l2_dh, l2_dm, l2_ph = carry.l2_dh, carry.l2_dm, carry.l2_ph
-    l2_pf, l2_pu, l2_ev = carry.l2_pf, carry.l2_pu, carry.l2_ev
-    l3_dh, l3_dm, l3_ph = carry.l3_dh, carry.l3_dm, carry.l3_ph
-    l3_pf, l3_pu, l3_ev = carry.l3_pf, carry.l3_pu, carry.l3_ev
-    boundary = reset_local if reset_local is not None else -1
-    data_ptr = 0
-    data_counts_iter = data_counts_py if data_counts_py else repeat(0)
-
-    # The replay loop allocates only small transients; suspend the
-    # cyclic GC so that generation collections -- expensive when the
-    # surrounding process holds many live objects -- cannot fire
-    # mid-replay.  Reference counting still frees everything.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        for t, (row, plan_entry, count) in enumerate(
-            zip(rows_list, site_plan, data_counts_iter)
-        ):
-            if t == boundary:
-                # Steady state begins: zero the counters, keep all state.
-                frontend_stalls = 0.0
-                late_hits = 0
-                late_stall = 0.0
-                sim_misses = issued = resident = 0
-                c2 = c3 = cm = 0
-                l1_dh = l1_dm = l1_ph = l1_pf = l1_pu = l1_ev = 0
-                l2_dh = l2_dm = l2_ph = l2_pf = l2_pu = l2_ev = 0
-                l3_dh = l3_dm = l3_ph = l3_pf = l3_pu = l3_ev = 0
-
-            if plan_entry is not None:
-                for targets in plan_entry[0]:
-                    if targets is None:
-                        continue  # suppressed (pre-counted vectorized)
-                    for line in targets:
-                        if line in inflight:
-                            resident += 1
-                            continue
-                        si1 = line % l1_ns
-                        s1 = l1_sets[si1]
-                        if s1 is None:
-                            s1 = []
-                            l1_sets[si1] = s1
-                        if line in l1_res:
-                            resident += 1
-                            continue
-                        si2 = line % l2_ns
-                        s2 = l2_sets[si2]
-                        if s2 is None:
-                            s2 = []
-                            l2_sets[si2] = s2
-                        if line in l2_res:
-                            level = 1
-                        else:
-                            si3 = line % l3_ns
-                            s3 = l3_sets[si3]
-                            if s3 is None:
-                                s3 = []
-                                l3_sets[si3] = s3
-                            if line in l3_res:
-                                level = 2
-                            else:
-                                level = 3
-                                if len(s3) >= l3_ways:
-                                    victim = s3.pop()
-                                    l3_res.discard(victim)
-                                    l3_ev += 1
-                                    if victim in l3_pend:
-                                        l3_pend.discard(victim)
-                                        l3_pu += 1
-                                s3.insert(pd3 if pd3 < len(s3) else len(s3), line)
-                                l3_res.add(line)
-                                l3_pf += 1
-                                l3_pend.add(line)
-                            if len(s2) >= l2_ways:
-                                victim = s2.pop()
-                                l2_res.discard(victim)
-                                l2_ev += 1
-                                if victim in l2_pend:
-                                    l2_pend.discard(victim)
-                                    l2_pu += 1
-                            s2.insert(pd2 if pd2 < len(s2) else len(s2), line)
-                            l2_res.add(line)
-                            l2_pf += 1
-                            l2_pend.add(line)
-                        if len(s1) >= l1_ways:
-                            victim = s1.pop()
-                            l1_res.discard(victim)
-                            l1_ev += 1
-                            if victim in l1_pend:
-                                l1_pend.discard(victim)
-                                l1_pu += 1
-                        s1.insert(pd1 if pd1 < len(s1) else len(s1), line)
-                        l1_res.add(line)
-                        l1_pf += 1
-                        l1_pend.add(line)
-                        issued += 1
-                        start = now if now > busy else busy
-                        busy = start + occupancy[level]
-                        arrival = start + penalty[level]
-                        if arrival > now:
-                            inflight[line] = arrival
-                now += plan_entry[1]
-
-            stall = 0.0
-            for line, si1 in pairs_list[row]:
-                arrival = inflight_pop(line, None)
-                if arrival is not None and arrival > now + stall:
-                    # Late prefetch: pay only the remaining latency; the
-                    # L1I access runs for its side effects alone.
-                    remainder = arrival - (now + stall)
-                    stall += remainder
-                    late_hits += 1
-                    late_stall += remainder
-                    s1 = l1_sets[si1]
-                    if s1 is None:
-                        l1_sets[si1] = []
-                        l1_dm += 1
-                    elif s1 and s1[0] == line:
-                        l1_dh += 1
-                        if line in l1_pend:
-                            l1_pend.discard(line)
-                            l1_ph += 1
-                    elif line in l1_res:
-                        s1.remove(line)
-                        s1.insert(0, line)
-                        l1_dh += 1
-                        if line in l1_pend:
-                            l1_pend.discard(line)
-                            l1_ph += 1
-                    else:
-                        l1_dm += 1
-                    continue
-                s1 = l1_sets[si1]
-                if s1 is None:
-                    s1 = []
-                    l1_sets[si1] = s1
-                elif s1 and s1[0] == line:
-                    l1_dh += 1
-                    if line in l1_pend:
-                        l1_pend.discard(line)
-                        l1_ph += 1
-                    continue
-                elif line in l1_res:
-                    s1.remove(line)
-                    s1.insert(0, line)
-                    l1_dh += 1
-                    if line in l1_pend:
-                        l1_pend.discard(line)
-                        l1_ph += 1
-                    continue
-                l1_dm += 1
-                si2 = line % l2_ns
-                s2 = l2_sets[si2]
-                if s2 is None:
-                    s2 = []
-                    l2_sets[si2] = s2
-                    l2_hit = False
-                elif s2 and s2[0] == line:
-                    l2_hit = True
-                elif line in l2_res:
-                    s2.remove(line)
-                    s2.insert(0, line)
-                    l2_hit = True
-                else:
-                    l2_hit = False
-                if l2_hit:
-                    l2_dh += 1
-                    if line in l2_pend:
-                        l2_pend.discard(line)
-                        l2_ph += 1
-                    level = 1
-                    c2 += 1
-                else:
-                    l2_dm += 1
-                    si3 = line % l3_ns
-                    s3 = l3_sets[si3]
-                    if s3 is None:
-                        s3 = []
-                        l3_sets[si3] = s3
-                        l3_hit = False
-                    elif s3 and s3[0] == line:
-                        l3_hit = True
-                    elif line in l3_res:
-                        s3.remove(line)
-                        s3.insert(0, line)
-                        l3_hit = True
-                    else:
-                        l3_hit = False
-                    if l3_hit:
-                        l3_dh += 1
-                        if line in l3_pend:
-                            l3_pend.discard(line)
-                            l3_ph += 1
-                        level = 2
-                        c3 += 1
-                    else:
-                        l3_dm += 1
-                        level = 3
-                        cm += 1
-                        if len(s3) >= l3_ways:
-                            victim = s3.pop()
-                            l3_res.discard(victim)
-                            l3_ev += 1
-                            if victim in l3_pend:
-                                l3_pend.discard(victim)
-                                l3_pu += 1
-                        s3.insert(0, line)
-                        l3_res.add(line)
-                    if len(s2) >= l2_ways:
-                        victim = s2.pop()
-                        l2_res.discard(victim)
-                        l2_ev += 1
-                        if victim in l2_pend:
-                            l2_pend.discard(victim)
-                            l2_pu += 1
-                    s2.insert(0, line)
-                    l2_res.add(line)
-                if len(s1) >= l1_ways:
-                    victim = s1.pop()
-                    l1_res.discard(victim)
-                    l1_ev += 1
-                    if victim in l1_pend:
-                        l1_pend.discard(victim)
-                        l1_pu += 1
-                s1.insert(0, line)
-                l1_res.add(line)
-                sim_misses += 1
-                start = now + stall
-                if start < busy:
-                    start = busy
-                busy = start + occupancy[level]
-                stall = (start + penalty[level]) - now
-            if stall:
-                frontend_stalls += stall
-                now += stall
-            now += incr_row[row]
-
-            if count:
-                for j in range(data_ptr, data_ptr + count):
-                    line = data_lines_py[j]
-                    si2 = d2_list[j]
-                    s2 = l2_sets[si2]
-                    if s2 is None:
-                        s2 = []
-                        l2_sets[si2] = s2
-                        l2_hit = False
-                    elif s2 and s2[0] == line:
-                        l2_hit = True
-                    elif line in l2_res:
-                        s2.remove(line)
-                        s2.insert(0, line)
-                        l2_hit = True
-                    else:
-                        l2_hit = False
-                    if l2_hit:
-                        l2_dh += 1
-                        if line in l2_pend:
-                            l2_pend.discard(line)
-                            l2_ph += 1
-                        continue
-                    l2_dm += 1
-                    si3 = d3_list[j]
-                    s3 = l3_sets[si3]
-                    if s3 is None:
-                        s3 = []
-                        l3_sets[si3] = s3
-                        l3_hit = False
-                    elif s3 and s3[0] == line:
-                        l3_hit = True
-                    elif line in l3_res:
-                        s3.remove(line)
-                        s3.insert(0, line)
-                        l3_hit = True
-                    else:
-                        l3_hit = False
-                    if l3_hit:
-                        l3_dh += 1
-                        if line in l3_pend:
-                            l3_pend.discard(line)
-                            l3_ph += 1
-                    else:
-                        l3_dm += 1
-                        if len(s3) >= l3_ways:
-                            victim = s3.pop()
-                            l3_res.discard(victim)
-                            l3_ev += 1
-                            if victim in l3_pend:
-                                l3_pend.discard(victim)
-                                l3_pu += 1
-                        s3.insert(0, line)
-                        l3_res.add(line)
-                    if len(s2) >= l2_ways:
-                        victim = s2.pop()
-                        l2_res.discard(victim)
-                        l2_ev += 1
-                        if victim in l2_pend:
-                            l2_pend.discard(victim)
-                            l2_pu += 1
-                    s2.insert(0, line)
-                    l2_res.add(line)
-                data_ptr += count
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    carry.now = now
-    carry.busy = busy
-    carry.frontend_stalls = frontend_stalls
-    carry.late_hits = late_hits
-    carry.late_stall = late_stall
-    carry.sim_misses = sim_misses
-    carry.issued = issued
-    carry.resident = resident
-    carry.c2, carry.c3, carry.cm = c2, c3, cm
-    carry.l1_dh, carry.l1_dm, carry.l1_ph = l1_dh, l1_dm, l1_ph
-    carry.l1_pf, carry.l1_pu, carry.l1_ev = l1_pf, l1_pu, l1_ev
-    carry.l2_dh, carry.l2_dm, carry.l2_ph = l2_dh, l2_dm, l2_ph
-    carry.l2_pf, carry.l2_pu, carry.l2_ev = l2_pf, l2_pu, l2_ev
-    carry.l3_dh, carry.l3_dm, carry.l3_ph = l3_dh, l3_dm, l3_ph
-    carry.l3_pf, carry.l3_pu, carry.l3_ev = l3_pf, l3_pu, l3_ev
-
-    # Vectorized counters follow the same since-last-reset convention
-    # as the loop counters: the shard containing the reset replaces the
-    # carry with its post-reset counts, any other shard adds its total.
-    if reset_local is None:
-        carry.suppressed += pre["suppressed"]
-        carry.executed += pre["executed"]
-        carry.l1i_accesses += pre["l1i_accesses"]
-        carry.program_instructions += pre["program_instructions"]
-    else:
-        carry.suppressed = pre["suppressed"]
-        carry.executed = pre["executed"]
-        carry.l1i_accesses = pre["l1i_accesses"]
-        carry.program_instructions = pre["program_instructions"]
-    # Fig. 21 engine counters never reset at the warmup boundary.
-    carry.tp += pre["tp"]
-    carry.fp += pre["fp"]
-
-    if ctx.tracker is not None:
-        carry.tracker_tail = (
-            carry.tracker_tail + pre["new_hashed"]
-        )[-ctx.depth:]
-    if ctx.exact_hist is not None and ctx.exact_depth:
-        ids_tail = [
-            int(b)
-            for b in view.block_ids[rows[-ctx.exact_depth:]].tolist()
-        ]
-        carry.exact_tail = (carry.exact_tail + ids_tail)[-ctx.exact_depth:]
-
-
 def _plan_stats(
     ctx: PlanContext, carry: PlanCarry, stats: SimStats
 ) -> SimStats:
@@ -1689,104 +1228,76 @@ def _plan_stats(
     return stats
 
 
-def _plan_finish(
-    ctx: PlanContext,
-    carry: PlanCarry,
-    stats: SimStats,
-    hierarchy: Optional[MemoryHierarchy],
-    engine,
-) -> None:
-    """Populate *stats*, *hierarchy* and the *engine* runtime state
-    from a completed plan carry."""
-    _plan_stats(ctx, carry, stats)
-    if hierarchy is not None:
-        _install_cache(
-            hierarchy.l1i,
-            {i: s for i, s in enumerate(carry.l1_sets) if s is not None},
-            carry.l1_pend, carry.l1_dh, carry.l1_dm,
-            carry.l1_pf, carry.l1_ph, carry.l1_pu, carry.l1_ev,
-        )
-        _install_cache(
-            hierarchy.l2,
-            {i: s for i, s in enumerate(carry.l2_sets) if s is not None},
-            carry.l2_pend, carry.l2_dh, carry.l2_dm,
-            carry.l2_pf, carry.l2_ph, carry.l2_pu, carry.l2_ev,
-        )
-        _install_cache(
-            hierarchy.l3,
-            {i: s for i, s in enumerate(carry.l3_sets) if s is not None},
-            carry.l3_pend, carry.l3_dh, carry.l3_dm,
-            carry.l3_pf, carry.l3_ph, carry.l3_pu, carry.l3_ev,
-        )
-        hierarchy.fill_port.busy_until = carry.busy
-
-    engine.restore_runtime_state(
-        dict(carry.inflight),
-        list(carry.tracker_tail),
-        list(carry.exact_tail),
-        carry.tp,
-        carry.fp,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Plan-batched columnar replay ("columnar-plan-batch")
+# The plan kernel: PlanBatch
 # ---------------------------------------------------------------------------
 #
-# Evaluates V compiled plan variants in ONE pass over the trace.  The
-# single-variant loop (:func:`plan_shard_replay`) interleaves four
-# concerns per retired block; the batch splits them into three phases
-# so the expensive one runs lane-vectorized across every variant at
-# once:
+# Every plan-bearing replay runs here.  A single simulation is a
+# one-slot batch; a sweep puts V compiled plan variants into V slots
+# that share one pass over each shard.  Every *decision* that feeds the
+# sequential core loop is precomputed with arrays
+# (:func:`_plan_shard_precompute`):
 #
-#   A. per-variant sequential decision replay (Python): prefetch-issue
-#      decisions, the full L1I demand sweep and the in-flight map.
-#      These are inherently serial — each issue decision reads the L1
-#      residency its own earlier prefetches produced — but touch no
-#      timing floats and no L2/L3 state.  Phase A emits the variant's
-#      L2-bound event stream (prefetch queries and demand misses) plus
-#      a timing-event stream for phase C.
-#   B. lane-vectorized L2/L3 sweeps (NumPy): every (variant, set) pair
-#      is one lane of a timestamp-LRU array; one round of the sweep
-#      advances all V variants' sets together, so the per-round Python
-#      overhead — the dominant cost at these set sizes — is amortized
-#      across the whole sweep instead of being paid per variant.
-#   C. per-variant sequential timing fold (Python): replays the
-#      reference loop's float operations in the identical order, using
-#      the per-event hit levels phase B produced.
+#   * conditional fire/suppress outcomes come from a vectorized
+#     counting-Bloom model: per-block contribution vectors, prefix sums,
+#     and sliding-window (LBR-depth) counter values as prefix-sum
+#     differences, evaluated at each site occurrence;
+#   * exact-context (Fig. 21) ground truth comes from per-block
+#     occurrence arrays and ``searchsorted`` window membership;
+#   * coalescing targets are compiled per site once
+#     (:meth:`PrefetchPlan.compiled_sites`);
+#   * the data-traffic stream is bulk-decoded from raw MT19937 words.
 #
-# Exactness rests on two facts about the reference loop, checked
-# rather than assumed:
+# What remains sequential splits into three phases, so the expensive
+# one runs lane-vectorized across every slot at once:
+#
+#   A. per-slot decision replay (Python): prefetch-issue decisions, the
+#      full L1I demand sweep and the in-flight map.  Each issue decision
+#      reads the L1 residency its own earlier prefetches produced, but
+#      touches no timing float and no L2/L3 state.  Phase A emits the
+#      slot's L2-bound event stream (prefetch queries and demand misses)
+#      plus a timing-event stream for phase C.
+#   B. lane-vectorized L2/L3 sweeps (NumPy): every (slot, set) pair is
+#      one lane of a timestamp-LRU array; one round of the sweep
+#      advances every slot's sets together, so the per-round Python
+#      overhead is amortized across the whole batch.
+#   C. per-slot timing fold (Python): replays the reference loop's
+#      float operations in the identical order, using the per-event hit
+#      levels phase B produced, so equality is exact, never approximate.
+#
+# Exactness rests on two facts about the reference loop:
 #
 #   * cache/engine *state* evolution is timing-independent except at
-#     one point — a demand access that pops a still-in-flight line and
-#     misses the L1 takes a state-divergent "late" path.  Phase A
-#     speculates every such pop on-time and phase C verifies the
-#     speculation against the real arrival time; a late pop-miss
-#     invalidates only that variant, which falls back to the
-#     per-variant replay (reason ``late-prefetch-miss``).
+#     one point: a demand access that pops a still-in-flight line and
+#     misses the L1 takes the reference's late path — it counts an L1
+#     miss, fills nothing, sends nothing to L2/L3 and stalls until the
+#     arrival.  Phase A speculates every such pop on time and phase C
+#     checks the speculation against the real arrival.  A slot whose
+#     check fails restores its shard-start L1 carry and in-flight map,
+#     drops its swept L2/L3 lanes uncommitted, and reruns the shard with
+#     that pop on the late path.  The rerun is identical up to that
+#     pop, so each pass fixes the earliest error and a shard takes at
+#     most (late pop-misses + 1) passes.
 #   * in-flight insertion is unconditional: every fill level's latency
 #     is positive (:class:`MachineParams` rejects any other), so
 #     arrival = start + penalty > now always.
 #
 # The timestamp LRU encodes recency as float64 stamps: demand touches
-# use fresh integer stamps, prefetch depth-`pd` insertions use the
-# midpoint of the two rank-adjacent stamps (strictly between them, so
-# within-lane order is total).  A midpoint that degenerates to one of
-# its neighbours — possible only after ~50 consecutive same-depth
-# prefetch fills into one set with no demand touch — is detected per
-# lane and fails just that variant (reason ``ts-collision``), so
-# equality is never silently approximate.
+# use fresh integer stamps, prefetch depth-`pd` insertions the midpoint
+# of the two rank-adjacent stamps.  A midpoint that would degenerate
+# onto a neighbour (after ~50 same-depth prefetch fills into one set
+# with no demand touch) first renumbers that lane's stamps to integer
+# ranks — LRU needs only their order — so every insertion is exact.
 
 _TS_EMPTY = -1.0e18  # unoccupied-way sentinel, below any reachable stamp
 _TS_OCCUPIED = -1.0e17  # stamps above this mark an occupied way
 
 
 class _LaneCache:
-    """Variant-stacked set-associative LRU state for one cache level.
+    """Slot-stacked set-associative LRU state for one cache level.
 
-    Lane ``v * num_sets + s`` holds variant *v*'s set *s*.  Recency is
-    a float64 timestamp per way (larger = more recent); ``fill`` counts
+    Lane ``v * num_sets + s`` holds slot *v*'s set *s*.  Recency is a
+    float64 timestamp per way (larger = more recent); ``fill`` counts
     occupied ways and ``touched`` marks lanes that saw any event, which
     for L2/L3 is exactly the reference's materialized-set criterion
     (every reference materialization is followed by a fill).
@@ -1797,8 +1308,8 @@ class _LaneCache:
         "lines", "ts", "pend", "fill", "touched", "ts_base",
     )
 
-    def __init__(self, n_variants: int, num_sets: int, ways: int, pd: int):
-        n_lanes = n_variants * num_sets
+    def __init__(self, n_slots: int, num_sets: int, ways: int, pd: int):
+        n_lanes = n_slots * num_sets
         self.num_sets = num_sets
         self.ways = ways
         self.pd = pd
@@ -1810,30 +1321,81 @@ class _LaneCache:
         self.touched = np.zeros(n_lanes, dtype=bool)
         self.ts_base = 0.0
 
-    def materialize(self, v: int, sets_list: list, res: set, pend: set):
-        """Write variant *v*'s touched lanes back as reference-layout
-        per-set MRU-first lists plus residency/pending sets."""
+    def commit(self, swept: tuple, keep: np.ndarray) -> None:
+        """Write back the lanes :func:`_lane_sweep` advanced, for the
+        slots whose *keep* flag is set; other slots' lanes stay as they
+        were before the sweep."""
+        lane_ids, lines, ts, pend, fill = swept
+        sel = keep[lane_ids // self.num_sets]
+        ids = lane_ids[sel]
+        self.lines[ids] = lines[sel]
+        self.ts[ids] = ts[sel]
+        self.pend[ids] = pend[sel]
+        self.fill[ids] = fill[sel]
+        self.touched[ids] = True
+
+    def export(self, n_slots: int):
+        """Every slot's contents in one vectorized pass over the
+        occupied ways (a lane fills its ways in index order and never
+        frees one): per slot, the touched set indices, their MRU-first
+        line lists, and the pending-prefetch lines."""
+        ns = self.num_sets
+        lanes = np.flatnonzero(self.touched)
+        counts = self.fill[lanes]
+        row = np.repeat(np.arange(len(lanes)), counts)
+        ends = np.cumsum(counts)
+        way = np.arange(len(row)) - np.repeat(ends - counts, counts)
+        lane = lanes[row]
+        order = np.lexsort((-self.ts[lane, way], row))  # by lane, MRU first
+        lane = lane[order]
+        way = way[order]
+        lines = self.lines[lane, way]
+        flat = lines.tolist()
+        ends = ends.tolist()
+        rows = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        sets = (lanes % ns).tolist()
+        edges = np.searchsorted(lanes, np.arange(n_slots + 1) * ns).tolist()
+        pend = self.pend[lane, way]
+        pend_lines = lines[pend].tolist()
+        pend_edges = np.searchsorted(
+            lane[pend], np.arange(n_slots + 1) * ns
+        ).tolist()
+        return [
+            (
+                sets[edges[v]:edges[v + 1]],
+                rows[edges[v]:edges[v + 1]],
+                pend_lines[pend_edges[v]:pend_edges[v + 1]],
+            )
+            for v in range(n_slots)
+        ]
+
+    def load(self, v: int, entries, pend) -> None:
+        """Install slot *v*'s contents from MRU-first ``(set, lines)``
+        entries (a resumed checkpoint)."""
         base = v * self.num_sets
-        lanes = np.flatnonzero(self.touched[base:base + self.num_sets])
-        if not len(lanes):
-            return
-        ts = self.ts[base + lanes]
-        order = np.argsort(-ts, axis=1)  # descending stamp = MRU first
-        lines = np.take_along_axis(self.lines[base + lanes], order, axis=1)
-        occ = np.take_along_axis(ts, order, axis=1) > _TS_OCCUPIED
-        pend_m = np.take_along_axis(self.pend[base + lanes], order, axis=1)
-        res.update(lines[occ].tolist())
-        pm = pend_m & occ
-        if pm.any():
-            pend.update(lines[pm].tolist())
-        counts = occ.sum(axis=1).tolist()
-        for s, k, row in zip(lanes.tolist(), counts, lines.tolist()):
-            sets_list[s] = row[:k]
+        for index, recency in entries:
+            lane = base + index
+            k = len(recency)
+            self.lines[lane, :k] = recency
+            self.ts[lane, :k] = -1.0 - np.arange(k, dtype=np.float64)
+            self.pend[lane, :k] = [line in pend for line in recency]
+            self.fill[lane] = k
+            self.touched[lane] = True
+
+
+def _renumber(s_ts: np.ndarray, rows: np.ndarray, ts_now: float) -> None:
+    """Replace the occupied stamps of *rows* by consecutive integers
+    just below *ts_now*, keeping their order."""
+    sub = s_ts[rows]
+    ways = sub.shape[1]
+    rank = np.argsort(np.argsort(sub, axis=1), axis=1)
+    s_ts[rows] = np.where(sub > _TS_OCCUPIED, ts_now - ways + rank, _TS_EMPTY)
 
 
 def _lane_sweep(cache: _LaneCache, lanes: np.ndarray, lines: np.ndarray,
                 kinds: np.ndarray):
-    """Advance *cache* by one event stream; return per-event outcomes.
+    """Sweep one event stream over *cache*'s lanes; return per-event
+    outcomes.
 
     ``kinds``: 0 = data demand, 1 = instruction demand, 2 = prefetch
     query+fill.  Demand semantics: hit → MRU touch, clear pending;
@@ -1841,18 +1403,22 @@ def _lane_sweep(cache: _LaneCache, lanes: np.ndarray, lines: np.ndarray,
     semantics: hit → no state change; miss → evict LRU when full, fill
     at depth ``pd`` (or the LRU end when shallower), pending.
 
-    Returns ``(hit, pend_cleared, evicted, evicted_pend, bad)`` — the
-    first four indexed per event, ``bad`` per lane (timestamp-midpoint
-    degeneracies; those lanes' variants must fall back).
+    Returns ``(hit, pend_cleared, evicted, evicted_pend)``, each
+    indexed per event, and the advanced lanes, which
+    :meth:`_LaneCache.commit` writes back: the sweep leaves the cache's
+    lanes unchanged (only its stamp base advances).
     """
     n = len(lanes)
     hit_out = np.zeros(n, dtype=bool)
     pclr_out = np.zeros(n, dtype=bool)
     ev_out = np.zeros(n, dtype=bool)
     evp_out = np.zeros(n, dtype=bool)
-    bad = np.zeros(cache.n_lanes, dtype=bool)
     if not n:
-        return hit_out, pclr_out, ev_out, evp_out, bad
+        none = np.empty(0, dtype=np.int64)
+        return (hit_out, pclr_out, ev_out, evp_out), (
+            none, cache.lines[none], cache.ts[none], cache.pend[none],
+            cache.fill[none],
+        )
 
     # Rank the lanes that saw any event by event count, descending.
     # Events pack densely from round 0, so at round r the active lanes
@@ -1861,7 +1427,6 @@ def _lane_sweep(cache: _LaneCache, lanes: np.ndarray, lines: np.ndarray,
     # not lanes x rounds (the L3 stream is sparse over many lanes).
     counts = np.bincount(lanes, minlength=cache.n_lanes)
     used = np.flatnonzero(counts)
-    cache.touched[used] = True
     ucounts = counts[used]
     uorder = np.argsort(-ucounts, kind="stable")
     lane_ids = used[uorder]
@@ -1896,7 +1461,6 @@ def _lane_sweep(cache: _LaneCache, lanes: np.ndarray, lines: np.ndarray,
     ways = cache.ways
     pd = cache.pd
     ts_base = cache.ts_base
-    badv = np.zeros(n_used, dtype=bool)
     aridx = np.arange(n_used, dtype=np.int64)
 
     for r in range(maxlen):
@@ -1962,7 +1526,14 @@ def _lane_sweep(cache: _LaneCache, lanes: np.ndarray, lines: np.ndarray,
                         mid = (upper + lower) * 0.5
                         degen = (mid <= lower) | (mid >= upper)
                         if degen.any():
-                            badv[pml[di[degen]]] = True
+                            # order-preserving renumbering leaves the
+                            # victim way and both neighbours in place
+                            fix = pml[di[degen]]
+                            _renumber(s_ts, fix, ts_now)
+                            asc_fix = np.sort(s_ts[fix], axis=1)
+                            mid[degen] = (
+                                asc_fix[:, ways - pd] + asc_fix[:, ways - 1 - pd]
+                            ) * 0.5
                         ts_new[di] = mid
                 w = place[sel]
                 s_lines[pml, w] = col[pml]
@@ -1972,31 +1543,61 @@ def _lane_sweep(cache: _LaneCache, lanes: np.ndarray, lines: np.ndarray,
             nf = ml[~full_m]
             s_fill[nf] += 1
 
-    cache.lines[lane_ids] = s_lines
-    cache.ts[lane_ids] = s_ts
-    cache.pend[lane_ids] = s_pend
-    cache.fill[lane_ids] = s_fill
     cache.ts_base = ts_base + maxlen
-    bad[lane_ids[badv]] = True
-    return hit_out, pclr_out, ev_out, evp_out, bad
+    return (
+        (hit_out, pclr_out, ev_out, evp_out),
+        (lane_ids, s_lines, s_ts, s_pend, s_fill),
+    )
 
 
-def _batched_phase_a(ctx: PlanContext, carry: PlanCarry, inflight: Dict[int, int],
-                     rows_list: list, site_plan: list, reset_local,
-                     issue_base: int):
-    """Per-variant decision replay: issues, the L1I sweep, no timing.
+#: the PlanCarry counters phase A advances
+_PHASE_A_INTS = (
+    "sim_misses", "issued", "resident",
+    "l1_dh", "l1_dm", "l1_ph", "l1_pf", "l1_pu", "l1_ev",
+)
+
+
+def _save_phase_a(carry: PlanCarry) -> tuple:
+    """Everything phase A mutates, copied, for :func:`_restore_phase_a`."""
+    return (
+        [None if s is None else s[:] for s in carry.l1_sets],
+        set(carry.l1_res),
+        set(carry.l1_pend),
+        dict(carry.inflight),
+        len(carry.arrivals),
+        tuple(getattr(carry, name) for name in _PHASE_A_INTS),
+    )
+
+
+def _restore_phase_a(carry: PlanCarry, saved: tuple) -> None:
+    sets, res, pend, inflight, n_arrivals, ints = saved
+    carry.l1_sets = [None if s is None else s[:] for s in sets]
+    carry.l1_res = set(res)
+    carry.l1_pend = set(pend)
+    carry.inflight = dict(inflight)
+    del carry.arrivals[n_arrivals:]
+    for name, value in zip(_PHASE_A_INTS, ints):
+        setattr(carry, name, value)
+
+
+def _batched_phase_a(ctx: PlanContext, carry: PlanCarry, rows_list: list,
+                     site_plan: list, reset_local, late):
+    """Per-slot decision replay: issues, the L1I sweep, no timing.
 
     Mutates the carry's L1 structures and counters exactly as the
-    reference does (pop-misses speculated on-time), maintains
-    *inflight* as line → global issue index, and returns the variant's
+    reference does and maintains ``carry.inflight`` as line → issue
+    index (issues number on from ``len(carry.arrivals)``).  A pop-miss
+    whose issue index is in *late* takes the reference's late path;
+    every other pop-miss is speculated on time.  Returns the slot's
     event streams: ``(a_t, a_kind, a_line)`` for phase B (kind 1 =
-    instruction demand miss, 2 = prefetch query) and
-    ``(tev_t, tev_kind, tev_issue)`` for phase C (kind 0 = pop-hit,
-    1 = pop-miss, 2 = plain miss), plus the next global issue index.
+    instruction demand miss, 2 = prefetch query) and ``(tev_t,
+    tev_kind, tev_issue)`` for phase C (kind 0 = pop checked for
+    lateness, 1 = pop-miss speculated on time, 2 = plain miss).
     """
     l1_sets = carry.l1_sets
     l1_res = carry.l1_res
     l1_pend = carry.l1_pend
+    inflight = carry.inflight
     l1_ns = ctx.l1_ns
     l1_ways = ctx.l1_ways
     pd1 = ctx.pd1
@@ -2022,7 +1623,7 @@ def _batched_phase_a(ctx: PlanContext, carry: PlanCarry, inflight: Dict[int, int
     tp_t = tev_t.append
     tp_kind = tev_kind.append
     tp_issue = tev_issue.append
-    n_issues = issue_base
+    n_issues = len(carry.arrivals)
 
     for t, (row, plan_entry) in enumerate(zip(rows_list, site_plan)):
         if t == boundary:
@@ -2032,7 +1633,7 @@ def _batched_phase_a(ctx: PlanContext, carry: PlanCarry, inflight: Dict[int, int
         if plan_entry is not None:
             for targets in plan_entry[0]:
                 if targets is None:
-                    continue
+                    continue  # suppressed (pre-counted vectorized)
                 for line in targets:
                     if line in inflight:
                         resident += 1
@@ -2092,13 +1693,18 @@ def _batched_phase_a(ctx: PlanContext, carry: PlanCarry, inflight: Dict[int, int
                     tp_kind(0)
                     tp_issue(idx)
                 continue
+            l1_dm += 1
+            tp_t(t)
+            if idx is not None and idx in late:
+                # the late path: no fill, no L2/L3 event, stall only
+                tp_kind(0)
+                tp_issue(idx)
+                continue
             # L1 miss — on-time speculated when it popped an in-flight
             # line; phase C verifies the arrival actually beat the pop.
-            l1_dm += 1
             ap_t(t)
             ap_kind(1)
             ap_line(line)
-            tp_t(t)
             if idx is not None:
                 tp_kind(1)
                 tp_issue(idx)
@@ -2121,20 +1727,22 @@ def _batched_phase_a(ctx: PlanContext, carry: PlanCarry, inflight: Dict[int, int
     carry.resident = resident
     carry.l1_dh, carry.l1_dm, carry.l1_ph = l1_dh, l1_dm, l1_ph
     carry.l1_pf, carry.l1_pu, carry.l1_ev = l1_pf, l1_pu, l1_ev
-    return (a_t, a_kind, a_line), (tev_t, tev_kind, tev_issue), n_issues
+    return (a_t, a_kind, a_line), (tev_t, tev_kind, tev_issue)
 
 
-def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry, arrivals: list,
+def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry,
                          rows_list: list, site_plan: list, reset_local,
                          iss_t: list, iss_level: list,
                          tev_t: list, tev_kind: list, tev_issue: list,
-                         instr_level: list) -> bool:
+                         instr_level: list) -> Optional[int]:
     """Replay the reference loop's float operations in identical order.
 
-    Appends one arrival per issue to *arrivals* (indexed by the global
+    Appends one arrival per issue to ``carry.arrivals`` (indexed by the
     issue indices phase A handed out) and verifies phase A's on-time
-    speculation for every pop-miss.  Returns ``False`` — the variant
-    must fall back — when a popped line's arrival had not yet landed.
+    speculation for every pop-miss.  Returns ``None`` once the shard's
+    timing is folded into the carry, or the issue index of the earliest
+    pop-miss whose line had not yet arrived — the carry's floats are
+    then untouched.
     """
     now = carry.now
     busy = carry.busy
@@ -2145,6 +1753,7 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry, arrivals: list,
     occupancy = ctx.occupancy
     incr_row = ctx.incr_row
     boundary = reset_local if reset_local is not None else -1
+    arrivals = carry.arrivals
     arrivals_append = arrivals.append
 
     ii = 0
@@ -2170,7 +1779,7 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry, arrivals: list,
         stall = 0.0
         while ti < nt and tev_t[ti] == t:
             kind = tev_kind[ti]
-            if kind == 0:  # pop-hit: late check only
+            if kind == 0:  # pop: pay only the remaining latency if late
                 arrival = arrivals[tev_issue[ti]]
                 if arrival > now + stall:
                     remainder = arrival - (now + stall)
@@ -2179,9 +1788,9 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry, arrivals: list,
                     late_stall += remainder
             else:
                 if kind == 1:  # pop-miss: verify the on-time speculation
-                    arrival = arrivals[tev_issue[ti]]
-                    if arrival > now + stall:
-                        return False
+                    issue = tev_issue[ti]
+                    if arrivals[issue] > now + stall:
+                        return issue
                 level = instr_level[il]
                 il += 1
                 start = now + stall
@@ -2200,84 +1809,83 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry, arrivals: list,
     carry.frontend_stalls = frontend_stalls
     carry.late_hits = late_hits
     carry.late_stall = late_stall
-    return True
+    return None
+
+
+def _merge_events(a_t: list, a_kind: list, a_line: list,
+                  d_lines: np.ndarray, d_t: np.ndarray):
+    """One slot's L2 event stream: per block, the slot's own events
+    (instruction misses, prefetch queries) precede the block's data
+    accesses, as in the reference.  Returns ``(t, kind, line)``."""
+    na = len(a_t)
+    nd = len(d_t)
+    t_m = np.empty(na + nd, dtype=np.int64)
+    k_m = np.zeros(na + nd, dtype=np.int8)
+    l_m = np.empty(na + nd, dtype=np.int64)
+    if na:
+        at = np.asarray(a_t, dtype=np.int64)
+        a_pos = np.arange(na, dtype=np.int64) + np.searchsorted(
+            d_t, at, side="left"
+        )
+        t_m[a_pos] = at
+        k_m[a_pos] = np.asarray(a_kind, dtype=np.int8)
+        l_m[a_pos] = np.asarray(a_line, dtype=np.int64)
+        d_pos = np.arange(nd, dtype=np.int64) + np.searchsorted(
+            at, d_t, side="right"
+        )
+    else:
+        d_pos = np.arange(nd, dtype=np.int64)
+    t_m[d_pos] = d_t
+    l_m[d_pos] = d_lines
+    return t_m, k_m, l_m
 
 
 class _BatchSlot:
-    """One variant's mutable state inside a :class:`PlanBatch`."""
+    """One plan variant's state inside a :class:`PlanBatch`."""
 
-    __slots__ = (
-        "index", "stats", "engine", "hierarchy", "data_traffic",
-        "ctx", "carry", "inflight", "arrivals", "n_issues",
-        "alive", "reason",
-    )
+    __slots__ = ("index", "core", "ctx", "carry")
 
-    def __init__(self, index, stats, engine, hierarchy, data_traffic):
+    def __init__(self, index, core, ctx):
         self.index = index
-        self.stats = stats
-        self.engine = engine
-        self.hierarchy = hierarchy
-        self.data_traffic = data_traffic
-        self.ctx = None
-        self.carry = None
-        self.inflight: Dict[int, int] = {}
-        self.arrivals: list = []
-        self.n_issues = 0
-        self.alive = True
-        self.reason: Optional[str] = None
-
-    def fail(self, reason: str) -> None:
-        self.alive = False
-        self.reason = reason
-        get_tracer().instant(
-            "sim:batch-fallback", slot=self.index, reason=reason
-        )
+        self.core = core
+        self.ctx = ctx
+        self.carry = PlanCarry(ctx)
 
 
 class PlanBatch:
-    """Shared-pass evaluation state for V plan variants.
+    """Shared-pass plan replay of V simulators, one slot each.
 
-    Construct with per-variant ``(stats, engine, hierarchy,
-    data_traffic)`` tuples, feed trace shards through
-    :meth:`run_shard`, then :meth:`finish`.  Ineligible variants drop
-    out with a traced reason at the earliest point it is known —
-    before any of their externally visible state mutates — and
-    :meth:`results` reports ``None`` (batched) or the fallback reason
-    per slot.  A failed slot's stats/engine/hierarchy are untouched,
-    but its data-traffic model may have advanced: rerun it with fresh
-    objects through the per-variant path.
+    *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances over
+    one program and machine that the plan kernel can reconstruct from
+    scratch: a plan engine, pristine engine and hierarchy
+    (:mod:`repro.sim.streaming` checks this).
+    Feed trace shards through :meth:`run_shard`, then :meth:`finish`
+    writes every slot's stats, hierarchy and engine state.  No slot can
+    fail once built; mixed prefetch insertion depths, which the shared
+    lanes cannot hold, are rejected here with a ``ValueError``.
     """
 
-    def __init__(self, program: Program, machine: MachineParams, slots):
-        self.program = program
-        self.machine = machine
+    def __init__(self, cores):
+        program = cores[0].program
+        machine = self.machine = cores[0].machine
         self.view = columnar_view(program)
         self.slots = [
-            _BatchSlot(i, *slot) for i, slot in enumerate(slots)
+            _BatchSlot(
+                i, core,
+                PlanContext(program, machine, core.engine, core.hierarchy),
+            )
+            for i, core in enumerate(cores)
         ]
-        pds = None
-        for slot in self.slots:
-            if slot.engine is None:
-                slot.fail("no-plan")
-                continue
-            if not slot.engine.is_pristine():
-                slot.fail("engine-state")
-                continue
-            ctx = PlanContext(program, machine, slot.engine, slot.hierarchy)
-            if pds is None:
-                pds = (ctx.pd1, ctx.pd2, ctx.pd3)
-            elif (ctx.pd1, ctx.pd2, ctx.pd3) != pds:
-                # one _LaneCache insertion depth serves every lane
-                slot.fail("nonuniform-geometry")
-                continue
-            slot.ctx = ctx
-            slot.carry = PlanCarry(ctx)
+        depths = {(s.ctx.pd1, s.ctx.pd2, s.ctx.pd3) for s in self.slots}
+        if len(depths) != 1:
+            raise ValueError(
+                "a plan batch needs one prefetch insertion depth per "
+                f"cache level across its slots, got {sorted(depths)}"
+            )
+        (_, pd2, pd3), = depths
         n = len(self.slots)
-        if pds is None:
-            pds = (machine.l1i.ways // 2, machine.l2.ways // 2,
-                   machine.l3.ways // 2)
-        self.l2 = _LaneCache(n, machine.l2.num_sets, machine.l2.ways, pds[1])
-        self.l3 = _LaneCache(n, machine.l3.num_sets, machine.l3.ways, pds[2])
+        self.l2 = _LaneCache(n, machine.l2.num_sets, machine.l2.ways, pd2)
+        self.l3 = _LaneCache(n, machine.l3.num_sets, machine.l3.ways, pd3)
         #: cumulative wall seconds per internal phase, for honest
         #: benchmark decompositions (observation only — never consulted
         #: by the replay itself)
@@ -2290,14 +1898,8 @@ class PlanBatch:
         )
         return now
 
-    def live(self):
-        return [s for s in self.slots if s.alive]
-
     def run_shard(self, rows, offset: int = 0, eff: int = 0) -> None:
-        """Advance every live variant across one trace shard."""
-        live = self.live()
-        if not live:
-            return
+        """Advance every slot across one trace shard."""
         view = self.view
         n_local = len(rows)
         reset_local = (
@@ -2306,24 +1908,24 @@ class PlanBatch:
         rows_list = rows.tolist()
         counts_list = view.instruction_counts[rows].tolist()
 
-        # Per-variant decision tables.
+        # Per-slot decision tables.
         t0 = time.perf_counter()
         shared_pre: dict = {}
-        pres = {
-            slot.index: _plan_shard_precompute(
+        pres = [
+            _plan_shard_precompute(
                 slot.ctx, slot.carry, rows, offset, eff, shared=shared_pre
             )
-            for slot in live
-        }
+            for slot in self.slots
+        ]
         t0 = self._mark("precompute", t0)
 
-        # Shared trace decode: each variant advances its own model, but
+        # Shared trace decode: each slot advances its own model, but
         # identical model states hit the decode cache and come back as
         # the same list objects, so the derived arrays are built once.
         d_arrays: Dict[int, tuple] = {}
-        d_by_slot = {}
-        for slot in live:
-            dl, dc = _decode_data_stream(slot.data_traffic, counts_list)
+        data = []
+        for slot in self.slots:
+            dl, dc = _decode_data_stream(slot.core.data_traffic, counts_list)
             entry = d_arrays.get(id(dl))
             if entry is None:
                 d_lines = np.asarray(dl, dtype=np.int64)
@@ -2333,138 +1935,30 @@ class PlanBatch:
                 ) if dl else np.empty(0, dtype=np.int64)
                 entry = (dl, d_lines, d_t)
                 d_arrays[id(dl)] = entry
-            d_by_slot[slot.index] = entry
+            data.append(entry[1:])
         self._mark("decode", t0)
 
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            self._run_shard_core(
-                live, pres, d_by_slot, rows_list, reset_local, rows
-            )
+            saved = [_save_phase_a(slot.carry) for slot in self.slots]
+            late = [set() for _ in self.slots]
+            pending = self.slots
+            while pending:
+                pending = self._pass(
+                    pending, pres, data, rows_list, reset_local, saved, late
+                )
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run_shard_core(self, live, pres, d_by_slot, rows_list, reset_local,
-                        rows):
-        view = self.view
-        l2_ns = self.l2.num_sets
-        l3_ns = self.l3.num_sets
-
-        # -- phase A + per-variant stream merge -------------------------
-        t0 = time.perf_counter()
-        seg_lines = []
-        seg_kinds = []
-        seg_t = []
-        voff = [0]
-        timing = {}
-        for slot in live:
-            pre = pres[slot.index]
-            (a_t, a_kind, a_line), tev, slot.n_issues = _batched_phase_a(
-                slot.ctx, slot.carry, slot.inflight, rows_list,
-                pre["site_plan"], reset_local, slot.n_issues,
-            )
-            timing[slot.index] = tev
-            _dl, d_lines, d_t = d_by_slot[slot.index]
-            na = len(a_t)
-            nd = len(d_t)
-            t_m = np.empty(na + nd, dtype=np.int64)
-            k_m = np.zeros(na + nd, dtype=np.int8)
-            l_m = np.empty(na + nd, dtype=np.int64)
-            if na:
-                at = np.asarray(a_t, dtype=np.int64)
-                # stable two-way merge by block: a variant's own events
-                # precede the block's data accesses, as in the reference
-                a_pos = np.arange(na, dtype=np.int64) + np.searchsorted(
-                    d_t, at, side="left"
-                )
-                t_m[a_pos] = at
-                k_m[a_pos] = np.asarray(a_kind, dtype=np.int8)
-                l_m[a_pos] = np.asarray(a_line, dtype=np.int64)
-                d_pos = np.arange(nd, dtype=np.int64) + np.searchsorted(
-                    at, d_t, side="right"
-                )
-            else:
-                d_pos = np.arange(nd, dtype=np.int64)
-            t_m[d_pos] = d_t
-            l_m[d_pos] = d_lines
-            seg_lines.append(l_m)
-            seg_kinds.append(k_m)
-            seg_t.append(t_m)
-            voff.append(voff[-1] + na + nd)
-
-        lines2 = np.concatenate(seg_lines) if seg_lines else np.empty(0, np.int64)
-        kinds2 = np.concatenate(seg_kinds) if seg_kinds else np.empty(0, np.int8)
-        t2 = np.concatenate(seg_t) if seg_t else np.empty(0, np.int64)
-        v_of = np.repeat(
-            np.asarray([s.index for s in live], dtype=np.int64),
-            np.diff(np.asarray(voff, dtype=np.int64)),
-        )
-        lanes2 = v_of * l2_ns + lines2 % l2_ns
-        t0 = self._mark("phase-a", t0)
-
-        # -- phase B: L2 sweep, then L3 over the L2 misses --------------
-        hit2, pclr2, ev2, evp2, bad2 = _lane_sweep(
-            self.l2, lanes2, lines2, kinds2
-        )
-        t0 = self._mark("sweep-l2", t0)
-        miss_idx = np.flatnonzero(~hit2)
-        lines3 = lines2[miss_idx]
-        kinds3 = kinds2[miss_idx]
-        t3 = t2[miss_idx]
-        lanes3 = v_of[miss_idx] * l3_ns + lines3 % l3_ns
-        hit3, pclr3, ev3, evp3, bad3 = _lane_sweep(
-            self.l3, lanes3, lines3, kinds3
-        )
-        t0 = self._mark("sweep-l3", t0)
-
-        # per-event fill level: 1 = L2 hit, 2 = L3 hit, 3 = memory
-        level2 = np.where(hit2, 1, 3).astype(np.int64)
-        level2[miss_idx[hit3]] = 2
-
-        bad_v = set(
-            (np.flatnonzero(bad2) // l2_ns).tolist()
-            + (np.flatnonzero(bad3) // l3_ns).tolist()
-        )
-        # variant slices stay contiguous through the miss filter
-        voff3 = np.searchsorted(miss_idx, np.asarray(voff, dtype=np.int64))
-
-        for pos, slot in enumerate(live):
-            if slot.index in bad_v:
-                slot.fail("ts-collision")
-                continue
-            pre = pres[slot.index]
+        for slot, pre in zip(self.slots, pres):
             carry = slot.carry
-            s2 = slice(voff[pos], voff[pos + 1])
-            s3 = slice(int(voff3[pos]), int(voff3[pos + 1]))
-            self._fold_level_counters(
-                carry, reset_local, t2[s2], kinds2[s2],
-                hit2[s2], pclr2[s2], ev2[s2], evp2[s2], "l2",
-            )
-            self._fold_level_counters(
-                carry, reset_local, t3[s3], kinds3[s3],
-                hit3[s3], pclr3[s3], ev3[s3], evp3[s3], "l3",
-            )
-
-            # -- phase C: the float fold + speculation check ------------
-            k_v = kinds2[s2]
-            pf_sel = k_v == 2
-            in_sel = k_v == 1
-            iss_t = t2[s2][pf_sel].tolist()
-            iss_level = level2[s2][pf_sel].tolist()
-            instr_level = level2[s2][in_sel].tolist()
-            tev_t, tev_kind, tev_issue = timing[slot.index]
-            if not _batched_timing_fold(
-                slot.ctx, carry, slot.arrivals, rows_list,
-                pre["site_plan"], reset_local,
-                iss_t, iss_level, tev_t, tev_kind, tev_issue, instr_level,
-            ):
-                slot.fail("late-prefetch-miss")
-                continue
-
-            # -- vectorized-precompute counters and the carried tails ---
+            ctx = slot.ctx
+            # Vectorized counters follow the loop counters' since-last-
+            # reset convention: the shard holding the reset replaces
+            # the carry with its post-reset counts, others add theirs.
             if reset_local is None:
                 carry.suppressed += pre["suppressed"]
                 carry.executed += pre["executed"]
@@ -2475,98 +1969,209 @@ class PlanBatch:
                 carry.executed = pre["executed"]
                 carry.l1i_accesses = pre["l1i_accesses"]
                 carry.program_instructions = pre["program_instructions"]
+            # Fig. 21 engine counters never reset at the warmup boundary.
             carry.tp += pre["tp"]
             carry.fp += pre["fp"]
-            ctx = slot.ctx
             if ctx.tracker is not None:
                 carry.tracker_tail = (
                     carry.tracker_tail + pre["new_hashed"]
                 )[-ctx.depth:]
             if ctx.exact_hist is not None and ctx.exact_depth:
-                ids_tail = [
-                    int(b)
-                    for b in view.block_ids[rows[-ctx.exact_depth:]].tolist()
-                ]
+                ids_tail = view.block_ids[rows[-ctx.exact_depth:]].tolist()
                 carry.exact_tail = (
                     carry.exact_tail + ids_tail
                 )[-ctx.exact_depth:]
-        self._mark("fold", t0)
+            # Only lines still in flight need their arrival times.
+            arrivals = carry.arrivals
+            carry.arrivals = [arrivals[i] for i in carry.inflight.values()]
+            carry.inflight = dict(
+                zip(carry.inflight, range(len(carry.arrivals)))
+            )
 
-    @staticmethod
-    def _fold_level_counters(carry, reset_local, t_v, k_v, hit_v, pclr_v,
-                             ev_v, evp_v, prefix):
-        """Apply one level's event outcomes to the carry counters with
-        the loop's since-last-reset convention."""
-        if reset_local is not None:
-            post = t_v >= reset_local
-            dh = int((hit_v & (k_v < 2) & post).sum())
-            ph = int((pclr_v & post).sum())
-            dm = int((~hit_v & (k_v < 2) & post).sum())
-            pf = int((~hit_v & (k_v == 2) & post).sum())
-            ev = int((ev_v & post).sum())
-            pu = int((evp_v & post).sum())
-            ch = int((hit_v & (k_v == 1) & post).sum())
-            cmiss = int((~hit_v & (k_v == 1) & post).sum())
-        else:
-            k_dem = k_v < 2
-            dh = int((hit_v & k_dem).sum())
-            ph = int(pclr_v.sum())
-            dm = int((~hit_v & k_dem).sum())
-            pf = int((~hit_v & (k_v == 2)).sum())
-            ev = int(ev_v.sum())
-            pu = int(evp_v.sum())
-            ch = int((hit_v & (k_v == 1)).sum())
-            cmiss = int((~hit_v & (k_v == 1)).sum())
-        if prefix == "l2":
-            if reset_local is not None:
-                carry.l2_dh, carry.l2_ph, carry.l2_dm = dh, ph, dm
-                carry.l2_pf, carry.l2_ev, carry.l2_pu = pf, ev, pu
-                carry.c2 = ch
-            else:
-                carry.l2_dh += dh
-                carry.l2_ph += ph
-                carry.l2_dm += dm
-                carry.l2_pf += pf
-                carry.l2_ev += ev
-                carry.l2_pu += pu
-                carry.c2 += ch
-        else:
-            if reset_local is not None:
-                carry.l3_dh, carry.l3_ph, carry.l3_dm = dh, ph, dm
-                carry.l3_pf, carry.l3_ev, carry.l3_pu = pf, ev, pu
-                carry.c3, carry.cm = ch, cmiss
-            else:
-                carry.l3_dh += dh
-                carry.l3_ph += ph
-                carry.l3_dm += dm
-                carry.l3_pf += pf
-                carry.l3_ev += ev
-                carry.l3_pu += pu
-                carry.c3 += ch
-                carry.cm += cmiss
+    def _pass(self, slots, pres, data, rows_list, reset_local, saved, late):
+        """Phases A, B and C of one shard for *slots*; returns the slots
+        that must rerun the shard with one more pop on the late path,
+        their shard-start state already restored (their L2/L3 lanes are
+        never committed)."""
+        l2_ns = self.l2.num_sets
+        l3_ns = self.l3.num_sets
+
+        # -- phase A + per-slot stream merge -----------------------------
+        t0 = time.perf_counter()
+        streams = []
+        timing = []
+        for slot in slots:
+            a_events, tev = _batched_phase_a(
+                slot.ctx, slot.carry, rows_list,
+                pres[slot.index]["site_plan"], reset_local, late[slot.index],
+            )
+            timing.append(tev)
+            streams.append(_merge_events(*a_events, *data[slot.index]))
+
+        t2 = np.concatenate([s[0] for s in streams])
+        kinds2 = np.concatenate([s[1] for s in streams])
+        lines2 = np.concatenate([s[2] for s in streams])
+        voff = np.zeros(len(slots) + 1, dtype=np.int64)
+        np.cumsum([len(s[0]) for s in streams], out=voff[1:])
+        v_of = np.repeat(
+            np.asarray([s.index for s in slots], dtype=np.int64),
+            np.diff(voff),
+        )
+        lanes2 = v_of * l2_ns + lines2 % l2_ns
+        t0 = self._mark("phase-a", t0)
+
+        # -- phase B: L2 sweep, then L3 over the L2 misses ---------------
+        (hit2, pclr2, ev2, evp2), swept2 = _lane_sweep(
+            self.l2, lanes2, lines2, kinds2
+        )
+        t0 = self._mark("sweep-l2", t0)
+        miss_idx = np.flatnonzero(~hit2)
+        lines3 = lines2[miss_idx]
+        kinds3 = kinds2[miss_idx]
+        t3 = t2[miss_idx]
+        lanes3 = v_of[miss_idx] * l3_ns + lines3 % l3_ns
+        (hit3, pclr3, ev3, evp3), swept3 = _lane_sweep(
+            self.l3, lanes3, lines3, kinds3
+        )
+        t0 = self._mark("sweep-l3", t0)
+
+        # per-event fill level: 1 = L2 hit, 2 = L3 hit, 3 = memory
+        level2 = np.where(hit2, 1, 3).astype(np.int64)
+        level2[miss_idx[hit3]] = 2
+        # slot slices stay contiguous through the miss filter
+        voff3 = np.searchsorted(miss_idx, voff)
+
+        rerun = []
+        keep = np.ones(len(self.slots), dtype=bool)
+        for pos, slot in enumerate(slots):
+            carry = slot.carry
+            s2 = slice(int(voff[pos]), int(voff[pos + 1]))
+            s3 = slice(int(voff3[pos]), int(voff3[pos + 1]))
+
+            # -- phase C: the float fold + speculation check ------------
+            k_v = kinds2[s2]
+            pf_sel = k_v == 2
+            tev_t, tev_kind, tev_issue = timing[pos]
+            late_issue = _batched_timing_fold(
+                slot.ctx, carry, rows_list,
+                pres[slot.index]["site_plan"], reset_local,
+                t2[s2][pf_sel].tolist(), level2[s2][pf_sel].tolist(),
+                tev_t, tev_kind, tev_issue,
+                level2[s2][k_v == 1].tolist(),
+            )
+            if late_issue is not None:
+                late[slot.index].add(late_issue)
+                _restore_phase_a(carry, saved[slot.index])
+                keep[slot.index] = False
+                rerun.append(slot)
+                continue
+            _fold_level_counters(
+                carry, reset_local, t2[s2], k_v,
+                hit2[s2], pclr2[s2], ev2[s2], evp2[s2], "l2",
+            )
+            _fold_level_counters(
+                carry, reset_local, t3[s3], kinds3[s3],
+                hit3[s3], pclr3[s3], ev3[s3], evp3[s3], "l3",
+            )
+        self.l2.commit(swept2, keep)
+        self.l3.commit(swept3, keep)
+        self._mark("fold", t0)
+        return rerun
 
     def finish(self) -> None:
-        """Materialize lane state and populate every live variant's
-        stats/hierarchy/engine exactly as :func:`_plan_finish` would."""
+        """Write every slot's stats, hierarchy and engine runtime state
+        (bit-identical to the reference composition), each level's
+        lanes in one vectorized pass."""
         t0 = time.perf_counter()
-        for pos, slot in enumerate(self.slots):
-            if not slot.alive:
-                continue
+        n = len(self.slots)
+        l2 = self.l2.export(n)
+        l3 = self.l3.export(n)
+        for slot in self.slots:
+            core = slot.core
             carry = slot.carry
-            self.l2.materialize(
-                slot.index, carry.l2_sets, carry.l2_res, carry.l2_pend
+            hierarchy = core.hierarchy
+            l1_ids = [i for i, s in enumerate(carry.l1_sets) if s is not None]
+            _install_cache(
+                hierarchy.l1i, l1_ids, [carry.l1_sets[i] for i in l1_ids],
+                carry.l1_pend, carry.l1_dh, carry.l1_dm,
+                carry.l1_pf, carry.l1_ph, carry.l1_pu, carry.l1_ev,
             )
-            self.l3.materialize(
-                slot.index, carry.l3_sets, carry.l3_res, carry.l3_pend
+            _install_cache(
+                hierarchy.l2, *l2[slot.index],
+                carry.l2_dh, carry.l2_dm,
+                carry.l2_pf, carry.l2_ph, carry.l2_pu, carry.l2_ev,
             )
-            arrivals = slot.arrivals
-            carry.inflight = {
-                line: arrivals[i] for line, i in slot.inflight.items()
-            }
-            _plan_finish(
-                slot.ctx, carry, slot.stats, slot.hierarchy, slot.engine
+            _install_cache(
+                hierarchy.l3, *l3[slot.index],
+                carry.l3_dh, carry.l3_dm,
+                carry.l3_pf, carry.l3_ph, carry.l3_pu, carry.l3_ev,
+            )
+            hierarchy.fill_port.busy_until = carry.busy
+            _plan_stats(slot.ctx, carry, core.stats)
+            core.engine.restore_runtime_state(
+                _inflight_arrivals(carry),
+                list(carry.tracker_tail),
+                list(carry.exact_tail),
+                carry.tp,
+                carry.fp,
             )
         self._mark("finish", t0)
 
-    def results(self) -> List[Optional[str]]:
-        return [slot.reason for slot in self.slots]
+
+def _inflight_arrivals(carry: PlanCarry) -> Dict[int, float]:
+    """The in-flight map as line -> arrival cycle."""
+    arrivals = carry.arrivals
+    return {line: arrivals[i] for line, i in carry.inflight.items()}
+
+
+def _fold_level_counters(carry, reset_local, t_v, k_v, hit_v, pclr_v,
+                         ev_v, evp_v, prefix):
+    """Apply one level's event outcomes to the carry counters with
+    the loop's since-last-reset convention."""
+    if reset_local is not None:
+        post = t_v >= reset_local
+        dh = int((hit_v & (k_v < 2) & post).sum())
+        ph = int((pclr_v & post).sum())
+        dm = int((~hit_v & (k_v < 2) & post).sum())
+        pf = int((~hit_v & (k_v == 2) & post).sum())
+        ev = int((ev_v & post).sum())
+        pu = int((evp_v & post).sum())
+        ch = int((hit_v & (k_v == 1) & post).sum())
+        cmiss = int((~hit_v & (k_v == 1) & post).sum())
+    else:
+        k_dem = k_v < 2
+        dh = int((hit_v & k_dem).sum())
+        ph = int(pclr_v.sum())
+        dm = int((~hit_v & k_dem).sum())
+        pf = int((~hit_v & (k_v == 2)).sum())
+        ev = int(ev_v.sum())
+        pu = int(evp_v.sum())
+        ch = int((hit_v & (k_v == 1)).sum())
+        cmiss = int((~hit_v & (k_v == 1)).sum())
+    if prefix == "l2":
+        if reset_local is not None:
+            carry.l2_dh, carry.l2_ph, carry.l2_dm = dh, ph, dm
+            carry.l2_pf, carry.l2_ev, carry.l2_pu = pf, ev, pu
+            carry.c2 = ch
+        else:
+            carry.l2_dh += dh
+            carry.l2_ph += ph
+            carry.l2_dm += dm
+            carry.l2_pf += pf
+            carry.l2_ev += ev
+            carry.l2_pu += pu
+            carry.c2 += ch
+    else:
+        if reset_local is not None:
+            carry.l3_dh, carry.l3_ph, carry.l3_dm = dh, ph, dm
+            carry.l3_pf, carry.l3_ev, carry.l3_pu = pf, ev, pu
+            carry.c3, carry.cm = ch, cmiss
+        else:
+            carry.l3_dh += dh
+            carry.l3_ph += ph
+            carry.l3_dm += dm
+            carry.l3_pf += pf
+            carry.l3_ev += ev
+            carry.l3_pu += pu
+            carry.c3 += ch
+            carry.cm += cmiss

@@ -264,13 +264,14 @@ def _load_checkpoint(
 # -- backends ----------------------------------------------------------------
 #
 # A backend supplies the steps of the shared shard loop (:func:`_stream`):
-# ``step`` replays one shard, ``snapshot`` is the SimStats the run would
-# report if it ended at the current shard boundary (since-last-reset
-# counters, cumulative float accumulators — ShardStats.delta of
-# consecutive snapshots telescopes back to the final values), ``finish``
-# populates the simulator, and ``payload``/``restore`` are the carry
-# codec.  ``name`` is the backend a checkpoint records; the reference
-# loop has none and is never checkpointed.
+# ``step`` replays one shard, ``snapshot`` is, per slot, the SimStats the
+# run would report if it ended at the current shard boundary
+# (since-last-reset counters, cumulative float accumulators —
+# ShardStats.delta of consecutive snapshots telescopes back to the final
+# values), ``finish`` populates the simulators, and ``payload``/``restore``
+# are the carry codec.  Every backend but the plan kernel has one slot.
+# ``name`` is the backend a checkpoint records; the reference loop has
+# none and is never checkpointed.
 
 
 class _ReferenceBackend:
@@ -297,8 +298,8 @@ class _ReferenceBackend:
             self.program_instructions,
         )
 
-    def snapshot(self) -> SimStats:
-        return _copy_stats(self.finish())
+    def snapshot(self) -> List[SimStats]:
+        return [_copy_stats(self.finish())]
 
     def finish(self) -> SimStats:
         return self.core._reference_finish(self.program_instructions)
@@ -337,8 +338,8 @@ class _IdealBackend:
         stats.compute_cycles = stats.program_instructions * self.cpi
         return stats
 
-    def snapshot(self) -> SimStats:
-        return self._write(SimStats())
+    def snapshot(self) -> List[SimStats]:
+        return [self._write(SimStats())]
 
     def finish(self) -> None:
         self._write(self.stats)
@@ -365,44 +366,53 @@ _ARRAY_CARRY_INTS = (
 
 class _ArrayBackend:
     """No-plan columnar replay (:func:`~repro.sim.array_replay.
-    array_shard_replay`)."""
+    array_shard_replay`).  With ``record_events`` it also keeps each
+    shard's observer view in :attr:`events` — the profiler's recorded
+    replay."""
 
     name = "columnar"
 
-    def __init__(self, core, view, eff: int):
+    def __init__(self, view, machine, stats, data_model, eff: int,
+                 hierarchy=None, record_events: bool = False):
         from .array_replay import ArrayCarry
 
-        self.core = core
         self.view = view
+        self.machine = machine
+        self.stats = stats
+        self.data_model = data_model
         self.eff = eff
-        self.data_model = core.data_traffic
+        self.hierarchy = hierarchy
+        self.record_events = record_events
+        self.events: list = []
         self.carry = ArrayCarry()
 
     def step(self, rows, start: int) -> None:
         from .array_replay import array_shard_replay
 
-        array_shard_replay(
+        events = array_shard_replay(
             self.view,
             rows,
-            self.core.machine,
+            self.machine,
             self.carry,
             data_traffic=self.data_model,
             offset=start,
             eff=self.eff,
+            record_events=self.record_events,
         )
+        if events is not None:
+            self.events.append(events)
 
-    def snapshot(self) -> SimStats:
+    def snapshot(self) -> List[SimStats]:
         from .array_replay import array_finish
 
         snap = SimStats()
-        array_finish(self.carry, self.core.machine, snap)
-        return snap
+        array_finish(self.carry, self.machine, snap)
+        return [snap]
 
     def finish(self) -> None:
         from .array_replay import array_finish
 
-        core = self.core
-        array_finish(self.carry, core.machine, core.stats, core.hierarchy)
+        array_finish(self.carry, self.machine, self.stats, self.hierarchy)
 
     def payload(self) -> dict:
         carry = self.carry
@@ -447,58 +457,60 @@ _PLAN_CARRY_INTS = (
 )
 
 
-class _PlanBackend:
-    """Plan-bearing columnar replay (:func:`~repro.sim.array_replay.
-    plan_shard_replay`)."""
+def _lane_sets_restore(entries: list, geometry) -> list:
+    """Decoded ``[[set, [lines...]], ...]`` for a lane cache, rejecting
+    sets the geometry cannot hold."""
+    sets = []
+    for index, lines in entries:
+        index = int(index)
+        recency = [int(line) for line in lines]
+        if not 0 <= index < geometry.num_sets or len(recency) > geometry.ways:
+            raise ValueError(f"set {index} does not fit {geometry.name}")
+        sets.append((index, recency))
+    return sets
+
+
+class _PlanBatchBackend:
+    """The plan kernel (:class:`~repro.sim.array_replay.PlanBatch`).
+
+    A single plan-bearing simulation is the one-slot batch; sweeps run
+    V slots.  Checkpoints cover the one-slot batch only — the carry is
+    the slot's :class:`~repro.sim.array_replay.PlanCarry` plus its
+    L2/L3 lane contents — and wider batches run without a
+    checkpointer."""
 
     name = "columnar-plan"
 
-    def __init__(self, core, view, eff: int):
-        from .array_replay import PlanCarry, PlanContext
-
-        self.core = core
+    def __init__(self, batch, eff: int):
+        self.batch = batch
         self.eff = eff
-        self.data_model = core.data_traffic
-        self.ctx = PlanContext(
-            program=core.program,
-            machine=core.machine,
-            engine=core.engine,
-            hierarchy=core.hierarchy,
-        )
-        self.carry = PlanCarry(self.ctx)
+        self.data_model = batch.slots[0].core.data_traffic
 
     def step(self, rows, start: int) -> None:
-        from .array_replay import plan_shard_replay
+        self.batch.run_shard(rows, start, self.eff)
 
-        plan_shard_replay(
-            self.ctx, self.carry, rows, start, self.eff, self.data_model
-        )
-
-    def snapshot(self) -> SimStats:
+    def snapshot(self) -> List[SimStats]:
         from .array_replay import _plan_stats
 
-        return _plan_stats(self.ctx, self.carry, SimStats())
+        return [
+            _plan_stats(slot.ctx, slot.carry, SimStats())
+            for slot in self.batch.slots
+        ]
 
     def finish(self) -> None:
-        from .array_replay import _plan_finish
-
-        core = self.core
-        _plan_finish(
-            self.ctx, self.carry, core.stats, core.hierarchy, core.engine
-        )
+        self.batch.finish()
 
     def payload(self) -> dict:
-        carry = self.carry
-        return {
+        from .array_replay import _inflight_arrivals
+
+        (slot,) = self.batch.slots
+        carry = slot.carry
+        payload = {
             "l1_sets": _dense_sets_payload(carry.l1_sets),
-            "l2_sets": _dense_sets_payload(carry.l2_sets),
-            "l3_sets": _dense_sets_payload(carry.l3_sets),
             "l1_pend": sorted(int(line) for line in carry.l1_pend),
-            "l2_pend": sorted(int(line) for line in carry.l2_pend),
-            "l3_pend": sorted(int(line) for line in carry.l3_pend),
             "inflight": [
                 [int(line), arrival]
-                for line, arrival in carry.inflight.items()
+                for line, arrival in _inflight_arrivals(carry).items()
             ],
             "now": carry.now,
             "busy": carry.busy,
@@ -508,26 +520,26 @@ class _PlanBackend:
             "tracker_tail": [int(b) for b in carry.tracker_tail],
             "exact_tail": [int(b) for b in carry.exact_tail],
         }
+        for level in ("l2", "l3"):
+            ((sets, stacks, pending),) = getattr(self.batch, level).export(1)
+            payload[f"{level}_sets"] = [list(e) for e in zip(sets, stacks)]
+            payload[f"{level}_pend"] = sorted(pending)
+        return payload
 
     def restore(self, payload: dict):
+        """Decode a checkpoint carry; :attr:`carry` installs it."""
         from .array_replay import PlanCarry
 
-        carry = PlanCarry(self.ctx)
-        for dense, res, entries in (
-            (carry.l1_sets, carry.l1_res, payload["l1_sets"]),
-            (carry.l2_sets, carry.l2_res, payload["l2_sets"]),
-            (carry.l3_sets, carry.l3_res, payload["l3_sets"]),
-        ):
-            for index, lines in entries:
-                recency = [int(line) for line in lines]
-                dense[int(index)] = recency
-                res.update(recency)
+        (slot,) = self.batch.slots
+        carry = PlanCarry(slot.ctx)
+        for index, lines in payload["l1_sets"]:
+            recency = [int(line) for line in lines]
+            carry.l1_sets[int(index)] = recency
+            carry.l1_res.update(recency)
         carry.l1_pend = {int(line) for line in payload["l1_pend"]}
-        carry.l2_pend = {int(line) for line in payload["l2_pend"]}
-        carry.l3_pend = {int(line) for line in payload["l3_pend"]}
-        carry.inflight = {
-            int(line): float(arrival) for line, arrival in payload["inflight"]
-        }
+        for line, arrival in payload["inflight"]:
+            carry.inflight[int(line)] = len(carry.arrivals)
+            carry.arrivals.append(float(arrival))
         carry.now = float(payload["now"])
         carry.busy = float(payload["busy"])
         carry.frontend_stalls = float(payload["frontend_stalls"])
@@ -536,10 +548,76 @@ class _PlanBackend:
             setattr(carry, name, int(payload["ints"][name]))
         carry.tracker_tail = [int(b) for b in payload["tracker_tail"]]
         carry.exact_tail = [int(b) for b in payload["exact_tail"]]
-        return carry
+        machine = self.batch.machine
+        lanes = tuple(
+            (
+                _lane_sets_restore(payload[f"{level}_sets"], geometry),
+                {int(line) for line in payload[f"{level}_pend"]},
+            )
+            for level, geometry in (("l2", machine.l2), ("l3", machine.l3))
+        )
+        return carry, lanes
+
+    @property
+    def carry(self):
+        return self.batch.slots[0].carry
+
+    @carry.setter
+    def carry(self, decoded) -> None:
+        carry, ((l2_sets, l2_pend), (l3_sets, l3_pend)) = decoded
+        self.batch.slots[0].carry = carry
+        self.batch.l2.load(0, l2_sets, l2_pend)
+        self.batch.l3.load(0, l3_sets, l3_pend)
 
 
 # -- the driver --------------------------------------------------------------
+
+
+def _fallback_reason(core, observer=None) -> Optional[str]:
+    """Why *core* must take the reference loop, or None.
+
+    With no observer there are no per-event hooks to honour, so a
+    columnar kernel serves the run — bit-identical by construction and
+    differentially tested.  State a kernel cannot reconstruct from
+    scratch (a re-used simulator, a pre-seeded engine) takes the
+    reference loop, which composes with it.  The first failing check is
+    the reason.
+    """
+    if observer is not None:
+        return "observer"
+    if not kernel.numpy_enabled():
+        return "kernel-disabled"
+    if not core._hierarchy_pristine():
+        return "state-not-pristine"
+    if core.engine is not None and not core.engine.is_pristine():
+        return "engine-state"
+    return None
+
+
+def _reference_shards(program, trace, shard_insns: Optional[int]):
+    """``(bounds, shard)`` of block ids for the reference loop, cut as
+    :func:`_columnar_shards` cuts program rows."""
+    if isinstance(trace, ShardedTrace):
+        return list(trace.bounds), lambda i: trace.shard(i).block_ids
+    if shard_insns is None:
+        bounds = [(0, len(trace))]
+    else:
+        bounds = trace_shard_bounds(trace, program, shard_insns)
+    return bounds, lambda i: trace.block_ids[bounds[i][0]:bounds[i][1]]
+
+
+def _columnar_shards(view, trace, shard_insns: Optional[int]):
+    """``(bounds, shard)`` of program rows for a columnar backend: an
+    on-disk trace's own chunks, else *trace* cut greedily on
+    ``shard_insns`` (one shard without it)."""
+    if isinstance(trace, ShardedTrace):
+        return list(trace.bounds), lambda i: view.trace_rows(trace.shard(i))
+    rows = view.trace_rows(trace)
+    if shard_insns is None:
+        bounds = [(0, len(rows))]
+    else:
+        bounds = view.shard_bounds(rows, shard_insns)
+    return bounds, lambda i: rows[bounds[i][0]:bounds[i][1]]
 
 
 def run_sharded(
@@ -581,68 +659,36 @@ def replay(
     (hierarchy, engine, fill port) is independent of the cut.
     """
     program = core.program
-    engine = core.engine
     tracer = get_tracer()
-    sharded = trace if isinstance(trace, ShardedTrace) else None
-    if sharded is not None:
-        bounds: Optional[List[Tuple[int, int]]] = list(sharded.bounds)
-        shard_insns = sharded.shard_insns
-    elif shard_insns is None:
-        bounds = [(0, len(trace))]
-    else:
-        bounds = None
+    if isinstance(trace, ShardedTrace):
+        shard_insns = trace.shard_insns
 
-    # Backend selection: with no observer there are no per-event hooks
-    # to honour, so a columnar kernel serves the run — bit-identical by
-    # construction and differentially tested.  State a kernel cannot
-    # reconstruct from scratch (a re-used simulator, a pre-seeded
-    # engine) takes the reference loop, which composes with it.  The
-    # first failing check is the recorded fallback reason.
-    if observer is not None:
-        fallback: Optional[str] = "observer"
-    elif not kernel.numpy_enabled():
-        fallback = "kernel-disabled"
-    elif not core._hierarchy_pristine():
-        fallback = "state-not-pristine"
-    elif engine is not None and not engine.is_pristine():
-        fallback = "engine-state"
-    else:
-        fallback = None
-
+    fallback = _fallback_reason(core, observer)
     if fallback is not None:
-        if bounds is None:
-            bounds = trace_shard_bounds(trace, program, shard_insns)
+        bounds, shard = _reference_shards(program, trace, shard_insns)
         backend = _ReferenceBackend(core, observer, warmup)
         core.last_replay_backend = "reference"
-
-        def shard(index: int):
-            if sharded is not None:
-                return sharded.shard(index).block_ids
-            start, stop = bounds[index]
-            return trace.block_ids[start:stop]
-
     else:
         from .columnar import columnar_view
 
         view = columnar_view(program)
-        rows_full = None if sharded is not None else view.trace_rows(trace)
-        if bounds is None:
-            bounds = view.shard_bounds(rows_full, shard_insns)
+        bounds, shard = _columnar_shards(view, trace, shard_insns)
         eff = warmup if 0 < warmup < len(trace) else 0
-        if engine is not None:
-            backend = _PlanBackend(core, view, eff)
+        if core.engine is not None:
+            from .array_replay import PlanBatch
+
+            batch = PlanBatch([core])
+            backend = _PlanBatchBackend(batch, eff)
             core.last_replay_backend = "columnar-plan"
         else:
-            backend = (_IdealBackend if core.ideal else _ArrayBackend)(
-                core, view, eff
-            )
+            if core.ideal:
+                backend = _IdealBackend(core, view, eff)
+            else:
+                backend = _ArrayBackend(
+                    view, core.machine, core.stats, core.data_traffic, eff,
+                    core.hierarchy,
+                )
             core.last_replay_backend = "columnar"
-
-        def shard(index: int):
-            if rows_full is None:
-                return view.trace_rows(sharded.shard(index))
-            start, stop = bounds[index]
-            return rows_full[start:stop]
 
     core.last_fallback_reason = fallback
     with tracer.span(
@@ -654,7 +700,9 @@ def replay(
         shards=len(bounds),
         shard_insns=shard_insns,
     ) as span:
-        _stream(backend, shard, bounds, shard_insns, checkpointer, core.stats)
+        _stream(
+            backend, shard, bounds, shard_insns, checkpointer, [core.stats]
+        )
         span.set(backend=core.last_replay_backend)
         if fallback is not None:
             span.set(fallback=fallback)
@@ -662,16 +710,17 @@ def replay(
 
 
 def _stream(backend, shard, bounds, shard_insns, checkpointer, stats) -> None:
-    """The shard loop every sequential backend runs: resume from the
-    latest valid checkpoint, then for each remaining shard replay,
-    snapshot, merge the :class:`ShardStats` delta and save; finally
-    finish the backend and report the merge."""
+    """The shard loop every backend runs: resume from the latest valid
+    checkpoint, then for each remaining shard replay, snapshot, merge
+    each slot's :class:`ShardStats` delta and save; finally finish the
+    backend and report each slot's merge into its *stats*.  Only
+    one-slot runs checkpoint."""
     tracer = get_tracer()
     num_shards = len(bounds)
     if backend.name is None:
         checkpointer = None
-    merged = ShardStats.identity()
-    prev = SimStats()
+    merged = [ShardStats.identity() for _ in stats]
+    prev = [SimStats() for _ in stats]
     first = 0
     resumed = None
     if checkpointer is not None:
@@ -680,7 +729,7 @@ def _stream(backend, shard, bounds, shard_insns, checkpointer, stats) -> None:
             backend.data_model, backend.restore,
         )
     if resumed is not None:
-        index, merged, backend.carry = resumed
+        index, merged[0], backend.carry = resumed
         first = index + 1
         prev = backend.snapshot()
     for index in range(first, num_shards):
@@ -688,18 +737,22 @@ def _stream(backend, shard, bounds, shard_insns, checkpointer, stats) -> None:
         with tracer.span("sim:shard", index=index, offset=start):
             backend.step(shard(index), start)
         cur = backend.snapshot()
-        merged = merged.merge(ShardStats.delta(index, prev, cur))
+        merged = [
+            slot.merge(ShardStats.delta(index, before, after))
+            for slot, before, after in zip(merged, prev, cur)
+        ]
         prev = cur
         if checkpointer is not None:
             checkpointer.save(
                 index,
                 _checkpoint(
-                    backend.name, index, num_shards, shard_insns, merged,
+                    backend.name, index, num_shards, shard_insns, merged[0],
                     backend.payload(), backend.data_model,
                 ),
             )
     backend.finish()
-    _apply_merged(stats, merged)
+    for target, slot in zip(stats, merged):
+        _apply_merged(target, slot)
     if checkpointer is not None:
         checkpointer.finalize(num_shards)
 
@@ -713,73 +766,52 @@ def run_plan_batch(
     """Evaluate every core's plan in one pass over *trace*, optionally
     shard-streamed.
 
-    *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances (one
-    per variant, pristine state).  Returns per-slot outcomes: ``None``
-    when the slot was batched — its stats/hierarchy/engine are now
-    bit-identical to the per-variant replay with the same
-    ``shard_insns`` — else the fallback reason; failed slots must be
-    rerun through the per-variant path with fresh objects.
+    *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances, one per
+    plan variant.  Returns per-slot outcomes: ``None`` when the slot was
+    batched — its stats/hierarchy/engine are now bit-identical to
+    ``core.run`` with the same ``shard_insns`` — else the reason the
+    kernel cannot take it (``no-plan`` or a :func:`replay` fallback
+    reason), decided before any state changes; such cores are left
+    untouched.
 
     The trace is cut on the same greedy instruction bounds as
-    :func:`replay` (one shard without ``shard_insns``), the variant
-    axis runs inside each shard, and every variant's reported counters
-    flow through the per-variant :class:`ShardStats` merge, mirroring
-    the sequential driver's algebra.
+    :func:`replay`, and the slots run as one :class:`~repro.sim.
+    array_replay.PlanBatch` through the same shard loop, each slot's
+    counters flowing through its own :class:`ShardStats` merge.
     """
-    from .array_replay import PlanBatch, _plan_stats
+    from .array_replay import PlanBatch
     from .columnar import columnar_view
 
     program = cores[0].program
-    machine = cores[0].machine
     tracer = get_tracer()
+    reasons = [
+        "no-plan" if core.engine is None else _fallback_reason(core)
+        for core in cores
+    ]
+    for index, reason in enumerate(reasons):
+        if reason is not None:
+            tracer.instant("sim:batch-fallback", slot=index, reason=reason)
+    live = [core for core, reason in zip(cores, reasons) if reason is None]
     view = columnar_view(program)
-    rows_full = view.trace_rows(trace)
-    total = len(rows_full)
-    eff = warmup if 0 < warmup < total else 0
-    batch = PlanBatch(
-        program,
-        machine,
-        [(c.stats, c.engine, c.hierarchy, c.data_traffic) for c in cores],
-    )
-    if not kernel.numpy_enabled():
-        for slot in batch.slots:
-            if slot.alive:
-                slot.fail("kernel-disabled")
-    for core, slot in zip(cores, batch.slots):
-        if not core._hierarchy_pristine() and slot.alive:
-            slot.fail("state-not-pristine")
-
-    bounds = (
-        view.shard_bounds(rows_full, shard_insns)
-        if shard_insns
-        else [(0, total)]
-    )
+    bounds, shard = _columnar_shards(view, trace, shard_insns)
+    eff = warmup if 0 < warmup < len(trace) else 0
     with tracer.span(
         "sim:batch",
         program=program.name,
-        blocks=total,
+        blocks=len(trace),
         variants=len(cores),
         shards=len(bounds),
     ) as span:
-        merged = {s.index: ShardStats.identity() for s in batch.live()}
-        prev = {s.index: SimStats() for s in batch.live()}
-        for index, (start, stop) in enumerate(bounds):
-            with tracer.span("sim:shard", index=index, offset=start):
-                batch.run_shard(rows_full[start:stop], start, eff)
-            for slot in batch.live():
-                cur = _plan_stats(slot.ctx, slot.carry, SimStats())
-                delta = ShardStats.delta(index, prev[slot.index], cur)
-                merged[slot.index] = merged[slot.index].merge(delta)
-                prev[slot.index] = cur
-        batch.finish()
-        for slot in batch.live():
-            _apply_merged(slot.stats, merged[slot.index])
-        reasons = batch.results()
-        span.set(fallbacks=sum(r is not None for r in reasons))
-    for core, reason in zip(cores, reasons):
-        if reason is None:
-            core.last_replay_backend = "columnar-plan-batch"
-            core.last_fallback_reason = None
+        if live:
+            batch = PlanBatch(live)
+            _stream(
+                _PlanBatchBackend(batch, eff), shard, bounds, shard_insns,
+                None, [core.stats for core in live],
+            )
+        span.set(fallbacks=len(cores) - len(live))
+    for core in live:
+        core.last_replay_backend = _PlanBatchBackend.name
+        core.last_fallback_reason = None
         # the batch's internal wall-clock decomposition, for honest
         # benchmark reporting (observation only)
         core.last_batch_phases = dict(batch.phase_seconds)
@@ -801,40 +833,24 @@ def stream_replay_events(
     per-miss events (the observer view) as one whole-trace
     :class:`~repro.sim.array_replay.ReplayEvents`.
 
-    Replays shard by shard through the carried kernel (bounded replay
-    working set; one shard without ``shard_insns``) and concatenates
-    the per-shard views, with global trace indices.  Populates *stats*
-    like a whole-trace replay (no hierarchy, no warmup: the profiler's
-    configuration).
+    Replays shard by shard through the shared shard loop (bounded
+    replay working set; one shard without ``shard_insns``) and
+    concatenates the per-shard views, with global trace indices.
+    Populates *stats* like a whole-trace replay (no hierarchy, no
+    warmup: the profiler's configuration).
     """
     import numpy as np
 
-    from .array_replay import ArrayCarry, ReplayEvents, array_finish, \
-        array_shard_replay
+    from .array_replay import ReplayEvents
     from .columnar import columnar_view
 
     view = columnar_view(program)
-    rows_full = view.trace_rows(trace)
-    bounds = (
-        view.shard_bounds(rows_full, shard_insns)
-        if shard_insns is not None
-        else [(0, len(rows_full))]
+    bounds, shard = _columnar_shards(view, trace, shard_insns)
+    backend = _ArrayBackend(
+        view, machine, stats, data_traffic, 0, record_events=True
     )
-    carry = ArrayCarry()
-    chunks = [
-        array_shard_replay(
-            view,
-            rows_full[start:stop],
-            machine,
-            carry,
-            data_traffic=data_traffic,
-            offset=start,
-            eff=0,
-            record_events=True,
-        )
-        for start, stop in bounds
-    ]
-    array_finish(carry, machine, stats)
+    _stream(backend, shard, bounds, shard_insns, None, [stats])
+    chunks = backend.events
     return ReplayEvents(
         block_cycles=np.concatenate([c.block_cycles for c in chunks]),
         miss_trace_index=np.concatenate([c.miss_trace_index for c in chunks]),

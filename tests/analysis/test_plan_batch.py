@@ -1,6 +1,6 @@
 """The ``run_plans`` batched sweep entry point: cache interplay,
 eligibility gating, per-variant overrides, and bit-identity against
-the per-variant ``run_plan`` path."""
+the per-variant ``run_plan`` path of a fresh evaluation."""
 
 import pytest
 
@@ -13,6 +13,7 @@ from repro.analysis.experiments import (
 )
 from repro import perf as perf_mod
 from repro.core.config import DEFAULT_CONFIG
+from repro.core.instructions import PrefetchPlan
 from repro.runconfig import RunConfig
 
 APP = "kafka"
@@ -37,10 +38,10 @@ def _sweep_plans(evaluation, minima=(5, 27, 108)):
 
 @pytest.fixture(scope="module", autouse=True)
 def _columnar_kernel():
-    # this module asserts simulate:columnar-plan-batch backend
-    # counters, which require the kernel; pin it on so the module is
-    # independent of REPRO_NUMPY_KERNEL (kernel-off batching equality
-    # lives in tests/sim/test_batch_differential.py)
+    # this module asserts batch-replay counters, which require the
+    # kernel; pin it on so the module is independent of
+    # REPRO_NUMPY_KERNEL (kernel-off batching equality lives in
+    # tests/sim/test_batch_differential.py)
     with kernel.force_numpy_kernel():
         yield
 
@@ -57,10 +58,8 @@ class TestBitIdentity:
     def test_matches_run_plan(self, batched):
         evaluation, plans, sweep = batched
         assert evaluation.perf.calls("sweep:batch") == 1
-        assert evaluation.perf.calls("simulate:columnar-plan-batch") == len(
-            plans
-        )
-        solo = _evaluation(plan_batch=False)
+        assert evaluation.perf.calls("batch-replay") == len(plans)
+        solo = _evaluation()
         for plan, stats in zip(plans, sweep):
             assert stats == solo.run_plan(plan)
         assert solo.perf.calls("sweep:batch") == 0
@@ -81,7 +80,7 @@ class TestEligibility:
         sweep = evaluation.run_plans(plans)
         assert evaluation.perf.calls("sweep:batch") == 1
         # only the two cold variants went through the batch
-        assert evaluation.perf.calls("simulate:columnar-plan-batch") == 2
+        assert evaluation.perf.calls("batch-replay") == 2
         assert sweep[0] == evaluation.run_plan(plans[0])
 
     def test_auto_mode_runs_single_miss_solo(self):
@@ -91,24 +90,24 @@ class TestEligibility:
         assert evaluation.perf.calls("sweep:batch") == 0
         assert evaluation.perf.calls("simulate:columnar-plan") == 1
 
-    def test_forced_mode_batches_single_miss(self):
-        evaluation = _evaluation(plan_batch=True)
-        plans = _sweep_plans(evaluation, minima=(13,))
-        evaluation.run_plans(plans)
-        assert evaluation.perf.calls("sweep:batch") == 1
-
-    def test_disabled_mode_never_batches(self):
-        evaluation = _evaluation(plan_batch=False)
-        sweep = evaluation.run_plans(_sweep_plans(evaluation))
-        assert len(sweep) == 3
-        assert evaluation.perf.calls("sweep:batch") == 0
-
     def test_none_plan_rides_the_solo_path(self):
         evaluation = _evaluation()
         plans = [None] + _sweep_plans(evaluation, minima=(5, 27))
         sweep = evaluation.run_plans(plans)
         assert sweep[0] == evaluation.baseline_stats
-        assert evaluation.perf.calls("simulate:columnar-plan-batch") == 2
+        assert evaluation.perf.calls("batch-replay") == 2
+
+    def test_empty_plans_stay_out_of_the_batch(self):
+        """Plans with no instructions build no engine, so they never
+        enter the batch to bounce off it."""
+        evaluation = _evaluation()
+        plans = [PrefetchPlan("empty"), None] + _sweep_plans(
+            evaluation, minima=(5, 27)
+        )
+        sweep = evaluation.run_plans(plans)
+        assert evaluation.perf.calls("batch-fallback") == 0
+        assert evaluation.perf.calls("batch-replay") == 2
+        assert sweep[0] == _evaluation().run_plan(plans[0])
 
 
 class TestOverrides:
@@ -120,7 +119,7 @@ class TestOverrides:
             for bits in (8, 16)
         ]
         sweep = evaluation.run_plans(items)
-        solo = _evaluation(plan_batch=False)
+        solo = _evaluation()
         for (plan_i, kw), stats in zip(items, sweep):
             assert stats == solo.run_plan(plan_i, **kw)
             assert stats.false_positive_rate == (
@@ -129,21 +128,16 @@ class TestOverrides:
 
 
 class TestEvaluatorPlumbing:
-    def test_config_knob_reaches_evaluations(self):
-        evaluator = Evaluator(
-            config=RunConfig(settings=SETTINGS, plan_batch=False)
-        )
-        assert evaluator.plan_batch is False
-        assert evaluator[APP].plan_batch is False
-
-    def test_figure_sweep_is_identical_either_way(self):
+    def test_figure_sweep_is_identical_either_way(self, tmp_path):
         on = Evaluator(
             config=RunConfig(settings=SETTINGS, perf=perf_mod.PerfRegistry())
         )
+        # checkpointed sharded replays are per-variant by construction
         off = Evaluator(
             config=RunConfig(
                 settings=SETTINGS,
-                plan_batch=False,
+                store=tmp_path,
+                shard_insns=50_000,
                 perf=perf_mod.PerfRegistry(),
             )
         )

@@ -138,6 +138,17 @@ class TestValidation:
         errors = validate_manifest(payload)
         assert any("unsupported version 3" in e for e in errors)
 
+    def test_version_4_payload_rejected(self, manifest):
+        """A v4 manifest, with its batch mode, is not a v5 one."""
+        payload = json.loads(json.dumps(manifest.payload))
+        payload["version"] = 4
+        payload["batch"]["mode"] = None
+        errors = validate_manifest(payload)
+        assert any("unsupported version 4" in e for e in errors)
+
+    def test_batch_section_has_no_mode(self, manifest):
+        assert "mode" not in manifest.payload["batch"]
+
 
 class TestWriteLoad:
     def test_roundtrip(self, manifest, tmp_path):

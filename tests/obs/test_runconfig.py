@@ -85,6 +85,14 @@ class TestFromArgs:
         args = self.parse(["evaluate", "wordpress", *FAST])
         assert RunConfig.from_args(args).numpy_kernel is None
 
+    @pytest.mark.parametrize("flag", ("--plan-batch", "--no-plan-batch"))
+    def test_plan_batch_flags_are_gone(self, flag, capsys):
+        """One plan kernel serves every replay, so there is no batching
+        choice to make."""
+        with pytest.raises(SystemExit):
+            self.parse(["evaluate", "wordpress", *FAST, flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_maps_telemetry_flags(self, tmp_path):
         trace = str(tmp_path / "t.jsonl")
         manifest = str(tmp_path / "m.json")

@@ -9,7 +9,9 @@ level, and the prefetch engine's runtime state — against both the
 reference loop and the columnar backend, for every batch width and
 shard budget.  A variant the batch cannot take must come back with a
 traced reason and untouched stats, and rerunning it solo (fresh
-objects) must produce the independent answer.
+objects) must produce the independent answer.  Slots fail only when
+the batch is built: a late pop-miss reruns the slot's shard and a
+degenerate LRU timestamp renumbers its lane, neither bounces the slot.
 
 Inputs come from the seeded factories in ``tests/conftest.py``; the
 seed alone reproduces any failure.
@@ -24,15 +26,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernel
+from repro.analysis.experiments import Evaluator, ExperimentSettings
+from repro.core.instructions import PrefetchInstr, PrefetchPlan
+from repro.sim import array_replay
 from repro.sim.cpu import CoreSimulator
 from repro.sim.datatraffic import make_data_traffic
+from repro.sim.params import MachineParams, line_of
 from repro.sim.stats import SimStats
 from repro.sim.streaming import run_plan_batch
+from repro.sim.trace import BlockTrace
 
 from ..conftest import (
     adversarial_workloads,
     engine_state,
     hierarchy_state,
+    make_program,
     make_random_plan,
     make_random_program,
     make_random_trace,
@@ -95,7 +103,7 @@ def _batched(program, trace, plans, width, warmup=0, shard_insns=None,
             )
         for core, reason in zip(cores, reasons):
             assert reason is None, f"unexpected fallback: {reason}"
-            assert core.last_replay_backend == "columnar-plan-batch"
+            assert core.last_replay_backend == "columnar-plan"
             snaps.append(_snap(core))
     return snaps
 
@@ -186,6 +194,110 @@ class TestFallbacks:
         with kernel.reference_path():
             reasons = run_plan_batch(cores, trace)
         assert reasons == ["kernel-disabled", "kernel-disabled"]
+        for core in cores:
+            assert core.stats == SimStats()
+
+
+class TestNoMidRunFailure:
+    """The two states that used to bounce a slot mid-run are replayed
+    exactly instead."""
+
+    def test_late_pop_miss_reruns_the_shard(self):
+        """A prefetched line evicted from the L1 and demanded before it
+        arrives takes the reference's late path.  The 0.75 insertion
+        fraction (the replacement-priority ablation's setting) makes
+        the small wordpress run hit it."""
+        evaluation = Evaluator(ExperimentSettings.small())["wordpress"]
+        program = evaluation.app.program
+        trace = evaluation.eval_trace
+        warmup = evaluation.settings.warmup
+        plan = evaluation.ispy_plan()
+
+        def core():
+            return CoreSimulator(
+                program, plan=plan,
+                data_traffic=evaluation._eval_data_traffic(),
+                prefetch_insertion_fraction=0.75,
+            )
+
+        with kernel.reference_path():
+            reference = core()
+            reference.run(trace, warmup=warmup)
+        batched = core()
+        with kernel.force_numpy_kernel():
+            reasons = run_plan_batch([batched], trace, warmup=warmup)
+        assert reasons == [None]
+        assert _snap(batched) == _snap(reference)
+        assert batched.stats.late_prefetch_hits > 0
+
+    @staticmethod
+    def _colliding_case():
+        """Eighty prefetches of distinct lines that all map to one L2
+        set and one L3 set no demand access touches: each fill lands
+        at the same half-priority depth, halving the timestamp gap it
+        is inserted into."""
+        machine = MachineParams()
+        program = make_program([64] * 8)
+        lines = {line_of(block.address) for block in program}
+        base = (1 << 20) + machine.l2.num_sets // 2
+        assert all(
+            (line - base) % machine.l2.num_sets for line in lines
+        )
+        targets = [base + k * machine.l3.num_sets for k in range(80)]
+        plan = PrefetchPlan("collide")
+        plan.extend(
+            PrefetchInstr(site_block=k % 4, base_line=line)
+            for k, line in enumerate(targets)
+        )
+        sparse = PrefetchPlan("collide-sparse")
+        sparse.extend(instr for instr in plan if instr.site_block < 2)
+        return program, [plan, sparse], BlockTrace(list(range(8)) * 3)
+
+    @pytest.mark.parametrize("shard_insns", (None, 37))
+    @pytest.mark.parametrize("width", (1, 2))
+    def test_degenerate_midpoint_renumbers(self, monkeypatch, width,
+                                           shard_insns):
+        program, plans, trace = self._colliding_case()
+        plans = plans[:width]
+        expected = _solo(program, trace, plans, "reference",
+                         shard_insns=shard_insns)
+
+        def batched():
+            cores = [_core(program, plan, None) for plan in plans]
+            with kernel.force_numpy_kernel():
+                reasons = run_plan_batch(
+                    cores, trace, shard_insns=shard_insns
+                )
+            assert reasons == [None] * width
+            return [_snap(core) for core in cores]
+
+        assert batched() == expected
+
+        # ...and the case really reaches a degenerate midpoint
+        renumbered = []
+        renumber = array_replay._renumber
+
+        def counting(s_ts, rows, ts_now):
+            renumbered.append(len(rows))
+            renumber(s_ts, rows, ts_now)
+
+        monkeypatch.setattr(array_replay, "_renumber", counting)
+        assert batched() == expected
+        assert renumbered
+
+    def test_mixed_insertion_depths_rejected_when_built(self):
+        rng = random.Random(13)
+        program = make_random_program(rng, n_blocks=24)
+        trace = make_random_trace(rng, 24, length=100)
+        plan = make_random_plan(rng, program, n_sites=4)
+        cores = [
+            CoreSimulator(program, plan=plan, prefetch_insertion_fraction=f)
+            for f in (0.5, 0.75)
+        ]
+        with kernel.force_numpy_kernel(), pytest.raises(
+            ValueError, match="insertion depth"
+        ):
+            run_plan_batch(cores, trace)
         for core in cores:
             assert core.stats == SimStats()
 

@@ -128,7 +128,7 @@ class TestIngestedBitIdentity:
             reasons = run_plan_batch(cores, workload.trace)
         assert reasons == [None, None, None]
         for core in cores:
-            assert core.last_replay_backend == "columnar-plan-batch"
+            assert core.last_replay_backend == "columnar-plan"
         assert [_snap(core) for core in cores] == expected
 
     def test_acceptance_matrix(self, ingested_fixture):

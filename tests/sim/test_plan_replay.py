@@ -1,11 +1,12 @@
 """Differential tests: plan-bearing columnar replay vs the reference loop.
 
-``plan_shard_replay`` (the ``columnar-plan`` backend) must be *bit-identical*
-to :class:`CoreSimulator`'s reference loop whenever it elects to run:
-every statistic, every float, the final cache residency, the fill-port
-clock, and the prefetch engine's runtime state (inflight map, counting
-Bloom filter, exact-context history, Fig. 21 true/false-positive
-accounting).  Equality here is always ``==``, never approximate.
+The plan kernel (``PlanBatch``, the ``columnar-plan`` backend) must be
+*bit-identical* to :class:`CoreSimulator`'s reference loop whenever it
+elects to run: every statistic, every float, the final cache residency,
+the fill-port clock, and the prefetch engine's runtime state (inflight
+map, counting Bloom filter, exact-context history, Fig. 21
+true/false-positive accounting).  Equality here is always ``==``, never
+approximate.
 
 Configurations the kernel does not model (an attached observer, a
 re-used non-pristine simulator) must *provably* fall back to the

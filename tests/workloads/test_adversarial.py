@@ -236,7 +236,7 @@ class TestBloomStorm:
                 core.run(trace)
         assert reasons == [None, None]
         for batch_core, solo_core in zip(batched, solo):
-            assert batch_core.last_replay_backend == "columnar-plan-batch"
+            assert batch_core.last_replay_backend == "columnar-plan"
             assert batch_core.stats == solo_core.stats
             assert hierarchy_state(batch_core) == hierarchy_state(solo_core)
             assert engine_state(batch_core) == engine_state(solo_core)
