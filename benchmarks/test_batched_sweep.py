@@ -12,10 +12,12 @@ variant's statistics, final cache residency, and engine state are
 
 Honesty note — the recorded speedup is a real measured wall-clock
 ratio, best-of-N both sides (interleaved), with the batch's own
-measured phase decomposition alongside.  Both sides run the same
-kernel, so the ratio measures only what a wider batch shares: the
-trace decode, the Bloom-filter window reconstruction, the per-round
-overhead of the lane-vectorized L2/L3 sweeps, and the one vectorized
+measured phase decomposition alongside: the seconds of its
+``batch:<phase>`` spans, recorded by a live tracer on both sides.
+Both sides run the same kernel, so the ratio measures only what a
+wider batch shares: the trace decode, the Bloom-filter window
+reconstruction, the per-round overhead of the lane-vectorized L2/L3
+sweeps, and the one vectorized
 write-back.
 Phase A (the prefetch-issue / L1 decision walk, pure Python because
 its control flow is data-dependent per variant) and the float timing
@@ -35,6 +37,7 @@ from repro import kernel
 from repro.analysis.experiments import Evaluator, ExperimentSettings
 from repro.analysis.reporting import render_table
 from repro.core.config import DEFAULT_CONFIG
+from repro.obs.trace import Tracer, summarize, use_tracer
 from repro.sim.cpu import CoreSimulator
 from repro.sim.streaming import run_plan_batch
 
@@ -78,15 +81,19 @@ def _snapshot(core):
 
 def _solo_pass(program, evaluation, plans, warmup, shard_insns=None):
     snaps = []
-    t0 = time.perf_counter()
-    for plan in plans:
-        core = CoreSimulator(
-            program, plan=plan, data_traffic=evaluation._eval_data_traffic()
-        )
-        core.run(evaluation.eval_trace, warmup=warmup, shard_insns=shard_insns)
-        assert core.last_replay_backend == "columnar-plan"
-        snaps.append(_snapshot(core))
-    return time.perf_counter() - t0, snaps
+    with use_tracer(Tracer()):
+        t0 = time.perf_counter()
+        for plan in plans:
+            core = CoreSimulator(
+                program, plan=plan, data_traffic=evaluation._eval_data_traffic()
+            )
+            core.run(
+                evaluation.eval_trace, warmup=warmup, shard_insns=shard_insns
+            )
+            assert core.last_replay_backend == "columnar-plan"
+            snaps.append(_snapshot(core))
+        elapsed = time.perf_counter() - t0
+    return elapsed, snaps
 
 
 def _batched_pass(program, evaluation, plans, warmup, shard_insns=None):
@@ -96,13 +103,21 @@ def _batched_pass(program, evaluation, plans, warmup, shard_insns=None):
         )
         for plan in plans
     ]
-    t0 = time.perf_counter()
-    reasons = run_plan_batch(
-        cores, evaluation.eval_trace, warmup=warmup, shard_insns=shard_insns
-    )
-    elapsed = time.perf_counter() - t0
+    tracer = Tracer()
+    with use_tracer(tracer):
+        t0 = time.perf_counter()
+        reasons = run_plan_batch(
+            cores, evaluation.eval_trace, warmup=warmup,
+            shard_insns=shard_insns,
+        )
+        elapsed = time.perf_counter() - t0
     assert reasons == [None] * len(plans), reasons
-    return elapsed, [_snapshot(c) for c in cores], cores[0].last_batch_phases
+    phases = {
+        name.partition(":")[2]: entry.seconds
+        for name, entry in summarize(tracer.snapshot()).stages.items()
+        if name.startswith("batch:")
+    }
+    return elapsed, [_snapshot(c) for c in cores], phases
 
 
 def test_batched_sweep(results_dir):
@@ -182,7 +197,7 @@ def test_batched_sweep(results_dir):
                 "batched_seconds": t_batch_sh,
                 "speedup": t_solo_sh / t_batch_sh,
             },
-            "batch_phase_seconds": dict(phases),
+            "batch_phases": dict(phases),
         },
         "bit_identity": {
             "verified": True,
@@ -194,7 +209,8 @@ def test_batched_sweep(results_dir):
             ),
         },
         "decomposition_note": (
-            "batch_phase_seconds splits the batched wall into phases "
+            "batch_phases (seconds per batch:<phase> span) splits "
+            "the batched wall into phases "
             "shared across variants "
             f"({', '.join(sorted(shared))}) and inherently per-variant "
             f"phases ({', '.join(sorted(per_variant))}).  Both sides "

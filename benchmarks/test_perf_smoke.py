@@ -10,11 +10,11 @@ perf trajectory is tracked across PRs.
 
 Workload synthesis and trace generation are performed once, outside
 the timed region: they are input preparation shared verbatim by both
-backends (the harness's own ``perf.stage`` boundaries make the same
-cut).  The two backends produce bit-identical profiles, plans and
-statistics — that equivalence is asserted here as well as in the
-differential test suite — so this benchmark measures speed and only
-speed.
+backends (the harness's own spans make the same cut: synthesis is
+``app:synthesize``, outside every replay span).  The two backends
+produce bit-identical profiles, plans and statistics — that
+equivalence is asserted here as well as in the differential test
+suite — so this benchmark measures speed and only speed.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import argparse
 import time
 
 from repro.analysis.experiments import (
-    Evaluator,
     ExperimentSettings,
     fig10_speedup,
     fig11_mpki,
@@ -26,6 +25,7 @@ from repro.analysis.experiments import (
     headline_summary,
 )
 from repro.analysis.reporting import percent, render_table
+from repro.runconfig import RunConfig
 
 
 def main() -> None:
@@ -49,7 +49,11 @@ def main() -> None:
     settings = (
         ExperimentSettings() if args.full else ExperimentSettings.medium()
     )
-    evaluator = Evaluator(settings, store=args.cache, jobs=args.jobs)
+    # timing=True: finalize prints the run's span summary
+    config = RunConfig(
+        settings=settings, store=args.cache, jobs=args.jobs, timing=True
+    )
+    evaluator = config.evaluator()
     apps = args.apps
 
     started = time.time()
@@ -95,8 +99,7 @@ def main() -> None:
         f"{percent(summary['mean_improvement_over_asmdb'])}"
     )
     print(f"\nelapsed: {time.time() - started:.0f}s")
-    print()
-    print(evaluator.perf.report())
+    config.finalize(evaluator)
 
 
 if __name__ == "__main__":

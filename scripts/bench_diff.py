@@ -79,7 +79,7 @@ GUARDS = {
         "hint": (
             "the V-wide batch's measured speedup over one-slot "
             "batches regressed; "
-            "check the batch_phase_seconds decomposition for "
+            "check the batch_phases decomposition for "
             "per-variant work creeping into a shared phase, or "
             "consciously recommit the benchmark JSON with "
             "justification"

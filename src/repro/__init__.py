@@ -71,7 +71,6 @@ _EXPORTS = {
     "RunConfig": "repro.runconfig:RunConfig",
     "Tracer": "repro.obs.trace:Tracer",
     "RunManifest": "repro.obs.manifest:RunManifest",
-    "PerfRegistry": "repro.perf:PerfRegistry",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

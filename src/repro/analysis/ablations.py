@@ -32,6 +32,18 @@ from . import metrics
 from .experiments import Evaluator
 
 
+def _replay(evaluation, core: CoreSimulator, label: str):
+    """Replay the evaluation trace on an ablation's own *core*, under a
+    ``sim:replay`` span that records the backend it ran on."""
+    trace = evaluation.eval_trace
+    with evaluation.span(
+        "sim:replay", app=evaluation.name, plan=label, blocks=len(trace.block_ids)
+    ) as span:
+        stats = core.run(trace, warmup=evaluation.settings.warmup)
+        span.set(backend=core.last_replay_backend)
+    return stats
+
+
 def ablation_replacement_priority(
     evaluator: Evaluator,
     app: str = "kafka",
@@ -50,16 +62,7 @@ def ablation_replacement_priority(
             ),
             prefetch_insertion_fraction=fraction,
         )
-        with evaluator.perf.stage(
-            "simulate", units=len(evaluation.eval_trace.block_ids)
-        ):
-            stats = core.run(
-                evaluation.eval_trace, warmup=evaluator.settings.warmup
-            )
-        evaluator.perf.count(
-            f"simulate:{core.last_replay_backend}",
-            units=len(evaluation.eval_trace.block_ids),
-        )
+        stats = _replay(evaluation, core, f"insertion-{fraction}")
         rows.append(
             {
                 "insertion_fraction": fraction,
@@ -138,16 +141,7 @@ def ablation_lbr_depth(
                 seed=evaluation.app.spec.seed + 777
             ),
         )
-        with evaluator.perf.stage(
-            "simulate", units=len(evaluation.eval_trace.block_ids)
-        ):
-            stats = core.run(
-                evaluation.eval_trace, warmup=evaluator.settings.warmup
-            )
-        evaluator.perf.count(
-            f"simulate:{core.last_replay_backend}",
-            units=len(evaluation.eval_trace.block_ids),
-        )
+        stats = _replay(evaluation, core, f"lbr-depth-{depth}")
         rows.append(
             {
                 "lbr_depth": depth,

@@ -23,11 +23,11 @@ from __future__ import annotations
 import dataclasses
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import io as repro_io
-from .. import perf as perf_mod
 from ..obs import trace as trace_mod
 from ..baselines import protocol as zoo
 from ..core.config import DEFAULT_CONFIG, ISpyConfig
@@ -97,14 +97,14 @@ class AppEvaluation:
         name: str,
         settings: ExperimentSettings,
         store: Optional[ArtifactStore] = None,
-        perf: Optional[perf_mod.PerfRegistry] = None,
         tracer=None,
         shard_insns: Optional[int] = None,
     ):
         self.name = name
         self.settings = settings
         self.store = store
-        self.perf = perf_mod.registry(perf)
+        #: where this evaluation's spans go: the evaluator's run tracer,
+        #: else the process-wide one at construction
         self.tracer = tracer if tracer is not None else trace_mod.get_tracer()
         #: stream replays in shards of this many retired instructions
         #: (None = whole-trace).  Purely an execution knob — sharded
@@ -126,6 +126,16 @@ class AppEvaluation:
         self._prefetchers: Dict[str, zoo.Prefetcher] = {}
         self._base_parts: Optional[Dict[str, object]] = None
 
+    @contextmanager
+    def span(self, name: str, **args):
+        """A span on this evaluation's tracer, installed process-wide
+        for the block so the pipeline's own spans (replay shards, batch
+        phases, analysis passes) nest under it on the same tracer."""
+        with trace_mod.use_tracer(self.tracer), self.tracer.span(
+            name, **args
+        ) as span:
+            yield span
+
     # -- lazily built artifacts ------------------------------------------
 
     @property
@@ -141,17 +151,14 @@ class AppEvaluation:
         """The synthesized app, shared process-wide through
         :func:`~repro.workloads.apps.get_app` (apps are immutable).
 
-        Only a real synthesis is timed and traced: an app another
-        evaluation in this process already built records no
-        ``synthesize`` call and no ``app:synthesize`` span.
+        Only a real synthesis is traced: an app another evaluation in
+        this process already built records no ``app:synthesize`` span.
         """
         if self._app is None:
             scale = self.settings.scale
             app = cached_app(self.name, scale)
             if app is None:
-                with self.perf.stage("synthesize"), self.tracer.span(
-                    "app:synthesize", app=self.name
-                ):
+                with self.span("app:synthesize", app=self.name):
                     app = get_app(self.name, scale)
             self._app = app
         return self._app
@@ -164,13 +171,12 @@ class AppEvaluation:
             if store is not None:
                 cached = store.load_profile(key)
                 if cached is not None:
-                    self.perf.count("store-hit:profile")
                     self.tracer.instant("store:hit", kind="profile", app=self.name)
                     self._profile = cached
                     return self._profile
             app = self.app
             trace = app.trace(self.settings.profile_length)
-            with self.perf.stage("profile", units=len(trace)):
+            with trace_mod.use_tracer(self.tracer):
                 self._profile = profile_execution(
                     app.program,
                     trace,
@@ -245,7 +251,6 @@ class AppEvaluation:
         if self.store is not None:
             stats = self.store.load_stats(key)
             if stats is not None:
-                self.perf.count("store-hit:stats")
                 self.tracer.instant("store:hit", kind="stats", app=self.name)
                 self._sim_cache[key] = stats
         return stats
@@ -287,13 +292,11 @@ class AppEvaluation:
             return cached
         replay = trace if trace is not None else self.eval_trace
         replayer = zoo.PlanReplay(plan)
-        with self.perf.stage("simulate", units=len(replay.block_ids)), (
-            self.tracer.span(
-                "sim:replay",
-                app=self.name,
-                plan=plan.name if plan is not None else None,
-                blocks=len(replay.block_ids),
-            )
+        with self.span(
+            "sim:replay",
+            app=self.name,
+            plan=plan.name if plan is not None else None,
+            blocks=len(replay.block_ids),
         ) as span:
             stats = replayer.simulate(
                 zoo.ProfileView(self.app.program),
@@ -308,10 +311,6 @@ class AppEvaluation:
                 ),
             )
             span.set(backend=replayer.last_replay_backend)
-        self.perf.count(
-            f"simulate:{replayer.last_replay_backend}",
-            units=len(replay.block_ids),
-        )
         # Stash the engine's accounting for figures that need run-time
         # context bookkeeping (Fig. 21 false positives).
         stats.false_positive_rate = (  # type: ignore[attr-defined]
@@ -381,14 +380,11 @@ class AppEvaluation:
             from ..sim.streaming import run_plan_batch
 
             replay = trace if trace is not None else self.eval_trace
-            blocks = len(replay.block_ids)
-            with self.perf.stage(
-                "sweep:batch", units=blocks * len(batchable)
-            ), self.tracer.span(
+            with self.span(
                 "sim:batch-sweep",
                 app=self.name,
                 variants=len(batchable),
-                blocks=blocks,
+                blocks=len(replay.block_ids),
             ) as span:
                 cores = [
                     CoreSimulator(
@@ -408,15 +404,13 @@ class AppEvaluation:
                     warmup=self.settings.warmup,
                     shard_insns=self.shard_insns,
                 )
-                span.set(fallbacks=sum(r is not None for r in reasons))
+                served = [c for c, r in zip(cores, reasons) if r is None]
+                span.set(replays=len(served), fallbacks=len(cores) - len(served))
+                if served:
+                    span.set(backend=served[0].last_replay_backend)
             for i, core, reason in zip(batchable, cores, reasons):
                 if reason is not None:
-                    self.perf.count("batch-fallback")
                     continue
-                self.perf.count("batch-replay")
-                self.perf.count(
-                    f"simulate:{core.last_replay_backend}", units=blocks
-                )
                 stats = core.stats
                 stats.false_positive_rate = (  # type: ignore[attr-defined]
                     core.engine.conditional_false_positive_rate
@@ -437,13 +431,11 @@ class AppEvaluation:
             return cached
         replay = trace if trace is not None else self.eval_trace
         ideal = self.prefetcher("ideal")
-        with self.perf.stage("simulate", units=len(replay.block_ids)), (
-            self.tracer.span(
-                "sim:replay",
-                app=self.name,
-                plan="ideal",
-                blocks=len(replay.block_ids),
-            )
+        with self.span(
+            "sim:replay",
+            app=self.name,
+            plan="ideal",
+            blocks=len(replay.block_ids),
         ) as span:
             stats = ideal.simulate(
                 zoo.ProfileView(self.app.program),
@@ -455,9 +447,6 @@ class AppEvaluation:
                 ),
             )
             span.set(backend=ideal.last_replay_backend)
-        self.perf.count(
-            f"simulate:{ideal.last_replay_backend}", units=len(replay.block_ids)
-        )
         self._remember_stats(key, stats)
         return stats
 
@@ -493,8 +482,8 @@ class AppEvaluation:
         """
         token = prefetcher.cache_token
         if token not in self._train_cache:
-            with self.perf.stage(f"plan:{prefetcher.planner}"), self.tracer.span(
-                f"analysis:plan-{prefetcher.planner}",
+            with self.span(
+                f"plan:{prefetcher.planner}",
                 app=self.name,
                 prefetcher=prefetcher.name,
             ):
@@ -518,7 +507,6 @@ class AppEvaluation:
                 self._key("plan", **prefetcher.plan_key_parts())
             )
             if plan is not None:
-                self.perf.count("store-hit:plan")
                 self.tracer.instant("store:hit", kind="plan", app=self.name)
                 return plan
         return zoo.plan_of(self._train_result_for(prefetcher))
@@ -612,13 +600,11 @@ class AppEvaluation:
         )
         view = self._view(prefetcher)
         replay = self.eval_trace
-        with self.perf.stage("simulate", units=len(replay.block_ids)), (
-            self.tracer.span(
-                "sim:replay",
-                app=self.name,
-                plan=variant,
-                blocks=len(replay.block_ids),
-            )
+        with self.span(
+            "sim:replay",
+            app=self.name,
+            plan=variant,
+            blocks=len(replay.block_ids),
         ):
             stats = prefetcher.simulate(view, replay, ctx)
         self._remember_stats(key, stats)
@@ -667,7 +653,7 @@ class Evaluator:
     every run-level decision — settings, the persistent ``store``, the
     worker ``jobs`` count, the kernel gate and the telemetry sinks —
     in one place.  ``Evaluator(settings)`` remains a supported
-    shorthand; the old *scattered* ``store``/``jobs``/``perf``
+    shorthand; the old *scattered* ``store``/``jobs``
     keywords were removed after their deprecation cycle and now raise
     :class:`TypeError` with a migration hint.
 
@@ -688,17 +674,16 @@ class Evaluator:
         settings: Optional[ExperimentSettings] = None,
         store: Union[None, str, "os.PathLike", ArtifactStore] = None,
         jobs: int = 1,
-        perf: Optional[perf_mod.PerfRegistry] = None,
         *,
         config=None,
     ):
         from .. import runconfig as runconfig_mod
 
         if config is None:
-            if store is not None or jobs != 1 or perf is not None:
+            if store is not None or jobs != 1:
                 raise TypeError(
-                    "Evaluator(store=..., jobs=..., perf=...) was removed; "
-                    "build a repro.RunConfig(store=..., jobs=..., perf=...) "
+                    "Evaluator(store=..., jobs=...) was removed; "
+                    "build a repro.RunConfig(store=..., jobs=...) "
                     "and use RunConfig.evaluator() or Evaluator(config=cfg) "
                     "instead"
                 )
@@ -711,12 +696,8 @@ class Evaluator:
         self.store: Optional[ArtifactStore] = store
         self.jobs = config.jobs
         self.shard_insns: Optional[int] = getattr(config, "shard_insns", None)
-        self.perf = perf_mod.registry(config.perf)
-        # the config's tracer when it has one, else whatever tracer is
-        # installed process-wide (the null tracer when tracing is off)
-        self.tracer = (
-            config.tracer if config.tracer.enabled else trace_mod.get_tracer()
-        )
+        #: the run's tracer: every span, count and timing of this pass
+        self.tracer = config.tracer
         self._apps: Dict[str, AppEvaluation] = {}
         self._ephemeral_store = None
 
@@ -730,7 +711,6 @@ class Evaluator:
                 name,
                 self.settings,
                 store=self.store,
-                perf=self.perf,
                 tracer=self.tracer,
                 shard_insns=self.shard_insns,
             )

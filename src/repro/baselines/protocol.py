@@ -135,7 +135,7 @@ class Prefetcher(ABC):
     output.
     """
 
-    #: family label, used for perf stages / tracer spans (``plan:<planner>``)
+    #: family label, naming the training span (``plan:<planner>``)
     planner: ClassVar[str] = "prefetcher"
     #: training needs an ExecutionProfile in the view
     requires_profile: ClassVar[bool] = True

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..perf import PerfRegistry, registry
+from ..obs.trace import get_tracer
 from ..profiling.profiler import ExecutionProfile, profile_execution
 from ..sim.cpu import CoreSimulator
 from ..sim.params import MachineParams
@@ -86,7 +86,6 @@ class OnlineISpy:
         config: ISpyConfig = DEFAULT_CONFIG,
         machine: Optional[MachineParams] = None,
         data_traffic_factory=None,
-        perf: Optional[PerfRegistry] = None,
     ):
         self.program = program
         self.config = config
@@ -94,14 +93,16 @@ class OnlineISpy:
         #: callable (epoch_index) -> DataTrafficModel or None
         self.data_traffic_factory = data_traffic_factory or (lambda epoch: None)
         self.analyzer = ISpy(config)
-        #: timing registry fed one ``simulate`` stage + one
-        #: ``simulate:<backend>`` event per epoch (``--timing`` view)
-        self.perf = registry(perf)
 
     def run(self, trace: BlockTrace, epoch_length: int) -> OnlineRunResult:
-        """Replay *trace* in epochs, refreshing the plan between them."""
+        """Replay *trace* in epochs, refreshing the plan between them.
+
+        Each epoch's replay is one ``sim:replay`` span on the current
+        tracer, carrying the backend it ran on.
+        """
         if epoch_length <= 0:
             raise ValueError("epoch_length must be positive")
+        tracer = get_tracer()
         result = OnlineRunResult()
         plan: Optional[PrefetchPlan] = None
 
@@ -115,11 +116,14 @@ class OnlineISpy:
                 plan=plan,
                 data_traffic=self.data_traffic_factory(index),
             )
-            with self.perf.stage("simulate", units=len(epoch_trace)):
+            with tracer.span(
+                "sim:replay",
+                program=self.program.name,
+                plan=f"epoch-{index}",
+                blocks=len(epoch_trace),
+            ) as span:
                 stats = core.run(epoch_trace)
-            self.perf.count(
-                f"simulate:{core.last_replay_backend}", units=len(epoch_trace)
-            )
+                span.set(backend=core.last_replay_backend)
 
             profile = profile_execution(
                 self.program,

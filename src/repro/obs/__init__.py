@@ -1,28 +1,24 @@
-"""Observability: span tracing, run manifests, metrics export.
-
-The three perf PRs (parallel evaluator, persistent artifact store,
-columnar kernel) made the pipeline fast but opaque — backend
-selection, cache hits and worker behaviour were invisible after the
-fact.  This package is the window back in:
+"""Observability: span tracing and run manifests.
 
 ``repro.obs.trace``
-    Nestable spans emitting Chrome-trace-event-compatible JSONL.
-    Worker-process spans ship back with job results and are
-    re-parented onto the parent timeline on merge, mirroring how
-    :meth:`repro.perf.PerfRegistry.snapshot`/``merge`` already cross
-    the ``ProcessPoolExecutor`` boundary.
+    Nestable spans emitting Chrome-trace-event-compatible JSONL — the
+    pipeline's one timing instrument.  Worker-process spans ship back
+    with job results and are re-parented onto the parent timeline on
+    merge.  :func:`~repro.obs.trace.summarize` derives every count from
+    that one stream: per-span calls and seconds, store hits, replays
+    per backend and batched-sweep counts.
 
 ``repro.obs.manifest``
     A per-invocation run manifest — resolved settings, seeds, package
-    version, kernel gate state, per-backend simulate counts, artifact
+    version, kernel gate state, the span summary's sections, artifact
     store hit rates and per-app stats digests — so any figure number
     can be traced to exactly what produced it.
 
-Both are carried by :class:`repro.runconfig.RunConfig` (CLI flags
-``--trace PATH`` and ``--manifest PATH``).  Tracing disabled is a
-strict no-op: the :data:`~repro.obs.trace.NULL_TRACER` absorbs every
-instrumentation call, and simulated statistics are bit-identical with
-tracing on or off.
+Both are carried by :class:`repro.runconfig.RunConfig`: every run has a
+live tracer (``--trace PATH`` writes its events, ``--timing`` prints its
+summary) and ``--manifest PATH`` writes the manifest.  Outside a run
+the :data:`~repro.obs.trace.NULL_TRACER` absorbs every instrumentation
+call, and simulated statistics are bit-identical with tracing on or off.
 """
 
 from .manifest import (
@@ -37,10 +33,12 @@ from .trace import (
     NULL_TRACER,
     NullTracer,
     Span,
+    TraceSummary,
     Tracer,
     get_tracer,
     read_trace,
     set_tracer,
+    summarize,
     use_tracer,
 )
 
@@ -53,10 +51,12 @@ __all__ = [
     "NullTracer",
     "RunManifest",
     "Span",
+    "TraceSummary",
     "Tracer",
     "get_tracer",
     "read_trace",
     "set_tracer",
+    "summarize",
     "use_tracer",
     "validate_manifest",
 ]

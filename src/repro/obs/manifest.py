@@ -3,8 +3,9 @@
 A :class:`RunManifest` is a JSON record written once per invocation
 that pins down everything a figure number depends on — the resolved
 :class:`~repro.analysis.experiments.ExperimentSettings`, the package
-version, the kernel gate state, per-backend simulate counts, the
-artifact store's hit/miss rates and a content digest of every per-app
+version, the kernel gate state, the run's span summary (per-span
+timing, replays per backend, batched sweeps), the artifact store's
+hit/miss rates and a content digest of every per-app
 result the run produced.  Re-running the same command against the
 same version must reproduce the same digests; a manifest diff shows
 *why* when it doesn't (different settings, different backend mix, a
@@ -33,7 +34,9 @@ MANIFEST_FORMAT = "run-manifest"
 # Version 4 dropped the "parallel" section with parallel shard replay.
 # Version 5 dropped batch.mode with the batching knob: every plan
 # replay runs on one kernel, so batching is no longer a choice.
-MANIFEST_VERSION = 5
+# Version 6 derives stages, backend_counts and batch from the run's
+# span stream: stages are span names with self seconds.
+MANIFEST_VERSION = 6
 
 PathLike = Union[str, Path]
 
@@ -77,13 +80,18 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "batched_replays": int,       # variants served by a batched pass
         "fallbacks": int,             # variants bounced to solo replay
     },
-    "backend_counts": dict,  # replay backend -> simulate calls
-    "stages": dict,          # stage -> {calls, seconds, units}
+    "backend_counts": dict,  # replay backend -> replays served
+    "stages": dict,          # span name -> {calls, seconds, self_seconds, units}
     "apps": dict,            # app -> {seed, variants: {...}}
     "trace_path": (str, type(None)),
 }
 
-_STAGE_FIELDS = {"calls": int, "seconds": (int, float), "units": int}
+_STAGE_FIELDS = {
+    "calls": int,
+    "seconds": (int, float),
+    "self_seconds": (int, float),
+    "units": int,
+}
 _VARIANT_FIELDS = {
     "cycles": (int, float),
     "l1i_mpki": (int, float),
@@ -205,6 +213,7 @@ class RunManifest:
 
         import repro
         from .. import kernel
+        from .trace import summarize
 
         store = getattr(evaluator, "store", None)
         if store is not None:
@@ -225,11 +234,6 @@ class RunManifest:
                 "misses": {},
                 "hit_rate": None,
             }
-
-        stages = {
-            name: {"calls": calls, "seconds": seconds, "units": units}
-            for name, (calls, seconds, units) in evaluator.perf.snapshot().items()
-        }
 
         apps: Dict[str, Any] = {}
         for name, evaluation in sorted(evaluator._apps.items()):
@@ -257,13 +261,7 @@ class RunManifest:
                 "forced": kernel._forced,
             },
             "store": store_section,
-            "batch": {
-                "sweeps": evaluator.perf.calls("sweep:batch"),
-                "batched_replays": evaluator.perf.calls("batch-replay"),
-                "fallbacks": evaluator.perf.calls("batch-fallback"),
-            },
-            "backend_counts": evaluator.perf.backend_counts(),
-            "stages": stages,
+            **summarize(evaluator.tracer.snapshot()).manifest_sections(),
             "apps": apps,
             "trace_path": str(trace_path) if trace_path is not None else None,
         }

@@ -1,4 +1,4 @@
-"""Span-based tracing: Chrome-trace-event JSONL for pipeline runs.
+"""Span-based tracing: the pipeline's one timing instrument.
 
 A :class:`Tracer` records nestable spans —
 
@@ -14,20 +14,27 @@ categories derive from the name's ``prefix:`` (``sim``, ``analysis``,
 
 Design constraints:
 
-* **Null by default.**  :func:`get_tracer` returns :data:`NULL_TRACER`
-  until a run installs a real tracer (via
-  :meth:`repro.runconfig.RunConfig.apply` or :func:`use_tracer`), so
-  every instrumentation site in the pipeline is a cheap no-op in the
-  common case.  The tracer only observes, never steers: simulated
-  statistics are bit-identical with tracing on or off.
+* **Live in a run, null outside one.**  Every
+  :class:`~repro.runconfig.RunConfig` carries a live tracer, installed
+  process-wide for the run by :meth:`~repro.runconfig.RunConfig.apply`
+  (``--trace`` only decides whether its events are written to a file).
+  Outside a run :func:`get_tracer` returns :data:`NULL_TRACER`, so
+  library calls and long-lived processes record nothing.  The tracer
+  only observes, never steers: simulated statistics are bit-identical
+  with tracing on or off.
 
-* **Cross-process.**  Worker processes of the parallel evaluator build
-  their own tracer, ship :meth:`Tracer.snapshot` back with the job
-  result, and the parent :meth:`Tracer.absorb`\\ s it — the same
-  pattern :class:`repro.perf.PerfRegistry` uses for stage counters.
-  Both sides anchor ``perf_counter`` durations to the Unix epoch, so
-  absorbed events need no clock shifting; absorb re-parents them onto
-  one synthetic thread per worker pid in the parent's process row.
+* **Cross-process.**  Worker processes of the parallel evaluator run
+  under their own tracer, ship :meth:`Tracer.snapshot` back with the
+  job result, and the parent :meth:`Tracer.absorb`\\ s it.  Both sides
+  anchor ``perf_counter`` durations to the Unix epoch, so absorbed
+  events need no clock shifting; absorb re-parents them onto one
+  synthetic thread per worker pid in the parent's process row.
+
+* **The source of every count.**  :func:`summarize` folds an event
+  stream into per-span calls, inclusive and self seconds, store hits,
+  per-backend replay counts and batched-sweep counts — the ``--timing``
+  table and the run manifest's ``stages``/``backend_counts``/``batch``
+  sections are views of that one summary.
 
 * **Loadable.**  :meth:`Tracer.write` emits the JSON-array flavour of
   the format with one event per line (the spec explicitly permits the
@@ -40,7 +47,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
@@ -208,12 +217,14 @@ class Tracer:
         return span
 
     def end_span(self, span: Span) -> None:
-        """Close *span* and emit its complete event."""
+        """Close *span* and emit its complete event; a span that is not
+        open (never started here, or already ended) raises
+        :class:`ValueError` instead of being counted twice."""
         end = self._now_us()
         try:
             self._stack.remove(span)
         except ValueError:
-            pass
+            raise ValueError(f"span {span.name!r} is not open") from None
         self._events.append(
             {
                 "name": span.name,
@@ -326,6 +337,146 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
             continue
         events.append(json.loads(line))
     return events
+
+
+# -- the summary every count is derived from ----------------------------------
+
+#: spans that each stand for replays served on their ``backend`` arg: a
+#: ``sim:replay`` is one replay, a ``sim:batch-sweep`` its ``replays``
+REPLAY_SPANS = ("sim:replay", "sim:batch-sweep")
+
+
+@dataclass
+class SpanStats:
+    """Every span of one name, folded: calls, inclusive seconds, self
+    seconds (minus the time of nested spans on the same timeline) and
+    work units (the spans' ``blocks`` args)."""
+
+    calls: int = 0
+    seconds: float = 0.0
+    self_seconds: float = 0.0
+    units: int = 0
+
+    @property
+    def units_per_second(self) -> float:
+        return self.units / self.seconds if self.seconds > 0 else 0.0
+
+
+@dataclass
+class TraceSummary:
+    """What :func:`summarize` derives from one event stream."""
+
+    stages: Dict[str, SpanStats] = field(default_factory=dict)
+    #: ``store:hit`` instants per artifact kind
+    store_hits: Dict[str, int] = field(default_factory=dict)
+    #: replays served per backend (see :data:`REPLAY_SPANS`)
+    backend_counts: Dict[str, int] = field(default_factory=dict)
+    #: batched plan sweeps: passes, replays they served, slots refused
+    batch: Dict[str, int] = field(
+        default_factory=lambda: {"sweeps": 0, "batched_replays": 0, "fallbacks": 0}
+    )
+
+    def stage(self, name: str) -> SpanStats:
+        """The folded spans named *name* (all zero when none ran)."""
+        return self.stages.get(name, SpanStats())
+
+    def total_seconds(self) -> float:
+        """Time covered by spans, each instant counted once per timeline."""
+        return sum(entry.self_seconds for entry in self.stages.values())
+
+    def manifest_sections(self) -> Dict[str, Any]:
+        """The run manifest's ``stages``, ``backend_counts`` and ``batch``."""
+        return {
+            "stages": {
+                name: asdict(entry)
+                for name, entry in sorted(self.stages.items())
+            },
+            "backend_counts": dict(sorted(self.backend_counts.items())),
+            "batch": dict(self.batch),
+        }
+
+    def report(self, title: str = "per-stage timing") -> str:
+        """The ``--timing`` table: one row per span name, then the
+        store-hit, backend and batched-sweep counts."""
+        from ..analysis.reporting import render_table
+
+        rows: List[Dict[str, Any]] = [
+            {
+                "span": name,
+                "calls": entry.calls,
+                "seconds": entry.seconds,
+                "self": entry.self_seconds,
+                "blocks": entry.units or "-",
+                "blocks/sec": (
+                    f"{entry.units_per_second:,.0f}" if entry.units else "-"
+                ),
+            }
+            for name, entry in sorted(self.stages.items())
+        ]
+        rows.append({"span": "total", "self": self.total_seconds()})
+        lines = [render_table(rows, title=title)]
+        for label, counts in (
+            ("store hits", self.store_hits),
+            ("replay backends", self.backend_counts),
+        ):
+            if counts:
+                cells = "  ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+                lines.append(f"{label}: {cells}")
+        if self.batch["sweeps"]:
+            lines.append(
+                f"batched sweeps: {self.batch['sweeps']} "
+                f"({self.batch['batched_replays']} replays, "
+                f"{self.batch['fallbacks']} fallbacks)"
+            )
+        return "\n".join(lines)
+
+
+def summarize(events: Iterable[Dict[str, Any]]) -> TraceSummary:
+    """Fold a trace's events (a :meth:`Tracer.snapshot` or a
+    :func:`read_trace` result) into a :class:`TraceSummary`."""
+    summary = TraceSummary()
+    stages = summary.stages
+    store_hits: Counter = Counter()
+    backends: Counter = Counter()
+    batch = summary.batch
+    timelines: Dict[tuple, List[Dict[str, Any]]] = {}
+    for event in events:
+        phase = event.get("ph")
+        name = event.get("name")
+        args = event.get("args") or {}
+        if phase == "i" and name == "store:hit":
+            store_hits[args.get("kind")] += 1
+        if phase != "X":
+            continue
+        entry = stages.get(name)
+        if entry is None:
+            entry = stages[name] = SpanStats()
+        entry.calls += 1
+        entry.seconds += event["dur"] / 1e6
+        entry.units += int(args.get("blocks") or 0)
+        if name in REPLAY_SPANS and args.get("backend"):
+            backends[args["backend"]] += int(args.get("replays", 1))
+        if name == "sim:batch-sweep":
+            batch["sweeps"] += 1
+            batch["batched_replays"] += int(args.get("replays", 0))
+            batch["fallbacks"] += int(args.get("fallbacks", 0))
+        timelines.setdefault((event.get("pid"), event.get("tid")), []).append(event)
+    # Self time: spans on one timeline nest by containment, so a
+    # start-ordered walk with a stack of open ends finds each parent.
+    for spans in timelines.values():
+        spans.sort(key=lambda e: (e["ts"], -e["dur"]))
+        open_spans: List[tuple] = []
+        for event in spans:
+            while open_spans and open_spans[-1][0] <= event["ts"]:
+                open_spans.pop()
+            seconds = event["dur"] / 1e6
+            stages[event["name"]].self_seconds += seconds
+            if open_spans:
+                open_spans[-1][1].self_seconds -= seconds
+            open_spans.append((event["ts"] + event["dur"], stages[event["name"]]))
+    summary.store_hits = dict(store_hits)
+    summary.backend_counts = dict(backends)
+    return summary
 
 
 # -- the process-current tracer ---------------------------------------------

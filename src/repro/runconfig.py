@@ -11,10 +11,11 @@ single carrier for all of it:
 * execution (worker ``jobs``, the persistent artifact ``store``);
 * the columnar-kernel gate (tri-state: force on, force off, defer to
   the environment);
-* telemetry sinks — the span :class:`~repro.obs.trace.Tracer` behind
-  ``--trace``, the :class:`~repro.obs.manifest.RunManifest` behind
-  ``--manifest``, the :class:`~repro.perf.PerfRegistry` behind
-  ``--timing``.
+* telemetry — the run's live span :class:`~repro.obs.trace.Tracer`,
+  whose events ``--trace`` writes to a file, whose
+  :func:`~repro.obs.trace.summarize` view ``--timing`` prints, and
+  which feeds the :class:`~repro.obs.manifest.RunManifest` behind
+  ``--manifest``.
 
 The CLI builds one via :meth:`RunConfig.from_args`, library callers
 construct it directly, and both hand it to :meth:`RunConfig.evaluator`.
@@ -29,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
 from . import kernel
-from . import perf as perf_mod
 from .obs.manifest import RunManifest
-from .obs.trace import NULL_TRACER, NullTracer, Tracer, set_tracer
+from .obs.trace import NullTracer, Tracer, set_tracer, summarize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     import argparse
@@ -62,16 +62,14 @@ class RunConfig:
     #: knob, not an experiment setting: results are bit-identical, so
     #: it never enters result cache keys.
     shard_insns: Optional[int] = None
-    #: print the per-stage timing report when the run finishes
+    #: print the span summary's timing table when the run finishes
     timing: bool = False
     #: write a Chrome-trace-event JSONL of the run's spans here
     trace_path: Optional[PathLike] = None
     #: write the run manifest (provenance record) here
     manifest_path: Optional[PathLike] = None
-    #: span sink; defaults to a live tracer iff ``trace_path`` is set
-    tracer: Union[Tracer, NullTracer, None] = None
-    #: stage-timing sink; None uses the process-wide registry
-    perf: Optional[perf_mod.PerfRegistry] = None
+    #: the run's span sink: every timing figure and count derives from it
+    tracer: Union[Tracer, NullTracer] = field(default_factory=Tracer)
     #: label for the root span / manifest (the CLI subcommand)
     command: Optional[str] = None
 
@@ -86,8 +84,6 @@ class RunConfig:
             from .analysis.experiments import ExperimentSettings
 
             self.settings = ExperimentSettings()
-        if self.tracer is None:
-            self.tracer = Tracer() if self.trace_path else NULL_TRACER
 
     @classmethod
     def from_args(cls, args: "argparse.Namespace") -> "RunConfig":
@@ -124,7 +120,7 @@ class RunConfig:
             # variable carries the choice across the spawn boundary.
             os.environ[kernel.NUMPY_KERNEL_ENV] = "1" if self.numpy_kernel else "0"
         set_tracer(self.tracer)
-        if self.tracer.enabled and self.command and self._root_span is None:
+        if self.command and self._root_span is None:
             self._root_span = self.tracer.start_span(f"run:{self.command}")
 
     def evaluator(self) -> "Evaluator":
@@ -135,11 +131,13 @@ class RunConfig:
         return Evaluator(config=self)
 
     def finalize(self, evaluator: "Evaluator") -> None:
-        """End-of-run bookkeeping: close the root span and write the
-        configured sinks (trace file, manifest, timing report)."""
+        """End-of-run bookkeeping: close the root span, write the
+        configured sinks (trace file, manifest, timing report) and
+        uninstall the run's tracer, so nothing outside a run records."""
         if self._root_span is not None:
             self.tracer.end_span(self._root_span)
             self._root_span = None
+        set_tracer(None)
         if self.trace_path and self.tracer.enabled:
             target = self.tracer.write(self.trace_path)
             print(f"trace written to {target}")
@@ -151,7 +149,7 @@ class RunConfig:
             print(f"manifest written to {target}")
         if self.timing:
             print()
-            print(evaluator.perf.report())
+            print(summarize(self.tracer.snapshot()).report())
 
 
 def positive_int(text: str) -> int:
@@ -215,7 +213,8 @@ def add_run_arguments(
     telemetry = parser.add_argument_group("telemetry")
     telemetry.add_argument(
         "--timing", action="store_true",
-        help="print per-stage timing and cache-hit counters at the end",
+        help="print the run's span summary at the end: calls and "
+        "seconds per span, store hits, replays per backend",
     )
     telemetry.add_argument(
         "--trace", metavar="PATH", default=None,

@@ -46,7 +46,6 @@ reference is exact, not approximate — the differential tests in
 from __future__ import annotations
 
 import gc
-import time
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -1886,20 +1885,13 @@ class PlanBatch:
         n = len(self.slots)
         self.l2 = _LaneCache(n, machine.l2.num_sets, machine.l2.ways, pd2)
         self.l3 = _LaneCache(n, machine.l3.num_sets, machine.l3.ways, pd3)
-        #: cumulative wall seconds per internal phase, for honest
-        #: benchmark decompositions (observation only — never consulted
-        #: by the replay itself)
-        self.phase_seconds: Dict[str, float] = {}
-
-    def _mark(self, phase: str, t0: float) -> float:
-        now = time.perf_counter()
-        self.phase_seconds[phase] = (
-            self.phase_seconds.get(phase, 0.0) + now - t0
-        )
-        return now
 
     def run_shard(self, rows, offset: int = 0, eff: int = 0) -> None:
-        """Advance every slot across one trace shard."""
+        """Advance every slot across one trace shard.
+
+        Each internal phase is a ``batch:<phase>`` span on the current
+        tracer (observation only — never consulted by the replay)."""
+        tracer = get_tracer()
         view = self.view
         n_local = len(rows)
         reset_local = (
@@ -1909,34 +1901,33 @@ class PlanBatch:
         counts_list = view.instruction_counts[rows].tolist()
 
         # Per-slot decision tables.
-        t0 = time.perf_counter()
-        shared_pre: dict = {}
-        pres = [
-            _plan_shard_precompute(
-                slot.ctx, slot.carry, rows, offset, eff, shared=shared_pre
-            )
-            for slot in self.slots
-        ]
-        t0 = self._mark("precompute", t0)
+        with tracer.span("batch:precompute"):
+            shared_pre: dict = {}
+            pres = [
+                _plan_shard_precompute(
+                    slot.ctx, slot.carry, rows, offset, eff, shared=shared_pre
+                )
+                for slot in self.slots
+            ]
 
         # Shared trace decode: each slot advances its own model, but
         # identical model states hit the decode cache and come back as
         # the same list objects, so the derived arrays are built once.
-        d_arrays: Dict[int, tuple] = {}
-        data = []
-        for slot in self.slots:
-            dl, dc = _decode_data_stream(slot.core.data_traffic, counts_list)
-            entry = d_arrays.get(id(dl))
-            if entry is None:
-                d_lines = np.asarray(dl, dtype=np.int64)
-                d_t = np.repeat(
-                    np.arange(n_local, dtype=np.int64),
-                    np.asarray(dc, dtype=np.int64),
-                ) if dl else np.empty(0, dtype=np.int64)
-                entry = (dl, d_lines, d_t)
-                d_arrays[id(dl)] = entry
-            data.append(entry[1:])
-        self._mark("decode", t0)
+        with tracer.span("batch:decode"):
+            d_arrays: Dict[int, tuple] = {}
+            data = []
+            for slot in self.slots:
+                dl, dc = _decode_data_stream(slot.core.data_traffic, counts_list)
+                entry = d_arrays.get(id(dl))
+                if entry is None:
+                    d_lines = np.asarray(dl, dtype=np.int64)
+                    d_t = np.repeat(
+                        np.arange(n_local, dtype=np.int64),
+                        np.asarray(dc, dtype=np.int64),
+                    ) if dl else np.empty(0, dtype=np.int64)
+                    entry = (dl, d_lines, d_t)
+                    d_arrays[id(dl)] = entry
+                data.append(entry[1:])
 
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
@@ -1947,7 +1938,8 @@ class PlanBatch:
             pending = self.slots
             while pending:
                 pending = self._pass(
-                    pending, pres, data, rows_list, reset_local, saved, late
+                    tracer, pending, pres, data, rows_list, reset_local,
+                    saved, late,
                 )
         finally:
             if gc_was_enabled:
@@ -1988,7 +1980,8 @@ class PlanBatch:
                 zip(carry.inflight, range(len(carry.arrivals)))
             )
 
-    def _pass(self, slots, pres, data, rows_list, reset_local, saved, late):
+    def _pass(self, tracer, slots, pres, data, rows_list, reset_local,
+              saved, late):
         """Phases A, B and C of one shard for *slots*; returns the slots
         that must rerun the shard with one more pop on the late path,
         their shard-start state already restored (their L2/L3 lanes are
@@ -1997,125 +1990,124 @@ class PlanBatch:
         l3_ns = self.l3.num_sets
 
         # -- phase A + per-slot stream merge -----------------------------
-        t0 = time.perf_counter()
-        streams = []
-        timing = []
-        for slot in slots:
-            a_events, tev = _batched_phase_a(
-                slot.ctx, slot.carry, rows_list,
-                pres[slot.index]["site_plan"], reset_local, late[slot.index],
-            )
-            timing.append(tev)
-            streams.append(_merge_events(*a_events, *data[slot.index]))
+        with tracer.span("batch:phase-a"):
+            streams = []
+            timing = []
+            for slot in slots:
+                a_events, tev = _batched_phase_a(
+                    slot.ctx, slot.carry, rows_list,
+                    pres[slot.index]["site_plan"], reset_local,
+                    late[slot.index],
+                )
+                timing.append(tev)
+                streams.append(_merge_events(*a_events, *data[slot.index]))
 
-        t2 = np.concatenate([s[0] for s in streams])
-        kinds2 = np.concatenate([s[1] for s in streams])
-        lines2 = np.concatenate([s[2] for s in streams])
-        voff = np.zeros(len(slots) + 1, dtype=np.int64)
-        np.cumsum([len(s[0]) for s in streams], out=voff[1:])
-        v_of = np.repeat(
-            np.asarray([s.index for s in slots], dtype=np.int64),
-            np.diff(voff),
-        )
-        lanes2 = v_of * l2_ns + lines2 % l2_ns
-        t0 = self._mark("phase-a", t0)
+            t2 = np.concatenate([s[0] for s in streams])
+            kinds2 = np.concatenate([s[1] for s in streams])
+            lines2 = np.concatenate([s[2] for s in streams])
+            voff = np.zeros(len(slots) + 1, dtype=np.int64)
+            np.cumsum([len(s[0]) for s in streams], out=voff[1:])
+            v_of = np.repeat(
+                np.asarray([s.index for s in slots], dtype=np.int64),
+                np.diff(voff),
+            )
+            lanes2 = v_of * l2_ns + lines2 % l2_ns
 
         # -- phase B: L2 sweep, then L3 over the L2 misses ---------------
-        (hit2, pclr2, ev2, evp2), swept2 = _lane_sweep(
-            self.l2, lanes2, lines2, kinds2
-        )
-        t0 = self._mark("sweep-l2", t0)
-        miss_idx = np.flatnonzero(~hit2)
-        lines3 = lines2[miss_idx]
-        kinds3 = kinds2[miss_idx]
-        t3 = t2[miss_idx]
-        lanes3 = v_of[miss_idx] * l3_ns + lines3 % l3_ns
-        (hit3, pclr3, ev3, evp3), swept3 = _lane_sweep(
-            self.l3, lanes3, lines3, kinds3
-        )
-        t0 = self._mark("sweep-l3", t0)
-
-        # per-event fill level: 1 = L2 hit, 2 = L3 hit, 3 = memory
-        level2 = np.where(hit2, 1, 3).astype(np.int64)
-        level2[miss_idx[hit3]] = 2
-        # slot slices stay contiguous through the miss filter
-        voff3 = np.searchsorted(miss_idx, voff)
-
-        rerun = []
-        keep = np.ones(len(self.slots), dtype=bool)
-        for pos, slot in enumerate(slots):
-            carry = slot.carry
-            s2 = slice(int(voff[pos]), int(voff[pos + 1]))
-            s3 = slice(int(voff3[pos]), int(voff3[pos + 1]))
-
-            # -- phase C: the float fold + speculation check ------------
-            k_v = kinds2[s2]
-            pf_sel = k_v == 2
-            tev_t, tev_kind, tev_issue = timing[pos]
-            late_issue = _batched_timing_fold(
-                slot.ctx, carry, rows_list,
-                pres[slot.index]["site_plan"], reset_local,
-                t2[s2][pf_sel].tolist(), level2[s2][pf_sel].tolist(),
-                tev_t, tev_kind, tev_issue,
-                level2[s2][k_v == 1].tolist(),
+        with tracer.span("batch:sweep-l2"):
+            (hit2, pclr2, ev2, evp2), swept2 = _lane_sweep(
+                self.l2, lanes2, lines2, kinds2
             )
-            if late_issue is not None:
-                late[slot.index].add(late_issue)
-                _restore_phase_a(carry, saved[slot.index])
-                keep[slot.index] = False
-                rerun.append(slot)
-                continue
-            _fold_level_counters(
-                carry, reset_local, t2[s2], k_v,
-                hit2[s2], pclr2[s2], ev2[s2], evp2[s2], "l2",
+        with tracer.span("batch:sweep-l3"):
+            miss_idx = np.flatnonzero(~hit2)
+            lines3 = lines2[miss_idx]
+            kinds3 = kinds2[miss_idx]
+            t3 = t2[miss_idx]
+            lanes3 = v_of[miss_idx] * l3_ns + lines3 % l3_ns
+            (hit3, pclr3, ev3, evp3), swept3 = _lane_sweep(
+                self.l3, lanes3, lines3, kinds3
             )
-            _fold_level_counters(
-                carry, reset_local, t3[s3], kinds3[s3],
-                hit3[s3], pclr3[s3], ev3[s3], evp3[s3], "l3",
-            )
-        self.l2.commit(swept2, keep)
-        self.l3.commit(swept3, keep)
-        self._mark("fold", t0)
-        return rerun
+
+        with tracer.span("batch:fold"):
+            # per-event fill level: 1 = L2 hit, 2 = L3 hit, 3 = memory
+            level2 = np.where(hit2, 1, 3).astype(np.int64)
+            level2[miss_idx[hit3]] = 2
+            # slot slices stay contiguous through the miss filter
+            voff3 = np.searchsorted(miss_idx, voff)
+
+            rerun = []
+            keep = np.ones(len(self.slots), dtype=bool)
+            for pos, slot in enumerate(slots):
+                carry = slot.carry
+                s2 = slice(int(voff[pos]), int(voff[pos + 1]))
+                s3 = slice(int(voff3[pos]), int(voff3[pos + 1]))
+
+                # -- phase C: the float fold + speculation check --------
+                k_v = kinds2[s2]
+                pf_sel = k_v == 2
+                tev_t, tev_kind, tev_issue = timing[pos]
+                late_issue = _batched_timing_fold(
+                    slot.ctx, carry, rows_list,
+                    pres[slot.index]["site_plan"], reset_local,
+                    t2[s2][pf_sel].tolist(), level2[s2][pf_sel].tolist(),
+                    tev_t, tev_kind, tev_issue,
+                    level2[s2][k_v == 1].tolist(),
+                )
+                if late_issue is not None:
+                    late[slot.index].add(late_issue)
+                    _restore_phase_a(carry, saved[slot.index])
+                    keep[slot.index] = False
+                    rerun.append(slot)
+                    continue
+                _fold_level_counters(
+                    carry, reset_local, t2[s2], k_v,
+                    hit2[s2], pclr2[s2], ev2[s2], evp2[s2], "l2",
+                )
+                _fold_level_counters(
+                    carry, reset_local, t3[s3], kinds3[s3],
+                    hit3[s3], pclr3[s3], ev3[s3], evp3[s3], "l3",
+                )
+            self.l2.commit(swept2, keep)
+            self.l3.commit(swept3, keep)
+            return rerun
 
     def finish(self) -> None:
         """Write every slot's stats, hierarchy and engine runtime state
         (bit-identical to the reference composition), each level's
         lanes in one vectorized pass."""
-        t0 = time.perf_counter()
-        n = len(self.slots)
-        l2 = self.l2.export(n)
-        l3 = self.l3.export(n)
-        for slot in self.slots:
-            core = slot.core
-            carry = slot.carry
-            hierarchy = core.hierarchy
-            l1_ids = [i for i, s in enumerate(carry.l1_sets) if s is not None]
-            _install_cache(
-                hierarchy.l1i, l1_ids, [carry.l1_sets[i] for i in l1_ids],
-                carry.l1_pend, carry.l1_dh, carry.l1_dm,
-                carry.l1_pf, carry.l1_ph, carry.l1_pu, carry.l1_ev,
-            )
-            _install_cache(
-                hierarchy.l2, *l2[slot.index],
-                carry.l2_dh, carry.l2_dm,
-                carry.l2_pf, carry.l2_ph, carry.l2_pu, carry.l2_ev,
-            )
-            _install_cache(
-                hierarchy.l3, *l3[slot.index],
-                carry.l3_dh, carry.l3_dm,
-                carry.l3_pf, carry.l3_ph, carry.l3_pu, carry.l3_ev,
-            )
-            hierarchy.fill_port.busy_until = carry.busy
-            _plan_stats(slot.ctx, carry, core.stats)
-            core.engine.restore_runtime_state(
-                _inflight_arrivals(carry),
-                list(carry.tracker_tail),
-                list(carry.exact_tail),
-                carry.tp,
-                carry.fp,
-            )
-        self._mark("finish", t0)
+        with get_tracer().span("batch:finish"):
+            n = len(self.slots)
+            l2 = self.l2.export(n)
+            l3 = self.l3.export(n)
+            for slot in self.slots:
+                core = slot.core
+                carry = slot.carry
+                hierarchy = core.hierarchy
+                l1_ids = [i for i, s in enumerate(carry.l1_sets) if s is not None]
+                _install_cache(
+                    hierarchy.l1i, l1_ids, [carry.l1_sets[i] for i in l1_ids],
+                    carry.l1_pend, carry.l1_dh, carry.l1_dm,
+                    carry.l1_pf, carry.l1_ph, carry.l1_pu, carry.l1_ev,
+                )
+                _install_cache(
+                    hierarchy.l2, *l2[slot.index],
+                    carry.l2_dh, carry.l2_dm,
+                    carry.l2_pf, carry.l2_ph, carry.l2_pu, carry.l2_ev,
+                )
+                _install_cache(
+                    hierarchy.l3, *l3[slot.index],
+                    carry.l3_dh, carry.l3_dm,
+                    carry.l3_pf, carry.l3_ph, carry.l3_pu, carry.l3_ev,
+                )
+                hierarchy.fill_port.busy_until = carry.busy
+                _plan_stats(slot.ctx, carry, core.stats)
+                core.engine.restore_runtime_state(
+                    _inflight_arrivals(carry),
+                    list(carry.tracker_tail),
+                    list(carry.exact_tail),
+                    carry.tp,
+                    carry.fp,
+                )
 
 
 def _inflight_arrivals(carry: PlanCarry) -> Dict[int, float]:

@@ -812,9 +812,6 @@ def run_plan_batch(
     for core in live:
         core.last_replay_backend = _PlanBatchBackend.name
         core.last_fallback_reason = None
-        # the batch's internal wall-clock decomposition, for honest
-        # benchmark reporting (observation only)
-        core.last_batch_phases = dict(batch.phase_seconds)
     return reasons
 
 

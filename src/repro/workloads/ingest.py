@@ -31,6 +31,12 @@ Supported input formats
     ``ip[,size[,taken]]`` rows with an optional header line; ``ip``
     in decimal or ``0x`` hex.
 
+A malformed input — a truncated or corrupt compressed stream, bytes
+that are not UTF-8 text, a short ChampSim record, an unparsable field —
+raises :class:`FormatError` naming the file and the record (line, or
+64-byte ChampSim record) where decoding failed; no other exception
+escapes :func:`read_records`.
+
 Block reconstruction
 --------------------
 Two passes over the record stream.  Pass one collects, per distinct
@@ -53,10 +59,13 @@ trace entry per leader ip.
 from __future__ import annotations
 
 import csv as _csv
+import gzip
 import io
 import json
+import lzma
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -94,6 +103,26 @@ FORMATS = ("champsim", "jsonl", "csv")
 _GZIP_MAGIC = b"\x1f\x8b"
 _XZ_MAGIC = b"\xfd7zXZ\x00"
 
+#: what a corrupt compressed stream or undecodable text raises mid-read
+_STREAM_ERRORS = (
+    EOFError, gzip.BadGzipFile, lzma.LZMAError, zlib.error, UnicodeDecodeError,
+)
+#: what an unparsable JSON record raises while its fields are decoded
+_RECORD_ERRORS = (
+    KeyError, ValueError, TypeError, OverflowError, RecursionError,
+)
+
+
+class FormatError(ValueError):
+    """A malformed trace file, located by *path* and 1-based *record*
+    (the line of a text trace, the 64-byte record of a ChampSim one)."""
+
+    def __init__(self, path, record: int, reason: str):
+        self.path = os.fspath(path)
+        self.record = record
+        self.reason = reason
+        super().__init__(f"{self.path}:{record}: {reason}")
+
 
 # ---------------------------------------------------------------------------
 # record encoding / decoding
@@ -114,13 +143,9 @@ def _open_binary(path) -> io.BufferedIOBase:
     magic = handle.read(len(_XZ_MAGIC))
     handle.seek(0)
     if magic[: len(_GZIP_MAGIC)] == _GZIP_MAGIC:
-        import gzip
-
         handle.close()
         return gzip.open(path, "rb")
     if magic == _XZ_MAGIC:
-        import lzma
-
         handle.close()
         return lzma.open(path, "rb")
     return handle
@@ -147,54 +172,80 @@ def iter_champsim(path) -> Iterator[InstructionRecord]:
     """Decode a ChampSim-style binary trace (optionally gz/xz)."""
     unpack = _CHAMPSIM_HEAD.unpack_from
     with _open_binary(path) as handle:
+        record = 0
         while True:
-            chunk = handle.read(CHAMPSIM_RECORD_BYTES)
+            record += 1
+            try:
+                chunk = handle.read(CHAMPSIM_RECORD_BYTES)
+            except _STREAM_ERRORS as exc:
+                raise FormatError(path, record, f"corrupt stream: {exc}") from exc
             if not chunk:
                 return
             if len(chunk) != CHAMPSIM_RECORD_BYTES:
-                raise ValueError(
-                    f"{path}: truncated record ({len(chunk)} trailing bytes; "
-                    f"records are {CHAMPSIM_RECORD_BYTES} bytes)"
+                raise FormatError(
+                    path, record,
+                    f"truncated record ({len(chunk)} trailing bytes; "
+                    f"records are {CHAMPSIM_RECORD_BYTES} bytes)",
                 )
             ip, is_branch, taken = unpack(chunk)
             yield ip, 0, bool(is_branch and taken)
 
 
+def _text_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text trace (optionally gz/xz), decoded one
+    at a time so a corrupt stream or a non-UTF-8 byte raises
+    :class:`FormatError` at the line it is in."""
+    with _open_binary(path) as handle:
+        lineno = 0
+        while True:
+            lineno += 1
+            try:
+                line = handle.readline().decode("utf-8")
+            except _STREAM_ERRORS as exc:
+                raise FormatError(path, lineno, f"corrupt stream: {exc}") from exc
+            if not line:
+                return
+            yield line
+
+
 def iter_jsonl(path) -> Iterator[InstructionRecord]:
     """Decode the JSONL interchange format."""
-    with _open_binary(path) as handle:
-        for lineno, raw in enumerate(
-            io.TextIOWrapper(handle, encoding="utf-8"), start=1
-        ):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ip = _parse_ip(obj["ip"])
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
-            size = int(obj.get("size") or 0)
-            yield ip, size, _parse_taken(obj.get("taken", False))
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            record = (
+                _parse_ip(obj["ip"]),
+                int(obj.get("size") or 0),
+                _parse_taken(obj.get("taken", False)),
+            )
+        except _RECORD_ERRORS as exc:
+            raise FormatError(path, lineno, f"bad record: {exc}") from exc
+        yield record
 
 
 def iter_csv(path) -> Iterator[InstructionRecord]:
     """Decode the CSV interchange format (``ip[,size[,taken]]``)."""
-    with _open_binary(path) as handle:
-        reader = _csv.reader(io.TextIOWrapper(handle, encoding="utf-8"))
-        for lineno, row in enumerate(reader, start=1):
-            if not row or not row[0].strip():
-                continue
-            first = row[0].strip().lower()
-            if lineno == 1 and first in ("ip", "pc", "address"):
-                continue  # header
-            try:
-                ip = _parse_ip(row[0])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad ip: {exc}") from exc
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        try:
+            row = next(_csv.reader([line]), [])
+        except _csv.Error as exc:
+            raise FormatError(path, lineno, f"bad row: {exc}") from exc
+        if not row or not row[0].strip():
+            continue
+        if lineno == 1 and row[0].strip().lower() in ("ip", "pc", "address"):
+            continue  # header
+        try:
+            ip = _parse_ip(row[0])
+        except ValueError as exc:
+            raise FormatError(path, lineno, f"bad ip: {exc}") from exc
+        try:
             size = int(row[1]) if len(row) > 1 and row[1].strip() else 0
-            taken = _parse_taken(row[2]) if len(row) > 2 else False
-            yield ip, size, taken
+        except ValueError as exc:
+            raise FormatError(path, lineno, f"bad size: {exc}") from exc
+        yield ip, size, _parse_taken(row[2]) if len(row) > 2 else False
 
 
 _READERS = {
@@ -470,12 +521,8 @@ def write_champsim_fixture(path, program: Program, trace: BlockTrace,
     """Write a ChampSim-style binary fixture for *trace*; returns the
     record count.  ``compress`` is ``None``, ``"gz"`` or ``"xz"``."""
     if compress == "gz":
-        import gzip
-
         opener = gzip.open
     elif compress == "xz":
-        import lzma
-
         opener = lzma.open
     elif compress is None:
         opener = open

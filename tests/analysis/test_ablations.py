@@ -27,6 +27,17 @@ class TestReplacementPriority:
             assert row["l1i_mpki"] >= 0.0
 
 
+class TestReplaySpans:
+    def test_ablation_replays_record_their_backend(self, evaluator):
+        ablation_lbr_depth(evaluator, app="kafka", depths=(16,))
+        backends = {
+            e["args"]["plan"]: e["args"].get("backend")
+            for e in evaluator.tracer.snapshot()
+            if e["ph"] == "X" and e["name"] == "sim:replay"
+        }
+        assert backends["lbr-depth-16"] in ("columnar-plan", "reference")
+
+
 class TestSamplePeriod:
     def test_sparser_sampling_sees_fewer_misses(self, evaluator):
         rows = ablation_sample_period(evaluator, app="kafka", periods=(1, 8))

@@ -13,8 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import Evaluator, ExperimentSettings
-from repro.obs.trace import Tracer
-from repro.perf import PerfRegistry
+from repro.obs.trace import Tracer, summarize
 from repro.runconfig import RunConfig
 from repro.workloads import apps as apps_mod
 from repro.workloads.apps import build_app
@@ -30,12 +29,8 @@ def empty_app_memo(monkeypatch):
     monkeypatch.setattr(apps_mod, "_CACHE", {})
 
 
-def _evaluator(perf=None, tracer=None):
-    return Evaluator(
-        config=RunConfig(
-            settings=SETTINGS, perf=perf or PerfRegistry(), tracer=tracer
-        )
-    )
+def _evaluator(tracer=None):
+    return Evaluator(config=RunConfig(settings=SETTINGS, tracer=tracer or Tracer()))
 
 
 def _synth_spans(tracer):
@@ -50,13 +45,12 @@ class TestSharedApp:
     def test_evaluators_share_one_app_and_time_one_synthesis(
         self, empty_app_memo
     ):
-        first_perf, second_perf = PerfRegistry(), PerfRegistry()
         first_tracer, second_tracer = Tracer(), Tracer()
-        first = _evaluator(first_perf, first_tracer)["kafka"].app
-        second = _evaluator(second_perf, second_tracer)["kafka"].app
+        first = _evaluator(first_tracer)["kafka"].app
+        second = _evaluator(second_tracer)["kafka"].app
         assert first is second
-        assert first_perf.calls("synthesize") == 1
-        assert second_perf.calls("synthesize") == 0
+        assert summarize(first_tracer.snapshot()).stage("app:synthesize").calls == 1
+        assert summarize(second_tracer.snapshot()).stage("app:synthesize").calls == 0
         assert len(_synth_spans(first_tracer)) == 1
         assert _synth_spans(second_tracer) == []
 

@@ -18,8 +18,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.jobs import resolve_jobs
 from repro.io import ArtifactStore, stats_to_record
-from repro.obs.trace import Tracer
-from repro.perf import PerfRegistry
+from repro.obs.trace import Tracer, summarize
 from repro.runconfig import RunConfig
 from repro.workloads import apps as apps_mod
 
@@ -78,15 +77,15 @@ class TestParallelEqualsSerial:
     def test_parallel_prewarm_populates_memory_caches(self):
         evaluator = Evaluator(config=RunConfig(settings=SETTINGS, jobs=2))
         evaluator.prewarm(apps=["wordpress"], variants=VARIANTS)
-        perf = PerfRegistry()
-        evaluator.perf = perf
-        for evaluation in evaluator._apps.values():
-            evaluation.perf = perf
+        replays = summarize(evaluator.tracer.snapshot()).stage("sim:replay")
+        # the workers' replays were absorbed into the parent's tracer
+        assert replays.calls == len(VARIANTS)
         # every variant must now come from the in-memory/persistent
         # caches — no further simulation in the parent
         for variant in VARIANTS:
             evaluator["wordpress"].stats_for(variant)
-        assert perf.calls("simulate") == 0
+        after = summarize(evaluator.tracer.snapshot()).stage("sim:replay")
+        assert after.calls == replays.calls
 
     def test_workers_synthesize_each_app_at_most_once(self, monkeypatch):
         # an empty memo, so forked workers cannot inherit the parent's apps
@@ -116,27 +115,23 @@ class TestPersistentWarmRun:
     def test_second_run_skips_profiling_and_simulation(
         self, tmp_path, serial_records
     ):
-        cold_perf = PerfRegistry()
         cold = Evaluator(
-            config=RunConfig(
-                settings=SETTINGS, store=tmp_path / "cache", perf=cold_perf
-            )
+            config=RunConfig(settings=SETTINGS, store=tmp_path / "cache")
         )
         cold.prewarm(apps=["wordpress"], variants=VARIANTS)
-        assert cold_perf.calls("simulate") == len(VARIANTS)
-        assert cold_perf.calls("profile") == 1
+        cold_summary = summarize(cold.tracer.snapshot())
+        assert cold_summary.stage("sim:replay").calls == len(VARIANTS)
+        assert cold_summary.stage("profiling:execution").calls == 1
 
-        warm_perf = PerfRegistry()
         warm = Evaluator(
-            config=RunConfig(
-                settings=SETTINGS, store=tmp_path / "cache", perf=warm_perf
-            )
+            config=RunConfig(settings=SETTINGS, store=tmp_path / "cache")
         )
         warm.prewarm(apps=["wordpress"], variants=VARIANTS)
-        assert warm_perf.calls("simulate") == 0
-        assert warm_perf.calls("profile") == 0
-        assert warm_perf.calls("synthesize") == 0
-        assert warm_perf.calls("store-hit:stats") == len(VARIANTS)
+        warm_summary = summarize(warm.tracer.snapshot())
+        assert warm_summary.stage("sim:replay").calls == 0
+        assert warm_summary.stage("profiling:execution").calls == 0
+        assert warm_summary.stage("app:synthesize").calls == 0
+        assert warm_summary.store_hits.get("stats") == len(VARIANTS)
         for variant in VARIANTS:
             assert (
                 stats_to_record(warm["wordpress"].stats_for(variant))
@@ -153,17 +148,16 @@ class TestPersistentWarmRun:
 
         # a fresh process's view: nothing memoized, only the store
         monkeypatch.setattr(apps_mod, "_CACHE", {})
-        warm_perf = PerfRegistry()
-        warm = Evaluator(
-            config=RunConfig(settings=SETTINGS, store=cache, perf=warm_perf)
-        )
+        warm = Evaluator(config=RunConfig(settings=SETTINGS, store=cache))
         warm.prewarm(apps=["wordpress"], variants=variants)
-        for stage in ("synthesize", "profile", "simulate", "store-hit:profile"):
-            assert warm_perf.calls(stage) == 0, stage
+        summary = summarize(warm.tracer.snapshot())
+        for stage in ("app:synthesize", "profiling:execution", "sim:replay"):
+            assert summary.stage(stage).calls == 0, stage
+        assert "profile" not in summary.store_hits
         trained = {
-            name: counter.calls
-            for name, counter in warm_perf.counters.items()
-            if name.startswith("plan:") and counter.calls
+            name: entry.calls
+            for name, entry in summary.stages.items()
+            if name.startswith("plan:") and entry.calls
         }
         assert trained == {}
         for variant in variants:
@@ -229,11 +223,8 @@ class TestKeyGranularity:
 
     def test_sweep_stats_do_not_alias(self, tmp_path):
         """Fig. 3-style sweep: distinct thresholds, distinct artifacts."""
-        perf = PerfRegistry()
         evaluator = Evaluator(
-            config=RunConfig(
-                settings=SETTINGS, store=tmp_path / "cache", perf=perf
-            )
+            config=RunConfig(settings=SETTINGS, store=tmp_path / "cache")
         )
         ev = evaluator["wordpress"]
         low = ev.run_plan(ev.asmdb_plan(0.5))
@@ -241,7 +232,7 @@ class TestKeyGranularity:
         # the two planner outputs genuinely differ, and so must the
         # cached stats entries (no aliasing between sweep points)
         assert stats_to_record(low) != stats_to_record(high)
-        assert perf.calls("simulate") == 2
+        assert summarize(evaluator.tracer.snapshot()).stage("sim:replay").calls == 2
 
 
 def test_resolve_jobs():

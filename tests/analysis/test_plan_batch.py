@@ -11,9 +11,9 @@ from repro.analysis.experiments import (
     ExperimentSettings,
     fig18_distance,
 )
-from repro import perf as perf_mod
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.instructions import PrefetchPlan
+from repro.obs.trace import Tracer, summarize
 from repro.runconfig import RunConfig
 
 APP = "kafka"
@@ -21,10 +21,15 @@ SETTINGS = ExperimentSettings.small()
 
 
 def _evaluation(**kwargs) -> AppEvaluation:
-    # a private perf registry per evaluation, so counter assertions
-    # don't see other tests' (or the process-wide registry's) traffic
-    kwargs.setdefault("perf", perf_mod.PerfRegistry())
+    # a private tracer per evaluation, so count assertions don't see
+    # other tests' traffic
+    kwargs.setdefault("tracer", Tracer())
     return AppEvaluation(APP, SETTINGS, **kwargs)
+
+
+def _summary(traced):
+    """The span summary of an evaluation's (or evaluator's) tracer."""
+    return summarize(traced.tracer.snapshot())
 
 
 def _sweep_plans(evaluation, minima=(5, 27, 108)):
@@ -57,19 +62,19 @@ def batched():
 class TestBitIdentity:
     def test_matches_run_plan(self, batched):
         evaluation, plans, sweep = batched
-        assert evaluation.perf.calls("sweep:batch") == 1
-        assert evaluation.perf.calls("batch-replay") == len(plans)
+        assert _summary(evaluation).batch["sweeps"] == 1
+        assert _summary(evaluation).batch["batched_replays"] == len(plans)
         solo = _evaluation()
         for plan, stats in zip(plans, sweep):
             assert stats == solo.run_plan(plan)
-        assert solo.perf.calls("sweep:batch") == 0
+        assert _summary(solo).batch["sweeps"] == 0
 
     def test_results_are_cached(self, batched):
         evaluation, plans, sweep = batched
         again = evaluation.run_plans(plans)
         assert again == sweep
         # every slot was a cache hit: no second batched pass
-        assert evaluation.perf.calls("sweep:batch") == 1
+        assert _summary(evaluation).batch["sweeps"] == 1
 
 
 class TestEligibility:
@@ -78,24 +83,24 @@ class TestEligibility:
         plans = _sweep_plans(evaluation)
         evaluation.run_plan(plans[0])  # warm one variant's key
         sweep = evaluation.run_plans(plans)
-        assert evaluation.perf.calls("sweep:batch") == 1
+        assert _summary(evaluation).batch["sweeps"] == 1
         # only the two cold variants went through the batch
-        assert evaluation.perf.calls("batch-replay") == 2
+        assert _summary(evaluation).batch["batched_replays"] == 2
         assert sweep[0] == evaluation.run_plan(plans[0])
 
     def test_auto_mode_runs_single_miss_solo(self):
         evaluation = _evaluation()
         plans = _sweep_plans(evaluation, minima=(13,))
         evaluation.run_plans(plans)
-        assert evaluation.perf.calls("sweep:batch") == 0
-        assert evaluation.perf.calls("simulate:columnar-plan") == 1
+        assert _summary(evaluation).batch["sweeps"] == 0
+        assert _summary(evaluation).backend_counts == {"columnar-plan": 1}
 
     def test_none_plan_rides_the_solo_path(self):
         evaluation = _evaluation()
         plans = [None] + _sweep_plans(evaluation, minima=(5, 27))
         sweep = evaluation.run_plans(plans)
         assert sweep[0] == evaluation.baseline_stats
-        assert evaluation.perf.calls("batch-replay") == 2
+        assert _summary(evaluation).batch["batched_replays"] == 2
 
     def test_empty_plans_stay_out_of_the_batch(self):
         """Plans with no instructions build no engine, so they never
@@ -105,8 +110,8 @@ class TestEligibility:
             evaluation, minima=(5, 27)
         )
         sweep = evaluation.run_plans(plans)
-        assert evaluation.perf.calls("batch-fallback") == 0
-        assert evaluation.perf.calls("batch-replay") == 2
+        assert _summary(evaluation).batch["fallbacks"] == 0
+        assert _summary(evaluation).batch["batched_replays"] == 2
         assert sweep[0] == _evaluation().run_plan(plans[0])
 
 
@@ -129,20 +134,15 @@ class TestOverrides:
 
 class TestEvaluatorPlumbing:
     def test_figure_sweep_is_identical_either_way(self, tmp_path):
-        on = Evaluator(
-            config=RunConfig(settings=SETTINGS, perf=perf_mod.PerfRegistry())
-        )
+        on = Evaluator(config=RunConfig(settings=SETTINGS))
         # checkpointed sharded replays are per-variant by construction
         off = Evaluator(
             config=RunConfig(
-                settings=SETTINGS,
-                store=tmp_path,
-                shard_insns=50_000,
-                perf=perf_mod.PerfRegistry(),
+                settings=SETTINGS, store=tmp_path, shard_insns=50_000
             )
         )
         rows_on = fig18_distance(on, minima=(5, 27), maxima=(200,), apps=(APP,))
         rows_off = fig18_distance(off, minima=(5, 27), maxima=(200,), apps=(APP,))
         assert rows_on == rows_off
-        assert on.perf.calls("sweep:batch") == 1
-        assert off.perf.calls("sweep:batch") == 0
+        assert _summary(on).batch["sweeps"] == 1
+        assert _summary(off).batch["sweeps"] == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.online import OnlineISpy
+from repro.obs.trace import Tracer, use_tracer
 from repro.workloads.apps import build_app
 
 
@@ -61,3 +62,18 @@ class TestValidation:
         online = OnlineISpy(app.program)
         result = online.run(app.trace(2000), epoch_length=10_000)
         assert len(result.epochs) == 1
+
+
+class TestTelemetry:
+    def test_each_epoch_is_a_replay_span(self, app):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = OnlineISpy(app.program).run(
+                app.trace(4000), epoch_length=2000
+            )
+        backends = [
+            e["args"]["backend"]
+            for e in tracer.snapshot()
+            if e["ph"] == "X" and e["name"] == "sim:replay"
+        ]
+        assert backends == [epoch.backend for epoch in result.epochs]

@@ -14,7 +14,7 @@ from repro.obs.manifest import (
     RunManifest,
     validate_manifest,
 )
-from repro.perf import PerfRegistry
+from repro.obs.trace import read_trace, summarize
 from repro.runconfig import RunConfig
 
 SETTINGS = ExperimentSettings(
@@ -24,9 +24,8 @@ SETTINGS = ExperimentSettings(
 
 @pytest.fixture(scope="module")
 def evaluator():
-    # a private registry: the global one may carry stage entries from
-    # earlier test files, and the manifest reports them
-    ev = Evaluator(config=RunConfig(settings=SETTINGS, perf=PerfRegistry()))
+    # the config's own tracer: the manifest reports only this run's spans
+    ev = Evaluator(config=RunConfig(settings=SETTINGS))
     ev.prewarm(apps=["wordpress"], variants=("baseline", "ispy"))
     return ev
 
@@ -79,6 +78,32 @@ class TestCollect:
         assert sum(counts.values()) >= 2  # baseline + ispy at minimum
         assert all(isinstance(v, int) for v in counts.values())
 
+    def test_sections_are_the_span_summary(self, evaluator, manifest):
+        sections = summarize(evaluator.tracer.snapshot()).manifest_sections()
+        for name in ("stages", "backend_counts", "batch"):
+            assert manifest.payload[name] == sections[name], name
+        replays = [
+            e["args"]["backend"]
+            for e in evaluator.tracer.snapshot()
+            if e["ph"] == "X" and e["name"] == "sim:replay"
+        ]
+        assert sum(manifest.payload["backend_counts"].values()) == len(replays)
+        assert manifest.payload["stages"]["sim:replay"]["calls"] == len(replays)
+
+    def test_written_trace_gives_the_same_counts(self, tmp_path):
+        """The two sinks come from one stream, so they agree."""
+        config = RunConfig(
+            settings=SETTINGS, trace_path=tmp_path / "t.jsonl",
+            manifest_path=tmp_path / "m.json", command="evaluate",
+        )
+        ev = config.evaluator()
+        ev.prewarm(apps=["wordpress"], variants=("baseline", "ideal", "ispy"))
+        config.finalize(ev)
+        payload = RunManifest.load(tmp_path / "m.json").payload
+        from_file = summarize(read_trace(tmp_path / "t.jsonl"))
+        assert payload["backend_counts"] == from_file.backend_counts
+        assert sum(from_file.backend_counts.values()) == 3
+
     def test_storeless_run_records_absent_store(self, manifest):
         section = manifest.payload["store"]
         assert section["present"] is False
@@ -89,6 +114,7 @@ class TestCollect:
         ev = config.evaluator()
         ev.prewarm(apps=["wordpress"], variants=("baseline",))
         payload = RunManifest.collect(ev).payload
+        config.finalize(ev)  # end the run: uninstall its tracer
         section = payload["store"]
         assert section["present"] is True
         assert section["root"] == str(ev.store.root)
@@ -145,6 +171,17 @@ class TestValidation:
         payload["batch"]["mode"] = None
         errors = validate_manifest(payload)
         assert any("unsupported version 4" in e for e in errors)
+
+    def test_version_5_payload_rejected(self, manifest):
+        """A v5 manifest, with its registry-shaped stages, is not a v6 one."""
+        payload = json.loads(json.dumps(manifest.payload))
+        payload["version"] = 5
+        payload["stages"] = {
+            "simulate": {"calls": 2, "seconds": 0.1, "units": 16_000}
+        }
+        errors = validate_manifest(payload)
+        assert any("unsupported version 5" in e for e in errors)
+        assert any("self_seconds: missing" in e for e in errors)
 
     def test_batch_section_has_no_mode(self, manifest):
         assert "mode" not in manifest.payload["batch"]

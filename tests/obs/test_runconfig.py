@@ -14,8 +14,7 @@ from repro.analysis.experiments import Evaluator, ExperimentSettings
 from repro.cli import build_parser
 from repro.io import stats_to_record
 from repro.obs.manifest import RunManifest
-from repro.obs.trace import NULL_TRACER, Tracer, get_tracer, set_tracer
-from repro.perf import PerfRegistry
+from repro.obs.trace import NULL_TRACER, Tracer, get_tracer, set_tracer, summarize
 from repro.runconfig import RunConfig
 
 SETTINGS = ExperimentSettings(
@@ -41,11 +40,21 @@ class TestDefaults:
         assert config.jobs == 1
         assert config.store is None
         assert config.numpy_kernel is None
-        assert config.tracer is NULL_TRACER
+        # every run records spans; --trace only decides whether they
+        # are written
+        assert isinstance(config.tracer, Tracer)
 
     def test_trace_path_enables_a_live_tracer(self, tmp_path):
         config = RunConfig(trace_path=tmp_path / "t.jsonl")
         assert config.tracer.enabled
+
+    def test_each_config_gets_its_own_tracer(self):
+        assert RunConfig().tracer is not RunConfig().tracer
+
+    def test_run_config_has_no_perf_field(self):
+        import dataclasses
+
+        assert "perf" not in {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_explicit_tracer_wins(self):
         tracer = Tracer()
@@ -115,7 +124,21 @@ class TestApply:
 
     def test_null_config_installs_null_tracer(self):
         set_tracer(Tracer())
-        RunConfig(settings=SETTINGS).apply()
+        RunConfig(settings=SETTINGS, tracer=NULL_TRACER).apply()
+        assert get_tracer() is NULL_TRACER
+
+    def test_untraced_config_still_installs_a_live_tracer(self):
+        config = RunConfig(settings=SETTINGS)
+        config.apply()
+        assert get_tracer() is config.tracer
+        assert config.tracer.enabled
+
+    def test_finalize_uninstalls_the_run_tracer(self):
+        config = RunConfig(settings=SETTINGS, command="evaluate")
+        evaluator = config.evaluator()
+        config.finalize(evaluator)
+        # outside a run nothing records, so long-lived processes do
+        # not accumulate events
         assert get_tracer() is NULL_TRACER
 
     def test_opens_root_span_once(self, tmp_path):
@@ -179,6 +202,15 @@ class TestFinalize:
         config.finalize(evaluator)
         assert "timing" in capsys.readouterr().out.lower()
 
+    def test_timing_table_is_the_span_summary(self, capsys):
+        config = RunConfig(settings=SETTINGS, timing=True, command="evaluate")
+        evaluator = config.evaluator()
+        evaluator.prewarm(apps=["wordpress"], variants=("baseline",))
+        config.finalize(evaluator)
+        out = capsys.readouterr().out
+        assert summarize(config.tracer.snapshot()).report() in out
+        assert "replay backends:" in out
+
 
 class TestScatteredKwargsRemoved:
     """The PR 4 deprecation cycle is over: scattered kwargs now raise."""
@@ -188,8 +220,6 @@ class TestScatteredKwargsRemoved:
             Evaluator(SETTINGS, store=tmp_path / "cache")
         with pytest.raises(TypeError, match="RunConfig"):
             Evaluator(SETTINGS, jobs=2)
-        with pytest.raises(TypeError, match="RunConfig"):
-            Evaluator(SETTINGS, perf=PerfRegistry())
 
     def test_shim_is_gone_from_the_module(self):
         assert not hasattr(runconfig_mod, "warn_scattered_kwargs")
@@ -241,3 +271,14 @@ class TestTracingIsInert:
             ), f"{v} diverged under tracing"
         # and the trace actually captured the work
         assert len(config.tracer) > 0
+
+    def test_null_tracer_run_bit_identical(self):
+        """A run with nothing recording matches a recorded one."""
+        records = []
+        for tracer in (NULL_TRACER, Tracer()):
+            evaluator = RunConfig(settings=SETTINGS, tracer=tracer).evaluator()
+            records.append(
+                stats_to_record(evaluator["wordpress"].stats_for("ispy"))
+            )
+            set_tracer(None)
+        assert records[0] == records[1]

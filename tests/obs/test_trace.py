@@ -59,6 +59,23 @@ class TestSpans:
             assert tracer.current_span.name == "run:evaluate"
         assert tracer.current_span is None
 
+    def test_ending_a_span_twice_raises_and_records_once(self):
+        """A span ended twice would be counted twice by every
+        span-derived table, so the second end is an error."""
+        tracer = Tracer()
+        span = tracer.start_span("sim:replay")
+        tracer.end_span(span)
+        with pytest.raises(ValueError, match="not open"):
+            tracer.end_span(span)
+        assert len(x_events(tracer)) == 1
+
+    def test_ending_a_foreign_span_raises(self):
+        other = Tracer().start_span("sim:replay")
+        tracer = Tracer()
+        with pytest.raises(ValueError, match="not open"):
+            tracer.end_span(other)
+        assert x_events(tracer) == []
+
     def test_category_defaults_without_prefix(self):
         tracer = Tracer()
         with tracer.span("toplevel"):

@@ -36,13 +36,11 @@ class TestLazyExports:
     def test_observability_exports_are_canonical(self):
         from repro.obs.manifest import RunManifest
         from repro.obs.trace import Tracer
-        from repro.perf import PerfRegistry
         from repro.runconfig import RunConfig
 
         assert repro.RunConfig is RunConfig
         assert repro.Tracer is Tracer
         assert repro.RunManifest is RunManifest
-        assert repro.PerfRegistry is PerfRegistry
 
 
 class TestApiSnapshot:
@@ -68,7 +66,7 @@ class TestApiSnapshot:
             # analysis
             "Evaluator", "ExperimentSettings", "render_table",
             # run configuration & observability
-            "RunConfig", "Tracer", "RunManifest", "PerfRegistry",
+            "RunConfig", "Tracer", "RunManifest",
         }
     )
 
