@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .. import kernel
 from ..profiling.profiler import ExecutionProfile
@@ -49,12 +49,29 @@ class OccurrenceLabels:
         return 1.0 - self.miss_probability
 
 
+#: executions of one site that fan-out and context discovery label at
+#: most; a hotter site is read through an evenly spaced subsample
+MAX_OCCURRENCES = 20000
+
+
+def subsample_picks(count: int, limit: int):
+    """Positions of the evenly spaced *limit*-element subsample of
+    *count* (> *limit*) occurrences: ``int(i * (count / limit))``.
+
+    ``astype(int64)`` truncates exactly as the reference's ``int()``.
+    """
+    import numpy as np
+
+    step = count / limit
+    return (np.arange(limit, dtype=np.float64) * step).astype(np.int64)
+
+
 def label_occurrences(
     profile: ExecutionProfile,
     site: int,
     line: int,
     max_cycles: float,
-    max_occurrences: int = 20000,
+    max_occurrences: int = MAX_OCCURRENCES,
 ) -> OccurrenceLabels:
     """Label each execution of *site*: did a miss of *line* follow
     within *max_cycles*?"""
@@ -119,11 +136,9 @@ def _label_occurrences_columnar(
     arrays = profile.arrays()
     occurrences = arrays.occurrences_of(site)
     if len(occurrences) > max_occurrences:
-        step = len(occurrences) / max_occurrences
-        pick = (np.arange(max_occurrences, dtype=np.float64) * step).astype(
-            np.int64
-        )
-        occurrences = occurrences[pick]
+        occurrences = occurrences[
+            subsample_picks(len(occurrences), max_occurrences)
+        ]
     miss_indices, miss_cycles = arrays.line_samples(line)
 
     n_misses = len(miss_indices)
@@ -144,47 +159,6 @@ def _label_occurrences_columnar(
     )
 
 
-def candidate_fanout(
-    profile: ExecutionProfile,
-    site: int,
-    line: int,
-    max_cycles: float,
-    max_occurrences: int = 20000,
-) -> float:
-    """Fan-out of *site* without materializing :class:`OccurrenceLabels`.
-
-    Candidate ranking only reads ``labels.fanout``; skipping the
-    tuple conversions of the full labels object makes the per-candidate
-    cost one ``searchsorted``.  The subsample, the gap comparisons and
-    the ``positives / total`` division are the identical operations, so
-    the returned float matches ``label_occurrences(...).fanout`` bit
-    for bit.  Columnar path only — the reference keeps the labelled
-    form.
-    """
-    import numpy as np
-
-    arrays = profile.arrays()
-    occurrences = arrays.occurrences_of(site)
-    if len(occurrences) > max_occurrences:
-        step = len(occurrences) / max_occurrences
-        pick = (np.arange(max_occurrences, dtype=np.float64) * step).astype(
-            np.int64
-        )
-        occurrences = occurrences[pick]
-    total = len(occurrences)
-    if not total:
-        return 1.0
-    miss_indices, miss_cycles = arrays.line_samples(line)
-    n_misses = len(miss_indices)
-    if not n_misses:
-        return 1.0
-    positions = np.searchsorted(miss_indices, occurrences, side="right")
-    clipped = np.minimum(positions, n_misses - 1)
-    gaps = miss_cycles[clipped] - arrays.block_cycles[occurrences]
-    labels = (positions < n_misses) & (gaps <= max_cycles)
-    return 1.0 - int(np.count_nonzero(labels)) / total
-
-
 def dynamic_fanout(
     profile: ExecutionProfile,
     site: int,
@@ -201,7 +175,7 @@ def path_fanout(
     line: int,
     max_cycles: float,
     path_length: int = 6,
-    max_occurrences: int = 20000,
+    max_occurrences: int = MAX_OCCURRENCES,
 ) -> float:
     """Static-analysis-style fan-out: the fraction of distinct *paths*
     out of the site that do not lead to the miss.
@@ -259,23 +233,9 @@ def sites_in_window(
     """
     if estimator not in ("cycles", "ipc"):
         raise ValueError("estimator must be 'cycles' or 'ipc'")
-    if kernel.numpy_enabled():
-        return _sites_in_window_columnar(
-            profile, miss_index, min_cycles, max_cycles, estimator
-        )
-    return _sites_in_window_reference(
-        profile, miss_index, min_cycles, max_cycles, estimator
-    )
-
-
-def _sites_in_window_reference(
-    profile: ExecutionProfile,
-    miss_index: int,
-    min_cycles: float,
-    max_cycles: float,
-    estimator: str,
-) -> List[Tuple[int, float]]:
-    """Backward scan from the miss, one distance per step."""
+    # A backward scan from the miss, one distance per step (the
+    # columnar engine batches every miss's scan inside candidate
+    # ranking, repro.core.injection.rank_lines).
     blocks = profile.block_ids
     if estimator == "cycles":
         cycles = profile.block_cycles
@@ -306,167 +266,3 @@ def _sites_in_window_reference(
                 results.append((block, distance))
         index -= 1
     return results
-
-
-def window_entries(
-    profile: ExecutionProfile,
-    miss_indices: Sequence[int],
-    min_cycles: float,
-    max_cycles: float,
-    estimator: str = "cycles",
-):
-    """Batched :func:`sites_in_window` over many misses of one line.
-
-    Returns ``(blocks, distances)`` arrays holding the concatenation of
-    ``sites_in_window(profile, i, ...)`` for each *i* in
-    *miss_indices*, in that order, nearest-first within each window —
-    entry-for-entry the sequence the per-miss calls would produce.
-    One numpy pass replaces ``len(miss_indices)`` window scans, which
-    is what makes candidate ranking amortize its array overhead.
-
-    Per window the reference scans backward and stops at the first
-    occurrence whose distance exceeds ``max_cycles``; the window is
-    therefore exactly the elements *after the last* too-far occurrence.
-    A ``searchsorted`` lower bound (padded by a slack that dwarfs
-    float rounding) limits each window's probe region, and the exact
-    per-element distance comparisons are evaluated inside it, so every
-    accept/reject decision uses the identical IEEE operation.
-    """
-    import numpy as np
-
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    if not len(miss_indices):
-        return empty
-    arrays = profile.arrays()
-    miss_idx = np.asarray(miss_indices, dtype=np.int64)
-    if estimator == "cycles":
-        values = arrays.block_cycles
-        scale = None
-        positions = values[miss_idx]
-        threshold = positions - (max_cycles + 1.0)
-    elif estimator == "ipc":
-        values = arrays.cumulative_instructions
-        scale = profile.average_cpi
-        positions = values[miss_idx]
-        threshold = positions - ((max_cycles + 1.0) / scale + 2.0)
-    else:
-        raise ValueError("estimator must be 'cycles' or 'ipc'")
-
-    starts = np.searchsorted(values, threshold, side="left")
-    lengths = miss_idx - starts
-    nonempty = lengths > 0
-    if not nonempty.all():
-        starts = starts[nonempty]
-        lengths = lengths[nonempty]
-        positions = positions[nonempty]
-    if not len(starts):
-        return empty
-    total = int(lengths.sum())
-
-    # Flatten every probe region into one index vector.
-    seg_starts = np.zeros(len(starts), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=seg_starts[1:])
-    flat_local = np.arange(total, dtype=np.int64) - np.repeat(
-        seg_starts, lengths
-    )
-    flat_idx = np.repeat(starts, lengths) + flat_local
-    if scale is None:
-        distances = np.repeat(positions, lengths) - values[flat_idx]
-    else:
-        distances = (np.repeat(positions, lengths) - values[flat_idx]) * scale
-
-    # Window = strictly after the last too-far occurrence (everything
-    # before the probe region is too far by the slack construction).
-    beyond = distances > max_cycles
-    marker = np.where(beyond, flat_local, np.int64(-1))
-    last_beyond = np.maximum.reduceat(marker, seg_starts)
-    keep = (flat_local > np.repeat(last_beyond, lengths)) & (
-        distances >= min_cycles
-    )
-    kept = np.flatnonzero(keep)
-    if not len(kept):
-        return empty
-
-    segment = np.repeat(
-        np.arange(len(starts), dtype=np.int64), lengths
-    )[kept]
-    blocks = arrays.block_ids[flat_idx[kept]]
-    distances = distances[kept]
-    trace_pos = flat_idx[kept]
-
-    # First-seen dedup, nearest-first: keep each (window, block)'s
-    # highest trace position.  ``unique`` returns first occurrences, so
-    # run it over the reversed key stream to pick the last.
-    span = int(blocks.max()) + 1
-    keys = segment * span + blocks
-    _, first_rev = np.unique(keys[::-1], return_index=True)
-    selected = len(keys) - 1 - first_rev
-    order = np.lexsort((-trace_pos[selected], segment[selected]))
-    selected = selected[order]
-    return blocks[selected], distances[selected]
-
-
-def _sites_in_window_columnar(
-    profile: ExecutionProfile,
-    miss_index: int,
-    min_cycles: float,
-    max_cycles: float,
-    estimator: str,
-) -> List[Tuple[int, float]]:
-    """Array form of the backward window scan.
-
-    Timestamps (and cumulative instruction counts) are nondecreasing,
-    so the reference's break-on-too-far scan selects a contiguous
-    suffix of trace positions; a doubling backward probe finds its
-    start with the identical per-element float comparisons, and the
-    first-seen dedup keeps the same nearest-first order.
-    """
-    import numpy as np
-
-    if miss_index <= 0:
-        return []
-    arrays = profile.arrays()
-    if estimator == "cycles":
-        values = arrays.block_cycles
-        scale = None
-        position = profile.block_cycles[miss_index]
-    else:
-        values = arrays.cumulative_instructions
-        scale = profile.average_cpi
-        position = profile.cumulative_instructions[miss_index]
-
-    # Find the window start: grow the probed span until a distance
-    # exceeds max_cycles (or the trace starts).
-    high = miss_index
-    span = 256
-    while True:
-        low = max(0, high - span)
-        distances = position - values[low:high]
-        if scale is not None:
-            distances = distances * scale
-        beyond = np.flatnonzero(distances > max_cycles)
-        if len(beyond):
-            start = low + int(beyond[-1]) + 1
-            distances = distances[int(beyond[-1]) + 1 :]
-            break
-        if low == 0:
-            start = 0
-            break
-        span *= 2
-
-    if start >= high:
-        return []
-    # Nearest (latest trace position) first, matching the scan order.
-    distances = distances[::-1]
-    blocks = arrays.block_ids[start:high][::-1]
-    reachable = distances >= min_cycles
-    blocks = blocks[reachable]
-    distances = distances[reachable]
-    if not len(blocks):
-        return []
-    _, first_seen = np.unique(blocks, return_index=True)
-    first_seen.sort()
-    keep = first_seen
-    return list(
-        zip(blocks[keep].tolist(), distances[keep].tolist())
-    )

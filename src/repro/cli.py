@@ -14,6 +14,8 @@ Commands
 ``ingest``      land an external instruction trace (ChampSim-style
                 binary, JSONL or CSV) as an on-disk sharded trace with
                 a reconstructed program view.
+``trace-summary`` print the per-stage timing table of a ``--trace``
+                file (the ``--timing`` table of the run that wrote it).
 
 ``profile``/``plan``/``evaluate``/``matrix`` accept the paper's nine
 apps *and* the adversarial roster (``bloom-storm``, ``hash-alias``,
@@ -38,6 +40,7 @@ Examples
     python -m repro apps
     python -m repro evaluate wordpress --scale 0.5
     python -m repro evaluate wordpress --trace t.jsonl --manifest m.json
+    python -m repro trace-summary t.jsonl
     python -m repro figure fig11 --scale 0.6
     python -m repro plan kafka --prefetcher asmdb
     python -m repro evaluate wordpress --prefetcher mana --prefetcher fdip
@@ -349,6 +352,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_trace_summary(args: argparse.Namespace) -> int:
+    from .obs.trace import read_trace, summarize
+
+    print(summarize(read_trace(args.trace_file)).report())
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -457,6 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and print its MPKI/IPC as an end-to-end check",
     )
     p_ingest.set_defaults(func=cmd_ingest)
+
+    p_summary = commands.add_parser(
+        "trace-summary", help="per-stage timing table of a --trace file"
+    )
+    p_summary.add_argument("trace_file", help="a file written by --trace")
+    p_summary.set_defaults(func=cmd_trace_summary)
 
     p_headline = commands.add_parser(
         "headline", help="abstract-level aggregate numbers"

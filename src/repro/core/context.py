@@ -149,109 +149,6 @@ def _search_reference(
     return best, fallback
 
 
-def _predictor_pool_columnar(
-    profile: ExecutionProfile,
-    labels: OccurrenceLabels,
-    config: ISpyConfig,
-):
-    """Columnar pool construction: the same ranking from arrays.
-
-    Returns (pool, words, positive_words) where ``words[i]`` is pool
-    block *i*'s occurrence bitset packed little-endian into ``uint64``
-    lanes (bit ``j`` of lane ``w`` = occurrence ``64*w + j``).
-    """
-    import numpy as np
-
-    arrays = profile.arrays()
-    n_occ = labels.total
-    depth = config.lbr_depth
-
-    # The (site, occurrence-set, depth) windows are line-independent,
-    # so context discovery over many miss lines of one site reuses
-    # them.  Distinct occurrence subsamples always differ in length,
-    # which makes the length part of the key sufficient.
-    cache_key = (labels.site, n_occ, depth)
-    cached = arrays.window_cache.get(cache_key)
-    if cached is None:
-        block_ids = arrays.block_ids
-        indices = np.asarray(labels.indices, dtype=np.int64)
-
-        # Window matrix: each row holds the (≤ depth) blocks preceding
-        # one occurrence; out-of-trace positions become the -1 sentinel.
-        offsets = (
-            indices[:, None] + np.arange(-depth, 0, dtype=np.int64)[None, :]
-        )
-        valid = offsets >= 0
-        values = block_ids[np.where(valid, offsets, 0)]
-        values[~valid] = -1
-
-        # Distinct blocks per row (presence, not multiplicity): sort
-        # each row and keep first occurrences, exactly
-        # frozenset(window).
-        values.sort(axis=1)
-        distinct = np.ones(values.shape, dtype=bool)
-        distinct[:, 1:] = values[:, 1:] != values[:, :-1]
-        distinct &= values != -1
-        entry_rows = np.nonzero(distinct)[0]
-        entry_blocks = values[distinct]
-
-        unique_blocks, entry_ids = np.unique(
-            entry_blocks, return_inverse=True
-        )
-        cached = (entry_rows, entry_ids, unique_blocks)
-        arrays.window_cache[cache_key] = cached
-    entry_rows, entry_ids, unique_blocks = cached
-    positives = np.asarray(labels.leads_to_miss, dtype=bool)
-    n_pos = int(positives.sum())
-    n_neg = labels.total - n_pos
-    if n_pos == 0 or len(unique_blocks) == 0:
-        return [], None, None
-
-    entry_positive = positives[entry_rows]
-    pos_freq = np.bincount(
-        entry_ids[entry_positive], minlength=len(unique_blocks)
-    )
-    neg_freq = np.bincount(
-        entry_ids[~entry_positive], minlength=len(unique_blocks)
-    )
-
-    candidates = np.flatnonzero(pos_freq > 0)
-    p_pos = pos_freq[candidates] / n_pos
-    p_neg = (
-        neg_freq[candidates] / n_neg
-        if n_neg
-        else np.zeros(len(candidates), dtype=np.float64)
-    )
-    scores = p_pos - p_neg
-    # lexsort: primary key last — descending score, ties by block id.
-    order = np.lexsort((unique_blocks[candidates], -scores))
-    ranked = unique_blocks[candidates][order].tolist()
-    pool = [b for b in ranked if b != labels.site][: config.predictor_pool_size]
-    if not pool:
-        return pool, None, None
-
-    # Occurrence-membership matrix for the pool, packed into uint64.
-    pool_row_of = np.full(len(unique_blocks), -1, dtype=np.int64)
-    pool_row_of[np.searchsorted(unique_blocks, pool)] = np.arange(len(pool))
-    entry_pool_rows = pool_row_of[entry_ids]
-    in_pool = entry_pool_rows >= 0
-
-    n_words = (n_occ + 63) // 64
-    member = np.zeros((len(pool), n_words * 64), dtype=bool)
-    member[entry_pool_rows[in_pool], entry_rows[in_pool]] = True
-    lane_weights = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    words = (
-        member.reshape(len(pool), n_words, 64).astype(np.uint64) * lane_weights
-    ).sum(axis=2, dtype=np.uint64)
-
-    positive_bits = np.zeros(n_words * 64, dtype=bool)
-    positive_bits[:n_occ] = positives
-    positive_words = (
-        positive_bits.reshape(n_words, 64).astype(np.uint64) * lane_weights
-    ).sum(axis=1, dtype=np.uint64)
-    return pool, words, positive_words
-
-
 #: (n_pool, max_predecessors) -> (combos tuple, padded pick matrix);
 #: the enumeration is pool-independent, so one entry serves every site.
 _COMBO_CACHE: Dict[Tuple[int, int], tuple] = {}
@@ -276,68 +173,6 @@ def _combo_table(n_pool: int, max_predecessors: int):
     return cached
 
 
-def _search_columnar(
-    pool: Sequence[int],
-    words,
-    positive_words,
-    total_positives: int,
-    config: ISpyConfig,
-):
-    """Batched combination search: every size in one popcount pass.
-
-    Replicates the sequential scan's selection exactly: *best* is the
-    first combination (in enumeration order) achieving the
-    lexicographic maximum of ``(probability, support)`` among those
-    meeting the support and recall requirements; *fallback* is the
-    first achieving the maximum ``probability * recall``.  Batch
-    maxima plus ``argmax``'s first-occurrence rule reproduce the
-    strict-greater running comparisons.
-    """
-    import numpy as np
-
-    n_pool = len(pool)
-    combos, picks = _combo_table(n_pool, config.max_predecessors)
-    padded = np.concatenate(
-        [words, np.full((1, words.shape[1]), ~np.uint64(0))]
-    )
-    combined = padded[picks[:, 0]]
-    for column in range(1, picks.shape[1]):
-        combined = combined & padded[picks[:, column]]
-    support = kernel.popcount_u64(combined).sum(axis=1, dtype=np.int64)
-    hits = kernel.popcount_u64(combined & positive_words).sum(
-        axis=1, dtype=np.int64
-    )
-
-    eligible = np.flatnonzero(support >= config.min_context_support)
-    if not len(eligible):
-        return None, None
-    sup = support[eligible]
-    hit = hits[eligible]
-    probability = hit / sup
-    recall = hit / total_positives
-    score = probability * recall
-
-    row = int(np.argmax(score))
-    fallback = (
-        float(probability[row]),
-        int(sup[row]),
-        int(hit[row]),
-        combos[int(eligible[row])],
-    )
-
-    best = None
-    meets_recall = np.flatnonzero(recall >= config.min_context_recall)
-    if len(meets_recall):
-        probs = probability[meets_recall]
-        p_star = float(probs.max())
-        at_p = meets_recall[probs == p_star]
-        sups = sup[at_p]
-        s_star = int(sups.max())
-        first = int(at_p[int(np.argmax(sups == s_star))])
-        best = (p_star, s_star, int(hit[first]), combos[int(eligible[first])])
-    return best, fallback
-
-
 #: the :class:`ISpyConfig` fields context discovery reads; with
 #: ``(site, line)`` and the kernel gate they key its memo entries, so
 #: variants that differ only elsewhere share one search
@@ -356,6 +191,13 @@ CONTEXT_CONFIG_FIELDS: Tuple[str, ...] = (
 _UNSET = object()
 
 
+def _key_suffix(config: ISpyConfig) -> tuple:
+    """The memo key of a (site, line) pair's context, after the pair."""
+    return (kernel.numpy_enabled(),) + tuple(
+        getattr(config, name) for name in CONTEXT_CONFIG_FIELDS
+    )
+
+
 def discover_context(
     profile: ExecutionProfile,
     site: int,
@@ -367,22 +209,50 @@ def discover_context(
     Returns None when no combination satisfies the probability,
     recall and support requirements — the caller then injects an
     unconditional prefetch instead.  Answers are memoized on the
-    profile (:meth:`ExecutionProfile.analysis_memo`).
+    profile (:meth:`ExecutionProfile.analysis_memo`), where
+    :func:`discover_contexts` may already have put them.
     """
     memo = profile.analysis_memo()
-    key = (site, line, kernel.numpy_enabled()) + tuple(
-        getattr(config, name) for name in CONTEXT_CONFIG_FIELDS
-    )
+    key = (site, line) + _key_suffix(config)
     context = memo.contexts.get(key, _UNSET)
     if context is not _UNSET:
         memo.context_hits += 1
         return context
-    context = _discover_context(profile, site, line, config)
-    memo.contexts[key] = context
-    return context
+    discover_contexts(profile, [(site, line)], config)
+    return memo.contexts[key]
 
 
-def _discover_context(
+def discover_contexts(
+    profile: ExecutionProfile,
+    pairs: Sequence[Tuple[int, int]],
+    config: ISpyConfig,
+) -> None:
+    """Memoize :func:`discover_context` for every ``(site, line)`` pair
+    of *pairs* the memo cannot answer yet.
+
+    The columnar engine answers them all in one batched pass
+    (:func:`_discover_contexts_columnar`); the reference searches pair
+    by pair.
+    """
+    memo = profile.analysis_memo()
+    suffix = _key_suffix(config)
+    missing = [
+        pair for pair in dict.fromkeys(pairs) if pair + suffix not in memo.contexts
+    ]
+    if not missing:
+        return
+    if kernel.numpy_enabled():
+        found = _discover_contexts_columnar(profile, missing, config)
+    else:
+        found = [
+            _discover_context_reference(profile, site, line, config)
+            for site, line in missing
+        ]
+    for pair, context in zip(missing, found):
+        memo.contexts[pair + suffix] = context
+
+
+def _discover_context_reference(
     profile: ExecutionProfile,
     site: int,
     line: int,
@@ -397,32 +267,33 @@ def _discover_context(
     )
     if not labels.total or not labels.positives:
         return None
-    base_probability = labels.miss_probability
-
     # Bitset construction guarantees popcount(positive_mask) equals
-    # the labelled positive count, so both engines share this total.
+    # the labelled positive count.
     total_positives = labels.positives
-
-    if kernel.numpy_enabled():
-        pool, words, positive_words = _predictor_pool_columnar(
-            profile, labels, config
-        )
-        if not pool:
-            return None
-        best, fallback = _search_columnar(
-            pool, words, positive_words, total_positives, config
-        )
-    else:
-        pool, masks, positive_mask = _predictor_pool(profile, labels, config)
-        if not pool:
-            return None
-        best, fallback = _search_reference(
-            pool, masks, positive_mask, total_positives, config
-        )
-
+    pool, masks, positive_mask = _predictor_pool(profile, labels, config)
+    if not pool:
+        return None
+    best, fallback = _search_reference(
+        pool, masks, positive_mask, total_positives, config
+    )
     chosen = best if best is not None else fallback
     if chosen is None:
         return None
+    return _accept(
+        config, pool, chosen, total_positives, labels.miss_probability
+    )
+
+
+def _accept(
+    config: ISpyConfig,
+    pool: Sequence[int],
+    chosen: tuple,
+    total_positives: int,
+    base_probability: float,
+) -> Optional[ContextResult]:
+    """The :class:`ContextResult` of the search's chosen
+    ``(probability, support, hits, combo)``, or None when it misses
+    the probability or gain requirement."""
     probability, support, hits, combo = chosen
     if probability < config.min_context_probability:
         return None
@@ -432,6 +303,251 @@ def _discover_context(
         blocks=tuple(sorted(pool[position] for position in combo)),
         probability=probability,
         support=support,
-        recall=hits / total_positives if total_positives else 0.0,
+        recall=hits / total_positives,
         base_probability=base_probability,
     )
+
+
+def _discover_contexts_columnar(
+    profile: ExecutionProfile,
+    pairs: Sequence[Tuple[int, int]],
+    config: ISpyConfig,
+) -> List[Optional[ContextResult]]:
+    """:func:`discover_context` of every pair in one batched pass, in
+    chunks of about :data:`repro.kernel.BATCH_ELEMENTS` LBR-history
+    entries (:func:`repro.kernel.batch_chunks`).
+
+    Per chunk: every pair's executions are labelled together (one
+    ``searchsorted`` over per-line miss keys, the reference's
+    ``bisect_right``); every execution's LBR history is reduced to its
+    distinct blocks; one combined ``(pair, block)`` ``unique`` and two
+    ``bincount`` calls give the predictor frequencies, and one ``lexsort``
+    ranks every pair's pool by ``(-score, block)``.  The combination
+    search then runs per pool size with a leading pair axis
+    (:func:`_search_pools`).  Every float is the reference's operation
+    on the same integers, so each answer matches it exactly.
+    """
+    import numpy as np
+
+    arrays = profile.arrays()
+    sites = np.array([site for site, _ in pairs], dtype=np.int64)
+    executions = np.minimum(
+        arrays.occurrence_counts(sites), config.context_discovery_occurrences
+    )
+    results: List[Optional[ContextResult]] = []
+    for begin, end in kernel.batch_chunks(executions * config.lbr_depth):
+        results += _contexts_chunk(
+            arrays, pairs[begin:end], sites[begin:end], config
+        )
+    return results
+
+
+def _contexts_chunk(
+    arrays,
+    pairs: Sequence[Tuple[int, int]],
+    sites,
+    config: ISpyConfig,
+) -> List[Optional[ContextResult]]:
+    import numpy as np
+
+    limit = config.context_discovery_occurrences
+    results: List[Optional[ContextResult]] = [None] * len(pairs)
+
+    # -- label every pair's (subsampled) executions ----------------------
+    full = arrays.occurrence_counts(sites)
+    totals = np.minimum(full, limit)
+    row_pair = np.repeat(np.arange(len(pairs), dtype=np.int64), totals)
+    # Row i of a pair is its i-th labelled execution: bit i of its
+    # bitsets.
+    row_bit = np.arange(int(totals.sum()), dtype=np.int64) - (
+        np.cumsum(totals) - totals
+    )[row_pair]
+    # The reference's subsample: execution int(i * (count / limit)).
+    execution = row_bit.copy()
+    sampled = (full > limit)[row_pair]
+    execution[sampled] = (
+        row_bit[sampled].astype(np.float64) * (full / limit)[row_pair[sampled]]
+    ).astype(np.int64)
+    rows = arrays.occurrence_at(sites[row_pair], execution)
+
+    lines = list(dict.fromkeys(line for _, line in pairs))
+    line_rank = {line: rank for rank, line in enumerate(lines)}
+    per_line = [arrays.line_samples(line) for line in lines]
+    sample_counts = np.array([len(i) for i, _ in per_line], dtype=np.int64)
+    if not sample_counts.sum():
+        return results
+    stride = len(arrays.block_ids) + 1
+    miss_keys = np.repeat(
+        np.arange(len(lines), dtype=np.int64), sample_counts
+    ) * stride + np.concatenate([i for i, _ in per_line])
+    miss_cycles = np.concatenate([c for _, c in per_line])
+    row_line = np.array(
+        [line_rank[line] for _, line in pairs], dtype=np.int64
+    )[row_pair]
+    # bisect_right: the first miss of the row's line after the row.
+    following = np.searchsorted(
+        miss_keys, row_line * stride + rows, side="right"
+    )
+    in_line = following < np.cumsum(sample_counts)[row_line]
+    gaps = (
+        miss_cycles[np.minimum(following, len(miss_keys) - 1)]
+        - arrays.block_cycles[rows]
+    )
+    labels = in_line & (gaps <= config.max_prefetch_distance)
+    positives = np.bincount(
+        row_pair, weights=labels, minlength=len(pairs)
+    ).astype(np.int64)
+
+    # -- predictor pools ---------------------------------------------------
+    live_rows = np.flatnonzero(positives[row_pair] > 0)
+    if not len(live_rows):
+        return results
+    depth = config.lbr_depth
+    offsets = rows[live_rows, None] + np.arange(-depth, 0, dtype=np.int64)
+    history = arrays.block_ids[np.maximum(offsets, 0)]
+    history[offsets < 0] = -1
+    # frozenset(window): each row's distinct blocks.
+    history.sort(axis=1)
+    distinct = np.ones(history.shape, dtype=bool)
+    distinct[:, 1:] = history[:, 1:] != history[:, :-1]
+    distinct &= history != -1
+    entry_row = live_rows[np.flatnonzero(distinct) // depth]
+    entry_block = history[distinct]
+    span = int(entry_block.max()) + 1 if len(entry_block) else 1
+    keys, inverse = np.unique(
+        row_pair[entry_row] * span + entry_block, return_inverse=True
+    )
+    seen = np.bincount(inverse, minlength=len(keys))
+    seen_positive = np.bincount(
+        inverse, weights=labels[entry_row], minlength=len(keys)
+    )
+    key_pair = keys // span
+    key_block = keys % span
+    candidate = (seen_positive > 0) & (key_block != sites[key_pair])
+    cand = np.flatnonzero(candidate)
+    cand_pair = key_pair[cand]
+    n_pos = positives[cand_pair]
+    n_neg = totals[cand_pair] - n_pos
+    p_pos = seen_positive[cand] / n_pos
+    p_neg = np.where(
+        n_neg > 0, (seen[cand] - seen_positive[cand]) / np.maximum(n_neg, 1), 0.0
+    )
+    order = np.lexsort((key_block[cand], -(p_pos - p_neg), cand_pair))
+    ordered_pair = cand_pair[order]
+    rank = np.arange(len(order)) - np.searchsorted(ordered_pair, ordered_pair)
+    pooled = rank < config.predictor_pool_size
+    pool_key = cand[order[pooled]]
+    pool_pair = key_pair[pool_key]
+    pool_index = np.full(len(keys), -1, dtype=np.int64)
+    pool_index[pool_key] = rank[pooled]
+    pool_size = np.bincount(pool_pair, minlength=len(pairs))
+
+    # -- packed occurrence bitsets, then the search per pool size ----------
+    member = np.flatnonzero(pool_index[inverse] >= 0)
+    member_row = entry_row[member]
+    members = (row_pair[member_row], pool_index[inverse[member]], row_bit[member_row])
+    positive_rows = np.flatnonzero(labels)
+    positive_bits = (row_pair[positive_rows], row_bit[positive_rows])
+    pool_blocks = key_block[pool_key].tolist()
+    pool_starts = np.cumsum(pool_size) - pool_size
+    for size in np.unique(pool_size[pool_size > 0]).tolist():
+        group = np.flatnonzero(pool_size == size)
+        searched = _search_pools(
+            group, size, totals, positives, members, positive_bits, config
+        )
+        for pair, chosen in zip(group.tolist(), searched):
+            if chosen is None:
+                continue
+            start = int(pool_starts[pair])
+            n_pos = int(positives[pair])
+            results[pair] = _accept(
+                config,
+                pool_blocks[start : start + size],
+                chosen,
+                n_pos,
+                n_pos / int(totals[pair]),
+            )
+    return results
+
+
+def _search_pools(group, size, totals, positives, members, positive_bits, config):
+    """The combination search of every pair in *group* (pools of
+    *size* blocks), with a leading pair axis: returns each pair's
+    chosen ``(probability, support, hits, combo)``, or None.
+
+    Each pair's bitsets are packed little-endian into ``uint64``
+    words (bit ``j`` of word ``w`` = execution ``64 * w + j``) and
+    zero-padded to the group's widest pair: zero words add nothing to
+    any support or hit count.  A virtual all-ones pool row pads every
+    combination to ``max_predecessors`` picks (the AND identity).
+
+    The selection replicates the reference's sequential scan: *best*
+    is the first combination (in enumeration order) reaching the
+    lexicographic maximum of ``(probability, support)`` among those
+    meeting the support and recall requirements; *fallback* the first
+    reaching the maximum ``probability * recall`` among those meeting
+    the support requirement.  ``argmax``'s first-occurrence rule
+    reproduces the strict-greater running comparisons.
+    """
+    import numpy as np
+
+    combos, picks = _combo_table(size, config.max_predecessors)
+    width = int((totals[group].max() + 63) // 64)
+    member_pair, member_pool, member_bit = members
+    positive_pair, positive_bit = positive_bits
+    one = np.uint64(1)
+    chosen: List[Optional[tuple]] = []
+    weights = np.full(len(group), len(combos) * width)
+    for begin, end in kernel.batch_chunks(weights):
+        batch = group[begin:end]
+        slot = np.full(len(totals), -1, dtype=np.int64)
+        slot[batch] = np.arange(len(batch))
+        words = np.zeros((len(batch), size + 1, width), dtype=np.uint64)
+        words[:, size, :] = ~np.uint64(0)
+        mine = slot[member_pair] >= 0
+        bits = member_bit[mine]
+        np.bitwise_or.at(
+            words,
+            (slot[member_pair[mine]], member_pool[mine], bits >> 6),
+            one << (bits & 63).astype(np.uint64),
+        )
+        positive_words = np.zeros((len(batch), width), dtype=np.uint64)
+        mine = slot[positive_pair] >= 0
+        bits = positive_bit[mine]
+        np.bitwise_or.at(
+            positive_words,
+            (slot[positive_pair[mine]], bits >> 6),
+            one << (bits & 63).astype(np.uint64),
+        )
+
+        combined = words[:, picks[:, 0], :]
+        for column in range(1, picks.shape[1]):
+            combined &= words[:, picks[:, column], :]
+        support = kernel.popcount_u64(combined).sum(axis=2, dtype=np.int64)
+        hits = kernel.popcount_u64(combined & positive_words[:, None, :]).sum(
+            axis=2, dtype=np.int64
+        )
+
+        eligible = support >= config.min_context_support
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probability = hits / support
+        recall = hits / positives[batch][:, None]
+        fallback = np.argmax(
+            np.where(eligible, probability * recall, -np.inf), axis=1
+        )
+        meets = eligible & (recall >= config.min_context_recall)
+        top_probability = np.where(meets, probability, -np.inf).max(axis=1)
+        at_top = meets & (probability == top_probability[:, None])
+        top_support = np.where(at_top, support, -1).max(axis=1)
+        best = np.argmax(at_top & (support == top_support[:, None]), axis=1)
+        pick = np.where(meets.any(axis=1), best, fallback)
+        row = np.arange(len(batch))
+        for found, p, s, h, c in zip(
+            eligible.any(axis=1).tolist(),
+            probability[row, pick].tolist(),
+            support[row, pick].tolist(),
+            hits[row, pick].tolist(),
+            pick.tolist(),
+        ):
+            chosen.append((p, s, h, combos[c]) if found else None)
+    return chosen

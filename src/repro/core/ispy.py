@@ -29,7 +29,7 @@ from .coalesce import (
     passthrough_groups,
 )
 from .config import DEFAULT_CONFIG, ISpyConfig
-from .context import ContextResult, discover_context
+from .context import ContextResult, discover_context, discover_contexts
 from .hashing import context_mask
 from .injection import SiteSelection, frequent_miss_lines, select_site
 from .instructions import PrefetchInstr, PrefetchPlan
@@ -91,22 +91,30 @@ class ISpy:
         planned: List[PlannedPrefetch] = []
 
         memo = profile.analysis_memo()
-        site_hits, context_hits = memo.site_hits, memo.context_hits
+        ranked, searched = len(memo.candidates), len(memo.contexts)
         with tracer.span("analysis:context-discovery") as span:
-            for line, _count in frequent_miss_lines(profile, config):
+            lines = [line for line, _count in frequent_miss_lines(profile, config)]
+            for line in lines:
+                report.selections[line] = select_site(profile, line, config)
+            # Every context this plan needs, searched in one pass.
+            pairs = [
+                (selection.chosen.block_id, line)
+                for line, selection in report.selections.items()
+                if selection.chosen is not None
+                and config.enable_conditional
+                and selection.chosen.fanout > config.conditional_fanout_threshold
+            ]
+            discover_contexts(profile, pairs, config)
+            needs_context = set(pairs)
+            for line in lines:
                 report.considered_lines += 1
-                selection = select_site(profile, line, config)
-                report.selections[line] = selection
-                if selection.chosen is None:
+                site = report.selections[line].chosen
+                if site is None:
                     report.uncovered_lines.append(line)
                     continue
-                site = selection.chosen
 
                 context_blocks: Tuple[int, ...] = ()
-                if (
-                    config.enable_conditional
-                    and site.fanout > config.conditional_fanout_threshold
-                ):
+                if (site.block_id, line) in needs_context:
                     context = discover_context(profile, site.block_id, line, config)
                     if context is not None:
                         context_blocks = context.blocks
@@ -120,12 +128,14 @@ class ISpy:
                         covers=(line,),
                     )
                 )
+            # Answers taken from earlier builds on this profile: the
+            # lookups that added no memo entry.
             span.set(
                 lines=report.considered_lines,
                 contexts=len(report.contexts),
                 uncovered=len(report.uncovered_lines),
-                reused_sites=memo.site_hits - site_hits,
-                reused_contexts=memo.context_hits - context_hits,
+                reused_sites=len(lines) - (len(memo.candidates) - ranked),
+                reused_contexts=len(pairs) - (len(memo.contexts) - searched),
             )
 
         with tracer.span(

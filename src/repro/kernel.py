@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Tuple
 
 NUMPY_KERNEL_ENV = "REPRO_NUMPY_KERNEL"
 
@@ -37,6 +37,12 @@ try:  # pragma: no cover - exercised implicitly by every import
 except ImportError:  # pragma: no cover - CI images all carry numpy
     _np = None
     HAVE_NUMPY = False
+
+#: elements one chunk of a batched offline-analysis pass materializes
+#: (window probes, LBR-history entries, combination words), give or
+#: take one item; it bounds the passes' transient arrays, and so peak
+#: memory, on long profiles
+BATCH_ELEMENTS = 1 << 16
 
 #: Tri-state program override: None = defer to the environment.
 _forced: Optional[bool] = None
@@ -80,6 +86,18 @@ def force_numpy_kernel() -> Iterator[None]:
         yield
     finally:
         set_numpy_kernel(previous)
+
+
+def batch_chunks(weights) -> List[Tuple[int, int]]:
+    """Split items of the given *weights* (an array) into consecutive
+    ``[begin, end)`` chunks of about :data:`BATCH_ELEMENTS` total
+    weight: a chunk ends where the running total crosses the next
+    multiple, so only its last item can push it over."""
+    if not len(weights):
+        return []
+    chunk = (_np.cumsum(weights) - weights) // BATCH_ELEMENTS
+    bounds = [0] + (_np.flatnonzero(_np.diff(chunk)) + 1).tolist()
+    return list(zip(bounds, bounds[1:] + [len(weights)]))
 
 
 def bit_count(value: int) -> int:

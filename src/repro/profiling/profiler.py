@@ -47,20 +47,14 @@ class ProfileArrays:
         self.cumulative_instructions = np.asarray(
             profile.cumulative_instructions, dtype=np.int64
         )
-        #: scratch cache for per-site context windows (see
-        #: repro.core.context._predictor_pool_columnar)
-        self.window_cache: Dict[Tuple[int, int, int], tuple] = {}
-        # CSR of per-block occurrence positions (ascending per block).
-        order = np.argsort(self.block_ids, kind="stable")
-        sorted_ids = self.block_ids[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
-        ends = np.concatenate((boundaries[1:], [len(sorted_ids)]))
-        self._occurrences = {
-            int(sorted_ids[start]): order[start:end]
-            for start, end in zip(boundaries, ends)
-        }
+        # CSR of per-block occurrence positions: block b's executions
+        # are ``_occurrence_order[_occurrence_starts[b]:...[b + 1]]``,
+        # ascending.
+        self._occurrence_order = np.argsort(self.block_ids, kind="stable")
+        counts = np.bincount(self.block_ids)
+        self._occurrence_starts = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self._occurrence_starts[1:])
+        self._occurrence_keys = None
         # Per-line miss samples (trace indices ascending, as recorded).
         lines: Dict[int, Tuple[List[int], List[float]]] = {}
         for sample in profile.miss_samples:
@@ -81,10 +75,41 @@ class ProfileArrays:
 
     def occurrences_of(self, block_id: int):
         """Trace indices where *block_id* executed (ascending array)."""
-        positions = self._occurrences.get(block_id)
-        if positions is None:
+        if not 0 <= block_id < len(self._occurrence_starts) - 1:
             return self.np.zeros(0, dtype=self.np.int64)
-        return positions
+        starts = self._occurrence_starts
+        return self._occurrence_order[starts[block_id] : starts[block_id + 1]]
+
+    def occurrence_counts(self, block_ids):
+        """How many times each of *block_ids* (an array) executed."""
+        np = self.np
+        starts = self._occurrence_starts
+        known = (block_ids >= 0) & (block_ids < len(starts) - 1)
+        ids = np.where(known, block_ids, 0)
+        return np.where(known, starts[ids + 1] - starts[ids], 0)
+
+    def occurrence_at(self, block_ids, ranks):
+        """Elementwise: the trace index of execution ``ranks[i]``
+        (0-based, ascending) of block ``block_ids[i]``."""
+        return self._occurrence_order[self._occurrence_starts[block_ids] + ranks]
+
+    def occurrences_before(self, block_ids, positions):
+        """Elementwise: how many executions of ``block_ids[i]`` lie at
+        trace indices below ``positions[i]`` (both int64 arrays, every
+        position in ``[0, len(trace)]``).
+
+        One ``searchsorted`` over the CSR flattened to the sorted keys
+        ``block * (len + 1) + position``, built on first use.
+        """
+        np = self.np
+        stride = len(self.block_ids) + 1
+        if self._occurrence_keys is None:
+            order = self._occurrence_order
+            self._occurrence_keys = self.block_ids[order] * stride + order
+        found = np.searchsorted(
+            self._occurrence_keys, block_ids * stride + positions
+        )
+        return found - self._occurrence_starts[block_ids]
 
     def line_samples(self, line: int):
         """(trace_index[], cycle[]) of the sampled misses of *line*."""
@@ -103,10 +128,13 @@ class AnalysisMemo:
     entries never serve each other:
 
     * ``candidates`` — ranked injection candidates
-      (:func:`repro.core.injection.select_site`);
+      (:func:`repro.core.injection.select_site`); the columnar engine
+      fills a whole ranking group — every frequent line of one window
+      and distance estimator — on its first miss;
     * ``path_fanouts`` — AsmDB's per-candidate path fan-out;
     * ``contexts`` — :func:`repro.core.context.discover_context`
-      results (``None`` included).
+      results (``None`` included); a plan build fills every pair it
+      needs at once (:func:`repro.core.context.discover_contexts`).
 
     ``site_hits`` / ``context_hits`` count lookups served from the
     memo.  Like the other profile caches, the memo assumes the profile

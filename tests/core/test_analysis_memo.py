@@ -157,27 +157,37 @@ class TestIsolation:
 
         with first():
             ispy, asmdb = build()
-        sizes = (
-            len(memo.candidates), len(memo.path_fanouts), len(memo.contexts)
-        )
+        tables = (memo.candidates, memo.path_fanouts, memo.contexts)
+        first_keys = [set(table) for table in tables]
         hits = (memo.site_hits, memo.context_hits)
 
         with second():
             other_ispy, other_asmdb = build()
-        # Every lookup of the other engine missed and made its own
-        # entry, though the answers are the same.
-        assert (
-            len(memo.candidates), len(memo.path_fanouts), len(memo.contexts)
-        ) == tuple(2 * size for size in sizes)
-        assert memo.site_hits == hits[0]
-        assert memo.context_hits == hits[1]
+            alone = _fresh(profile)
+            build_ispy_plan(app.program, alone, DEFAULT_CONFIG)
+            build_asmdb_plan(app.program, alone, DEFAULT_CONFIG)
+        alone_memo = alone.analysis_memo()
+        alone_tables = (
+            alone_memo.candidates, alone_memo.path_fanouts, alone_memo.contexts
+        )
+        # The other engine made its own entries, exactly those it makes
+        # on a profile the first engine never touched, and every memo
+        # hit it scored is one it scores there too: none of its lookups
+        # was served by the first engine's entries, though the answers
+        # are the same.
+        for table, keys, alone_table in zip(tables, first_keys, alone_tables):
+            assert set(table) - keys == set(alone_table)
+            assert len(table) == 2 * len(keys)
+        assert memo.site_hits - hits[0] == alone_memo.site_hits
+        assert memo.context_hits - hits[1] == alone_memo.context_hits
         assert list(other_ispy.plan) == list(ispy.plan)
         assert list(other_asmdb.plan) == list(asmdb.plan)
 
         # Back on the first engine, its own entries serve the rebuild.
+        sites = memo.site_hits
         with first():
             build_ispy_plan(app.program, copy, DEFAULT_CONFIG)
-        assert memo.site_hits == hits[0] + ispy.report.considered_lines
+        assert memo.site_hits - sites == ispy.report.considered_lines
 
     def test_memo_invisible_to_serialization_and_equality(self, profile, filled):
         assert filled.analysis_memo().candidates
@@ -189,10 +199,19 @@ class TestIsolation:
 class TestReuseOnTrace:
     def test_context_discovery_span_counts_reuse(self, app, profile):
         copy = _fresh(profile)
+        memo = copy.analysis_memo()
+
+        def ranked(config):
+            """The lines with a ranking for *config*'s window."""
+            window = (config.min_prefetch_distance, config.max_prefetch_distance)
+            return {key[0] for key in memo.candidates if key[1:3] == window}
+
+        moved = DEFAULT_CONFIG.with_window(5, 200)
         tracer = Tracer()
         with use_tracer(tracer):
             first = build_ispy_plan(app.program, copy, DEFAULT_CONFIG)
-            build_ispy_plan(app.program, copy, DEFAULT_CONFIG.with_window(5, 200))
+            assert not ranked(moved)
+            second = build_ispy_plan(app.program, copy, moved)
             build_ispy_plan(app.program, copy, DEFAULT_CONFIG.coalescing_only())
         spans = [
             event["args"]
@@ -200,12 +219,15 @@ class TestReuseOnTrace:
             if event["ph"] == "X" and event["name"] == "analysis:context-discovery"
         ]
         assert len(spans) == 3
+        # A cold build ranks and searches everything it considers:
+        # the spans count answers taken from earlier builds.
+        assert set(first.report.selections) <= ranked(DEFAULT_CONFIG)
         assert (spans[0]["reused_sites"], spans[0]["reused_contexts"]) == (0, 0)
         # A new minimum distance re-ranks every line.
+        assert set(second.report.selections) <= ranked(moved)
         assert spans[1]["reused_sites"] == 0
         # The flags change nothing the ranking reads, and without
         # conditional prefetching no context is looked up.
         assert (spans[2]["reused_sites"], spans[2]["reused_contexts"]) == (
             first.report.considered_lines, 0,
         )
-

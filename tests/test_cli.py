@@ -183,6 +183,29 @@ class TestTelemetryFlags:
         assert "finagle-chirper" in payload["apps"]
         assert payload["trace_path"] == str(trace_path)
 
+    def test_trace_summary_of_an_evaluate_trace(self, tmp_path, capsys):
+        from repro.obs.trace import read_trace, set_tracer, summarize
+
+        trace_path = tmp_path / "t.jsonl"
+        try:
+            assert main(
+                ["evaluate", "finagle-chirper", *FAST,
+                 "--trace", str(trace_path)]
+            ) == 0
+        finally:
+            set_tracer(None)
+        capsys.readouterr()
+
+        assert main(["trace-summary", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert out == summarize(read_trace(trace_path)).report() + "\n"
+        # the run's stages, its replay backends and the self-time total
+        assert "run:evaluate" in out
+        assert "sim:replay" in out
+        assert "analysis:context-discovery" in out
+        assert "replay backends:" in out
+        assert "total" in out
+
     def test_timing_flag_prints_report(self, capsys):
         from repro.obs.trace import set_tracer
 
