@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import importlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ..sim.stats import SimStats
@@ -96,10 +96,6 @@ class Footprint:
 
     injected_bytes: int = 0
     metadata_bytes: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.injected_bytes + self.metadata_bytes
 
     def static_increase(self, text_bytes: int) -> float:
         """Fractional text-segment growth (injected bytes only, to

@@ -41,11 +41,6 @@ class CandidateSite:
     fanout: float            # fraction of its executions not leading to the miss
     mean_distance: float     # average cycle distance to the miss
 
-    @property
-    def accuracy_estimate(self) -> float:
-        """Expected fraction of useful prefetches if unconditional."""
-        return 1.0 - self.fanout
-
 
 @dataclass(frozen=True)
 class SiteSelection:

@@ -200,9 +200,6 @@ class ExecutionProfile:
             self._occurrence_index = index
         return self._occurrence_index.get(block_id, [])
 
-    def cycle_of(self, index: int) -> float:
-        return self.block_cycles[index]
-
     @property
     def average_cpi(self) -> float:
         """Whole-profile cycles per instruction (stalls included).
@@ -243,9 +240,6 @@ class ExecutionProfile:
                 grouped.setdefault(sample.line, []).append(sample)
             self._line_samples = grouped
         return self._line_samples.get(line, [])
-
-    def miss_indices_for_line(self, line: int) -> List[int]:
-        return [sample.trace_index for sample in self.samples_for_line(line)]
 
     def next_miss_within(
         self, line: int, index: int, max_cycles: float

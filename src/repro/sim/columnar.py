@@ -103,9 +103,6 @@ class ColumnarProgram:
         """Lower a trace to per-execution program rows."""
         return self.rows_for(trace.block_ids)
 
-    def lines_of_row(self, row: int) -> np.ndarray:
-        return self.line_data[self.line_starts[row] : self.line_starts[row + 1]]
-
     def shard_bounds(self, rows: np.ndarray, shard_insns: int) -> list:
         """Half-open ``(start, stop)`` trace ranges of the greedy
         instruction-budget cut, vectorized.

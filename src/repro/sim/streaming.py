@@ -7,8 +7,8 @@ reference loop, or one of the columnar kernels of
 by shard: an in-memory :class:`BlockTrace` cut on the fly, or an
 on-disk :class:`ShardedTrace` materialized one chunk at a time.  A
 whole-trace replay is literally the one-shard case ``[(0, len)]``.
-The per-shard partial statistics (:class:`~repro.sim.stats.ShardStats`)
-merge into the reported :class:`SimStats`, which is therefore
+The backend's carry holds the run's counters, and its ``finish``
+writes them into the reported :class:`SimStats`, which is therefore
 **bit-identical** however the trace is cut:
 
 * the columnar kernels are carry-threaded shard kernels;
@@ -38,42 +38,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import kernel
 from ..obs.trace import get_tracer
-from .stats import (
-    SHARD_FLOAT_FIELDS,
-    SHARD_INT_FIELDS,
-    ShardStats,
-    SimStats,
-)
+from .stats import SimStats
 from .trace import BlockTrace, ShardedTrace, trace_shard_bounds
 
 CHECKPOINT_FORMAT = "replay-checkpoint"
-CHECKPOINT_VERSION = 1
-
-
-def _copy_stats(stats: SimStats) -> SimStats:
-    snap = SimStats()
-    for name in SHARD_INT_FIELDS:
-        setattr(snap, name, getattr(stats, name))
-    for name in SHARD_FLOAT_FIELDS:
-        setattr(snap, name, getattr(stats, name))
-    snap.miss_level_counts = dict(stats.miss_level_counts)
-    return snap
-
-
-def _apply_merged(stats: SimStats, merged: ShardStats) -> None:
-    """Make the order-independent shard merge the reported counters.
-
-    By construction the merge equals what the backend finish wrote
-    into *stats*; assigning from the merge keeps the sharded path
-    honest — the numbers the caller sees really did flow through the
-    :class:`ShardStats` algebra.
-    """
-    final = merged.finalize()
-    for name in SHARD_INT_FIELDS:
-        setattr(stats, name, getattr(final, name))
-    for name in SHARD_FLOAT_FIELDS:
-        setattr(stats, name, getattr(final, name))
-    stats.miss_level_counts = dict(final.miss_level_counts)
+#: Raised whenever the payload layout changes: a file of another version
+#: fails the header check, and the run replays from shard 0.
+CHECKPOINT_VERSION = 2
 
 
 # -- carry (de)serialization helpers -----------------------------------------
@@ -186,7 +157,6 @@ def _checkpoint(
     index: int,
     num_shards: int,
     shard_insns: Optional[int],
-    merged: ShardStats,
     carry_payload: dict,
     data_model,
 ) -> dict:
@@ -198,7 +168,6 @@ def _checkpoint(
         "shard_index": index,
         "num_shards": num_shards,
         "shard_insns": shard_insns,
-        "merged": merged.to_payload(),
         "carry": carry_payload,
         "data_model": _data_model_payload(data_model),
     }
@@ -211,16 +180,16 @@ def _load_checkpoint(
     shard_insns: Optional[int],
     data_model,
     restore_carry: Callable[[dict], object],
-) -> Optional[Tuple[int, ShardStats, object]]:
+) -> Optional[Tuple[int, object]]:
     """Validate and decode the latest checkpoint, or None to start
     fresh.
 
-    *restore_carry* decodes the backend's carry payload.  Any mismatch
-    (format, backend, shard geometry, data-model presence) or a body
-    that does not decode (missing keys, wrong types, a merged range
-    other than shards ``0..index``) discards the checkpoint with a
-    ``sim:resume-invalid`` instant naming the reason, rather than
-    failing the run; *data_model* is left untouched in that case.
+    *restore_carry* decodes the backend's carry payload.  Any header
+    mismatch (format, version, backend, shard geometry, data-model
+    presence) or a body that does not decode (missing keys, wrong
+    types) discards the checkpoint with a ``sim:resume-invalid``
+    instant naming the reason, rather than failing the run;
+    *data_model* is left untouched in that case.
     """
     loaded = checkpointer.load_latest(num_shards)
     if loaded is None:
@@ -242,13 +211,6 @@ def _load_checkpoint(
         return None
     saved_model = _data_model_payload(data_model)
     try:
-        merged = ShardStats.from_payload(payload["merged"])
-        if (
-            (merged.first, merged.last) != (0, index)
-            or len(merged.ints) != len(SHARD_INT_FIELDS)
-            or len(merged.floats) != len(SHARD_FLOAT_FIELDS)
-        ):
-            raise ValueError("merged stats do not cover shards 0..index")
         carry = restore_carry(payload["carry"])
         if data_model is not None:
             _data_model_restore(data_model, payload["data_model"])
@@ -258,18 +220,16 @@ def _load_checkpoint(
         tracer.instant("sim:resume-invalid", shard=index, reason="body")
         return None
     tracer.instant("sim:resume", shard=index)
-    return index, merged, carry
+    return index, carry
 
 
 # -- backends ----------------------------------------------------------------
 #
 # A backend supplies the steps of the shared shard loop (:func:`_stream`):
-# ``step`` replays one shard, ``snapshot`` is, per slot, the SimStats the
-# run would report if it ended at the current shard boundary
-# (since-last-reset counters, cumulative float accumulators —
-# ShardStats.delta of consecutive snapshots telescopes back to the final
-# values), ``finish`` populates the simulators, and ``payload``/``restore``
-# are the carry codec.  Every backend but the plan kernel has one slot.
+# ``step`` replays one shard into the carry, ``finish`` writes the
+# carry's counters (since-last-reset ints, cumulative float
+# accumulators) and state into the simulators, and ``payload``/``restore``
+# are the carry codec.  The carry is the only copy of a run's counters.
 # ``name`` is the backend a checkpoint records; the reference loop has
 # none and is never checkpointed.
 
@@ -298,11 +258,8 @@ class _ReferenceBackend:
             self.program_instructions,
         )
 
-    def snapshot(self) -> List[SimStats]:
-        return [_copy_stats(self.finish())]
-
-    def finish(self) -> SimStats:
-        return self.core._reference_finish(self.program_instructions)
+    def finish(self) -> None:
+        self.core._reference_finish(self.program_instructions)
 
 
 class _IdealBackend:
@@ -332,17 +289,11 @@ class _IdealBackend:
             instructions + int(self.view.instruction_counts[rows].sum()),
         )
 
-    def _write(self, stats: SimStats) -> SimStats:
+    def finish(self) -> None:
+        stats = self.stats
         stats.clear()
         stats.l1i_accesses, stats.program_instructions = self.carry
         stats.compute_cycles = stats.program_instructions * self.cpi
-        return stats
-
-    def snapshot(self) -> List[SimStats]:
-        return [self._write(SimStats())]
-
-    def finish(self) -> None:
-        self._write(self.stats)
 
     def payload(self) -> dict:
         accesses, instructions = self.carry
@@ -401,13 +352,6 @@ class _ArrayBackend:
         )
         if events is not None:
             self.events.append(events)
-
-    def snapshot(self) -> List[SimStats]:
-        from .array_replay import array_finish
-
-        snap = SimStats()
-        array_finish(self.carry, self.machine, snap)
-        return [snap]
 
     def finish(self) -> None:
         from .array_replay import array_finish
@@ -488,14 +432,6 @@ class _PlanBatchBackend:
 
     def step(self, rows, start: int) -> None:
         self.batch.run_shard(rows, start, self.eff)
-
-    def snapshot(self) -> List[SimStats]:
-        from .array_replay import _plan_stats
-
-        return [
-            _plan_stats(slot.ctx, slot.carry, SimStats())
-            for slot in self.batch.slots
-        ]
 
     def finish(self) -> None:
         self.batch.finish()
@@ -653,10 +589,11 @@ def replay(
     replay.
 
     An in-memory trace with no ``shard_insns`` is the single shard
-    ``[(0, len(trace))]``.  Every backend produces per-shard
-    :class:`ShardStats` partials whose order-independent merge is the
-    reported :class:`SimStats`, and the final simulator state
-    (hierarchy, engine, fill port) is independent of the cut.
+    ``[(0, len(trace))]``.  The backend threads one carry through every
+    shard and writes its counters into ``core.stats`` when the last
+    shard is done, so the reported :class:`SimStats` and the final
+    simulator state (hierarchy, engine, fill port) are independent of
+    the cut.
     """
     program = core.program
     tracer = get_tracer()
@@ -700,59 +637,44 @@ def replay(
         shards=len(bounds),
         shard_insns=shard_insns,
     ) as span:
-        _stream(
-            backend, shard, bounds, shard_insns, checkpointer, [core.stats]
-        )
+        _stream(backend, shard, bounds, shard_insns, checkpointer)
         span.set(backend=core.last_replay_backend)
         if fallback is not None:
             span.set(fallback=fallback)
     return core.stats
 
 
-def _stream(backend, shard, bounds, shard_insns, checkpointer, stats) -> None:
+def _stream(backend, shard, bounds, shard_insns, checkpointer) -> None:
     """The shard loop every backend runs: resume from the latest valid
-    checkpoint, then for each remaining shard replay, snapshot, merge
-    each slot's :class:`ShardStats` delta and save; finally finish the
-    backend and report each slot's merge into its *stats*.  Only
-    one-slot runs checkpoint."""
+    checkpoint by installing its carry, step each remaining shard and
+    save its checkpoint, then finish the backend.  Only one-slot runs
+    checkpoint."""
     tracer = get_tracer()
     num_shards = len(bounds)
     if backend.name is None:
         checkpointer = None
-    merged = [ShardStats.identity() for _ in stats]
-    prev = [SimStats() for _ in stats]
     first = 0
-    resumed = None
     if checkpointer is not None:
         resumed = _load_checkpoint(
             checkpointer, backend.name, num_shards, shard_insns,
             backend.data_model, backend.restore,
         )
-    if resumed is not None:
-        index, merged[0], backend.carry = resumed
-        first = index + 1
-        prev = backend.snapshot()
+        if resumed is not None:
+            index, backend.carry = resumed
+            first = index + 1
     for index in range(first, num_shards):
         start = bounds[index][0]
         with tracer.span("sim:shard", index=index, offset=start):
             backend.step(shard(index), start)
-        cur = backend.snapshot()
-        merged = [
-            slot.merge(ShardStats.delta(index, before, after))
-            for slot, before, after in zip(merged, prev, cur)
-        ]
-        prev = cur
         if checkpointer is not None:
             checkpointer.save(
                 index,
                 _checkpoint(
-                    backend.name, index, num_shards, shard_insns, merged[0],
+                    backend.name, index, num_shards, shard_insns,
                     backend.payload(), backend.data_model,
                 ),
             )
     backend.finish()
-    for target, slot in zip(stats, merged):
-        _apply_merged(target, slot)
     if checkpointer is not None:
         checkpointer.finalize(num_shards)
 
@@ -776,8 +698,9 @@ def run_plan_batch(
 
     The trace is cut on the same greedy instruction bounds as
     :func:`replay`, and the slots run as one :class:`~repro.sim.
-    array_replay.PlanBatch` through the same shard loop, each slot's
-    counters flowing through its own :class:`ShardStats` merge.
+    array_replay.PlanBatch` through the same shard loop; each slot's
+    carry holds its counters until the batch's ``finish`` writes them
+    into the slot's ``core.stats``.
     """
     from .array_replay import PlanBatch
     from .columnar import columnar_view
@@ -803,11 +726,8 @@ def run_plan_batch(
         shards=len(bounds),
     ) as span:
         if live:
-            batch = PlanBatch(live)
-            _stream(
-                _PlanBatchBackend(batch, eff), shard, bounds, shard_insns,
-                None, [core.stats for core in live],
-            )
+            backend = _PlanBatchBackend(PlanBatch(live), eff)
+            _stream(backend, shard, bounds, shard_insns, None)
         span.set(fallbacks=len(cores) - len(live))
     for core in live:
         core.last_replay_backend = _PlanBatchBackend.name
@@ -846,7 +766,7 @@ def stream_replay_events(
     backend = _ArrayBackend(
         view, machine, stats, data_traffic, 0, record_events=True
     )
-    _stream(backend, shard, bounds, shard_insns, None, [stats])
+    _stream(backend, shard, bounds, shard_insns, None)
     chunks = backend.events
     return ReplayEvents(
         block_cycles=np.concatenate([c.block_cycles for c in chunks]),

@@ -44,10 +44,6 @@ class BlockInfo:
         last = line_of(self.address + self.size_bytes - 1)
         return tuple(range(first, last + 1))
 
-    @property
-    def start_line(self) -> int:
-        return line_of(self.address)
-
 
 class Program:
     """The static side of a workload: every basic block, plus text size.
@@ -376,33 +372,6 @@ class ShardedTrace:
                 f"{path}: has {len(ids)} blocks, index says {entry['blocks']}"
             )
         return BlockTrace([int(b) for b in ids], dict(self.metadata))
-
-    def shard_array(self, index: int):
-        """One shard's block-id column as an ``int64`` NumPy array.
-
-        ``.npy`` chunks are memory-mapped (``mmap_mode="r"``), so a
-        reader touches only the pages it needs; JSON chunks are
-        decoded.  Requires
-        NumPy — callers on the pure-Python path use :meth:`shard`.
-        """
-        import os
-
-        import numpy as np
-
-        entry = self._shards[index]
-        path = os.path.join(self.directory, entry["file"])
-        if entry["file"].endswith(".npy"):
-            ids = np.load(path, mmap_mode="r", allow_pickle=False)
-        else:
-            import json
-
-            with open(path) as handle:
-                ids = np.asarray(json.load(handle), dtype=np.int64)
-        if len(ids) != int(entry["blocks"]):
-            raise ValueError(
-                f"{path}: has {len(ids)} blocks, index says {entry['blocks']}"
-            )
-        return ids
 
     def iter_shards(self) -> Iterator[Tuple[int, BlockTrace]]:
         """Yield ``(offset, shard_trace)`` pairs in trace order."""

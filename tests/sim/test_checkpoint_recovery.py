@@ -1,8 +1,9 @@
-"""Corrupt replay checkpoints are discarded, never fatal.
+"""Corrupt or stale replay checkpoints are discarded, never fatal.
 
-A resumed sharded run whose newest checkpoint has a valid header but a
-malformed body, or whose file cannot be read back at all, must emit a
-``sim:resume-invalid`` instant naming the reason and replay from the
+A resumed sharded run whose newest checkpoint has a stale header (a
+version-1 file, which stored ``merged`` partial stats next to the
+carry), a malformed body, or a file that cannot be read back at all, must emit
+a ``sim:resume-invalid`` instant naming the reason and replay from the
 start — landing on exactly the whole-trace statistics.
 """
 
@@ -31,8 +32,9 @@ from ..conftest import (
 SHARD_INSNS = 300
 
 
-def _drop_merged_first(payload):
-    del payload["merged"]["first"]
+def _version_one_merged(payload):
+    payload["version"] = 1
+    payload["merged"] = {"first": 0}
 
 
 def _drop_first_carry_key(payload):
@@ -47,7 +49,7 @@ def _bad_rng_state(payload):
 #: corruption -> (edit of the decoded payload, or None to truncate the
 #: file, and the reason the resume must trace)
 CORRUPTIONS = {
-    "merged": (_drop_merged_first, "body"),
+    "merged": (_version_one_merged, "header"),
     "carry": (_drop_first_carry_key, "body"),
     "data-model": (_bad_rng_state, "body"),
     "truncated": (None, "unreadable"),
