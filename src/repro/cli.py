@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .analysis import experiments as exp
 from .analysis.reporting import percent, render_table
@@ -85,17 +85,6 @@ FIGURES = {
 }
 
 
-def _begin(args: argparse.Namespace) -> Tuple[RunConfig, exp.Evaluator]:
-    """One invocation's config + evaluator, from the parsed flags."""
-    config = RunConfig.from_args(args)
-    return config, config.evaluator()
-
-
-def _finish(config: RunConfig, evaluator: exp.Evaluator) -> None:
-    """Close the run: root span, trace file, manifest, timing."""
-    config.finalize(evaluator)
-
-
 def cmd_apps(args: argparse.Namespace) -> int:
     from .workloads.apps import build_app
 
@@ -117,124 +106,120 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    config, evaluator = _begin(args)
-    evaluation = evaluator[args.app]
-    profile = evaluation.profile
-    counts = profile.miss_counts_by_line()
-    print(
-        f"{args.app}: {len(profile)} block executions profiled, "
-        f"{profile.sampled_miss_count} sampled L1I misses on "
-        f"{len(counts)} distinct lines"
-    )
-    stats = profile.baseline_stats
-    if stats is not None:
+    with RunConfig.from_args(args).session() as evaluator:
+        evaluation = evaluator[args.app]
+        profile = evaluation.profile
+        counts = profile.miss_counts_by_line()
         print(
-            f"baseline: {stats.l1i_mpki:.2f} MPKI, "
-            f"{percent(stats.frontend_bound_fraction)} frontend-bound, "
-            f"IPC {stats.ipc:.2f}"
+            f"{args.app}: {len(profile)} block executions profiled, "
+            f"{profile.sampled_miss_count} sampled L1I misses on "
+            f"{len(counts)} distinct lines"
         )
-    top = counts.most_common(10)
-    rows = [{"line": line, "sampled_misses": count} for line, count in top]
-    print(render_table(rows, title="hottest miss lines"))
-    _finish(config, evaluator)
+        stats = profile.baseline_stats
+        if stats is not None:
+            print(
+                f"baseline: {stats.l1i_mpki:.2f} MPKI, "
+                f"{percent(stats.frontend_bound_fraction)} frontend-bound, "
+                f"IPC {stats.ipc:.2f}"
+            )
+        top = counts.most_common(10)
+        rows = [{"line": line, "sampled_misses": count} for line, count in top]
+        print(render_table(rows, title="hottest miss lines"))
     return 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    config, evaluator = _begin(args)
-    evaluation = evaluator[args.app]
-    plan = evaluation.plan_for(args.prefetcher)
-    text = evaluation.app.program.text_bytes
-    print(f"{args.prefetcher} plan for {args.app}:")
-    print(f"  instructions: {len(plan)}")
-    for kind, count in sorted(plan.kind_counts().items()):
-        print(f"    {kind:11s} {count}")
-    print(f"  injected bytes: {plan.static_bytes}")
-    print(f"  static increase: {percent(plan.static_increase(text))}")
-    print(f"  distinct sites: {len(plan.sites())}")
-    print(f"  lines covered: {len(plan.covered_lines())}")
-    _finish(config, evaluator)
+    with RunConfig.from_args(args).session() as evaluator:
+        evaluation = evaluator[args.app]
+        plan = evaluation.plan_for(args.prefetcher)
+        text = evaluation.app.program.text_bytes
+        print(f"{args.prefetcher} plan for {args.app}:")
+        print(f"  instructions: {len(plan)}")
+        for kind, count in sorted(plan.kind_counts().items()):
+            print(f"    {kind:11s} {count}")
+        print(f"  injected bytes: {plan.static_bytes}")
+        print(f"  static increase: {percent(plan.static_increase(text))}")
+        print(f"  distinct sites: {len(plan.sites())}")
+        print(f"  lines covered: {len(plan.covered_lines())}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config, evaluator = _begin(args)
-    variants = ["baseline", "ideal", "asmdb", "ispy"]
-    for extra in args.prefetcher or ():
-        if extra not in variants:
-            variants.append(extra)
-    evaluator.prewarm(apps=[args.app], variants=tuple(variants))
-    evaluation = evaluator[args.app]
-    rows = []
-    for variant in variants:
-        stats = evaluation.stats_for(variant)
-        row = {
-            "variant": variant,
-            "cycles": int(stats.cycles),
-            "mpki": stats.l1i_mpki,
-            "accuracy": stats.prefetch_accuracy,
-        }
-        if variant not in ("baseline",):
-            row["speedup"] = evaluation.speedup(variant)
-        if variant not in ("baseline", "ideal"):
-            row["pct_of_ideal"] = evaluation.percent_of_ideal(variant)
-        rows.append(row)
-    print(
-        render_table(
-            rows,
-            columns=[
-                "variant", "cycles", "mpki", "speedup",
-                "pct_of_ideal", "accuracy",
-            ],
-            title=f"{args.app} (scale={args.scale})",
-        )
-    )
-
-    # where I-SPY's remaining gap to the ideal cache goes
-    from .analysis.metrics import gap_attribution
-
-    attribution = gap_attribution(
-        evaluation.stats_for("ispy"), evaluation.ideal_stats
-    )
-    if attribution["gap_cycles"] > 0:
-        print("\nI-SPY gap to ideal, by loss channel:")
-        for channel in (
-            "residual_miss_stall",
-            "late_prefetch_stall",
-            "instruction_overhead",
-        ):
-            fraction = attribution.get(f"{channel}_fraction", 0.0)
-            print(
-                f"  {channel:21s} {attribution[channel]:12.0f} cycles "
-                f"({percent(fraction)})"
+    with RunConfig.from_args(args).session() as evaluator:
+        variants = ["baseline", "ideal", "asmdb", "ispy"]
+        for extra in args.prefetcher or ():
+            if extra not in variants:
+                variants.append(extra)
+        evaluator.prewarm(apps=[args.app], variants=tuple(variants))
+        evaluation = evaluator[args.app]
+        rows = []
+        for variant in variants:
+            stats = evaluation.stats_for(variant)
+            row = {
+                "variant": variant,
+                "cycles": int(stats.cycles),
+                "mpki": stats.l1i_mpki,
+                "accuracy": stats.prefetch_accuracy,
+            }
+            if variant not in ("baseline",):
+                row["speedup"] = evaluation.speedup(variant)
+            if variant not in ("baseline", "ideal"):
+                row["pct_of_ideal"] = evaluation.percent_of_ideal(variant)
+            rows.append(row)
+        print(
+            render_table(
+                rows,
+                columns=[
+                    "variant", "cycles", "mpki", "speedup",
+                    "pct_of_ideal", "accuracy",
+                ],
+                title=f"{args.app} (scale={args.scale})",
             )
-    _finish(config, evaluator)
+        )
+
+        # where I-SPY's remaining gap to the ideal cache goes
+        from .analysis.metrics import gap_attribution
+
+        attribution = gap_attribution(
+            evaluation.stats_for("ispy"), evaluation.ideal_stats
+        )
+        if attribution["gap_cycles"] > 0:
+            print("\nI-SPY gap to ideal, by loss channel:")
+            for channel in (
+                "residual_miss_stall",
+                "late_prefetch_stall",
+                "instruction_overhead",
+            ):
+                fraction = attribution.get(f"{channel}_fraction", 0.0)
+                print(
+                    f"  {channel:21s} {attribution[channel]:12.0f} cycles "
+                    f"({percent(fraction)})"
+                )
     return 0
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    config, evaluator = _begin(args)
-    prefetchers = tuple(args.prefetcher) if args.prefetcher else (
-        exp.MATRIX_PREFETCHERS
-    )
-    apps = tuple(args.apps) if args.apps else exp.SWEEP_APPS
-    if args.jobs != 1:
-        evaluator.prewarm(apps=apps, variants=prefetchers)
-    rows = exp.matrix_prefetchers(evaluator, apps=apps, prefetchers=prefetchers)
-    print(
-        render_table(
-            rows,
-            title=f"prefetcher matrix ({', '.join(apps)})",
-            precision=4,
+    with RunConfig.from_args(args).session() as evaluator:
+        prefetchers = tuple(args.prefetcher) if args.prefetcher else (
+            exp.MATRIX_PREFETCHERS
         )
-    )
-    if args.json:
-        import json
+        apps = tuple(args.apps) if args.apps else exp.SWEEP_APPS
+        if args.jobs != 1:
+            evaluator.prewarm(apps=apps, variants=prefetchers)
+        rows = exp.matrix_prefetchers(evaluator, apps=apps, prefetchers=prefetchers)
+        print(
+            render_table(
+                rows,
+                title=f"prefetcher matrix ({', '.join(apps)})",
+                precision=4,
+            )
+        )
+        if args.json:
+            import json
 
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump({"apps": list(apps), "rows": rows}, handle, indent=2)
-        print(f"matrix written to {args.json}")
-    _finish(config, evaluator)
+            with open(args.json, "w", encoding="utf-8") as handle:
+                json.dump({"apps": list(apps), "rows": rows}, handle, indent=2)
+            print(f"matrix written to {args.json}")
     return 0
 
 
@@ -270,29 +255,27 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if args.name == "table1":
         print(render_table(function(), title="Table I"))
         return 0
-    config, evaluator = _begin(args)
-    if args.jobs != 1:
-        evaluator.prewarm()
-    rows = _figure_rows(function(evaluator))
-    print(render_table(rows, title=args.name, precision=4))
-    _finish(config, evaluator)
+    with RunConfig.from_args(args).session() as evaluator:
+        if args.jobs != 1:
+            evaluator.prewarm()
+        rows = _figure_rows(function(evaluator))
+        print(render_table(rows, title=args.name, precision=4))
     return 0
 
 
 def cmd_headline(args: argparse.Namespace) -> int:
-    config, evaluator = _begin(args)
-    evaluator.prewarm(variants=("baseline", "ideal", "asmdb", "ispy"))
-    summary = exp.headline_summary(evaluator)
-    print(f"mean I-SPY speedup:      +{summary['mean_speedup'] * 100:.1f}%")
-    print(f"max I-SPY speedup:       +{summary['max_speedup'] * 100:.1f}%")
-    print(f"mean %-of-ideal:         {percent(summary['mean_pct_of_ideal'])}")
-    print(f"mean MPKI reduction:     {percent(summary['mean_mpki_reduction'])}")
-    print(f"max MPKI reduction:      {percent(summary['max_mpki_reduction'])}")
-    print(
-        "mean improvement vs AsmDB: "
-        f"{percent(summary['mean_improvement_over_asmdb'])}"
-    )
-    _finish(config, evaluator)
+    with RunConfig.from_args(args).session() as evaluator:
+        evaluator.prewarm(variants=("baseline", "ideal", "asmdb", "ispy"))
+        summary = exp.headline_summary(evaluator)
+        print(f"mean I-SPY speedup:      +{summary['mean_speedup'] * 100:.1f}%")
+        print(f"max I-SPY speedup:       +{summary['max_speedup'] * 100:.1f}%")
+        print(f"mean %-of-ideal:         {percent(summary['mean_pct_of_ideal'])}")
+        print(f"mean MPKI reduction:     {percent(summary['mean_mpki_reduction'])}")
+        print(f"max MPKI reduction:      {percent(summary['max_mpki_reduction'])}")
+        print(
+            "mean improvement vs AsmDB: "
+            f"{percent(summary['mean_improvement_over_asmdb'])}"
+        )
     return 0
 
 
@@ -343,12 +326,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import write_report
 
-    config, evaluator = _begin(args)
-    target = write_report(
-        args.output, evaluator, include_sweeps=not args.no_sweeps
-    )
-    print(f"report written to {target}")
-    _finish(config, evaluator)
+    with RunConfig.from_args(args).session() as evaluator:
+        target = write_report(
+            args.output, evaluator, include_sweeps=not args.no_sweeps
+        )
+        print(f"report written to {target}")
     return 0
 
 

@@ -15,19 +15,27 @@ single carrier for all of it:
   whose events ``--trace`` writes to a file, whose
   :func:`~repro.obs.trace.summarize` view ``--timing`` prints, and
   which feeds the :class:`~repro.obs.manifest.RunManifest` behind
-  ``--manifest``.
+  ``--manifest``;
+* memory management — a run pauses CPython's cyclic garbage collector
+  from :meth:`RunConfig.apply` until :meth:`RunConfig.finalize`.  The
+  pipeline makes no reference cycles (``tests/obs/test_runconfig.py``
+  checks it), so collections would only re-walk a large, long-lived
+  heap and free nothing; reference counting still frees everything a
+  run drops.
 
-The CLI builds one via :meth:`RunConfig.from_args`, library callers
-construct it directly, and both hand it to :meth:`RunConfig.evaluator`.
-Telemetry only observes: the simulated statistics of a run are
-bit-identical whatever the sinks.
+The CLI runs each command inside :meth:`RunConfig.session`, library
+callers construct a config directly and hand it to
+:meth:`RunConfig.evaluator`.  Telemetry only observes: the simulated
+statistics of a run are bit-identical whatever the sinks.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from . import kernel
 from .obs.manifest import RunManifest
@@ -74,6 +82,11 @@ class RunConfig:
     command: Optional[str] = None
 
     _root_span: object = field(default=None, init=False, repr=False, compare=False)
+    #: the collector state the caller had before :meth:`apply` paused
+    #: it, and the collection count then (None outside a run)
+    _gc_saved: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.shard_insns is not None and self.shard_insns < 1:
@@ -113,7 +126,13 @@ class RunConfig:
     # -- lifecycle ----------------------------------------------------
 
     def apply(self) -> None:
-        """Install the process-wide pieces this config describes."""
+        """Install the process-wide pieces this config describes and
+        pause the cyclic collector.  Applying again keeps the state
+        saved the first time, so :meth:`finalize` restores what the
+        caller had."""
+        if self._gc_saved is None:
+            self._gc_saved = (gc.isenabled(), _gc_collections())
+        gc.disable()
         if self.numpy_kernel is not None:
             kernel.set_numpy_kernel(self.numpy_kernel)
             # Simulation workers are separate processes; the environment
@@ -130,18 +149,47 @@ class RunConfig:
         self.apply()
         return Evaluator(config=self)
 
-    def finalize(self, evaluator: "Evaluator") -> None:
-        """End-of-run bookkeeping: close the root span, write the
-        configured sinks (trace file, manifest, timing report) and
-        uninstall the run's tracer, so nothing outside a run records."""
+    @contextmanager
+    def session(self) -> Iterator["Evaluator"]:
+        """Run the enclosed block as one run of this config: yields
+        :meth:`evaluator`, calls :meth:`finalize` when the block
+        succeeds, and ends the run (:meth:`_close`) however it exits."""
+        try:
+            evaluator = self.evaluator()
+            yield evaluator
+            self.finalize(evaluator)
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        """End the run's process-wide effects: close the root span
+        (recording the run's ``gc_collections``), uninstall the run's
+        tracer so nothing outside a run records, and restore the
+        collector state :meth:`apply` found.  Idempotent."""
         if self._root_span is not None:
+            if self._gc_saved is not None:
+                self._root_span.set(
+                    gc_collections=_gc_collections() - self._gc_saved[1]
+                )
             self.tracer.end_span(self._root_span)
             self._root_span = None
         set_tracer(None)
+        if self._gc_saved is not None:
+            if self._gc_saved[0]:
+                gc.enable()
+            self._gc_saved = None
+
+    def finalize(self, evaluator: Optional["Evaluator"] = None) -> None:
+        """End the run (:meth:`_close`) and write the configured sinks:
+        trace file, manifest (of *evaluator*, which it requires) and
+        timing report."""
+        self._close()
         if self.trace_path and self.tracer.enabled:
             target = self.tracer.write(self.trace_path)
             print(f"trace written to {target}")
         if self.manifest_path:
+            if evaluator is None:
+                raise ValueError("a run manifest needs the run's evaluator")
             manifest = RunManifest.collect(
                 evaluator, command=self.command, trace_path=self.trace_path
             )
@@ -150,6 +198,11 @@ class RunConfig:
         if self.timing:
             print()
             print(summarize(self.tracer.snapshot()).report())
+
+
+def _gc_collections() -> int:
+    """Collections this process has run so far, over all generations."""
+    return sum(generation["collections"] for generation in gc.get_stats())
 
 
 def positive_int(text: str) -> int:

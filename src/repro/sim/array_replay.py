@@ -45,8 +45,6 @@ reference is exact, not approximate — the differential tests in
 
 from __future__ import annotations
 
-import gc
-
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -1929,21 +1927,14 @@ class PlanBatch:
                     d_arrays[id(dl)] = entry
                 data.append(entry[1:])
 
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            saved = [_save_phase_a(slot.carry) for slot in self.slots]
-            late = [set() for _ in self.slots]
-            pending = self.slots
-            while pending:
-                pending = self._pass(
-                    tracer, pending, pres, data, rows_list, reset_local,
-                    saved, late,
-                )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        saved = [_save_phase_a(slot.carry) for slot in self.slots]
+        late = [set() for _ in self.slots]
+        pending = self.slots
+        while pending:
+            pending = self._pass(
+                tracer, pending, pres, data, rows_list, reset_local,
+                saved, late,
+            )
 
         for slot, pre in zip(self.slots, pres):
             carry = slot.carry

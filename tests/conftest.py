@@ -9,6 +9,8 @@ explicit ``random.Random`` so failures replay from the seed alone.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import strategies as st
 
@@ -193,6 +195,22 @@ def adversarial_workloads(draw, lengths=(240, 600)):
     seed = draw(st.integers(0, 2**16), label="walk_seed")
     length = draw(st.sampled_from(lengths), label="length")
     return name, app, app.trace(length, seed=seed)
+
+
+@pytest.fixture(autouse=True)
+def _collector_state_restored():
+    """Fail a test that leaves the cyclic collector switched other than
+    it found it (a run applied and never finalized pauses it), and
+    restore it so the rest of the suite runs with the usual collector."""
+    enabled = gc.isenabled()
+    yield
+    if gc.isenabled() != enabled:
+        (gc.enable if enabled else gc.disable)()
+        pytest.fail(
+            f"test left the cyclic collector "
+            f"{'disabled' if enabled else 'enabled'}: finalize the runs "
+            "it applies"
+        )
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import warnings
@@ -121,17 +122,21 @@ class TestApply:
         config = RunConfig(settings=SETTINGS, trace_path=tmp_path / "t.jsonl")
         config.apply()
         assert get_tracer() is config.tracer
+        config.finalize()
 
     def test_null_config_installs_null_tracer(self):
         set_tracer(Tracer())
-        RunConfig(settings=SETTINGS, tracer=NULL_TRACER).apply()
+        config = RunConfig(settings=SETTINGS, tracer=NULL_TRACER)
+        config.apply()
         assert get_tracer() is NULL_TRACER
+        config.finalize()
 
     def test_untraced_config_still_installs_a_live_tracer(self):
         config = RunConfig(settings=SETTINGS)
         config.apply()
         assert get_tracer() is config.tracer
         assert config.tracer.enabled
+        config.finalize()
 
     def test_finalize_uninstalls_the_run_tracer(self):
         config = RunConfig(settings=SETTINGS, command="evaluate")
@@ -152,15 +157,18 @@ class TestApply:
         root = config._root_span
         config.apply()
         assert config._root_span is root
+        config.finalize()
 
     def test_kernel_gate(self):
         forced_before = kernel._forced
         env_before = os.environ.get(kernel.NUMPY_KERNEL_ENV)
+        config = RunConfig(settings=SETTINGS, numpy_kernel=False)
         try:
-            RunConfig(settings=SETTINGS, numpy_kernel=False).apply()
+            config.apply()
             assert not kernel.numpy_enabled()
             assert os.environ[kernel.NUMPY_KERNEL_ENV] == "0"
         finally:
+            config.finalize()
             kernel.set_numpy_kernel(forced_before)
             if env_before is None:
                 os.environ.pop(kernel.NUMPY_KERNEL_ENV, None)
@@ -196,6 +204,15 @@ class TestFinalize:
         assert "trace written to" in out
         assert "manifest written to" in out
 
+    def test_manifest_needs_the_evaluator(self, tmp_path):
+        config = RunConfig(settings=SETTINGS, manifest_path=tmp_path / "m.json")
+        config.apply()
+        with pytest.raises(ValueError, match="evaluator"):
+            config.finalize()
+        # the run still ended
+        assert gc.isenabled()
+        assert get_tracer() is NULL_TRACER
+
     def test_timing_report_printed(self, capsys):
         config = RunConfig(settings=SETTINGS, timing=True)
         evaluator = config.evaluator()
@@ -210,6 +227,82 @@ class TestFinalize:
         out = capsys.readouterr().out
         assert summarize(config.tracer.snapshot()).report() in out
         assert "replay backends:" in out
+
+
+class TestCollectorPolicy:
+    """A run owns the cyclic collector: :meth:`RunConfig.apply` pauses
+    it and :meth:`RunConfig.finalize` restores what the caller had."""
+
+    def test_apply_pauses_and_finalize_restores(self):
+        assert gc.isenabled()
+        config = RunConfig(settings=SETTINGS)
+        config.apply()
+        assert not gc.isenabled()
+        # a second apply keeps the state saved by the first
+        config.apply()
+        assert not gc.isenabled()
+        config.finalize()
+        assert gc.isenabled()
+
+    def test_finalize_keeps_a_callers_paused_collector(self):
+        gc.disable()
+        try:
+            config = RunConfig(settings=SETTINGS)
+            config.apply()
+            config.finalize()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_session_ends_a_failing_run(self, tmp_path):
+        config = RunConfig(
+            settings=SETTINGS, trace_path=tmp_path / "t.jsonl",
+            command="evaluate",
+        )
+        with pytest.raises(RuntimeError):
+            with config.session():
+                raise RuntimeError("mid-run failure")
+        assert gc.isenabled()
+        assert get_tracer() is NULL_TRACER
+        assert config.tracer.current_span is None
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_run_span_counts_collections(self):
+        """``gc_collections`` on the root span: 0 for a paused run,
+        and it counts a collection something forces mid-run."""
+        counts = []
+        for force in (False, True):
+            config = RunConfig(settings=SETTINGS, command="evaluate")
+            with config.session() as evaluator:
+                evaluator.prewarm(apps=["wordpress"], variants=("baseline",))
+                if force:
+                    gc.collect()
+            (run,) = [
+                e for e in config.tracer.snapshot()
+                if e["name"] == "run:evaluate"
+            ]
+            counts.append(run["args"]["gc_collections"])
+        assert counts[0] == 0
+        assert counts[1] >= 1
+
+    def test_pipeline_makes_no_reference_cycles(self):
+        """The precondition of pausing the collector: an evaluation
+        leaves no cyclic garbage, so reference counting alone frees
+        everything a run drops.  The warm-up run pays the lazy imports
+        (some of which build cycles once)."""
+        variants = ("baseline", "ideal", "asmdb", "ispy")
+
+        def evaluate(app):
+            with RunConfig(settings=SETTINGS).session() as evaluator:
+                evaluator.prewarm(apps=[app], variants=variants)
+                evaluation = evaluator[app]
+                for variant in variants[1:]:
+                    evaluation.speedup(variant)
+
+        evaluate("finagle-chirper")
+        gc.collect()
+        evaluate("wordpress")
+        assert gc.collect() == 0
 
 
 class TestScatteredKwargsRemoved:
@@ -256,7 +349,7 @@ class TestTracingIsInert:
             v: stats_to_record(plain["wordpress"].stats_for(v))
             for v in variants
         }
-        set_tracer(None)
+        plain.config.finalize()
 
         config = RunConfig(
             settings=SETTINGS, trace_path=tmp_path / "t.jsonl",
@@ -271,6 +364,7 @@ class TestTracingIsInert:
             ), f"{v} diverged under tracing"
         # and the trace actually captured the work
         assert len(config.tracer) > 0
+        config.finalize(traced)
 
     def test_null_tracer_run_bit_identical(self):
         """A run with nothing recording matches a recorded one."""
@@ -280,5 +374,5 @@ class TestTracingIsInert:
             records.append(
                 stats_to_record(evaluator["wordpress"].stats_for("ispy"))
             )
-            set_tracer(None)
+            evaluator.config.finalize()
         assert records[0] == records[1]

@@ -140,6 +140,29 @@ class TestCommands:
         assert "wordpress" in result.stdout
 
 
+class TestRunTeardown:
+    def test_failing_command_ends_its_run(self, tmp_path, capsys):
+        """A command that raises mid-run still closes its root span,
+        uninstalls its tracer and restores the cyclic collector; only
+        its sinks, which describe a finished run, are not written."""
+        import gc
+
+        from repro.obs.trace import NULL_TRACER, get_tracer
+
+        cache = tmp_path / "cache"
+        cache.write_text("a regular file, not a cache directory")
+        trace_path = tmp_path / "t.jsonl"
+        with pytest.raises(NotADirectoryError):
+            main(
+                ["evaluate", "wordpress", *FAST, "--cache", str(cache),
+                 "--trace", str(trace_path)]
+            )
+        assert get_tracer() is NULL_TRACER
+        assert gc.isenabled()
+        assert not trace_path.exists()
+        assert "trace written to" not in capsys.readouterr().out
+
+
 class TestTelemetryFlags:
     def test_evaluate_with_trace_and_manifest_across_workers(
         self, tmp_path, capsys
