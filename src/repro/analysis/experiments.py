@@ -32,7 +32,7 @@ from ..obs import trace as trace_mod
 from ..baselines import protocol as zoo
 from ..core.config import DEFAULT_CONFIG, ISpyConfig
 from ..core.instructions import PrefetchPlan
-from ..io import ArtifactStore
+from ..io import AppSummary, ArtifactStore, TrainSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines.asmdb import AsmDBResult
@@ -48,7 +48,7 @@ from ..workloads.apps import (
     cached_app,
     get_app,
 )
-from ..workloads.inputs import INPUT_NAMES, input_mixes
+from ..workloads.inputs import INPUT_NAMES, InputTrace
 from ..workloads.synthesis import SyntheticApp, scaled_spec
 from . import metrics
 
@@ -59,6 +59,10 @@ SWEEP_APPS: Tuple[str, ...] = ("wordpress", "kafka", "verilator")
 #: Apps with "the greatest variety of readily-available test inputs"
 #: (paper Fig. 16).
 GENERALIZATION_APPS: Tuple[str, ...] = ("drupal", "mediawiki", "wordpress")
+
+#: A replay's trace: None for the evaluation trace, a built trace, or
+#: an input's trace by its generating parameters (built only to replay)
+TraceArg = Union[None, BlockTrace, InputTrace]
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,12 @@ class AppEvaluation:
     app spec, the experiment settings and — for simulations — the plan
     content and trace identity, so two sweep points that differ in any
     input can never alias each other's artifacts.
+
+    Everything a figure reads has a stored form: statistics, plans, the
+    planners' :class:`~repro.io.TrainSummary` and the app's
+    :class:`~repro.io.AppSummary`.  Accessors consult memory, then the
+    store, and synthesize, profile, train or simulate only on a miss,
+    so a figure over a filled store builds nothing.
     """
 
     def __init__(
@@ -124,6 +134,11 @@ class AppEvaluation:
         self._train_cache: Dict[str, object] = {}
         #: registry instances, one per canonical variant name
         self._prefetchers: Dict[str, zoo.Prefetcher] = {}
+        #: plan key -> plan loaded from the store (one load per key)
+        self._plans: Dict[str, PrefetchPlan] = {}
+        self._text_bytes: Optional[int] = None
+        #: the input trace built last, shared by that input's replays
+        self._input_trace: Optional[Tuple[InputTrace, BlockTrace]] = None
         self._base_parts: Optional[Dict[str, object]] = None
 
     @contextmanager
@@ -153,6 +168,8 @@ class AppEvaluation:
 
         Only a real synthesis is traced: an app another evaluation in
         this process already built records no ``app:synthesize`` span.
+        A synthesis also stores the app's summary, so later runs can
+        answer :attr:`text_bytes` without synthesizing.
         """
         if self._app is None:
             scale = self.settings.scale
@@ -160,8 +177,32 @@ class AppEvaluation:
             if app is None:
                 with self.span("app:synthesize", app=self.name):
                     app = get_app(self.name, scale)
+                self._remember_text_bytes(app)
             self._app = app
         return self._app
+
+    @property
+    def text_bytes(self) -> int:
+        """The app's text-segment size, from the stored app summary
+        when the app itself is not built yet."""
+        if self._text_bytes is None:
+            summary = None
+            if self.store is not None and self._app is None:
+                summary = self.store.load_app_summary(self._key("app"))
+            if summary is not None:
+                self.tracer.instant("store:hit", kind="app", app=self.name)
+                self._text_bytes = summary.text_bytes
+            else:
+                self._remember_text_bytes(self.app)
+        return self._text_bytes
+
+    def _remember_text_bytes(self, app: SyntheticApp) -> None:
+        if self._text_bytes is None:
+            self._text_bytes = app.program.text_bytes
+            if self.store is not None:
+                self.store.save_app_summary(
+                    self._key("app"), AppSummary(self._text_bytes)
+                )
 
     @property
     def profile(self) -> ExecutionProfile:
@@ -215,23 +256,40 @@ class AppEvaluation:
         merged.update(parts)
         return repro_io.artifact_key(kind, merged)
 
-    def _trace_parts(self, trace: Optional[BlockTrace]) -> Dict[str, object]:
+    def _trace_parts(self, trace: TraceArg) -> Dict[str, object]:
         if trace is None:
             # the canonical evaluation trace, fully determined by the
             # app spec and settings already present in the base key
             return {"role": "eval"}
+        if isinstance(trace, InputTrace):
+            # the parts of the trace it would build, without building it
+            return {
+                "role": "custom",
+                "length": trace.length,
+                "metadata": trace.metadata,
+            }
         return {
             "role": "custom",
             "length": len(trace.block_ids),
             "metadata": dict(trace.metadata),
         }
 
+    def _replay_trace(self, trace: TraceArg) -> BlockTrace:
+        """The block trace a replay of *trace* runs over."""
+        if trace is None:
+            return self.eval_trace
+        if isinstance(trace, InputTrace):
+            if self._input_trace is None or self._input_trace[0] != trace:
+                self._input_trace = (trace, trace.build(self.app))
+            return self._input_trace[1]
+        return trace
+
     def _stats_key(
         self,
         plan: Optional[PrefetchPlan],
         hash_bits: int,
         track_exact_context: bool,
-        trace: Optional[BlockTrace],
+        trace: TraceArg,
         ideal: bool = False,
     ) -> str:
         return self._key(
@@ -277,9 +335,10 @@ class AppEvaluation:
         plan: Optional[PrefetchPlan],
         hash_bits: int = 16,
         track_exact_context: bool = False,
-        trace: Optional[BlockTrace] = None,
+        trace: TraceArg = None,
     ) -> SimStats:
-        """Replay the evaluation trace under *plan* (fresh caches).
+        """Replay the evaluation trace (or *trace*) under *plan* (fresh
+        caches), unless the result is cached.
 
         The replay itself is the protocol's shared plan-replay path
         (:meth:`repro.baselines.protocol.Prefetcher.simulate` via a
@@ -290,7 +349,18 @@ class AppEvaluation:
         cached = self._cached_stats(key)
         if cached is not None:
             return cached
-        replay = trace if trace is not None else self.eval_trace
+        return self._replay_plan(plan, key, hash_bits, track_exact_context, trace)
+
+    def _replay_plan(
+        self,
+        plan: Optional[PrefetchPlan],
+        key: str,
+        hash_bits: int = 16,
+        track_exact_context: bool = False,
+        trace: TraceArg = None,
+    ) -> SimStats:
+        """:meth:`run_plan`'s replay, after its cache lookup missed."""
+        replay = self._replay_trace(trace)
         replayer = zoo.PlanReplay(plan)
         with self.span(
             "sim:replay",
@@ -324,7 +394,7 @@ class AppEvaluation:
         plans,
         hash_bits: int = 16,
         track_exact_context: bool = False,
-        trace: Optional[BlockTrace] = None,
+        trace: TraceArg = None,
     ) -> List[SimStats]:
         """Replay one sweep's worth of plan variants, batched.
 
@@ -379,7 +449,7 @@ class AppEvaluation:
         ):
             from ..sim.streaming import run_plan_batch
 
-            replay = trace if trace is not None else self.eval_trace
+            replay = self._replay_trace(trace)
             with self.span(
                 "sim:batch-sweep",
                 app=self.name,
@@ -420,16 +490,21 @@ class AppEvaluation:
 
         for i, (plan, kw) in enumerate(requests):
             if results[i] is None:
-                results[i] = self.run_plan(plan, trace=trace, **kw)
+                results[i] = self._replay_plan(plan, keys[i], trace=trace, **kw)
         return results  # type: ignore[return-value]
 
-    def run_ideal(self, trace: Optional[BlockTrace] = None) -> SimStats:
-        """Replay a trace against the all-hits ideal frontend."""
+    def run_ideal(self, trace: TraceArg = None) -> SimStats:
+        """Replay a trace against the all-hits ideal frontend, unless
+        the result is cached."""
         key = self._stats_key(None, 0, False, trace, ideal=True)
         cached = self._cached_stats(key)
         if cached is not None:
             return cached
-        replay = trace if trace is not None else self.eval_trace
+        return self._replay_ideal(key, trace)
+
+    def _replay_ideal(self, key: str, trace: TraceArg = None) -> SimStats:
+        """:meth:`run_ideal`'s replay, after its cache lookup missed."""
+        replay = self._replay_trace(trace)
         ideal = self.prefetcher("ideal")
         with self.span(
             "sim:replay",
@@ -452,15 +527,11 @@ class AppEvaluation:
 
     @property
     def baseline_stats(self) -> SimStats:
-        if "baseline" not in self._stats:
-            self._stats["baseline"] = self.run_plan(None)
-        return self._stats["baseline"]
+        return self.stats_for("baseline")
 
     @property
     def ideal_stats(self) -> SimStats:
-        if "ideal" not in self._stats:
-            self._stats["ideal"] = self.run_ideal()
-        return self._stats["ideal"]
+        return self.stats_for("ideal")
 
     # -- the prefetcher zoo ----------------------------------------------------
 
@@ -474,11 +545,16 @@ class AppEvaluation:
         profile = self.profile if prefetcher.requires_profile else None
         return zoo.ProfileView(self.app.program, profile)
 
+    def _plan_key(self, prefetcher: "zoo.Prefetcher") -> str:
+        """The store key of the member's plan and its train summary."""
+        return self._key("plan", **prefetcher.plan_key_parts())
+
     def _train_result_for(self, prefetcher: "zoo.Prefetcher") -> object:
         """Train *prefetcher* on this app (cached per ``cache_token``).
 
-        Plan-producing members additionally persist their plan to the
-        artifact store under their :meth:`plan_key_parts`.
+        Plan-producing members additionally persist their plan, and the
+        :class:`~repro.io.TrainSummary` of its report, to the artifact
+        store under their :meth:`plan_key_parts`.
         """
         token = prefetcher.cache_token
         if token not in self._train_cache:
@@ -492,64 +568,125 @@ class AppEvaluation:
             if self.store is not None and prefetcher.produces_plan:
                 plan = zoo.plan_of(result)
                 if plan is not None:
-                    self.store.save_plan(
-                        self._key("plan", **prefetcher.plan_key_parts()), plan
-                    )
+                    key = self._plan_key(prefetcher)
+                    self.store.save_plan(key, plan)
+                    summary = TrainSummary.of(result)
+                    if summary is not None:
+                        self.store.save_train_summary(key, summary)
         return self._train_cache[token]
 
+    def _cached_plan(self, prefetcher: "zoo.Prefetcher") -> Optional[PrefetchPlan]:
+        """The member's plan if it needs no training: train cache, then
+        the plans loaded before, then the store (each key loaded once)."""
+        trained = self._train_cache.get(prefetcher.cache_token)
+        if trained is not None:
+            return zoo.plan_of(trained)
+        if self.store is None:
+            return None
+        key = self._plan_key(prefetcher)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self.store.load_plan(key)
+            if plan is None:
+                return None
+            self.tracer.instant("store:hit", kind="plan", app=self.name)
+            self._plans[key] = plan
+        return plan
+
     def _plan_for(self, prefetcher: "zoo.Prefetcher") -> PrefetchPlan:
-        """The member's plan: train-cache, then store, then train."""
-        cached = self._train_cache.get(prefetcher.cache_token)
-        if cached is not None:
-            return zoo.plan_of(cached)
-        if self.store is not None:
-            plan = self.store.load_plan(
-                self._key("plan", **prefetcher.plan_key_parts())
-            )
-            if plan is not None:
-                self.tracer.instant("store:hit", kind="plan", app=self.name)
-                return plan
-        return zoo.plan_of(self._train_result_for(prefetcher))
+        """The member's plan: cached (:meth:`_cached_plan`), else trained."""
+        plan = self._cached_plan(prefetcher)
+        if plan is None:
+            plan = zoo.plan_of(self._train_result_for(prefetcher))
+        return plan
+
+    def _summary_for(self, prefetcher: "zoo.Prefetcher") -> TrainSummary:
+        """The summary of the member's training report: the store's
+        when it is not trained in this process, else (re)trained."""
+        trained = prefetcher.cache_token in self._train_cache
+        if not trained and self.store is not None:
+            summary = self.store.load_train_summary(self._plan_key(prefetcher))
+            if summary is not None:
+                self.tracer.instant("store:hit", kind="train", app=self.name)
+                return summary
+        return TrainSummary.of(self._train_result_for(prefetcher))
 
     def footprint_for(self, variant: str) -> "zoo.Footprint":
-        """Static + metadata deployment footprint of *variant*."""
+        """Static + metadata deployment footprint of *variant*.
+
+        A plan member's footprint is its plan's, stored or trained; other
+        profile-guided members train for their metadata tables.
+        """
         if variant == "baseline":
             return zoo.Footprint()
         prefetcher = self.prefetcher(variant)
-        trained = (
-            self._train_result_for(prefetcher)
-            if prefetcher.requires_profile
-            else None
-        )
-        return prefetcher.static_footprint(self._view(prefetcher), trained)
+        trained = None
+        if prefetcher.produces_plan:
+            trained = self._plan_for(prefetcher)
+        elif prefetcher.requires_profile:
+            trained = self._train_result_for(prefetcher)
+        view = self._view(prefetcher) if trained is None else None
+        return prefetcher.static_footprint(view, trained)
 
     def ispy_result(self, config: ISpyConfig = DEFAULT_CONFIG) -> "ISpyResult":
         """Full planning result (plan + report) for *config*.
 
-        Always runs the planning pipeline on a cold in-memory cache —
-        use :meth:`ispy_plan` when only the plan is needed, which can
-        come straight from the artifact store.
+        Trained on the first call per *config* and then kept in memory;
+        the store holds plans and report summaries, never whole reports.
+        Use :meth:`ispy_plan` or :meth:`ispy_summary` when the plan or
+        the summary is enough: both come from the store without training.
         """
         return self._train_result_for(zoo.get_prefetcher("ispy", config=config))
 
     def ispy_plan(self, config: ISpyConfig = DEFAULT_CONFIG) -> PrefetchPlan:
         return self._plan_for(zoo.get_prefetcher("ispy", config=config))
 
+    def ispy_summary(self, config: ISpyConfig = DEFAULT_CONFIG) -> TrainSummary:
+        return self._summary_for(zoo.get_prefetcher("ispy", config=config))
+
+    @staticmethod
+    def _asmdb(threshold: Optional[float]) -> "zoo.Prefetcher":
+        if threshold is None:
+            return zoo.get_prefetcher("asmdb")
+        return zoo.get_prefetcher("asmdb", fanout_threshold=threshold)
+
     def asmdb_result(self, threshold: Optional[float] = None) -> "AsmDBResult":
-        prefetcher = (
-            zoo.get_prefetcher("asmdb")
-            if threshold is None
-            else zoo.get_prefetcher("asmdb", fanout_threshold=threshold)
-        )
-        return self._train_result_for(prefetcher)
+        return self._train_result_for(self._asmdb(threshold))
 
     def asmdb_plan(self, threshold: Optional[float] = None) -> PrefetchPlan:
-        prefetcher = (
-            zoo.get_prefetcher("asmdb")
-            if threshold is None
-            else zoo.get_prefetcher("asmdb", fanout_threshold=threshold)
-        )
-        return self._plan_for(prefetcher)
+        return self._plan_for(self._asmdb(threshold))
+
+    def asmdb_summary(self, threshold: Optional[float] = None) -> TrainSummary:
+        return self._summary_for(self._asmdb(threshold))
+
+    def _variant_key(self, variant: str) -> Optional[str]:
+        """The stats key of *variant*'s evaluation replay; None when it
+        is a plan member whose plan is not cached yet."""
+        if variant == "baseline":
+            return self._stats_key(None, 16, False, None)
+        if variant == "ideal":
+            return self._stats_key(None, 0, False, None, ideal=True)
+        prefetcher = self.prefetcher(variant)
+        if prefetcher.supports_plan_replay and prefetcher.produces_plan:
+            plan = self._cached_plan(prefetcher)
+            if plan is None:
+                return None
+            return self._stats_key(plan, 16, False, None)
+        return self._key("stats", variant=variant)
+
+    def cached_stats_for(self, variant: str) -> Optional[SimStats]:
+        """:meth:`stats_for` from the caches alone, else None.
+
+        Loads at most a plan member's plan and then the statistics;
+        never synthesizes, profiles, trains or simulates.
+        """
+        if variant not in self._stats:
+            key = self._variant_key(variant)
+            stats = self._cached_stats(key) if key is not None else None
+            if stats is None:
+                return None
+            self._stats[variant] = stats
+        return self._stats[variant]
 
     def stats_for(self, variant: str) -> SimStats:
         """Evaluation-trace statistics for a named variant.
@@ -560,34 +697,36 @@ class AppEvaluation:
         :meth:`run_plan` and inherit its backends; mechanism members
         (``nextline``, ``fdip``, the window studies, ``mana``) run
         their own simulators behind the same store-backed caching.
+        :meth:`cached_stats_for` is consulted first: a hit never
+        synthesizes the app, loads the profile or trains the member.
         """
-        if variant == "baseline":
-            return self.baseline_stats
-        if variant == "ideal":
-            return self.ideal_stats
-        if variant in self._stats:
-            return self._stats[variant]
-
-        prefetcher = self.prefetcher(variant)
-        if prefetcher.supports_plan_replay and prefetcher.produces_plan:
-            stats = self.run_plan(self._plan_for(prefetcher))
-        else:
-            stats = self._variant_stats(variant, prefetcher)
-        self._stats[variant] = stats
+        stats = self.cached_stats_for(variant)
+        if stats is None:
+            stats = self._simulate(variant)
+            self._stats[variant] = stats
         return stats
+
+    def _simulate(self, variant: str) -> SimStats:
+        """*variant*'s statistics after :meth:`cached_stats_for` missed
+        (so nothing it looked up is looked up again)."""
+        if variant == "ideal":
+            return self._replay_ideal(self._variant_key("ideal"))
+        if variant == "baseline":
+            return self._replay_plan(None, self._variant_key("baseline"))
+        prefetcher = self.prefetcher(variant)
+        if not (prefetcher.supports_plan_replay and prefetcher.produces_plan):
+            return self._variant_stats(variant, prefetcher)
+        key = self._variant_key(variant)
+        if key is None:
+            # the plan was not cached: train it, then its replay may
+            # still be in the store
+            return self.run_plan(zoo.plan_of(self._train_result_for(prefetcher)))
+        return self._replay_plan(self._cached_plan(prefetcher), key)
 
     def _variant_stats(
         self, variant: str, prefetcher: "zoo.Prefetcher"
     ) -> SimStats:
-        """Store-backed stats for a member simulated outside run_plan.
-
-        The cache is consulted first: a hit never synthesizes the app,
-        loads the profile or trains the member.
-        """
-        key = self._key("stats", variant=variant)
-        cached = self._cached_stats(key)
-        if cached is not None:
-            return cached
+        """Simulate a member outside run_plan and store its stats."""
         trained = (
             self._train_result_for(prefetcher)
             if prefetcher.requires_profile and not prefetcher.produces_plan
@@ -607,7 +746,7 @@ class AppEvaluation:
             blocks=len(replay.block_ids),
         ):
             stats = prefetcher.simulate(view, replay, ctx)
-        self._remember_stats(key, stats)
+        self._remember_stats(self._key("stats", variant=variant), stats)
         return stats
 
     def plan_for(self, variant: str) -> PrefetchPlan:
@@ -740,11 +879,14 @@ class Evaluator:
     ) -> None:
         """Compute (app, variant) statistics up front.
 
-        With more than one job, profiles and plans are built once per
-        app in a first wave of worker processes, then every (app,
+        With more than one job, every pair is first looked up in the
+        caches (:meth:`AppEvaluation.cached_stats_for`); only the misses
+        go to worker processes.  Profiles and plans are built once per
+        app with a miss in a first wave, then every missing (app,
         variant) simulation runs as an independent job; the parent
         absorbs the results, so subsequent figure calls are cache
-        hits.  Serial prewarm computes the same artifacts in order.
+        hits.  When every pair hits, no pool starts.  Serial prewarm
+        computes the same artifacts in order.
         """
         from .jobs import resolve_jobs, run_prewarm_jobs
 
@@ -756,8 +898,19 @@ class Evaluator:
                 for variant in variants:
                     evaluation.stats_for(variant)
             return
-        self._ensure_store()
-        run_prewarm_jobs(self, names, tuple(variants), n_jobs)
+        misses: Dict[str, Tuple[str, ...]] = {}
+        for name in names:
+            evaluation = self[name]
+            missing = tuple(
+                variant
+                for variant in variants
+                if evaluation.cached_stats_for(variant) is None
+            )
+            if missing:
+                misses[name] = missing
+        if misses:
+            self._ensure_store()
+            run_prewarm_jobs(self, misses, n_jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -819,10 +972,9 @@ def fig03_fanout_tradeoff(
 ) -> List[Dict[str, object]]:
     """Sweep AsmDB's fan-out threshold on one application."""
     evaluation = evaluator[app]
-    results = [evaluation.asmdb_result(t) for t in thresholds]
-    sweep = evaluation.run_plans([r.plan for r in results])
+    sweep = evaluation.run_plans([evaluation.asmdb_plan(t) for t in thresholds])
     rows = []
-    for threshold, result, stats in zip(thresholds, results, sweep):
+    for threshold, stats in zip(thresholds, sweep):
         rows.append(
             {
                 "fanout_threshold": threshold,
@@ -833,7 +985,9 @@ def fig03_fanout_tradeoff(
                 "percent_of_ideal": metrics.percent_of_ideal(
                     evaluation.baseline_stats, stats, evaluation.ideal_stats
                 ),
-                "planned_lines_covered": result.report.coverage,
+                "planned_lines_covered": evaluation.asmdb_summary(
+                    threshold
+                ).coverage,
             }
         )
     return rows
@@ -854,9 +1008,7 @@ def fig04_asmdb_footprint(
         rows.append(
             {
                 "app": evaluation.name,
-                "static_increase": plan.static_increase(
-                    evaluation.app.program.text_bytes
-                ),
+                "static_increase": plan.static_increase(evaluation.text_bytes),
                 "dynamic_increase": stats.dynamic_overhead,
             }
         )
@@ -1004,7 +1156,7 @@ def fig14_static_footprint(
 ) -> List[Dict[str, object]]:
     rows = []
     for evaluation in evaluator.apps(apps):
-        text = evaluation.app.program.text_bytes
+        text = evaluation.text_bytes
         rows.append(
             {
                 "app": evaluation.name,
@@ -1048,23 +1200,26 @@ def fig16_generalization(
     apps: Sequence[str] = GENERALIZATION_APPS,
     inputs: Sequence[str] = INPUT_NAMES,
 ) -> List[Dict[str, object]]:
-    """Profile on the default input, evaluate on five inputs."""
+    """Profile on the default input, evaluate on five inputs.
+
+    Each input's trace is named by its generating parameters, so cached
+    replays are found without building it.
+    """
     rows = []
     for name in apps:
         evaluation = evaluator[name]
-        app = evaluation.app
-        mixes = input_mixes(app)
+        spec = evaluation.spec
         ispy_plan = evaluation.ispy_plan()
         asmdb_plan = evaluation.asmdb_plan()
         for input_name in inputs:
             # crc32, not hash(): the latter is salted per process, which
             # would make these seeds differ between runs (and between
             # parallel workers and the parent).
-            trace = app.trace(
+            trace = InputTrace(
+                spec,
+                input_name,
                 evaluator.settings.eval_length,
-                seed=app.spec.seed + 50_000 + zlib.crc32(input_name.encode()) % 1000,
-                mix=mixes[input_name],
-                input_name=input_name,
+                seed=spec.seed + 50_000 + zlib.crc32(input_name.encode()) % 1000,
             )
             base = evaluation.run_plan(None, trace=trace)
             ideal = evaluation.run_ideal(trace=trace)
@@ -1231,7 +1386,7 @@ def fig20_coalesce_profile(
     distance_hist: Counter = Counter()
     lines_hist: Counter = Counter()
     for evaluation in evaluator.apps(apps):
-        stats = evaluation.ispy_result().report.coalesce_stats
+        stats = evaluation.ispy_summary().coalesce_stats
         distance_hist.update(stats.distance_histogram)
         lines_hist.update(stats.lines_per_instruction)
 
@@ -1261,7 +1416,7 @@ def fig21_hash_size(
 ) -> List[Dict[str, object]]:
     """False-positive rate and static footprint vs hash width."""
     evaluation = evaluator[app]
-    text = evaluation.app.program.text_bytes
+    text = evaluation.text_bytes
     plans = [
         evaluation.ispy_plan(replace(DEFAULT_CONFIG, context_hash_bits=size))
         for size in bits
@@ -1376,7 +1531,7 @@ def matrix_prefetchers(
             accuracies.append(stats.prefetch_accuracy)
             coverages.append(metrics.mpki_reduction(base, stats))
             static_increases.append(
-                footprint.static_increase(evaluation.app.program.text_bytes)
+                footprint.static_increase(evaluation.text_bytes)
             )
             metadata.append(float(footprint.metadata_bytes))
             dynamic.append(stats.dynamic_overhead)

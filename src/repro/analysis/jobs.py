@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..sim.stats import SimStats
@@ -93,11 +93,11 @@ def evaluate_variant(
 
 def run_prewarm_jobs(
     evaluator: "Evaluator",
-    names: Sequence[str],
-    variants: Sequence[str],
+    misses: Dict[str, Sequence[str]],
     n_jobs: int,
 ) -> None:
-    """Fan (app, variant) simulations across *n_jobs* processes.
+    """Fan the (app, variant) simulations of *misses* (app -> the
+    variants the caches lack) across *n_jobs* processes.
 
     Phase 1 builds each app's shared artifacts (profile + default
     plans) exactly once, so phase 2's per-variant jobs only load them
@@ -107,25 +107,25 @@ def run_prewarm_jobs(
     settings = evaluator.settings
     tracer = evaluator.tracer
     shard_insns = evaluator.shard_insns
+    jobs = [
+        (name, variant) for name, variants in misses.items() for variant in variants
+    ]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        with tracer.span("prewarm:prepare", apps=len(names)):
+        with tracer.span("prewarm:prepare", apps=len(misses)):
             prepared = [
                 pool.submit(prepare_app, name, settings, store_root, shard_insns)
-                for name in names
+                for name in misses
             ]
             for future in prepared:
                 _, events = future.result()
                 tracer.absorb(events)
-        with tracer.span(
-            "prewarm:simulate", jobs=len(names) * len(variants), workers=n_jobs
-        ):
+        with tracer.span("prewarm:simulate", jobs=len(jobs), workers=n_jobs):
             simulated = [
                 pool.submit(
                     evaluate_variant, name, variant, settings, store_root,
                     shard_insns,
                 )
-                for name in names
-                for variant in variants
+                for name, variant in jobs
             ]
             results = [future.result() for future in simulated]
             for name, variant, stats, events in results:

@@ -14,6 +14,7 @@ can be swept.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -104,8 +105,19 @@ class AsmDBPrefetcher(Prefetcher):
         self.name = f"asmdb@{fanout_threshold:.2f}"
 
     @property
+    def _custom_config(self) -> Optional[ISpyConfig]:
+        """The config when it is not the default one build_asmdb_plan
+        falls back to (the default stays out of cache keys, so default
+        plans keep the keys they always had)."""
+        if self.config is None or self.config == DEFAULT_CONFIG:
+            return None
+        return self.config
+
+    @property
     def cache_token(self) -> str:
-        return f"asmdb@{self.fanout_threshold!r}"
+        config = self._custom_config
+        suffix = "" if config is None else f":{config!r}"
+        return f"asmdb@{self.fanout_threshold!r}{suffix}"
 
     def train_result(self, view: ProfileView) -> AsmDBResult:
         return build_asmdb_plan(
@@ -116,7 +128,13 @@ class AsmDBPrefetcher(Prefetcher):
         )
 
     def plan_key_parts(self) -> Dict[str, object]:
-        return {"planner": "asmdb", "threshold": self.fanout_threshold}
+        parts: Dict[str, object] = {
+            "planner": "asmdb", "threshold": self.fanout_threshold,
+        }
+        config = self._custom_config
+        if config is not None:
+            parts["config"] = dataclasses.asdict(config)
+        return parts
 
 
 register_prefetcher("asmdb", AsmDBPrefetcher)

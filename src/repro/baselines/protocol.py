@@ -242,10 +242,11 @@ class Prefetcher(ABC):
         return 0
 
     def static_footprint(
-        self, view: ProfileView, trained: object = None
+        self, view: Optional[ProfileView], trained: object = None
     ) -> Footprint:
         """Deployment cost; reuses *trained* when the caller already
-        trained this prefetcher (avoids re-planning)."""
+        trained this prefetcher (avoids re-planning).  *view* is read
+        only to train, so it may be None when *trained* is given."""
         injected = 0
         if self.produces_plan:
             plan = plan_of(trained) if trained is not None else self.train(view)

@@ -132,7 +132,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     with RunConfig.from_args(args).session() as evaluator:
         evaluation = evaluator[args.app]
         plan = evaluation.plan_for(args.prefetcher)
-        text = evaluation.app.program.text_bytes
+        text = evaluation.text_bytes
         print(f"{args.prefetcher} plan for {args.app}:")
         print(f"  instructions: {len(plan)}")
         for kind, count in sorted(plan.kind_counts().items()):

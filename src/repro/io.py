@@ -13,9 +13,12 @@ This module provides the interchange formats for those hand-offs:
 * :func:`stats_to_dict` — flat result records for logging;
 * :func:`stats_to_record` / :func:`stats_from_record` — *lossless*
   counter-level result round-trips (the artifact-store format);
+* :class:`TrainSummary` / :class:`AppSummary` — the few numbers the
+  figures read from a planner's report and from a synthesized app;
 * :class:`ArtifactStore` — a versioned, content-addressed on-disk
-  cache of profiles, plans and simulation results, so repeated
-  harness runs share artifacts instead of recomputing them.
+  cache of profiles, plans, train and app summaries and simulation
+  results, so repeated harness runs share artifacts instead of
+  recomputing them.
 
 All formats are versioned JSON; unknown versions are rejected rather
 than silently misread.
@@ -30,9 +33,11 @@ import json
 import os
 import tempfile
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from .core.coalesce import CoalesceStats
 from .core.instructions import PrefetchInstr, PrefetchPlan
 from .profiling.pebs import MissSample
 from .profiling.profiler import ExecutionProfile
@@ -55,10 +60,9 @@ class FormatError(ValueError):
 
 
 def _check(payload: dict, kind: str) -> None:
-    if payload.get("format") != kind:
-        raise FormatError(
-            f"expected a {kind!r} file, found {payload.get('format')!r}"
-        )
+    if not isinstance(payload, dict) or payload.get("format") != kind:
+        found = payload.get("format") if isinstance(payload, dict) else payload
+        raise FormatError(f"expected a {kind!r} file, found {found!r}")
     if payload.get("version") != FORMAT_VERSION:
         raise FormatError(
             f"unsupported {kind} version {payload.get('version')!r}"
@@ -283,6 +287,110 @@ def load_stats(path: PathLike) -> SimStats:
     return stats_from_record(json.loads(Path(path).read_text()))
 
 
+# -- summaries -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrainSummary:
+    """What the figures read from a planner's training report.
+
+    A whole report is hundreds of KB of JSON (every site selection and
+    context), while the figures read only these counts: Fig. 3 the
+    coverage, Fig. 20 the coalescing histograms.  So the artifact store
+    keeps this summary next to the plan instead of the report.
+    ``contexts`` and ``coalesce_stats`` are I-SPY's; AsmDB has neither.
+    """
+
+    considered_lines: int
+    uncovered_lines: int
+    contexts: Optional[int] = None
+    coalesce_stats: Optional[CoalesceStats] = None
+
+    @classmethod
+    def of(cls, result: object) -> Optional["TrainSummary"]:
+        """The summary of a training result that carries a ``report``
+        (I-SPY's and AsmDB's); None for any other result."""
+        report = getattr(result, "report", None)
+        if report is None:
+            return None
+        contexts = getattr(report, "contexts", None)
+        return cls(
+            considered_lines=report.considered_lines,
+            uncovered_lines=len(report.uncovered_lines),
+            contexts=None if contexts is None else len(contexts),
+            coalesce_stats=getattr(report, "coalesce_stats", None),
+        )
+
+    @property
+    def coverage(self) -> float:
+        """Fraction of considered miss lines that got a prefetch, as
+        the reports' ``coverage`` computes it."""
+        if not self.considered_lines:
+            return 0.0
+        return 1.0 - self.uncovered_lines / self.considered_lines
+
+
+@dataclass(frozen=True)
+class AppSummary:
+    """What the figures read from a synthesized app: the size of its
+    text segment, the denominator of every static-footprint figure."""
+
+    text_bytes: int
+
+
+def train_summary_to_record(summary: TrainSummary) -> dict:
+    stats = summary.coalesce_stats
+    return {
+        "format": "train-summary",
+        "version": FORMAT_VERSION,
+        "considered_lines": summary.considered_lines,
+        "uncovered_lines": summary.uncovered_lines,
+        "contexts": summary.contexts,
+        # histogram keys become strings in JSON; loading restores ints
+        "coalesce_stats": None if stats is None else {
+            "distance_histogram": dict(stats.distance_histogram),
+            "lines_per_instruction": dict(stats.lines_per_instruction),
+            "merged_prefetches": stats.merged_prefetches,
+            "emitted_instructions": stats.emitted_instructions,
+        },
+    }
+
+
+def _int_counter(histogram: dict) -> Counter:
+    return Counter({int(key): count for key, count in histogram.items()})
+
+
+def train_summary_from_record(payload: dict) -> TrainSummary:
+    _check(payload, "train-summary")
+    stats = payload["coalesce_stats"]
+    if stats is not None:
+        stats = CoalesceStats(
+            distance_histogram=_int_counter(stats["distance_histogram"]),
+            lines_per_instruction=_int_counter(stats["lines_per_instruction"]),
+            merged_prefetches=stats["merged_prefetches"],
+            emitted_instructions=stats["emitted_instructions"],
+        )
+    return TrainSummary(
+        considered_lines=payload["considered_lines"],
+        uncovered_lines=payload["uncovered_lines"],
+        contexts=payload["contexts"],
+        coalesce_stats=stats,
+    )
+
+
+def app_summary_to_record(summary: AppSummary) -> dict:
+    return {
+        "format": "app-summary",
+        "version": FORMAT_VERSION,
+        "text_bytes": summary.text_bytes,
+    }
+
+
+def app_summary_from_record(payload: dict) -> AppSummary:
+    _check(payload, "app-summary")
+    return AppSummary(text_bytes=payload["text_bytes"])
+
+
 # -- the persistent artifact store -------------------------------------------
 
 
@@ -330,6 +438,8 @@ class ArtifactStore:
         <root>/v<CACHE_SCHEMA_VERSION>/
             profiles/<key>.json.gz
             plans/<key>.json
+            trains/<key>.json      train summary, under its plan's key
+            apps/<key>.json        app summary
             stats/<key>.json
 
     Keys come from :func:`artifact_key`; the schema version appears in
@@ -343,7 +453,7 @@ class ArtifactStore:
     def __init__(self, root: PathLike):
         self.root = Path(root)
         self.base = self.root / f"v{CACHE_SCHEMA_VERSION}"
-        for sub in ("profiles", "plans", "stats", "shards"):
+        for sub in ("profiles", "plans", "trains", "apps", "stats", "shards"):
             (self.base / sub).mkdir(parents=True, exist_ok=True)
         # per-kind lookup accounting; the run manifest reports these as
         # the store's hit rate (a worker process counts its own store
@@ -405,59 +515,64 @@ class ArtifactStore:
         lookups = hits + sum(self._misses.values())
         return hits / lookups if lookups else None
 
+    def _save(self, sub: str, key: str, payload: dict) -> None:
+        data = json.dumps(payload).encode()
+        if sub == "profiles":
+            data = gzip.compress(data)
+        self._write_atomic(self._path(sub, key), data)
+
+    def _load(self, sub: str, key: str, decode, kind: str):
+        """Decode one stored artifact; a missing, malformed or
+        wrong-version file is a miss (None)."""
+        payload = self._read_json(
+            self._path(sub, key), compressed=sub == "profiles"
+        )
+        value = None
+        if payload is not None:
+            try:
+                value = decode(payload)
+            except (KeyError, TypeError, ValueError):  # FormatError too
+                value = None
+        self._record(kind, value is not None)
+        return value
+
     # -- profiles ------------------------------------------------------
 
     def save_profile(self, key: str, profile: ExecutionProfile) -> None:
-        data = gzip.compress(json.dumps(profile_to_dict(profile)).encode())
-        self._write_atomic(self._path("profiles", key), data)
+        self._save("profiles", key, profile_to_dict(profile))
 
     def load_profile(self, key: str) -> Optional[ExecutionProfile]:
-        payload = self._read_json(self._path("profiles", key), compressed=True)
-        if payload is not None:
-            try:
-                profile = profile_from_dict(payload)
-            except (FormatError, KeyError, TypeError):
-                profile = None
-        else:
-            profile = None
-        self._record("profile", profile is not None)
-        return profile
+        return self._load("profiles", key, profile_from_dict, "profile")
 
-    # -- plans ---------------------------------------------------------
+    # -- plans and their train summaries -------------------------------
 
     def save_plan(self, key: str, plan: PrefetchPlan) -> None:
-        data = json.dumps(plan_to_dict(plan)).encode()
-        self._write_atomic(self._path("plans", key), data)
+        self._save("plans", key, plan_to_dict(plan))
 
     def load_plan(self, key: str) -> Optional[PrefetchPlan]:
-        payload = self._read_json(self._path("plans", key), compressed=False)
-        if payload is not None:
-            try:
-                plan = plan_from_dict(payload)
-            except (FormatError, KeyError, TypeError):
-                plan = None
-        else:
-            plan = None
-        self._record("plan", plan is not None)
-        return plan
+        return self._load("plans", key, plan_from_dict, "plan")
+
+    def save_train_summary(self, key: str, summary: TrainSummary) -> None:
+        self._save("trains", key, train_summary_to_record(summary))
+
+    def load_train_summary(self, key: str) -> Optional[TrainSummary]:
+        return self._load("trains", key, train_summary_from_record, "train")
+
+    # -- app summaries -------------------------------------------------
+
+    def save_app_summary(self, key: str, summary: AppSummary) -> None:
+        self._save("apps", key, app_summary_to_record(summary))
+
+    def load_app_summary(self, key: str) -> Optional[AppSummary]:
+        return self._load("apps", key, app_summary_from_record, "app")
 
     # -- simulation results --------------------------------------------
 
     def save_stats(self, key: str, stats: SimStats) -> None:
-        data = json.dumps(stats_to_record(stats)).encode()
-        self._write_atomic(self._path("stats", key), data)
+        self._save("stats", key, stats_to_record(stats))
 
     def load_stats(self, key: str) -> Optional[SimStats]:
-        payload = self._read_json(self._path("stats", key), compressed=False)
-        if payload is not None:
-            try:
-                stats = stats_from_record(payload)
-            except (FormatError, KeyError, TypeError):
-                stats = None
-        else:
-            stats = None
-        self._record("stats", stats is not None)
-        return stats
+        return self._load("stats", key, stats_from_record, "stats")
 
     # -- per-shard replay checkpoints ----------------------------------
 

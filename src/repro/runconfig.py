@@ -176,6 +176,15 @@ class RunConfig:
         set_tracer(None)
         if self._gc_saved is not None:
             if self._gc_saved[0]:
+                # The run's survivors are all still in the youngest
+                # generation; the first collection after re-enabling
+                # would walk every one of them.  A freeze and unfreeze
+                # moves them to the oldest generation without a pass,
+                # where the collector can still reach them.  Objects a
+                # caller froze itself stay frozen.
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
             self._gc_saved = None
 

@@ -19,7 +19,7 @@ from .ingest import (
     load_ingested,
     write_ingested,
 )
-from .inputs import INPUT_NAMES, input_mixes, trace_for_input
+from .inputs import INPUT_NAMES, InputTrace, input_mixes, trace_for_input
 from .synthesis import AppSpec, SyntheticApp, scaled_spec, synthesize
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "ControlFlowModel",
     "INPUT_NAMES",
     "IngestedWorkload",
+    "InputTrace",
     "Jump",
     "PhasedApp",
     "Return",

@@ -14,9 +14,11 @@ Input "default" is always the profiling input; inputs "input-1" …
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .synthesis import SyntheticApp
+from ..sim.trace import BlockTrace
+from .synthesis import AppSpec, SyntheticApp, trace_metadata
 
 #: Names of the five inputs used in the Fig. 16 study.
 INPUT_NAMES: Tuple[str, ...] = (
@@ -44,8 +46,10 @@ def _skew(mix: Sequence[float], exponent: float) -> List[float]:
     return [w ** exponent for w in mix]
 
 
-def input_mixes(app: SyntheticApp) -> Dict[str, Tuple[float, ...]]:
-    """The five request mixes for *app*, keyed by input name.
+def input_mixes(app: Union[AppSpec, SyntheticApp]) -> Dict[str, Tuple[float, ...]]:
+    """The five request mixes for an app (or its spec), keyed by input
+    name.  They read only the spec's ``request_mix``, so no app needs
+    to be synthesized for them.
 
     * ``default`` — the profiling mix from the spec.
     * ``input-1`` — mildly flattened (load spread more evenly).
@@ -53,7 +57,8 @@ def input_mixes(app: SyntheticApp) -> Dict[str, Tuple[float, ...]]:
     * ``input-3`` — rotated by one (a different type dominates).
     * ``input-4`` — rotated by two and flattened (worst drift).
     """
-    base = app.spec.request_mix
+    spec = app.spec if isinstance(app, SyntheticApp) else app
+    base = spec.request_mix
     return {
         "default": _normalize(base),
         "input-1": _normalize(_skew(base, 0.6)),
@@ -63,21 +68,51 @@ def input_mixes(app: SyntheticApp) -> Dict[str, Tuple[float, ...]]:
     }
 
 
+@dataclass(frozen=True)
+class InputTrace:
+    """An app's trace under one named input, by the parameters that
+    generate it.
+
+    :attr:`metadata` equals what :meth:`SyntheticApp.trace` records on
+    the built trace, so a cache keyed on it can be consulted before
+    the trace (or even the app) exists; :meth:`build` makes the trace.
+    """
+
+    spec: AppSpec
+    input_name: str
+    length: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.input_name not in INPUT_NAMES:
+            raise KeyError(
+                f"unknown input {self.input_name!r}; "
+                f"known: {', '.join(INPUT_NAMES)}"
+            )
+
+    @property
+    def mix(self) -> Tuple[float, ...]:
+        return input_mixes(self.spec)[self.input_name]
+
+    @property
+    def metadata(self) -> Dict[str, object]:
+        return trace_metadata(
+            self.spec, self.length, self.seed, self.mix, self.input_name
+        )
+
+    def build(self, app: SyntheticApp) -> BlockTrace:
+        return app.trace(
+            self.length, seed=self.seed, mix=self.mix, input_name=self.input_name
+        )
+
+
 def trace_for_input(
     app: SyntheticApp,
     input_name: str,
     length: int,
     seed_offset: int = 0,
-):
+) -> BlockTrace:
     """Generate *app*'s trace under the named input mix."""
-    mixes = input_mixes(app)
-    if input_name not in mixes:
-        raise KeyError(
-            f"unknown input {input_name!r}; known: {', '.join(INPUT_NAMES)}"
-        )
-    return app.trace(
-        length,
-        seed=app.spec.seed + 7001 + seed_offset,
-        mix=mixes[input_name],
-        input_name=input_name,
-    )
+    return InputTrace(
+        app.spec, input_name, length, app.spec.seed + 7001 + seed_offset
+    ).build(app)

@@ -157,17 +157,32 @@ class SyntheticApp:
         block_ids = model.generate(length, walk_seed)
         return BlockTrace(
             block_ids,
-            metadata={
-                "app": self.spec.name,
-                "input": input_name,
-                "seed": walk_seed,
-                "length": length,
-                # the actual mix replayed, so traces with the same
-                # input name but different mixes stay distinguishable
-                # (artifact-cache keys hash this metadata)
-                "mix": tuple(mix) if mix is not None else None,
-            },
+            metadata=trace_metadata(self.spec, length, walk_seed, mix, input_name),
         )
+
+
+def trace_metadata(
+    spec: AppSpec,
+    length: int,
+    seed: int,
+    mix: Optional[Sequence[float]] = None,
+    input_name: str = "default",
+) -> Dict[str, object]:
+    """The ``metadata`` :meth:`SyntheticApp.trace` records on a trace,
+    from the parameters that generate it alone.
+
+    Artifact-cache keys hash this metadata, so a caller can look up a
+    trace's cached replays before it builds the trace.
+    """
+    return {
+        "app": spec.name,
+        "input": input_name,
+        "seed": seed,
+        "length": length,
+        # the actual mix replayed, so traces with the same input name
+        # but different mixes stay distinguishable
+        "mix": tuple(mix) if mix is not None else None,
+    }
 
 
 class _FunctionBody:

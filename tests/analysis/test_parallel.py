@@ -7,20 +7,31 @@ statistics — and a warm cache replaces simulation entirely.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import shutil
+import zlib
 from collections import Counter
 
 import pytest
 
+from repro.analysis import experiments as exp_mod
 from repro.analysis.experiments import (
     DEFAULT_PREWARM_VARIANTS,
+    GENERALIZATION_APPS,
     Evaluator,
     ExperimentSettings,
 )
 from repro.analysis.jobs import resolve_jobs
-from repro.io import ArtifactStore, stats_to_record
+from repro.analysis.report import generate_report
+from repro.baselines import get_prefetcher
+from repro.core.config import DEFAULT_CONFIG, ISpyConfig
+from repro.io import ArtifactStore, TrainSummary, stats_to_record
 from repro.obs.trace import Tracer, summarize
 from repro.runconfig import RunConfig
 from repro.workloads import apps as apps_mod
+from repro.workloads.inputs import INPUT_NAMES, InputTrace, input_mixes
+from repro.workloads.synthesis import AppSpec
 
 APPS = ("wordpress", "kafka")
 #: contiguous8 is a mechanism member: it replays outside run_plan, on
@@ -164,6 +175,228 @@ class TestPersistentWarmRun:
             assert stats_to_record(
                 warm["wordpress"].stats_for(variant)
             ) == stats_to_record(cold["wordpress"].stats_for(variant)), variant
+
+
+#: a report small enough for the tier-1 suite; the per-app figures run
+#: on two apps, the sweeps on their own default apps
+REPORT_SETTINGS = ExperimentSettings(
+    profile_length=4_000, eval_length=2_000, warmup=500, scale=0.05
+)
+REPORT_APPS = ("wordpress", "kafka")
+
+#: span names that mean a run built something instead of reading it
+BUILD_SPANS = ("app:synthesize", "profiling:execution")
+BUILD_PREFIXES = ("plan:", "sim:", "prewarm:")
+
+
+def _report(cache):
+    """One ``repro report --jobs 2 --cache`` run, in process."""
+    config = RunConfig(
+        settings=REPORT_SETTINGS, store=cache, jobs=2, command="report"
+    )
+    with config.session() as evaluator:
+        text = generate_report(evaluator, apps=REPORT_APPS)
+    return text, config.tracer.snapshot()
+
+
+def _body(text):
+    return [
+        line for line in text.splitlines()
+        if not line.startswith("_Generated in")
+    ]
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    """A store filled by one cold report, and that report's text."""
+    cache = tmp_path_factory.mktemp("report") / "cache"
+    text, _ = _report(cache)
+    return cache, text
+
+
+class TestWarmReport:
+    """A report over a filled store reads the store and builds nothing:
+    no synthesis, profiling, training, simulation or worker pool."""
+
+    @pytest.fixture
+    def warm_cache(self, filled_cache, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        shutil.copytree(filled_cache[0], cache)
+        # a fresh process's view: no app memoized
+        monkeypatch.setattr(apps_mod, "_CACHE", {})
+        return cache
+
+    def test_warm_report_reads_only_the_store(self, filled_cache, warm_cache):
+        text, events = _report(warm_cache)
+        spans = Counter(e["name"] for e in events if e["ph"] == "X")
+        built = {
+            name: calls for name, calls in spans.items()
+            if name in BUILD_SPANS or name.startswith(BUILD_PREFIXES)
+        }
+        assert built == {}
+        assert spans["run:report"] == 1
+        assert _body(text) == _body(filled_cache[1])
+
+    def test_warm_report_loads_each_plan_once(self, warm_cache, monkeypatch):
+        loads = Counter()
+        load_plan = ArtifactStore.load_plan
+
+        def counted(store, key):
+            loads[key] += 1
+            return load_plan(store, key)
+
+        monkeypatch.setattr(ArtifactStore, "load_plan", counted)
+        _report(warm_cache)
+        assert loads
+        assert max(loads.values()) == 1, loads.most_common(3)
+
+
+class TestCorruptSummaries:
+    """A truncated or garbage summary file is a miss: the value is
+    recomputed and the file rewritten, as for plans and stats."""
+
+    @pytest.mark.parametrize("garbage", ['{"format": "train-sum', "[1, 2]"])
+    def test_train_summary(self, tmp_path, garbage):
+        cache = tmp_path / "cache"
+        cold = Evaluator(config=RunConfig(settings=SETTINGS, store=cache))
+        fresh = cold["wordpress"].ispy_summary()
+        store = ArtifactStore(cache)
+        key = cold["wordpress"]._plan_key(get_prefetcher("ispy"))
+        path = store._path("trains", key)
+        path.write_text(garbage)
+
+        warm = Evaluator(config=RunConfig(settings=SETTINGS, store=cache))
+        assert warm["wordpress"].ispy_summary() == fresh
+        assert summarize(warm.tracer.snapshot()).stage("plan:ispy").calls == 1
+        assert store.load_train_summary(key) == fresh
+
+    @pytest.mark.parametrize("garbage", ['{"format": "app-sum', '"text"'])
+    def test_app_summary(self, tmp_path, garbage):
+        cache = tmp_path / "cache"
+        cold = Evaluator(config=RunConfig(settings=SETTINGS, store=cache))
+        text_bytes = cold["wordpress"].text_bytes
+        store = ArtifactStore(cache)
+        path = store._path("apps", cold["wordpress"]._key("app"))
+        path.write_text(garbage)
+
+        warm = Evaluator(config=RunConfig(settings=SETTINGS, store=cache))
+        assert warm["wordpress"].text_bytes == text_bytes
+        assert store.load_app_summary(cold["wordpress"]._key("app")).text_bytes == (
+            text_bytes
+        )
+
+
+def _changed(value):
+    """A different value of the same kind (validation is bypassed)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-changed"
+    if isinstance(value, tuple):
+        return value + value[-1:]
+    raise TypeError(type(value))
+
+
+def _with_field(obj, name):
+    clone = copy.copy(obj)
+    object.__setattr__(clone, name, _changed(getattr(obj, name)))
+    return clone
+
+
+#: unscaled, so a changed spec field reaches the keys as it is
+KEY_SETTINGS = dataclasses.replace(SETTINGS, scale=1.0)
+
+
+class TestSummaryKeysComplete:
+    """The app summary's key and the train summaries' keys (their
+    plans' keys) change with everything their values depend on."""
+
+    @staticmethod
+    def keys(settings=KEY_SETTINGS, **planners):
+        evaluation = Evaluator(settings)["wordpress"]
+        keys = {"app": evaluation._key("app")}
+        for label, prefetcher in planners.items():
+            keys[label] = evaluation._plan_key(prefetcher)
+        return keys
+
+    @staticmethod
+    def default_planners():
+        return {
+            "ispy": get_prefetcher("ispy"),
+            "asmdb": get_prefetcher("asmdb"),
+        }
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AppSpec)])
+    def test_every_spec_field(self, monkeypatch, name):
+        spec = apps_mod.app_spec("wordpress")
+        base = self.keys(**self.default_planners())
+        monkeypatch.setattr(exp_mod, "app_spec", lambda app: _with_field(spec, name))
+        changed = self.keys(**self.default_planners())
+        assert all(changed[k] != base[k] for k in base), name
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ExperimentSettings)]
+    )
+    def test_every_setting(self, name):
+        base = self.keys(**self.default_planners())
+        changed = self.keys(
+            _with_field(KEY_SETTINGS, name), **self.default_planners()
+        )
+        assert all(changed[k] != base[k] for k in base), name
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ISpyConfig)])
+    def test_every_ispy_parameter(self, name):
+        config = _with_field(DEFAULT_CONFIG, name)
+        base = self.keys(
+            ispy=get_prefetcher("ispy"), asmdb=get_prefetcher("asmdb")
+        )
+        changed = self.keys(
+            ispy=get_prefetcher("ispy", config=config),
+            asmdb=get_prefetcher("asmdb", config=config),
+        )
+        assert changed["ispy"] != base["ispy"], name
+        assert changed["asmdb"] != base["asmdb"], name
+        assert changed["app"] == base["app"]
+
+    def test_asmdb_threshold(self):
+        assert self.keys(asmdb=get_prefetcher("asmdb"))["asmdb"] != self.keys(
+            asmdb=get_prefetcher("asmdb", fanout_threshold=0.5)
+        )["asmdb"]
+
+    #: hash-alias: an adversarial app whose built spec differs from
+    #: the evaluation's in a field the trace metadata does not read
+    @pytest.mark.parametrize("app", GENERALIZATION_APPS + ("hash-alias",))
+    @pytest.mark.parametrize("input_name", INPUT_NAMES)
+    def test_fig16_trace_parts_match_the_built_trace(self, app, input_name):
+        """Fig. 16 keys an input's replays on the trace's generating
+        parameters; they must equal the parts of the trace it builds
+        the way it always has, so its stats keys are unchanged."""
+        evaluation = Evaluator(SETTINGS)[app]
+        built = evaluation.app
+        seed = built.spec.seed + 50_000 + zlib.crc32(input_name.encode()) % 1000
+        trace = built.trace(
+            SETTINGS.eval_length,
+            seed=seed,
+            mix=input_mixes(built)[input_name],
+            input_name=input_name,
+        )
+        params = InputTrace(evaluation.spec, input_name, SETTINGS.eval_length, seed)
+        assert evaluation._trace_parts(params) == evaluation._trace_parts(trace)
+        assert list(params.build(built).block_ids) == list(trace.block_ids)
+
+
+def test_train_summary_of_a_fresh_report():
+    evaluation = Evaluator(SETTINGS)["wordpress"]
+    ispy = evaluation.ispy_result()
+    summary = TrainSummary.of(ispy)
+    assert summary.coverage == ispy.report.coverage
+    assert summary.contexts == len(ispy.report.contexts)
+    assert summary.coalesce_stats == ispy.report.coalesce_stats
+    asmdb = evaluation.asmdb_result()
+    assert TrainSummary.of(asmdb).coverage == asmdb.report.coverage
+    assert TrainSummary.of(asmdb).coalesce_stats is None
 
 
 class TestKeyGranularity:

@@ -285,6 +285,27 @@ class TestCollectorPolicy:
         assert counts[0] == 0
         assert counts[1] >= 1
 
+    def test_run_survivors_end_in_the_oldest_generation(self):
+        """Ending a run moves what it left alive to the oldest
+        generation, so the first collection after it does not walk
+        the run's whole heap."""
+        with RunConfig(settings=SETTINGS).session():
+            survivor = []
+        assert gc.isenabled()
+        assert any(o is survivor for o in gc.get_objects(generation=2))
+
+    def test_run_end_keeps_a_callers_frozen_objects(self):
+        frozen = []
+        gc.freeze()
+        try:
+            count = gc.get_freeze_count()
+            with RunConfig(settings=SETTINGS).session():
+                pass
+            assert gc.get_freeze_count() == count
+            assert not any(o is frozen for o in gc.get_objects(generation=2))
+        finally:
+            gc.unfreeze()
+
     def test_pipeline_makes_no_reference_cycles(self):
         """The precondition of pausing the collector: an evaluation
         leaves no cyclic garbage, so reference counting alone frees

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import gzip
 import json
+from collections import Counter
 
 import pytest
 
 import repro.io as repro_io
+from repro.core.coalesce import CoalesceStats
 from repro.core.instructions import PrefetchInstr, PrefetchPlan
 from repro.io import (
+    AppSummary,
     ArtifactStore,
+    TrainSummary,
     artifact_key,
     plan_fingerprint,
     stats_from_record,
@@ -140,6 +144,41 @@ class TestStoreRoundtrips:
         assert stats_to_record(fresh) == stats_to_record(cached)
 
 
+class TestSummaries:
+    def test_train_summary_roundtrip_restores_int_keys(self, store):
+        summary = TrainSummary(
+            considered_lines=10,
+            uncovered_lines=3,
+            contexts=2,
+            coalesce_stats=CoalesceStats(
+                distance_histogram=Counter({1: 3, 7: 1}),
+                lines_per_instruction=Counter({2: 4}),
+                merged_prefetches=5,
+                emitted_instructions=4,
+            ),
+        )
+        key = artifact_key("plan", {"app": "x"})
+        assert store.load_train_summary(key) is None
+        store.save_train_summary(key, summary)
+        loaded = store.load_train_summary(key)
+        assert loaded == summary
+        assert sorted(loaded.coalesce_stats.distance_histogram) == [1, 7]
+        assert loaded.coverage == 0.7
+
+    def test_asmdb_summary_has_no_coalescing(self, store):
+        summary = TrainSummary(considered_lines=0, uncovered_lines=0)
+        key = artifact_key("plan", {"app": "x"})
+        store.save_train_summary(key, summary)
+        assert store.load_train_summary(key) == summary
+        assert summary.coverage == 0.0
+
+    def test_app_summary_roundtrip(self, store):
+        key = artifact_key("app", {"app": "x"})
+        assert store.load_app_summary(key) is None
+        store.save_app_summary(key, AppSummary(text_bytes=4096))
+        assert store.load_app_summary(key) == AppSummary(text_bytes=4096)
+
+
 class TestInvalidation:
     def test_corrupt_payload_is_a_miss(self, store):
         key = artifact_key("stats", {"app": "x"})
@@ -159,6 +198,13 @@ class TestInvalidation:
             json.dumps({"format": "something-else", "version": 1})
         )
         assert store.load_plan(key) is None
+
+    def test_non_object_payload_is_a_miss(self, store):
+        key = artifact_key("plan", {"app": "x"})
+        store._path("plans", key).write_text("[1, 2]")
+        assert store.load_plan(key) is None
+        store._path("trains", key).write_text('"text"')
+        assert store.load_train_summary(key) is None
 
     def test_schema_version_bump_orphans_old_artifacts(
         self, tmp_path, monkeypatch
