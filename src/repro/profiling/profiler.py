@@ -402,25 +402,18 @@ def _profile_execution_columnar(
     """Array-kernel profiling: one recorded replay, no observer.
 
     Produces the identical :class:`ExecutionProfile` to the reference:
-    the replay events come from the bit-identical array replay, and
-    PEBS period-``N`` sampling is the every-``N``-th-miss slice
-    ``misses[N-1::N]`` (the countdown in :class:`PEBSSampler` fires on
-    the ``N``-th event first).
+    the replay events come from the bit-identical columnar kernel (an
+    engine-less slot), and PEBS period-``N`` sampling is the
+    every-``N``-th-miss slice ``misses[N-1::N]`` (the countdown in
+    :class:`PEBSSampler` fires on the ``N``-th event first).
     """
     import numpy as np
 
     from ..sim.columnar import columnar_view
     from ..sim.streaming import stream_replay_events
 
-    machine = machine or MachineParams()
-    stats = SimStats()
-    events = stream_replay_events(
-        program,
-        trace,
-        machine,
-        stats,
-        data_traffic=data_traffic,
-        shard_insns=shard_insns,
+    events, stats = stream_replay_events(
+        program, trace, machine, data_traffic, shard_insns
     )
 
     step = sample_period

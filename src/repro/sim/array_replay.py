@@ -1,41 +1,42 @@
-"""Array replay: the columnar no-observer fast paths.
+"""Array replay: the columnar kernel.
 
 Replays a :class:`BlockTrace` over the Table I hierarchy and produces
 **bit-identical** :class:`SimStats` to :class:`CoreSimulator`'s
-per-event reference loop, for runs with no observer hooks.  Every entry
-point is a carry-threaded shard kernel; :mod:`repro.sim.streaming`
-drives them (a whole-trace replay is its one-shard case):
+per-event reference loop, for runs with no observer hooks.  There is
+one kernel, :class:`PlanBatch`, a carry-threaded shard kernel that
+:mod:`repro.sim.streaming` drives (a whole-trace replay is its
+one-shard case).  Each slot of a batch is one simulation:
 
-* :func:`array_shard_replay` + :func:`array_finish` — the no-plan
-  baseline and profiling replays (``record_events`` returns the
-  observer view the profiler needs);
-* :class:`PlanBatch` — every plan-bearing replay (the I-SPY
-  `Cprefetch`/`Lprefetch`/`CLprefetch` variants and the AsmDB
-  baseline): one simulation is a one-slot batch, a sweep of V plan
-  variants shares one pass over each shard.
+* a plan-bearing replay (the I-SPY `Cprefetch`/`Lprefetch`/`CLprefetch`
+  variants and the AsmDB baseline) is a slot with a prefetch engine; a
+  single simulation is a one-slot batch, a sweep of V plan variants
+  shares one pass over each shard;
+* a replay with no prefetch engine (the no-prefetch baseline and the
+  LBR/PEBS profiler's recorded replay) is an *engine-less* slot: no
+  plan, no Bloom tracker, no exact-context window.  With
+  ``record_events`` the slot also returns the observer view the
+  profiler needs (:class:`ReplayEvents`), read off its own phase A
+  (which accesses missed) and phase C (when).
 
 The all-hits ideal bound needs no kernel: it is two column sums per
 shard, kept in the streaming driver.
 
-The decomposition exploits the fact that, without prefetches, every
-cache level is plain LRU-with-demand-fill and the three levels are
-connected only through their access *streams*:
+Exactness rests on replaying the reference loop's operations in their
+order, never approximating them:
 
-1. the L1I access stream is a CSR gather of each executed block's
-   cache lines (``repro.sim.columnar``);
-2. exact per-access LRU outcomes come from a compact set-associative
-   sweep (:func:`_lru_stream`) — LRU state is inherently sequential,
-   so this stays a lean Python loop over flat arrays, everything
-   around it is vectorized;
-3. the L2 stream merges instruction L1 misses with the data-traffic
-   stream (replayed through the *real* :class:`DataTrafficModel`, so
-   the RNG and fractional-accumulator sequences match exactly), and
-   the L3 stream is the L2 misses — each solved by the same sweep;
-4. timing replays the reference loop's float operations in the exact
-   same order: per-block ``now += count * cpi`` advances are sequential
-   ``np.add.accumulate`` segments (ufunc accumulate is a strict
-   left-to-right fold, matching repeated ``+=``), and the fill-port
-   stall arithmetic at each missing block runs scalar, in line order.
+1. the data-traffic stream is replayed through the *real*
+   :class:`DataTrafficModel` (or decoded from the same raw MT19937
+   words it draws), so the RNG and fractional-accumulator sequences
+   match exactly;
+2. the L2 access stream merges each slot's L1-bound events with the
+   data stream *stably*: per retired block, the block's own events
+   (instruction misses, prefetch queries) precede its data accesses, as
+   in the reference loop, and the L3 stream is the L2 misses in order;
+3. the timing fold replays the reference float operations in the
+   identical order — per block ``now += count * cpi``, and at each
+   missing line the fill-port/stall recurrence, scalar and in line
+   order.  Float addition is not associative, so nothing is summed
+   out of order or vectorized across blocks.
 
 Because every float is produced by the identical operation sequence
 and every counter from the identical event set, equality with the
@@ -46,7 +47,7 @@ reference is exact, not approximate — the differential tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -57,9 +58,6 @@ from .params import MachineParams
 from .replacement import LRUStack
 from .stats import SimStats
 from .trace import Program
-
-#: miss-level codes used internally (index into the tables below)
-_LEVEL_NAMES = ("l1", "l2", "l3", "memory")
 
 
 @dataclass
@@ -73,56 +71,6 @@ class ReplayEvents:
     miss_block_ids: np.ndarray
     miss_lines: np.ndarray
     miss_cycles: np.ndarray
-
-
-def _lru_stream(
-    lines: List[int],
-    sets: List[int],
-    ways: int,
-    state: Optional[Dict[int, Dict[int, None]]] = None,
-) -> Tuple[bytearray, bytearray, Dict[int, "OrderedDict[int, None]"]]:
-    """Exact per-access LRU hit/evict outcomes for one cache level.
-
-    Demand fill on every miss, MRU insertion, LRU victim — the only
-    policy the no-plan path exercises.  Returns per-access hit and
-    eviction flags plus the final per-set recency state (oldest
-    first), which :meth:`~repro.sim.cache.Cache.install_residency`
-    turns back into :class:`LRUStack` contents.  Passing *state* continues a previous
-    sweep from its final residency (shard-carried replay): the first
-    access of the continuation takes the general dict path, which is
-    outcome- and state-identical to the back-to-back shortcut.
-    """
-    hits = bytearray(len(lines))
-    evicts = bytearray(len(lines))
-    if state is None:
-        state = {}
-    get_set = state.get
-    index = 0
-    previous = -1
-    for line, set_index in zip(lines, sets):
-        if line == previous:
-            # Back-to-back access to one line: it is resident and
-            # already MRU of its set, so the hit changes nothing.
-            hits[index] = 1
-            index += 1
-            continue
-        previous = line
-        recency = get_set(set_index)
-        if recency is None:
-            state[set_index] = {line: None}
-        elif line in recency:
-            hits[index] = 1
-            # Delete + reinsert moves the key to the MRU (newest) end;
-            # plain dicts preserve insertion order.
-            del recency[line]
-            recency[line] = None
-        else:
-            recency[line] = None
-            if len(recency) > ways:
-                del recency[next(iter(recency))]
-                evicts[index] = 1
-        index += 1
-    return hits, evicts, state
 
 
 class _DataRecorder:
@@ -181,13 +129,16 @@ def _fast_data_eligible(model) -> bool:
 #: plan compared on one evaluation trace — reuse the stream instead of
 #: re-deriving it word by word.  Entries also record the model's final
 #: (accumulator, access count, RNG state) so a cache hit leaves the
-#: model bit-identical to a cold decode.  Bounded FIFO.
+#: model bit-identical to a cold decode.  FIFO, bounded by the decoded
+#: lines the entries hold (an entry with none counts one), not by an
+#: entry count: a sharded replay decodes one entry per shard, and any
+#: count below a run's shard count evicts each entry just before the
+#: next replay of the trace asks for it.  One evaluate-stream trace
+#: (wordpress, scale 0.3, 300k blocks) decodes about 665k lines.
 _STREAM_CACHE: Dict[tuple, tuple] = {}
-# Sized above the shard counts the streaming driver produces on the
-# benchmark workloads: with the former limit of 8, an 11-shard run
-# evicted every entry before its first reuse and the decode re-derived
-# each shard's stream on every benchmark repeat.
-_STREAM_CACHE_LIMIT = 32
+_STREAM_CACHE_LINE_LIMIT = 1 << 20
+#: decoded lines currently held in :data:`_STREAM_CACHE`
+_stream_cache_lines = 0
 
 
 def _fast_data_stream(model, instr_counts: List[int]):
@@ -308,10 +259,17 @@ def _fast_data_stream(model, instr_counts: List[int]):
 
 
 def _stream_cache_put(key: tuple, entry: tuple) -> None:
-    """FIFO-bounded insert; callers treat cached lists as read-only."""
-    if len(_STREAM_CACHE) >= _STREAM_CACHE_LIMIT:
-        _STREAM_CACHE.pop(next(iter(_STREAM_CACHE)))
+    """FIFO insert within the line bound; callers treat cached lists as
+    read-only.  A stream larger than the whole bound is not kept."""
+    global _stream_cache_lines
+    size = len(entry[0]) or 1
+    if size > _STREAM_CACHE_LINE_LIMIT:
+        return
+    while _stream_cache_lines + size > _STREAM_CACHE_LINE_LIMIT:
+        evicted = _STREAM_CACHE.pop(next(iter(_STREAM_CACHE)))
+        _stream_cache_lines -= len(evicted[0]) or 1
     _STREAM_CACHE[key] = entry
+    _stream_cache_lines += size
 
 
 def _decode_data_stream(data_traffic, instr_counts: List[int]):
@@ -326,393 +284,6 @@ def _decode_data_stream(data_traffic, instr_counts: List[int]):
     if _fast_data_eligible(data_traffic):
         return _fast_data_stream(data_traffic, instr_counts)
     return _record_data_stream(data_traffic, instr_counts)
-
-
-def _flags(buffer) -> np.ndarray:
-    return np.frombuffer(bytes(buffer), dtype=np.uint8).astype(bool)
-
-
-class ArrayCarry:
-    """Cross-shard state for the no-plan columnar replay.
-
-    Holds everything the next shard's replay depends on: per-level LRU
-    residency, the float time/fill-port/stall accumulators, and the
-    running counters.  Counters follow the reference loop's convention
-    — values since the last warmup reset — so a carry snapshot at any
-    shard boundary is exactly the state the reference loop would hold
-    at that trace position, and replaying shard-by-shard is
-    bit-identical to replaying the whole trace at once.
-    """
-
-    __slots__ = (
-        "l1_state", "l2_state", "l3_state",
-        "now", "busy", "frontend_stalls",
-        "l1_dh", "l1_dm", "l1_ev",
-        "l2_dh", "l2_dm", "l2_ev",
-        "l3_dh", "l3_dm", "l3_ev",
-        "l1i_accesses", "l1i_misses", "program_instructions",
-        "miss_level_counts",
-    )
-
-    def __init__(self):
-        self.l1_state: Dict[int, Dict[int, None]] = {}
-        self.l2_state: Dict[int, Dict[int, None]] = {}
-        self.l3_state: Dict[int, Dict[int, None]] = {}
-        self.now = 0.0
-        self.busy = 0.0
-        self.frontend_stalls = 0.0
-        self.l1_dh = self.l1_dm = self.l1_ev = 0
-        self.l2_dh = self.l2_dm = self.l2_ev = 0
-        self.l3_dh = self.l3_dm = self.l3_ev = 0
-        self.l1i_accesses = 0
-        self.l1i_misses = 0
-        self.program_instructions = 0
-        self.miss_level_counts: Dict[str, int] = {}
-
-
-def _gather_l1(view, rows: np.ndarray):
-    """The L1I access stream of a shard: a CSR gather of each executed
-    block's cache lines.  Returns ``(counts_pe, cum_pe,
-    block_of_access, l1_lines)``."""
-    n_local = len(rows)
-    counts_pe = view.line_counts[rows]
-    cum_pe = np.zeros(n_local + 1, dtype=np.int64)
-    np.cumsum(counts_pe, out=cum_pe[1:])
-    total_accesses = int(cum_pe[-1])
-    block_of_access = np.repeat(np.arange(n_local, dtype=np.int64), counts_pe)
-    gather = (
-        np.repeat(view.line_starts[rows] - cum_pe[:-1], counts_pe)
-        + np.arange(total_accesses, dtype=np.int64)
-    )
-    return counts_pe, cum_pe, block_of_access, view.line_data[gather]
-
-
-def _merge_l2_stream(
-    miss_lines: np.ndarray,
-    miss_blocks: np.ndarray,
-    data_lines_py,
-    data_counts_py,
-    n_local: int,
-):
-    """One shard's L2 access stream: per retired block, that block's
-    instruction L1 misses first, then its data lines.
-
-    Returns ``(l2_lines, l2_blocks, l2_is_instr)``."""
-    n_miss = len(miss_lines)
-    if data_lines_py:
-        data_lines = np.asarray(data_lines_py, dtype=np.int64)
-        data_blocks = np.repeat(
-            np.arange(n_local, dtype=np.int64),
-            np.asarray(data_counts_py, dtype=np.int64),
-        )
-        merge_key = np.concatenate([miss_blocks * 2, data_blocks * 2 + 1])
-        merge_lines = np.concatenate([miss_lines, data_lines])
-        order = np.argsort(merge_key, kind="stable")
-        l2_lines = merge_lines[order]
-        l2_blocks = merge_key[order] >> 1
-        l2_is_instr = (merge_key[order] & 1) == 0
-    else:
-        l2_lines = miss_lines
-        l2_blocks = miss_blocks
-        l2_is_instr = np.ones(n_miss, dtype=bool)
-    return l2_lines, l2_blocks, l2_is_instr
-
-
-def _timing_fold(
-    machine: MachineParams,
-    incr: np.ndarray,
-    mb_list: List[int],
-    lev_list: List[int],
-    now: float,
-    busy: float,
-    frontend_stalls: float,
-    count_from: int,
-    n_local: int,
-    block_cycles: Optional[np.ndarray] = None,
-    miss_cycles: Optional[list] = None,
-) -> Tuple[float, float, float]:
-    """The reference float timing sequence over one shard, segment-
-    accelerated: between miss blocks ``now`` advances through an
-    ``np.add.accumulate`` over the per-block cycle increments, at each
-    miss the fill-port/stall recurrence runs per miss.
-
-    Every float add depends on the entry ``now``/``busy``, and float
-    addition is not associative, so this fold must replay in reference
-    order.  Returns the exit ``(now, busy, frontend_stalls)``.
-    """
-    record_events = block_cycles is not None
-    penalty = (
-        0.0,
-        float(machine.l2_latency),
-        float(machine.l3_latency),
-        float(machine.memory_latency),
-    )
-    occupancy = (
-        0.0,
-        machine.l2_fill_occupancy,
-        machine.l3_fill_occupancy,
-        machine.memory_fill_occupancy,
-    )
-    n_miss = len(mb_list)
-    segment = 0
-    i = 0
-    # When nobody wants per-block cycle events, only segment *totals*
-    # matter — a plain Python loop runs the identical left-associated
-    # float-add sequence ``np.add.accumulate`` would, without a buffer
-    # allocation per segment (segments between misses are short, so the
-    # per-call overhead dominates the accumulate path).  Deliberately
-    # not ``sum()``: since 3.12 it compensates float summation, which
-    # changes the bits.
-    incr_py = None if record_events else incr.tolist()
-    while i < n_miss:
-        block = mb_list[i]
-        if block > segment:
-            if record_events:
-                buffer = np.empty(block - segment + 1, dtype=np.float64)
-                buffer[0] = now
-                buffer[1:] = incr[segment:block]
-                np.add.accumulate(buffer, out=buffer)
-                block_cycles[segment:block] = buffer[:-1]
-                now = float(buffer[-1])
-            else:
-                for value in incr_py[segment:block]:
-                    now += value
-        if record_events:
-            block_cycles[block] = now
-        stall = 0.0
-        while i < n_miss and mb_list[i] == block:
-            level = lev_list[i]
-            start = now + stall
-            if start < busy:
-                start = busy
-            busy = start + occupancy[level]
-            stall = (start + penalty[level]) - now
-            if record_events:
-                miss_cycles[i] = now + stall
-            i += 1
-        if block >= count_from:
-            frontend_stalls += stall
-        now += stall
-        now += float(incr[block]) if record_events else incr_py[block]
-        segment = block + 1
-    if segment < n_local:
-        # Advance through the trailing miss-free blocks so the next
-        # shard resumes at the exact whole-trace `now`.  Splitting one
-        # left-to-right fold at a shard boundary preserves the order,
-        # so the value is bit-identical.
-        if record_events:
-            buffer = np.empty(n_local - segment + 1, dtype=np.float64)
-            buffer[0] = now
-            buffer[1:] = incr[segment:n_local]
-            np.add.accumulate(buffer, out=buffer)
-            block_cycles[segment:n_local] = buffer[:-1]
-            now = float(buffer[-1])
-        else:
-            for value in incr_py[segment:n_local]:
-                now += value
-    return now, busy, frontend_stalls
-
-
-def array_shard_replay(
-    view,
-    rows: np.ndarray,
-    machine: MachineParams,
-    carry: ArrayCarry,
-    data_traffic=None,
-    offset: int = 0,
-    eff: int = 0,
-    record_events: bool = False,
-) -> Optional[ReplayEvents]:
-    """Replay one shard (trace rows at global positions ``offset ..
-    offset+len(rows)``) of the no-plan columnar path, continuing from
-    and updating *carry*.
-
-    *eff* is the global warmup-reset index (0 when no reset fires).
-    When the boundary falls inside this shard, counters restart from
-    the local boundary exactly as the reference loop's mid-run reset
-    does; otherwise this shard's counts accumulate onto the carry.
-    With ``record_events`` the per-shard observer view is returned,
-    with ``miss_trace_index`` already global.
-    """
-    n_local = len(rows)
-    reset_local = eff - offset if offset <= eff < offset + n_local else None
-    cpi = 1.0 / machine.base_ipc
-
-    # -- L1I access stream (CSR gather of each block's lines) ----------
-    counts_pe, cum_pe, block_of_access, l1_lines = _gather_l1(view, rows)
-    total_accesses = int(cum_pe[-1])
-
-    l1_geom = machine.l1i
-    l1_hits_b, l1_evicts_b, _ = _lru_stream(
-        l1_lines.tolist(),
-        (l1_lines % l1_geom.num_sets).tolist(),
-        l1_geom.ways,
-        carry.l1_state,
-    )
-    l1_hits = _flags(l1_hits_b)
-
-    miss_pos = np.flatnonzero(~l1_hits)
-    miss_lines = l1_lines[miss_pos]
-    miss_blocks = block_of_access[miss_pos]
-    n_miss = len(miss_pos)
-
-    # -- data-traffic stream (exact model replay, per retired block) ---
-    data_lines_py, data_counts_py = _decode_data_stream(
-        data_traffic, view.instruction_counts[rows].tolist()
-    )
-
-    # -- L2 stream: per block, instruction misses then data lines ------
-    l2_lines, l2_blocks, l2_is_instr = _merge_l2_stream(
-        miss_lines, miss_blocks, data_lines_py, data_counts_py, n_local
-    )
-
-    l2_geom = machine.l2
-    l2_hits_b, l2_evicts_b, _ = _lru_stream(
-        l2_lines.tolist(),
-        (l2_lines % l2_geom.num_sets).tolist(),
-        l2_geom.ways,
-        carry.l2_state,
-    )
-    l2_hits = _flags(l2_hits_b)
-
-    # -- L3 stream: the L2 misses, in order ----------------------------
-    l3_sel = ~l2_hits
-    l3_lines = l2_lines[l3_sel]
-    l3_blocks = l2_blocks[l3_sel]
-    l3_is_instr = l2_is_instr[l3_sel]
-    l3_geom = machine.l3
-    l3_hits_b, l3_evicts_b, _ = _lru_stream(
-        l3_lines.tolist(),
-        (l3_lines % l3_geom.num_sets).tolist(),
-        l3_geom.ways,
-        carry.l3_state,
-    )
-    l3_hits = _flags(l3_hits_b)
-
-    # -- hit level of every instruction miss ---------------------------
-    # Stable merging preserved the instruction subsequence's order at
-    # both levels, so boolean gathers line back up with `miss_pos`.
-    l2_hit_instr = l2_hits[l2_is_instr]
-    lev = np.empty(n_miss, dtype=np.int64)
-    lev[l2_hit_instr] = 1
-    rest = np.flatnonzero(~l2_hit_instr)
-    lev[rest] = np.where(l3_hits[l3_is_instr], 2, 3)
-
-    # -- timing: the reference float sequence, segment-accelerated -----
-    incr = view.instruction_counts[rows].astype(np.float64) * cpi
-    mb_list = miss_blocks.tolist()
-    lev_list = lev.tolist()
-    block_cycles = np.empty(n_local, dtype=np.float64) if record_events else None
-    miss_cycles = [0.0] * n_miss if record_events else None
-
-    # Stalls before the reset boundary are discarded by the reset, so
-    # the reset shard restarts the float accumulator from 0.0 — the
-    # exact value the reference holds right after clearing.
-    if reset_local is None:
-        frontend_stalls = carry.frontend_stalls
-        count_from = 0
-    else:
-        frontend_stalls = 0.0
-        count_from = reset_local
-    carry.now, carry.busy, carry.frontend_stalls = _timing_fold(
-        machine,
-        incr,
-        mb_list,
-        lev_list,
-        carry.now,
-        carry.busy,
-        frontend_stalls,
-        count_from,
-        n_local,
-        block_cycles,
-        miss_cycles,
-    )
-
-    # -- counters (reference semantics: values since the last reset) ---
-    if reset_local is None:
-        l1_hit_count = int(l1_hits.sum())
-        carry.l1_dh += l1_hit_count
-        carry.l1_dm += total_accesses - l1_hit_count
-        carry.l1_ev += int(_flags(l1_evicts_b).sum())
-        carry.l1i_accesses += total_accesses
-        carry.l1i_misses += n_miss
-        carry.program_instructions += int(view.instruction_counts[rows].sum())
-        levels = carry.miss_level_counts
-        for level in lev_list:
-            name = _LEVEL_NAMES[level]
-            levels[name] = levels.get(name, 0) + 1
-        l2_from = 0
-        l3_from = 0
-    else:
-        first_access = int(cum_pe[reset_local])
-        l1_post_hits = int(l1_hits[first_access:].sum())
-        carry.l1_dh = l1_post_hits
-        carry.l1_dm = (total_accesses - first_access) - l1_post_hits
-        carry.l1_ev = int(_flags(l1_evicts_b)[first_access:].sum())
-        carry.l1i_accesses = int(counts_pe[reset_local:].sum())
-        carry.l1i_misses = int((miss_blocks >= reset_local).sum())
-        carry.program_instructions = int(
-            view.instruction_counts[rows[reset_local:]].sum()
-        )
-        levels = {}
-        for block, level in zip(mb_list, lev_list):
-            if block >= reset_local:
-                name = _LEVEL_NAMES[level]
-                levels[name] = levels.get(name, 0) + 1
-        carry.miss_level_counts = levels
-        l2_from = int(np.searchsorted(l2_blocks, reset_local, side="left"))
-        l3_from = int(np.searchsorted(l3_blocks, reset_local, side="left"))
-
-    l2_post_hits = int(l2_hits[l2_from:].sum())
-    l2_dh = l2_post_hits
-    l2_dm = (len(l2_lines) - l2_from) - l2_post_hits
-    l2_ev = int(_flags(l2_evicts_b)[l2_from:].sum())
-    l3_post_hits = int(l3_hits[l3_from:].sum())
-    l3_dh = l3_post_hits
-    l3_dm = (len(l3_lines) - l3_from) - l3_post_hits
-    l3_ev = int(_flags(l3_evicts_b)[l3_from:].sum())
-    if reset_local is None:
-        carry.l2_dh += l2_dh
-        carry.l2_dm += l2_dm
-        carry.l2_ev += l2_ev
-        carry.l3_dh += l3_dh
-        carry.l3_dm += l3_dm
-        carry.l3_ev += l3_ev
-    else:
-        carry.l2_dh, carry.l2_dm, carry.l2_ev = l2_dh, l2_dm, l2_ev
-        carry.l3_dh, carry.l3_dm, carry.l3_ev = l3_dh, l3_dm, l3_ev
-
-    if not record_events:
-        return None
-    return ReplayEvents(
-        block_cycles=block_cycles,
-        miss_trace_index=miss_blocks + offset if offset else miss_blocks,
-        miss_block_ids=view.block_ids[rows[miss_blocks]],
-        miss_lines=miss_lines,
-        miss_cycles=np.asarray(miss_cycles, dtype=np.float64),
-    )
-
-
-def array_finish(
-    carry: ArrayCarry,
-    machine: MachineParams,
-    stats: SimStats,
-    hierarchy: Optional[MemoryHierarchy] = None,
-) -> None:
-    """Populate *stats* (and *hierarchy*) from a completed carry."""
-    cpi = 1.0 / machine.base_ipc
-    stats.clear()
-    stats.l1i_accesses = carry.l1i_accesses
-    stats.l1i_misses = carry.l1i_misses
-    stats.frontend_stall_cycles = carry.frontend_stalls
-    stats.program_instructions = carry.program_instructions
-    stats.compute_cycles = carry.program_instructions * cpi
-    stats.miss_level_counts = dict(carry.miss_level_counts)
-
-    if hierarchy is not None:
-        hierarchy.install_carry_summary(carry)
-        # Reference parity: prefetch-hit bookkeeping feeds this field.
-        stats.prefetches_useful = hierarchy.l1i.stats.prefetch_hits
 
 
 def _install_cache(cache, set_ids, stacks, pending, dh, dm, pf, ph, pu,
@@ -745,12 +316,13 @@ def _install_cache(cache, set_ids, stacks, pending, dh, dm, pf, ph, pu,
 
 
 class PlanContext:
-    """Per-run immutable precompute for the plan-bearing replay.
+    """Per-run immutable precompute for one slot of the replay.
 
     Everything here is a pure function of (program, machine, engine
     plan/tracker configuration, hierarchy policy) — independent of the
     trace — so sharded replays build it once and reuse it for every
-    shard.
+    shard.  With ``engine=None`` (an engine-less slot) there are no
+    prefetch sites, no Bloom tracker and no exact-context window.
     """
 
     def __init__(
@@ -774,7 +346,7 @@ class PlanContext:
             setattr(view, "_plan_static_cache", statics)
 
         # -- compiled site table, mapped onto program rows --------------
-        compiled = engine.plan.compiled_sites()
+        compiled = engine.plan.compiled_sites() if engine is not None else {}
         row_by_id = statics.get("row_by_id")
         if row_by_id is None:
             row_by_id = dict(
@@ -796,8 +368,8 @@ class PlanContext:
             self.row_nexec[row] = len(instrs)
 
         # -- counting-Bloom static tables -------------------------------
-        self.tracker = engine.tracker
-        self.exact_hist = engine.exact_history
+        self.tracker = engine.tracker if engine is not None else None
+        self.exact_hist = engine.exact_history if engine is not None else None
         self.exact_depth = (
             self.exact_hist.maxlen if self.exact_hist is not None else 0
         )
@@ -868,8 +440,7 @@ class PlanContext:
 
 
 class PlanCarry:
-    """Cross-shard state of one plan-replay slot, outside the L2/L3
-    lanes.
+    """Cross-shard state of one replay slot, outside the L2/L3 lanes.
 
     Flat mirrors of the reference L1I (per-set recency lists, the
     residency and pending sets), the in-flight map as line -> issue
@@ -1226,14 +797,17 @@ def _plan_stats(
 
 
 # ---------------------------------------------------------------------------
-# The plan kernel: PlanBatch
+# The kernel: PlanBatch
 # ---------------------------------------------------------------------------
 #
-# Every plan-bearing replay runs here.  A single simulation is a
+# Every non-ideal columnar replay runs here.  A single simulation is a
 # one-slot batch; a sweep puts V compiled plan variants into V slots
-# that share one pass over each shard.  Every *decision* that feeds the
-# sequential core loop is precomputed with arrays
-# (:func:`_plan_shard_precompute`):
+# that share one pass over each shard.  An engine-less slot has an
+# empty site table, so its phase A is the plain L1I demand sweep, it
+# never pops an in-flight line (and so never reruns), and its phase C
+# is the reference fold of instruction time and miss stalls.  Every
+# *decision* that feeds the sequential core loop is precomputed with
+# arrays (:func:`_plan_shard_precompute`):
 #
 #   * conditional fire/suppress outcomes come from a vectorized
 #     counting-Bloom model: per-block contribution vectors, prefix sums,
@@ -1731,7 +1305,9 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry,
                          rows_list: list, site_plan: list, reset_local,
                          iss_t: list, iss_level: list,
                          tev_t: list, tev_kind: list, tev_issue: list,
-                         instr_level: list) -> Optional[int]:
+                         instr_level: list,
+                         block_cycles: Optional[list] = None,
+                         miss_cycles: Optional[list] = None) -> Optional[int]:
     """Replay the reference loop's float operations in identical order.
 
     Appends one arrival per issue to ``carry.arrivals`` (indexed by the
@@ -1739,7 +1315,10 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry,
     speculation for every pop-miss.  Returns ``None`` once the shard's
     timing is folded into the carry, or the issue index of the earliest
     pop-miss whose line had not yet arrived — the carry's floats are
-    then untouched.
+    then untouched.  Given *block_cycles* and *miss_cycles* lists, it
+    appends the cycle each block begins fetching and the cycle each
+    phase-B instruction miss completes (the observer's ``on_block`` and
+    ``on_miss`` cycles).
     """
     now = carry.now
     busy = carry.busy
@@ -1752,6 +1331,8 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry,
     boundary = reset_local if reset_local is not None else -1
     arrivals = carry.arrivals
     arrivals_append = arrivals.append
+    record_block = block_cycles.append if block_cycles is not None else None
+    record_miss = miss_cycles.append if miss_cycles is not None else None
 
     ii = 0
     ni = len(iss_t)
@@ -1760,6 +1341,8 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry,
     il = 0
 
     for t, row in enumerate(rows_list):
+        if record_block is not None:
+            record_block(now)
         if t == boundary:
             frontend_stalls = 0.0
             late_hits = 0
@@ -1795,6 +1378,8 @@ def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry,
                     start = busy
                 busy = start + occupancy[level]
                 stall = (start + penalty[level]) - now
+                if record_miss is not None:
+                    record_miss(now + stall)
             ti += 1
         if stall:
             frontend_stalls += stall
@@ -1838,38 +1423,50 @@ def _merge_events(a_t: list, a_kind: list, a_line: list,
 
 
 class _BatchSlot:
-    """One plan variant's state inside a :class:`PlanBatch`."""
+    """One simulation's state inside a :class:`PlanBatch`.
 
-    __slots__ = ("index", "core", "ctx", "carry")
+    ``events`` collects the slot's per-shard :class:`ReplayEvents` when
+    the batch records them, else it is ``None``."""
 
-    def __init__(self, index, core, ctx):
+    __slots__ = ("index", "core", "ctx", "carry", "events")
+
+    def __init__(self, index, core, ctx, record_events):
         self.index = index
         self.core = core
         self.ctx = ctx
         self.carry = PlanCarry(ctx)
+        self.events = [] if record_events else None
 
 
 class PlanBatch:
-    """Shared-pass plan replay of V simulators, one slot each.
+    """Shared-pass replay of V simulators, one slot each.
 
     *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances over
-    one program and machine that the plan kernel can reconstruct from
-    scratch: a plan engine, pristine engine and hierarchy
-    (:mod:`repro.sim.streaming` checks this).
+    one program and machine that the kernel can reconstruct from
+    scratch: a pristine hierarchy and, when a core has a prefetch
+    engine, a pristine engine (:mod:`repro.sim.streaming` checks this).
+    A core without an engine is an engine-less slot.
     Feed trace shards through :meth:`run_shard`, then :meth:`finish`
-    writes every slot's stats, hierarchy and engine state.  No slot can
-    fail once built; mixed prefetch insertion depths, which the shared
-    lanes cannot hold, are rejected here with a ``ValueError``.
+    writes every slot's stats, hierarchy and engine state.  With
+    ``record_events`` each slot also keeps its observer view per shard
+    in ``slot.events``, and :meth:`finish` writes back only the stats:
+    a recording batch serves the profiler's recorded replay
+    (:func:`~repro.sim.streaming.stream_replay_events`), whose private
+    simulators are discarded unread.  No slot can fail once built;
+    mixed prefetch insertion depths, which the shared lanes cannot
+    hold, are rejected here with a ``ValueError``.
     """
 
-    def __init__(self, cores):
+    def __init__(self, cores, record_events: bool = False):
         program = cores[0].program
         machine = self.machine = cores[0].machine
+        self.record_events = record_events
         self.view = columnar_view(program)
         self.slots = [
             _BatchSlot(
                 i, core,
                 PlanContext(program, machine, core.engine, core.hierarchy),
+                record_events,
             )
             for i, core in enumerate(cores)
         ]
@@ -1932,8 +1529,8 @@ class PlanBatch:
         pending = self.slots
         while pending:
             pending = self._pass(
-                tracer, pending, pres, data, rows_list, reset_local,
-                saved, late,
+                tracer, pending, pres, data, rows, rows_list, offset,
+                reset_local, saved, late,
             )
 
         for slot, pre in zip(self.slots, pres):
@@ -1971,12 +1568,13 @@ class PlanBatch:
                 zip(carry.inflight, range(len(carry.arrivals)))
             )
 
-    def _pass(self, tracer, slots, pres, data, rows_list, reset_local,
-              saved, late):
-        """Phases A, B and C of one shard for *slots*; returns the slots
-        that must rerun the shard with one more pop on the late path,
-        their shard-start state already restored (their L2/L3 lanes are
-        never committed)."""
+    def _pass(self, tracer, slots, pres, data, rows, rows_list, offset,
+              reset_local, saved, late):
+        """Phases A, B and C of one shard (trace rows at global positions
+        ``offset ..``) for *slots*; returns the slots that must rerun the
+        shard with one more pop on the late path, their shard-start
+        state already restored (their L2/L3 lanes are never
+        committed)."""
         l2_ns = self.l2.num_sets
         l3_ns = self.l3.num_sets
 
@@ -1984,6 +1582,7 @@ class PlanBatch:
         with tracer.span("batch:phase-a"):
             streams = []
             timing = []
+            issued = []
             for slot in slots:
                 a_events, tev = _batched_phase_a(
                     slot.ctx, slot.carry, rows_list,
@@ -1991,6 +1590,7 @@ class PlanBatch:
                     late[slot.index],
                 )
                 timing.append(tev)
+                issued.append(a_events)
                 streams.append(_merge_events(*a_events, *data[slot.index]))
 
             t2 = np.concatenate([s[0] for s in streams])
@@ -2037,12 +1637,16 @@ class PlanBatch:
                 k_v = kinds2[s2]
                 pf_sel = k_v == 2
                 tev_t, tev_kind, tev_issue = timing[pos]
+                record = slot.events is not None
+                block_cycles = [] if record else None
+                miss_cycles = [] if record else None
                 late_issue = _batched_timing_fold(
                     slot.ctx, carry, rows_list,
                     pres[slot.index]["site_plan"], reset_local,
                     t2[s2][pf_sel].tolist(), level2[s2][pf_sel].tolist(),
                     tev_t, tev_kind, tev_issue,
                     level2[s2][k_v == 1].tolist(),
+                    block_cycles, miss_cycles,
                 )
                 if late_issue is not None:
                     late[slot.index].add(late_issue)
@@ -2050,6 +1654,11 @@ class PlanBatch:
                     keep[slot.index] = False
                     rerun.append(slot)
                     continue
+                if record:
+                    slot.events.append(_replay_events(
+                        self.view, rows, offset, issued[pos],
+                        block_cycles, miss_cycles,
+                    ))
                 _fold_level_counters(
                     carry, reset_local, t2[s2], k_v,
                     hit2[s2], pclr2[s2], ev2[s2], evp2[s2], "l2",
@@ -2067,6 +1676,10 @@ class PlanBatch:
         (bit-identical to the reference composition), each level's
         lanes in one vectorized pass."""
         with get_tracer().span("batch:finish"):
+            if self.record_events:
+                for slot in self.slots:
+                    _plan_stats(slot.ctx, slot.carry, slot.core.stats)
+                return
             n = len(self.slots)
             l2 = self.l2.export(n)
             l3 = self.l3.export(n)
@@ -2092,13 +1705,29 @@ class PlanBatch:
                 )
                 hierarchy.fill_port.busy_until = carry.busy
                 _plan_stats(slot.ctx, carry, core.stats)
-                core.engine.restore_runtime_state(
-                    _inflight_arrivals(carry),
-                    list(carry.tracker_tail),
-                    list(carry.exact_tail),
-                    carry.tp,
-                    carry.fp,
-                )
+                if core.engine is not None:
+                    core.engine.restore_runtime_state(
+                        _inflight_arrivals(carry),
+                        list(carry.tracker_tail),
+                        list(carry.exact_tail),
+                        carry.tp,
+                        carry.fp,
+                    )
+
+
+def _replay_events(view, rows, offset, issued, block_cycles, miss_cycles):
+    """One shard's observer view: phase A's instruction misses (kind 1
+    of its L2-bound events, in stream order) with phase C's cycles."""
+    a_t, a_kind, a_line = issued
+    miss = np.asarray(a_kind, dtype=np.int8) == 1
+    miss_t = np.asarray(a_t, dtype=np.int64)[miss]
+    return ReplayEvents(
+        block_cycles=np.asarray(block_cycles, dtype=np.float64),
+        miss_trace_index=miss_t + offset,
+        miss_block_ids=view.block_ids[rows[miss_t]],
+        miss_lines=np.asarray(a_line, dtype=np.int64)[miss],
+        miss_cycles=np.asarray(miss_cycles, dtype=np.float64),
+    )
 
 
 def _inflight_arrivals(carry: PlanCarry) -> Dict[int, float]:

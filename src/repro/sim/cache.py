@@ -87,7 +87,7 @@ class Cache:
     def is_pristine(self) -> bool:
         """True when no access, fill or probe has ever touched a set.
 
-        This is the gate the columnar fast paths use: a pristine cache
+        This is the gate the columnar kernel uses: a pristine cache
         can be reconstructed from a from-scratch replay, a non-pristine
         one composes with prior state and must take the reference loop.
         """
@@ -151,33 +151,6 @@ class Cache:
         if removed:
             self._pending_prefetched.discard(line)
         return removed
-
-    def install_residency(
-        self,
-        state: Dict[int, Dict[int, None]],
-        demand_hits: int,
-        demand_misses: int,
-        evictions: int,
-    ) -> None:
-        """Replace contents and demand counters wholesale.
-
-        *state* maps set index to an ordered ``{line: None}`` recency
-        dict, oldest first — the representation the columnar LRU sweep
-        produces.  Used
-        to install a carried replay state; any pending-prefetch
-        bookkeeping is cleared (the no-plan paths never prefetch).
-        """
-        self._sets.clear()
-        self._pending_prefetched.clear()
-        for set_index, recency in state.items():
-            stack = LRUStack(self.ways)
-            # Insertion order is oldest-to-newest; MRU sits at index 0.
-            stack._stack = list(reversed(recency.keys()))
-            self._sets[set_index] = stack
-        self.stats.reset()
-        self.stats.demand_hits = demand_hits
-        self.stats.demand_misses = demand_misses
-        self.stats.evictions = evictions
 
     def flush(self) -> None:
         """Empty the cache, keeping statistics."""

@@ -161,10 +161,11 @@ class MemoryHierarchy:
     def is_pristine(self) -> bool:
         """True when no fetch, fill, probe or data access has run yet.
 
-        The columnar fast paths replay a trace from scratch, so they
-        require (and assert via this gate) a hierarchy with untouched
-        caches and an idle fill port; anything else composes with prior
-        state and must take the reference loop.
+        The columnar kernel replays a trace from scratch and installs
+        the final state wholesale, so it requires (and checks via this
+        gate) a hierarchy with untouched caches and an idle fill port;
+        anything else composes with prior state and must take the
+        reference loop.
         """
         return (
             self.l1i.is_pristine()
@@ -172,31 +173,6 @@ class MemoryHierarchy:
             and self.l3.is_pristine()
             and self.fill_port.busy_until == 0.0
         )
-
-    # -- carried replay state --------------------------------------------
-
-    def install_carry_summary(self, carry) -> None:
-        """Adopt a completed array-replay carry wholesale.
-
-        *carry* is an :class:`~repro.sim.array_replay.ArrayCarry` (or
-        anything with its per-level ``lX_state``/counter slots and a
-        ``busy`` horizon): each level's LRU residency and post-warmup
-        demand counters are installed via
-        :meth:`~repro.sim.cache.Cache.install_residency` and the fill
-        port resumes at the carried busy horizon — leaving the
-        hierarchy in the exact final state the reference per-event
-        loop would have produced.
-        """
-        self.l1i.install_residency(
-            carry.l1_state, carry.l1_dh, carry.l1_dm, carry.l1_ev
-        )
-        self.l2.install_residency(
-            carry.l2_state, carry.l2_dh, carry.l2_dm, carry.l2_ev
-        )
-        self.l3.install_residency(
-            carry.l3_state, carry.l3_dh, carry.l3_dm, carry.l3_ev
-        )
-        self.fill_port.busy_until = carry.busy
 
     # -- maintenance -----------------------------------------------------
 

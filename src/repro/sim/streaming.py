@@ -2,16 +2,18 @@
 
 Every sequential replay of a :class:`~repro.sim.cpu.CoreSimulator`
 runs through :func:`replay`.  It picks the backend — the per-event
-reference loop, or one of the columnar kernels of
-:mod:`repro.sim.array_replay` — and streams the trace through it shard
-by shard: an in-memory :class:`BlockTrace` cut on the fly, or an
-on-disk :class:`ShardedTrace` materialized one chunk at a time.  A
-whole-trace replay is literally the one-shard case ``[(0, len)]``.
+reference loop, the columnar kernel of :mod:`repro.sim.array_replay`
+(a one-slot :class:`~repro.sim.array_replay.PlanBatch`, engine-less
+when the simulator has no prefetch engine), or the two column sums of
+the ideal bound — and streams the trace through it shard by shard:
+an in-memory :class:`BlockTrace` cut on the fly, or an on-disk
+:class:`ShardedTrace` materialized one chunk at a time.  A whole-trace
+replay is literally the one-shard case ``[(0, len)]``.
 The backend's carry holds the run's counters, and its ``finish``
 writes them into the reported :class:`SimStats`, which is therefore
 **bit-identical** however the trace is cut:
 
-* the columnar kernels are carry-threaded shard kernels;
+* the columnar backends are carry-threaded shard kernels;
 * the reference loop streams through
   :meth:`CoreSimulator._reference_stream`, whose per-block state lives
   in the real simulator objects — a shard boundary is just a loop
@@ -44,26 +46,10 @@ from .trace import BlockTrace, ShardedTrace, trace_shard_bounds
 CHECKPOINT_FORMAT = "replay-checkpoint"
 #: Raised whenever the payload layout changes: a file of another version
 #: fails the header check, and the run replays from shard 0.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # -- carry (de)serialization helpers -----------------------------------------
-
-
-def _lru_states_payload(states: Dict[int, Dict[int, None]]) -> list:
-    """``{set: ordered {line: None}}`` -> ``[[set, [lines...]], ...]``
-    (recency order preserved, oldest first)."""
-    return [
-        [int(set_index), [int(line) for line in recency]]
-        for set_index, recency in states.items()
-    ]
-
-
-def _lru_states_restore(payload: list) -> Dict[int, Dict[int, None]]:
-    return {
-        int(set_index): {int(line): None for line in lines}
-        for set_index, lines in payload
-    }
 
 
 def _dense_sets_payload(sets: list) -> list:
@@ -307,89 +293,6 @@ class _IdealBackend:
         )
 
 
-_ARRAY_CARRY_INTS = (
-    "l1_dh", "l1_dm", "l1_ev",
-    "l2_dh", "l2_dm", "l2_ev",
-    "l3_dh", "l3_dm", "l3_ev",
-    "l1i_accesses", "l1i_misses", "program_instructions",
-)
-
-
-class _ArrayBackend:
-    """No-plan columnar replay (:func:`~repro.sim.array_replay.
-    array_shard_replay`).  With ``record_events`` it also keeps each
-    shard's observer view in :attr:`events` — the profiler's recorded
-    replay."""
-
-    name = "columnar"
-
-    def __init__(self, view, machine, stats, data_model, eff: int,
-                 hierarchy=None, record_events: bool = False):
-        from .array_replay import ArrayCarry
-
-        self.view = view
-        self.machine = machine
-        self.stats = stats
-        self.data_model = data_model
-        self.eff = eff
-        self.hierarchy = hierarchy
-        self.record_events = record_events
-        self.events: list = []
-        self.carry = ArrayCarry()
-
-    def step(self, rows, start: int) -> None:
-        from .array_replay import array_shard_replay
-
-        events = array_shard_replay(
-            self.view,
-            rows,
-            self.machine,
-            self.carry,
-            data_traffic=self.data_model,
-            offset=start,
-            eff=self.eff,
-            record_events=self.record_events,
-        )
-        if events is not None:
-            self.events.append(events)
-
-    def finish(self) -> None:
-        from .array_replay import array_finish
-
-        array_finish(self.carry, self.machine, self.stats, self.hierarchy)
-
-    def payload(self) -> dict:
-        carry = self.carry
-        return {
-            "l1": _lru_states_payload(carry.l1_state),
-            "l2": _lru_states_payload(carry.l2_state),
-            "l3": _lru_states_payload(carry.l3_state),
-            "now": carry.now,
-            "busy": carry.busy,
-            "frontend_stalls": carry.frontend_stalls,
-            "ints": {name: getattr(carry, name) for name in _ARRAY_CARRY_INTS},
-            "miss_levels": dict(carry.miss_level_counts),
-        }
-
-    @staticmethod
-    def restore(payload: dict):
-        from .array_replay import ArrayCarry
-
-        carry = ArrayCarry()
-        carry.l1_state = _lru_states_restore(payload["l1"])
-        carry.l2_state = _lru_states_restore(payload["l2"])
-        carry.l3_state = _lru_states_restore(payload["l3"])
-        carry.now = float(payload["now"])
-        carry.busy = float(payload["busy"])
-        carry.frontend_stalls = float(payload["frontend_stalls"])
-        for name in _ARRAY_CARRY_INTS:
-            setattr(carry, name, int(payload["ints"][name]))
-        carry.miss_level_counts = {
-            str(k): int(v) for k, v in payload["miss_levels"].items()
-        }
-        return carry
-
-
 _PLAN_CARRY_INTS = (
     "late_hits", "sim_misses", "issued", "resident",
     "c2", "c3", "cm",
@@ -415,20 +318,21 @@ def _lane_sets_restore(entries: list, geometry) -> list:
 
 
 class _PlanBatchBackend:
-    """The plan kernel (:class:`~repro.sim.array_replay.PlanBatch`).
+    """The columnar kernel (:class:`~repro.sim.array_replay.PlanBatch`).
 
-    A single plan-bearing simulation is the one-slot batch; sweeps run
-    V slots.  Checkpoints cover the one-slot batch only — the carry is
-    the slot's :class:`~repro.sim.array_replay.PlanCarry` plus its
-    L2/L3 lane contents — and wider batches run without a
-    checkpointer."""
-
-    name = "columnar-plan"
+    A single simulation is the one-slot batch — backend
+    ``columnar-plan`` with a prefetch engine, ``columnar`` for an
+    engine-less slot; sweeps run V plan slots.  Checkpoints cover the
+    one-slot batch only — the carry is the slot's
+    :class:`~repro.sim.array_replay.PlanCarry` plus its L2/L3 lane
+    contents — and wider batches run without a checkpointer."""
 
     def __init__(self, batch, eff: int):
         self.batch = batch
         self.eff = eff
-        self.data_model = batch.slots[0].core.data_traffic
+        core = batch.slots[0].core
+        self.name = "columnar-plan" if core.engine is not None else "columnar"
+        self.data_model = core.data_traffic
 
     def step(self, rows, start: int) -> None:
         self.batch.run_shard(rows, start, self.eff)
@@ -611,21 +515,14 @@ def replay(
         view = columnar_view(program)
         bounds, shard = _columnar_shards(view, trace, shard_insns)
         eff = warmup if 0 < warmup < len(trace) else 0
-        if core.engine is not None:
+        if core.ideal:
+            backend = _IdealBackend(core, view, eff)
+            core.last_replay_backend = "columnar"
+        else:
             from .array_replay import PlanBatch
 
-            batch = PlanBatch([core])
-            backend = _PlanBatchBackend(batch, eff)
-            core.last_replay_backend = "columnar-plan"
-        else:
-            if core.ideal:
-                backend = _IdealBackend(core, view, eff)
-            else:
-                backend = _ArrayBackend(
-                    view, core.machine, core.stats, core.data_traffic, eff,
-                    core.hierarchy,
-                )
-            core.last_replay_backend = "columnar"
+            backend = _PlanBatchBackend(PlanBatch([core]), eff)
+            core.last_replay_backend = backend.name
 
     core.last_fallback_reason = fallback
     with tracer.span(
@@ -730,7 +627,7 @@ def run_plan_batch(
             _stream(backend, shard, bounds, shard_insns, None)
         span.set(fallbacks=len(cores) - len(live))
     for core in live:
-        core.last_replay_backend = _PlanBatchBackend.name
+        core.last_replay_backend = "columnar-plan"
         core.last_fallback_reason = None
     return reasons
 
@@ -741,37 +638,37 @@ def run_plan_batch(
 def stream_replay_events(
     program,
     trace: BlockTrace,
-    machine,
-    stats: SimStats,
+    machine=None,
     data_traffic=None,
     shard_insns: Optional[int] = None,
 ):
-    """The profiler's recorded no-plan replay: the per-block cycles and
-    per-miss events (the observer view) as one whole-trace
-    :class:`~repro.sim.array_replay.ReplayEvents`.
+    """The profiler's recorded no-prefetch replay: the per-block cycles
+    and per-miss events (the observer view) as one whole-trace
+    :class:`~repro.sim.array_replay.ReplayEvents`, and the replay's
+    :class:`SimStats` (no warmup: the profiler's configuration).
 
-    Replays shard by shard through the shared shard loop (bounded
-    replay working set; one shard without ``shard_insns``) and
-    concatenates the per-shard views, with global trace indices.
-    Populates *stats* like a whole-trace replay (no hierarchy, no
-    warmup: the profiler's configuration).
+    A private simulator runs as the engine-less one-slot batch, shard by
+    shard through the shared shard loop (bounded replay working set;
+    one shard without ``shard_insns``), and the slot's per-shard views
+    are concatenated, with global trace indices.
     """
     import numpy as np
 
-    from .array_replay import ReplayEvents
+    from .array_replay import PlanBatch, ReplayEvents
     from .columnar import columnar_view
+    from .cpu import CoreSimulator
 
+    core = CoreSimulator(program, machine=machine, data_traffic=data_traffic)
     view = columnar_view(program)
     bounds, shard = _columnar_shards(view, trace, shard_insns)
-    backend = _ArrayBackend(
-        view, machine, stats, data_traffic, 0, record_events=True
-    )
-    _stream(backend, shard, bounds, shard_insns, None)
-    chunks = backend.events
-    return ReplayEvents(
+    batch = PlanBatch([core], record_events=True)
+    _stream(_PlanBatchBackend(batch, 0), shard, bounds, shard_insns, None)
+    chunks = batch.slots[0].events
+    events = ReplayEvents(
         block_cycles=np.concatenate([c.block_cycles for c in chunks]),
         miss_trace_index=np.concatenate([c.miss_trace_index for c in chunks]),
         miss_block_ids=np.concatenate([c.miss_block_ids for c in chunks]),
         miss_lines=np.concatenate([c.miss_lines for c in chunks]),
         miss_cycles=np.concatenate([c.miss_cycles for c in chunks]),
     )
+    return events, core.stats

@@ -11,12 +11,13 @@ import pytest
 
 from repro import kernel
 from repro.profiling.profiler import profile_execution
+from repro.sim.trace import trace_shard_bounds
 from repro.workloads.apps import build_app
 
 APPS = ("wordpress", "drupal", "finagle-http")
 
 
-def _profiles(app, trace, sample_period=1):
+def _profiles(app, trace, sample_period=1, shard_insns=None):
     results = {}
     for mode, backend in (
         ("ref", kernel.reference_path),
@@ -28,6 +29,7 @@ def _profiles(app, trace, sample_period=1):
                 trace,
                 sample_period=sample_period,
                 data_traffic=app.data_traffic(),
+                shard_insns=shard_insns,
             )
     return results["ref"], results["col"]
 
@@ -71,3 +73,18 @@ def test_occurrence_and_window_queries_agree():
         assert (
             col.window(sample.trace_index) == ref.window(sample.trace_index)
         )
+
+
+def test_sharded_profile_identical_to_reference():
+    """The columnar profiler streams shard by shard (``--shard-insns``);
+    its profile, data traffic included, equals the reference profile
+    cut the same way and the whole-trace one."""
+    app = build_app("wordpress", scale=0.25)
+    trace = app.trace(10_000)
+    shard_insns = 20_000
+    assert len(trace_shard_bounds(trace, app.program, shard_insns)) >= 4
+    assert app.data_traffic().rate > 0
+    ref, col = _profiles(app, trace, sample_period=3, shard_insns=shard_insns)
+    _assert_profiles_equal(ref, col)
+    whole, _ = _profiles(app, trace, sample_period=3)
+    _assert_profiles_equal(whole, col)

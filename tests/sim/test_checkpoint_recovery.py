@@ -2,7 +2,9 @@
 
 A resumed sharded run whose newest checkpoint has a stale header (a
 version-1 file, which stored ``merged`` partial stats next to the
-carry), a malformed body, or a file that cannot be read back at all, must emit
+carry, or a version-2 file, whose no-prefetch runs carried per-level
+LRU dicts instead of the columnar kernel's slot carry), a malformed
+body, or a file that cannot be read back at all, must emit
 a ``sim:resume-invalid`` instant naming the reason and replay from the
 start — landing on exactly the whole-trace statistics.
 """
@@ -37,6 +39,15 @@ def _version_one_merged(payload):
     payload["merged"] = {"first": 0}
 
 
+def _version_two_lru_carry(payload):
+    payload["version"] = 2
+    payload["carry"] = {
+        "l1": [[0, [1, 2]]], "l2": [], "l3": [],
+        "now": 0.0, "busy": 0.0, "frontend_stalls": 0.0,
+        "ints": {}, "miss_levels": {},
+    }
+
+
 def _drop_first_carry_key(payload):
     carry = payload["carry"]
     del carry[sorted(carry)[0]]
@@ -53,6 +64,7 @@ CORRUPTIONS = {
     "carry": (_drop_first_carry_key, "body"),
     "data-model": (_bad_rng_state, "body"),
     "truncated": (None, "unreadable"),
+    "version-2": (_version_two_lru_carry, "header"),
 }
 
 

@@ -90,3 +90,103 @@ class TestFactory:
         model.advance(100, h)
         model.reset()
         assert model.accesses == 0
+
+
+class _CountingMemo(dict):
+    """A decode memo that counts the lookups it answers."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is not None:
+            self.hits += 1
+        return value
+
+
+class TestDecodeMemo:
+    """The data-stream decode memo of the columnar kernel is bounded by
+    the decoded lines it holds, so a trace cut into many shards is
+    decoded once and reused on the next replay of the same trace."""
+
+    SHARD_INSNS = 600
+
+    def _replay(self, program, trace):
+        from repro import kernel
+        from repro.sim.cpu import CoreSimulator
+
+        with kernel.force_numpy_kernel():
+            core = CoreSimulator(
+                program,
+                data_traffic=make_data_traffic(
+                    rate_per_instruction=0.2, working_set_kib=64, seed=9
+                ),
+            )
+            return core.run(trace, warmup=100, shard_insns=self.SHARD_INSNS)
+
+    def _install(self, monkeypatch, limit=None):
+        """A fresh counting memo whose every insert is checked against
+        the bound; returns (memo, inserts)."""
+        from repro.sim import array_replay
+
+        memo = _CountingMemo()
+        monkeypatch.setattr(array_replay, "_STREAM_CACHE", memo)
+        monkeypatch.setattr(array_replay, "_stream_cache_lines", 0)
+        if limit is not None:
+            monkeypatch.setattr(
+                array_replay, "_STREAM_CACHE_LINE_LIMIT", limit
+            )
+        put = array_replay._stream_cache_put
+        inserts = []
+
+        def checked_put(key, entry):
+            put(key, entry)
+            inserts.append(key)
+            held = sum(len(e[0]) or 1 for e in memo.values())
+            assert held == array_replay._stream_cache_lines
+            assert held <= array_replay._STREAM_CACHE_LINE_LIMIT
+
+        monkeypatch.setattr(array_replay, "_stream_cache_put", checked_put)
+        return memo, inserts
+
+    def _workload(self):
+        import random
+
+        from repro.sim.trace import trace_shard_bounds
+
+        from ..conftest import make_random_program, make_random_trace
+
+        rng = random.Random(21)
+        program = make_random_program(rng, n_blocks=80)
+        trace = make_random_trace(rng, 80, length=1_500)
+        shards = len(trace_shard_bounds(trace, program, self.SHARD_INSNS))
+        assert shards > 32
+        return program, trace, shards
+
+    def test_second_replay_hits_every_shard(self, monkeypatch):
+        program, trace, shards = self._workload()
+        memo, inserts = self._install(monkeypatch)
+        first = self._replay(program, trace)
+        assert len(inserts) == shards
+        assert memo.hits == 0
+        second = self._replay(program, trace)
+        assert second == first
+        assert memo.hits == shards
+        assert len(inserts) == shards
+
+    @pytest.mark.parametrize("share", [3, 0], ids=["third", "one-line"])
+    def test_memo_stays_within_its_line_bound(self, monkeypatch, share):
+        program, trace, shards = self._workload()
+        memo, inserts = self._install(monkeypatch)
+        whole = self._replay(program, trace)
+        held = sum(len(e[0]) for e in memo.values())
+        monkeypatch.undo()
+        # a third of the trace's stream (every replay evicts), or one
+        # line (no shard's stream is kept at all): the stats stay
+        # identical to the unevicted run
+        limit = held // share if share else 1
+        memo, inserts = self._install(monkeypatch, limit=limit)
+        for _ in range(2):
+            assert self._replay(program, trace) == whole
+        assert len(inserts) == 2 * shards
+        assert memo.hits == 0
