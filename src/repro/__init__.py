@@ -62,7 +62,6 @@ _EXPORTS = {
     "prefetcher_names": "repro.baselines.protocol:prefetcher_names",
     "build_asmdb_plan": "repro.baselines.asmdb:build_asmdb_plan",
     "simulate_ideal": "repro.baselines.ideal:simulate_ideal",
-    "simulate_nextline": "repro.baselines.nextline:simulate_nextline",
     # analysis
     "Evaluator": "repro.analysis.experiments:Evaluator",
     "ExperimentSettings": "repro.analysis.experiments:ExperimentSettings",

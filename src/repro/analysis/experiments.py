@@ -696,7 +696,8 @@ class AppEvaluation:
         and ``ideal``.  Plan-shaped members replay through
         :meth:`run_plan` and inherit its backends; mechanism members
         (``nextline``, ``fdip``, the window studies, ``mana``) run
-        their own simulators behind the same store-backed caching.
+        the shared mechanism loop (backend ``mechanism``) behind the
+        same store-backed caching.
         :meth:`cached_stats_for` is consulted first: a hit never
         synthesizes the app, loads the profile or trains the member.
         """
@@ -744,8 +745,9 @@ class AppEvaluation:
             app=self.name,
             plan=variant,
             blocks=len(replay.block_ids),
-        ):
+        ) as span:
             stats = prefetcher.simulate(view, replay, ctx)
+            span.set(backend=prefetcher.last_replay_backend)
         self._remember_stats(self._key("stats", variant=variant), stats)
         return stats
 

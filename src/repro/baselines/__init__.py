@@ -3,12 +3,18 @@
 ``protocol``    the :class:`Prefetcher` ABC, capability flags and the
                 variant registry (:func:`get_prefetcher`).
 ``asmdb``       the state-of-the-art profile-guided prefetcher.
-``contiguous``  Contiguous-n / Non-contiguous-n limit study (Fig. 5).
-``nextline``    hardware next-N-line prefetching.
+``contiguous``  Contiguous-n / Non-contiguous-n limit study (Fig. 5)
+                and hardware next-N-line prefetching (a contiguous
+                window with no filter).
 ``fdip``        fetch-directed (branch-predictor-run-ahead) prefetching.
 ``ideal``       the no-miss upper bound.
 ``ispy``        I-SPY itself, as a registered zoo member.
 ``mana``        spatial-region metadata prefetching (MANA).
+
+The run-time members (next-N-line, the windows, MANA and FDIP) are
+:class:`~repro.baselines.protocol.MechanismPrefetcher` subclasses: each
+supplies a trigger to the one demand-fetch loop,
+:func:`repro.sim.mechanism.replay_mechanism`.
 
 Exports resolve lazily (like :mod:`repro` itself) so importing the
 package stays cheap; the registry loads the member modules on first
@@ -21,6 +27,7 @@ from __future__ import annotations
 _EXPORTS = {
     # protocol & registry
     "Footprint": "repro.baselines.protocol:Footprint",
+    "MechanismPrefetcher": "repro.baselines.protocol:MechanismPrefetcher",
     "PlanReplay": "repro.baselines.protocol:PlanReplay",
     "Prefetcher": "repro.baselines.protocol:Prefetcher",
     "ProfileView": "repro.baselines.protocol:ProfileView",
@@ -36,7 +43,8 @@ _EXPORTS = {
     "AsmDBPrefetcher": "repro.baselines.asmdb:AsmDBPrefetcher",
     "AsmDBResult": "repro.baselines.asmdb:AsmDBResult",
     "build_asmdb_plan": "repro.baselines.asmdb:build_asmdb_plan",
-    # window limit study
+    # window limit study and next-N-line
+    "NextLinePrefetcher": "repro.baselines.contiguous:NextLinePrefetcher",
     "WindowPrefetcher": "repro.baselines.contiguous:WindowPrefetcher",
     "build_contiguous_plan": "repro.baselines.contiguous:build_contiguous_plan",
     "build_noncontiguous_plan":
@@ -53,9 +61,6 @@ _EXPORTS = {
     "simulate_ideal": "repro.baselines.ideal:simulate_ideal",
     # ispy adapter
     "ISpyPrefetcher": "repro.baselines.ispy:ISpyPrefetcher",
-    # nextline
-    "NextLinePrefetcher": "repro.baselines.nextline:NextLinePrefetcher",
-    "simulate_nextline": "repro.baselines.nextline:simulate_nextline",
     # mana
     "ManaPrefetcher": "repro.baselines.mana:ManaPrefetcher",
     "ManaResult": "repro.baselines.mana:ManaResult",

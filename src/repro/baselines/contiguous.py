@@ -11,32 +11,45 @@ prefetchers over an n-line window following each miss:
 Non-contiguous-n wins (by ~7.6% in the paper) because the skipped
 lines never displace useful cache contents.
 
-:func:`simulate_window_prefetcher` implements both as run-time
-mechanisms triggered on each L1I miss (the paper's formulation);
+:class:`WindowPrefetcher` runs both as run-time mechanisms triggered
+on each L1I miss (the paper's formulation): a :func:`window_targets`
+trigger on the shared loop of :mod:`repro.sim.mechanism`.
 :func:`build_window_plan` additionally expresses the same windows as
 injected coalesced instructions, which the coalescing tests use.
+Hardware next-N-line (:class:`NextLinePrefetcher`, Section VIII) is
+the contiguous window of N lines.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
-
 from dataclasses import replace
+from typing import Dict, Optional, Set
 
 from ..core.config import DEFAULT_CONFIG, ISpyConfig
 from ..core.injection import frequent_miss_lines, select_site
 from ..core.instructions import PrefetchInstr, PrefetchPlan
 from ..profiling.profiler import ExecutionProfile
-from ..sim.hierarchy import MemoryHierarchy
+from ..sim.mechanism import Targets
 from ..sim.params import MachineParams
 from ..sim.stats import SimStats
 from ..sim.trace import BlockTrace, Program
 from .protocol import (
-    Prefetcher,
+    MechanismPrefetcher,
     ProfileView,
     ReplayContext,
     register_prefetcher,
 )
+
+
+def window_targets(window: int, miss_set: Optional[Set[int]] = None) -> Targets:
+    """The miss trigger of an n-line window: on a miss of line L, the
+    lines L+1 … L+*window*, only those in *miss_set* when one is
+    given."""
+    if miss_set is None:
+        return lambda line: range(line + 1, line + window + 1)
+    return lambda line: [
+        target for target in range(line + 1, line + window + 1) if target in miss_set
+    ]
 
 
 def simulate_window_prefetcher(
@@ -56,73 +69,12 @@ def simulate_window_prefetcher(
     all of them (``contiguous=True``) or only the subset the profile
     recorded as miss lines (``contiguous=False``; requires *profile*).
     """
-    if window < 1:
-        raise ValueError("window must be at least one line")
-    if not contiguous and profile is None:
-        raise ValueError("non-contiguous mode needs a profile")
-    machine = machine or MachineParams()
-    config = config or DEFAULT_CONFIG
-
-    miss_set: Set[int] = set()
-    if profile is not None:
-        miss_set = {line for line, _ in frequent_miss_lines(profile, config)}
-
-    hierarchy = MemoryHierarchy(machine)
-    stats = SimStats()
-    cpi = 1.0 / machine.base_ipc
-    lines_of = {block.block_id: block.lines for block in program}
-    instr_counts = {block.block_id: block.instruction_count for block in program}
-    inflight: Dict[int, float] = {}
-
-    now = 0.0
-    program_instructions = 0
-    for index, block_id in enumerate(trace):
-        if index == warmup and warmup > 0:
-            stats.clear()
-            hierarchy.l1i.stats.reset()
-            program_instructions = 0
-        stall = 0.0
-        for line in lines_of[block_id]:
-            stats.l1i_accesses += 1
-            arrival = inflight.pop(line, None)
-            if arrival is not None and arrival > now + stall:
-                stall += arrival - (now + stall)
-                stats.late_prefetch_hits += 1
-                hierarchy.l1i.access(line)
-                continue
-            result = hierarchy.fetch(line)
-            if result.was_l1_miss:
-                stats.l1i_misses += 1
-                stats.record_miss_level(result.level)
-                completion = hierarchy.fill_port.request(
-                    now + stall, result.level
-                )
-                stall = completion - now
-                for offset in range(1, window + 1):
-                    target = line + offset
-                    if not contiguous and target not in miss_set:
-                        continue
-                    if hierarchy.l1i.contains(target) or target in inflight:
-                        continue
-                    level = hierarchy.residence_level(target)
-                    hierarchy.prefetch_fill(target)
-                    stats.prefetches_issued += 1
-                    arrival = hierarchy.fill_port.request(now + stall, level)
-                    if arrival > now + stall:
-                        inflight[target] = arrival
-        if stall:
-            stats.frontend_stall_cycles += stall
-            now += stall
-        count = instr_counts[block_id]
-        program_instructions += count
-        now += count * cpi
-        if data_traffic is not None:
-            data_traffic.advance(count, hierarchy)
-
-    stats.program_instructions = program_instructions
-    stats.compute_cycles = program_instructions * cpi
-    stats.prefetches_useful = hierarchy.l1i.stats.prefetch_hits
-    return stats
+    prefetcher = WindowPrefetcher(window, contiguous, sim_config=config)
+    return prefetcher.simulate(
+        ProfileView(program, profile),
+        trace,
+        ReplayContext(machine=machine, data_traffic=data_traffic, warmup=warmup),
+    )
 
 
 def _full_vector(window: int) -> int:
@@ -196,14 +148,14 @@ def build_noncontiguous_plan(
     return build_window_plan(program, profile, window, False, config)
 
 
-class WindowPrefetcher(Prefetcher):
+class WindowPrefetcher(MechanismPrefetcher):
     """Contiguous-n / Non-contiguous-n through the zoo protocol.
 
     Training builds the injected-plan formulation
     (:func:`build_window_plan`, used by the coalescing tests and the
     footprint accounting); simulation runs the paper's miss-triggered
-    run-time mechanism (:func:`simulate_window_prefetcher`), which is
-    why ``supports_plan_replay`` is False — the two formulations are
+    run-time mechanism (:meth:`triggers`), which is why
+    ``supports_plan_replay`` is False — the two formulations are
     deliberately not the same experiment.
 
     ``sim_config`` filters which profiled lines count as the window's
@@ -214,9 +166,6 @@ class WindowPrefetcher(Prefetcher):
 
     planner = "window"
     produces_plan = True
-    supports_plan_replay = False
-    supports_sharding = False
-    supports_batch = False
 
     def __init__(
         self,
@@ -225,6 +174,8 @@ class WindowPrefetcher(Prefetcher):
         config: Optional[ISpyConfig] = None,
         sim_config: Optional[ISpyConfig] = None,
     ) -> None:
+        if window < 1:
+            raise ValueError("window must be at least one line")
         self.window = window
         self.contiguous = contiguous
         self.config = config
@@ -252,25 +203,26 @@ class WindowPrefetcher(Prefetcher):
             "contiguous": self.contiguous,
         }
 
+    def triggers(
+        self, view: ProfileView, ctx: ReplayContext
+    ) -> Dict[str, Targets]:
+        if self.contiguous:
+            return {"miss_targets": window_targets(self.window)}
+        if view.profile is None:
+            raise ValueError("non-contiguous mode needs a profile")
+        misses = frequent_miss_lines(view.profile, self.sim_config or DEFAULT_CONFIG)
+        miss_set = {line for line, _ in misses}
+        return {"miss_targets": window_targets(self.window, miss_set)}
+
     def simulate(
         self,
         view: ProfileView,
         trace: BlockTrace,
         ctx: Optional[ReplayContext] = None,
     ) -> SimStats:
-        ctx = ctx or ReplayContext()
-        self._reject_sharding(ctx)
-        return simulate_window_prefetcher(
-            view.program,
-            trace,
-            profile=view.profile,
-            window=self.window,
-            contiguous=self.contiguous,
-            machine=ctx.machine,
-            data_traffic=ctx.data_traffic,
-            warmup=ctx.warmup,
-            config=self.sim_config,
-        )
+        # defined here, not inherited: the benchmark's layer table
+        # times ``WindowPrefetcher.simulate`` by name
+        return super().simulate(view, trace, ctx)
 
 
 def _noncontiguous8(**overrides: object) -> WindowPrefetcher:
@@ -282,5 +234,37 @@ def _noncontiguous8(**overrides: object) -> WindowPrefetcher:
     return WindowPrefetcher(window=8, contiguous=False, **overrides)
 
 
+class NextLinePrefetcher(MechanismPrefetcher):
+    """Next-N-line through the zoo protocol: the contiguous window of
+    ``lines_ahead`` lines, with no profile and no plan.  Zero lines
+    ahead issues nothing."""
+
+    planner = "nextline"
+    requires_profile = False
+
+    def __init__(self, lines_ahead: int = 1) -> None:
+        if lines_ahead < 0:
+            raise ValueError("lines_ahead must be non-negative")
+        self.lines_ahead = lines_ahead
+        self.name = (
+            "nextline" if lines_ahead == 1 else f"nextline{lines_ahead}"
+        )
+
+    @property
+    def cache_token(self) -> str:
+        return f"nextline@{self.lines_ahead}"
+
+    def train_result(self, view: ProfileView) -> None:
+        return None
+
+    def triggers(
+        self, view: ProfileView, ctx: ReplayContext
+    ) -> Dict[str, Targets]:
+        if not self.lines_ahead:
+            return {}
+        return {"miss_targets": window_targets(self.lines_ahead)}
+
+
 register_prefetcher("contiguous8", WindowPrefetcher)
 register_prefetcher("noncontiguous8", _noncontiguous8)
+register_prefetcher("nextline", NextLinePrefetcher)

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sim.hierarchy import MemoryHierarchy
+from ..sim.mechanism import Targets
 from ..sim.params import MachineParams
 from ..sim.stats import SimStats
 from ..sim.trace import BlockTrace, Program
 from .protocol import (
-    Prefetcher,
+    MechanismPrefetcher,
     ProfileView,
     ReplayContext,
     register_prefetcher,
@@ -119,102 +119,11 @@ def simulate_fdip(
     ``runahead`` is the fetch-target-queue depth in basic blocks;
     ``btb_capacity`` bounds the predictor's storage (None = unbounded).
     """
-    if runahead < 1:
-        raise ValueError("runahead must be at least one block")
-    machine = machine or MachineParams()
-    hierarchy = MemoryHierarchy(machine)
-    stats = SimStats()
-    predictor = BimodalBTB(capacity=btb_capacity)
-    cpi = 1.0 / machine.base_ipc
-
-    lines_of = {block.block_id: block.lines for block in program}
-    instr_counts = {block.block_id: block.instruction_count for block in program}
-    inflight: Dict[int, float] = {}
-
-    #: predicted future blocks, nearest first
-    target_queue: List[int] = []
-
-    def issue_block_prefetch(block_id: int, now: float) -> None:
-        for line in lines_of[block_id]:
-            if line in inflight or hierarchy.l1i.contains(line):
-                continue
-            level = hierarchy.residence_level(line)
-            hierarchy.prefetch_fill(line)
-            stats.prefetches_issued += 1
-            arrival = hierarchy.fill_port.request(now, level)
-            if arrival > now:
-                inflight[line] = arrival
-
-    def refill_queue(from_block: int, now: float) -> None:
-        target_queue.clear()
-        cursor = from_block
-        for _ in range(runahead):
-            predicted = predictor.predict(cursor)
-            if predicted is None:
-                break
-            target_queue.append(predicted)
-            issue_block_prefetch(predicted, now)
-            cursor = predicted
-
-    def extend_queue(now: float) -> None:
-        cursor = target_queue[-1] if target_queue else None
-        if cursor is None:
-            return
-        predicted = predictor.predict(cursor)
-        if predicted is not None and len(target_queue) < runahead:
-            target_queue.append(predicted)
-            issue_block_prefetch(predicted, now)
-
-    now = 0.0
-    program_instructions = 0
-    previous: Optional[int] = None
-    for index, block_id in enumerate(trace):
-        if index == warmup and warmup > 0:
-            stats.clear()
-            hierarchy.l1i.stats.reset()
-            program_instructions = 0
-
-        # frontend steering: did the runahead path survive?
-        if previous is not None:
-            predictor.train(previous, block_id)
-        if target_queue and target_queue[0] == block_id:
-            target_queue.pop(0)
-            extend_queue(now)
-        else:
-            # mispredict (or cold): restart the runahead from here
-            refill_queue(block_id, now)
-
-        stall = 0.0
-        for line in lines_of[block_id]:
-            stats.l1i_accesses += 1
-            arrival = inflight.pop(line, None)
-            if arrival is not None and arrival > now + stall:
-                stall += arrival - (now + stall)
-                stats.late_prefetch_hits += 1
-                hierarchy.l1i.access(line)
-                continue
-            result = hierarchy.fetch(line)
-            if result.was_l1_miss:
-                stats.l1i_misses += 1
-                stats.record_miss_level(result.level)
-                completion = hierarchy.fill_port.request(
-                    now + stall, result.level
-                )
-                stall = completion - now
-        if stall:
-            stats.frontend_stall_cycles += stall
-            now += stall
-        count = instr_counts[block_id]
-        program_instructions += count
-        now += count * cpi
-        if data_traffic is not None:
-            data_traffic.advance(count, hierarchy)
-        previous = block_id
-
-    stats.program_instructions = program_instructions
-    stats.compute_cycles = program_instructions * cpi
-    stats.prefetches_useful = hierarchy.l1i.stats.prefetch_hits
-    return stats
+    return FDIPPrefetcher(runahead, btb_capacity).simulate(
+        ProfileView(program),
+        trace,
+        ReplayContext(machine=machine, data_traffic=data_traffic, warmup=warmup),
+    )
 
 
 #: storage accounting per BTB entry: tag + target + 2-bit confidence,
@@ -222,22 +131,22 @@ def simulate_fdip(
 BTB_ENTRY_BYTES = 8
 
 
-class FDIPPrefetcher(Prefetcher):
+class FDIPPrefetcher(MechanismPrefetcher):
     """FDIP through the zoo protocol: profile-free and plan-free; its
     deployment cost is all predictor metadata (the BTB)."""
 
     planner = "fdip"
     requires_profile = False
-    produces_plan = False
-    supports_plan_replay = False
-    supports_sharding = False
-    supports_batch = False
 
     def __init__(
         self,
         runahead: int = 16,
         btb_capacity: Optional[int] = BimodalBTB.DEFAULT_CAPACITY,
     ) -> None:
+        if runahead < 1:
+            raise ValueError("runahead must be at least one block")
+        if btb_capacity is not None and btb_capacity <= 0:
+            raise ValueError("btb_capacity must be positive or None")
         self.runahead = runahead
         self.btb_capacity = btb_capacity
         self.name = "fdip"
@@ -249,23 +158,47 @@ class FDIPPrefetcher(Prefetcher):
     def train_result(self, view: ProfileView) -> None:
         return None
 
-    def simulate(
-        self,
-        view: ProfileView,
-        trace: BlockTrace,
-        ctx: Optional[ReplayContext] = None,
-    ) -> SimStats:
-        ctx = ctx or ReplayContext()
-        self._reject_sharding(ctx)
-        return simulate_fdip(
-            view.program,
-            trace,
-            runahead=self.runahead,
-            machine=ctx.machine,
-            data_traffic=ctx.data_traffic,
-            warmup=ctx.warmup,
-            btb_capacity=self.btb_capacity,
-        )
+    def triggers(
+        self, view: ProfileView, ctx: ReplayContext
+    ) -> Dict[str, Targets]:
+        """A block trigger over a fresh BTB.  On reaching each block it
+        trains the predictor, steers the fetch target queue and returns
+        the lines of every newly predicted block, nearest first.
+        Nothing here reads cache state, so the lines can be issued
+        after the steering is done."""
+        runahead = self.runahead
+        predictor = BimodalBTB(capacity=self.btb_capacity)
+        lines_of = {block.block_id: block.lines for block in view.program}
+        #: predicted future blocks, nearest first
+        target_queue: List[int] = []
+        previous: Optional[int] = None
+
+        def block_targets(block_id: int) -> List[int]:
+            nonlocal previous
+            if previous is not None:
+                predictor.train(previous, block_id)
+            previous = block_id
+            predicted: List[int] = []
+            if target_queue and target_queue[0] == block_id:
+                # the path held: extend the queue by one block
+                target_queue.pop(0)
+                if target_queue:
+                    successor = predictor.predict(target_queue[-1])
+                    if successor is not None and len(target_queue) < runahead:
+                        predicted.append(successor)
+            else:
+                # mispredict (or cold): restart the runahead from here
+                target_queue.clear()
+                cursor: Optional[int] = block_id
+                for _ in range(runahead):
+                    cursor = predictor.predict(cursor)
+                    if cursor is None:
+                        break
+                    predicted.append(cursor)
+            target_queue.extend(predicted)
+            return [line for block in predicted for line in lines_of[block]]
+
+        return {"block_targets": block_targets}
 
     def metadata_bytes(self, trained: object = None) -> int:
         return (self.btb_capacity or 0) * BTB_ENTRY_BYTES

@@ -39,8 +39,6 @@ class IdealPrefetcher(Prefetcher):
     requires_profile = False
     produces_plan = False
     supports_plan_replay = True
-    supports_sharding = True
-    supports_batch = False
 
     def __init__(self) -> None:
         self.name = "ideal"

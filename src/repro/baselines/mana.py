@@ -19,9 +19,10 @@ both layouts so the comparison matrix reports honest metadata cost.
 
 Training consumes the same :class:`~repro.profiling.profiler.
 ExecutionProfile` the profile-guided planners use (the sampled miss
-stream stands in for the hardware's observed miss sequence); the
-runtime is a miss-triggered mechanism loop like
-:mod:`~repro.baselines.nextline`'s.
+stream stands in for the hardware's observed miss sequence).  At run
+time MANA is a miss trigger, :func:`simulate_mana`'s region walk, on
+the demand-fetch loop every run-time prefetcher shares
+(:func:`repro.sim.mechanism.replay_mechanism`).
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.instructions import PrefetchInstr, PrefetchPlan
 from ..profiling.profiler import ExecutionProfile
-from ..sim.hierarchy import MemoryHierarchy
+from ..sim.mechanism import Targets
 from ..sim.params import MachineParams
 from ..sim.stats import SimStats
 from ..sim.trace import BlockTrace, Program
 from .protocol import (
-    Prefetcher,
+    MechanismPrefetcher,
     ProfileView,
     ReplayContext,
     register_prefetcher,
@@ -245,109 +246,26 @@ def simulate_mana(
     data_traffic=None,
     warmup: int = 0,
 ) -> SimStats:
-    """Replay *trace* with the MANA mechanism over a trained *table*.
-
-    On every demand L1I miss of a trained trigger line, prefetch the
-    region's footprint, then walk the successor chain up to
-    ``lookahead`` regions, prefetching each successor trigger and its
-    footprint.  ``warmup`` block executions are excluded from the
-    statistics.
-    """
-    if lookahead < 1:
-        raise ValueError("lookahead must be at least one region")
-    machine = machine or MachineParams()
-    hierarchy = MemoryHierarchy(machine)
-    stats = SimStats()
-    cpi = 1.0 / machine.base_ipc
-
-    lines_of = {block.block_id: block.lines for block in program}
-    instr_counts = {block.block_id: block.instruction_count for block in program}
-    inflight: Dict[int, float] = {}
-
-    def region_targets(line: int) -> List[int]:
-        region = table.lookup(line)
-        if region is None:
-            return []
-        targets: List[int] = []
-        node = region
-        for depth in range(lookahead):
-            if depth > 0:
-                targets.append(node.trigger)
-            targets.extend(node.target_lines())
-            successor = node.successor
-            if successor is None:
-                break
-            node = table.lookup(successor)
-            if node is None:
-                targets.append(successor)
-                break
-        seen = set()
-        unique = []
-        for target in targets:
-            if target not in seen:
-                seen.add(target)
-                unique.append(target)
-        return unique
-
-    now = 0.0
-    program_instructions = 0
-    for index, block_id in enumerate(trace):
-        if index == warmup and warmup > 0:
-            stats.clear()
-            hierarchy.l1i.stats.reset()
-            program_instructions = 0
-        stall = 0.0
-        for line in lines_of[block_id]:
-            stats.l1i_accesses += 1
-            arrival = inflight.pop(line, None)
-            if arrival is not None and arrival > now + stall:
-                stall += arrival - (now + stall)
-                stats.late_prefetch_hits += 1
-                hierarchy.l1i.access(line)
-                continue
-            result = hierarchy.fetch(line)
-            if result.was_l1_miss:
-                stats.l1i_misses += 1
-                stats.record_miss_level(result.level)
-                completion = hierarchy.fill_port.request(
-                    now + stall, result.level
-                )
-                stall = completion - now
-                for target in region_targets(line):
-                    if hierarchy.l1i.contains(target) or target in inflight:
-                        continue
-                    level = hierarchy.residence_level(target)
-                    hierarchy.prefetch_fill(target)
-                    stats.prefetches_issued += 1
-                    arrival = hierarchy.fill_port.request(now + stall, level)
-                    if arrival > now + stall:
-                        inflight[target] = arrival
-        if stall:
-            stats.frontend_stall_cycles += stall
-            now += stall
-        count = instr_counts[block_id]
-        program_instructions += count
-        now += count * cpi
-        if data_traffic is not None:
-            data_traffic.advance(count, hierarchy)
-
-    stats.program_instructions = program_instructions
-    stats.compute_cycles = program_instructions * cpi
-    stats.prefetches_useful = hierarchy.l1i.stats.prefetch_hits
-    return stats
+    """Replay *trace* with the MANA mechanism over a trained *table*
+    (see :meth:`ManaPrefetcher.triggers`).  ``warmup`` block
+    executions are excluded from the statistics."""
+    return ManaPrefetcher(lookahead=lookahead).simulate(
+        ProfileView(program),
+        trace,
+        ReplayContext(
+            machine=machine, data_traffic=data_traffic, warmup=warmup,
+            trained=table,
+        ),
+    )
 
 
-class ManaPrefetcher(Prefetcher):
+class ManaPrefetcher(MechanismPrefetcher):
     """Hardware metadata scheme: trains a region table from the
-    profile, replays through its own mechanism loop, injects nothing
-    into the binary (its cost is all metadata)."""
+    profile, replays through the shared mechanism loop, injects
+    nothing into the binary (its cost is all metadata)."""
 
     planner = "mana"
     requires_profile = True
-    produces_plan = False
-    supports_plan_replay = False
-    supports_sharding = False
-    supports_batch = False
 
     def __init__(
         self,
@@ -355,6 +273,10 @@ class ManaPrefetcher(Prefetcher):
         lookahead: int = DEFAULT_LOOKAHEAD,
         max_regions: Optional[int] = None,
     ) -> None:
+        if region_lines < 1:
+            raise ValueError("region_lines must be at least one line")
+        if lookahead < 1:
+            raise ValueError("lookahead must be at least one region")
         self.region_lines = region_lines
         self.lookahead = lookahead
         self.max_regions = max_regions
@@ -381,24 +303,38 @@ class ManaPrefetcher(Prefetcher):
             return trained
         raise TypeError(f"not a MANA training artifact: {trained!r}")
 
-    def simulate(
-        self,
-        view: ProfileView,
-        trace: BlockTrace,
-        ctx: Optional[ReplayContext] = None,
-    ) -> SimStats:
-        ctx = ctx or ReplayContext()
-        self._reject_sharding(ctx)
-        trained = ctx.trained if ctx.trained is not None else self.train_result(view)
-        return simulate_mana(
-            view.program,
-            trace,
-            self._table(trained),
-            lookahead=self.lookahead,
-            machine=ctx.machine,
-            data_traffic=ctx.data_traffic,
-            warmup=ctx.warmup,
-        )
+    def triggers(
+        self, view: ProfileView, ctx: ReplayContext
+    ) -> Dict[str, Targets]:
+        """A miss trigger over the trained table.  On a miss of a
+        trigger line: the region's footprint, then up to ``lookahead``
+        regions down the successor chain, each successor trigger
+        followed by its footprint; first occurrence of a line wins."""
+        trained = ctx.trained
+        if trained is None:
+            trained = self.train_result(view)
+        table = self._table(trained)
+        lookahead = self.lookahead
+
+        def miss_targets(line: int) -> List[int]:
+            node = table.lookup(line)
+            if node is None:
+                return []
+            targets: List[int] = []
+            for depth in range(lookahead):
+                if depth > 0:
+                    targets.append(node.trigger)
+                targets.extend(node.target_lines())
+                successor = node.successor
+                if successor is None:
+                    break
+                node = table.lookup(successor)
+                if node is None:
+                    targets.append(successor)
+                    break
+            return list(dict.fromkeys(targets))
+
+        return {"miss_targets": miss_targets}
 
     def metadata_bytes(self, trained: object = None) -> int:
         if trained is None:

@@ -16,15 +16,15 @@ the two phases the harness already distinguishes:
 Plan-producing schemes inherit :meth:`Prefetcher.simulate` unchanged:
 it drives :class:`~repro.sim.cpu.CoreSimulator`, so they get the
 columnar plan kernel, ``--shard-insns`` streaming and batched sweeps
-for free.  Mechanism schemes (the
-run-time loops) override it and advertise what they support through
-the capability flags:
+for free.  Mechanism schemes (the run-time prefetchers) subclass
+:class:`MechanismPrefetcher` and replay through the one demand-fetch
+loop of :mod:`repro.sim.mechanism`.  The capability flags say which
+path applies:
 
 ``produces_plan``         training yields a ``PrefetchPlan``
 ``requires_profile``      training needs an ``ExecutionProfile``
-``supports_plan_replay``  the CoreSimulator replay path applies
-``supports_sharding``     ``shard_insns`` is honoured
-``supports_batch``        variants share one plan-kernel pass in sweeps
+``supports_plan_replay``  the CoreSimulator replay path applies, and
+                          with it ``shard_insns`` streaming
 
 The registry maps variant names (``"ispy"``, ``"asmdb"``,
 ``"nextline"``, …) to factories; :func:`get_prefetcher` instantiates
@@ -42,6 +42,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple
 
+from ..sim.mechanism import Targets, replay_mechanism
 from ..sim.stats import SimStats
 from ..sim.trace import BlockTrace, Program
 
@@ -137,12 +138,9 @@ class Prefetcher(ABC):
     requires_profile: ClassVar[bool] = True
     #: training yields a PrefetchPlan (vs a private table or nothing)
     produces_plan: ClassVar[bool] = True
-    #: statistics come from the CoreSimulator plan-replay path
-    supports_plan_replay: ClassVar[bool] = True
+    #: statistics come from the CoreSimulator replay path, so
     #: shard_insns streaming applies (bit-identical)
-    supports_sharding: ClassVar[bool] = True
-    #: variants can share one plan-kernel pass (``run_plans`` sweeps)
-    supports_batch: ClassVar[bool] = True
+    supports_plan_replay: ClassVar[bool] = True
 
     name: str = "prefetcher"
 
@@ -184,8 +182,8 @@ class Prefetcher(ABC):
 
         The default implementation is the shared plan-replay path and
         serves every ``supports_plan_replay`` scheme; mechanism
-        schemes override it with their run-time loop and must reject
-        sharded execution when ``supports_sharding`` is False.
+        schemes override it with their run-time loop and reject
+        sharded execution.
         """
         if not self.supports_plan_replay:
             raise NotImplementedError(
@@ -215,7 +213,8 @@ class Prefetcher(ABC):
     @property
     def last_replay_backend(self) -> Optional[str]:
         """Replay backend of the most recent plan-replay simulate
-        call on this instance (None for mechanism loops)."""
+        call on this instance (``"mechanism"`` for a
+        :class:`MechanismPrefetcher`)."""
         return getattr(
             getattr(self, "_last_core", None), "last_replay_backend", None
         )
@@ -226,14 +225,6 @@ class Prefetcher(ABC):
         recent plan-replay simulate call (Fig. 21)."""
         engine = getattr(getattr(self, "_last_core", None), "engine", None)
         return engine.conditional_false_positive_rate if engine else 0.0
-
-    def _reject_sharding(self, ctx: ReplayContext) -> None:
-        """Guard for mechanism loops that replay whole traces only."""
-        if ctx.shard_insns is not None:
-            raise ValueError(
-                f"{self.name} does not support sharded replay "
-                "(supports_sharding is False); run it whole-trace"
-            )
 
     # -- accounting ----------------------------------------------------
 
@@ -264,9 +255,47 @@ class Prefetcher(ABC):
             "requires_profile": self.requires_profile,
             "produces_plan": self.produces_plan,
             "supports_plan_replay": self.supports_plan_replay,
-            "supports_sharding": self.supports_sharding,
-            "supports_batch": self.supports_batch,
         }
+
+
+class MechanismPrefetcher(Prefetcher):
+    """A run-time prefetcher: it injects nothing, and its
+    :meth:`simulate` replays the trace whole through
+    :func:`repro.sim.mechanism.replay_mechanism`, with the triggers
+    :meth:`triggers` supplies."""
+
+    produces_plan = False
+    supports_plan_replay = False
+    #: the backend every simulate call of a mechanism takes
+    last_replay_backend = "mechanism"
+
+    @abstractmethod
+    def triggers(
+        self, view: ProfileView, ctx: ReplayContext
+    ) -> Dict[str, Targets]:
+        """The ``block_targets`` / ``miss_targets`` keyword arguments
+        of :func:`~repro.sim.mechanism.replay_mechanism`."""
+
+    def simulate(
+        self,
+        view: ProfileView,
+        trace: BlockTrace,
+        ctx: Optional[ReplayContext] = None,
+    ) -> SimStats:
+        ctx = ctx or ReplayContext()
+        if ctx.shard_insns is not None:
+            raise ValueError(
+                f"{self.name} does not support sharded replay "
+                "(supports_plan_replay is False); run it whole-trace"
+            )
+        return replay_mechanism(
+            view.program,
+            trace,
+            ctx.machine,
+            ctx.data_traffic,
+            ctx.warmup,
+            **self.triggers(view, ctx),
+        )
 
 
 class PlanReplay(Prefetcher):
@@ -305,7 +334,6 @@ _ZOO_MODULES: Tuple[str, ...] = (
     "repro.baselines.ideal",
     "repro.baselines.ispy",
     "repro.baselines.mana",
-    "repro.baselines.nextline",
 )
 
 _REGISTRY: Dict[str, Callable[..., Prefetcher]] = {}
@@ -379,6 +407,7 @@ def capability_rows() -> List[Dict[str, object]]:
 
 __all__ = [
     "Footprint",
+    "MechanismPrefetcher",
     "PlanReplay",
     "Prefetcher",
     "ProfileView",

@@ -8,7 +8,7 @@ from repro.baselines.contiguous import (
     build_window_plan,
 )
 from repro.baselines.ideal import simulate_ideal
-from repro.baselines.nextline import simulate_nextline
+from repro.baselines.protocol import ProfileView, ReplayContext, get_prefetcher
 from repro.core.injection import frequent_miss_lines
 from repro.core.config import DEFAULT_CONFIG
 from repro.sim.cpu import simulate
@@ -48,6 +48,14 @@ class TestWindowPlans:
         plan = build_noncontiguous_plan(small_app.program, small_profile)
         bases = [i.base_line for i in plan]
         assert len(bases) == len(set(bases))
+
+
+def simulate_nextline(program, trace, lines_ahead=1, warmup=0):
+    """The registry's next-N-line member, replayed on *trace*."""
+    prefetcher = get_prefetcher("nextline", lines_ahead=lines_ahead)
+    return prefetcher.simulate(
+        ProfileView(program), trace, ReplayContext(warmup=warmup)
+    )
 
 
 class TestNextLine:

@@ -66,8 +66,6 @@ class TestProtocolContract:
             "requires_profile",
             "produces_plan",
             "supports_plan_replay",
-            "supports_sharding",
-            "supports_batch",
         }
         assert all(isinstance(flag, bool) for flag in capabilities.values())
         assert isinstance(prefetcher.planner, str) and prefetcher.planner
@@ -119,7 +117,7 @@ class TestProtocolContract:
     ):
         prefetcher = zoo.get_prefetcher(name)
         ctx = eval_ctx(small_app, shard_insns=7_000)
-        if prefetcher.supports_sharding:
+        if prefetcher.supports_plan_replay:
             sharded = prefetcher.simulate(view, contract_trace, ctx)
             assert stats_to_record(sharded) == stats_to_record(
                 contract_stats[name]
@@ -207,6 +205,21 @@ class TestIngestedContract:
         assert stats_to_record(second) == stats_to_record(first)
 
 
+@pytest.mark.parametrize("name,overrides", [
+    ("fdip", {"runahead": 0}),
+    ("fdip", {"btb_capacity": 0}),
+    ("mana", {"lookahead": 0}),
+    ("mana", {"region_lines": 0}),
+    ("nextline", {"lines_ahead": -1}),
+    ("contiguous8", {"window": 0}),
+])
+def test_invalid_configuration_rejected_when_built(name, overrides):
+    """A configuration no replay could run fails at construction, not
+    later at train or simulate time."""
+    with pytest.raises(ValueError):
+        zoo.get_prefetcher(name, **overrides)
+
+
 class TestDifferentialOldVsNew:
     """The protocol adapters reproduce the pre-registry call paths
     bit-for-bit (the PR's no-regression pin)."""
@@ -256,12 +269,15 @@ class TestDifferentialOldVsNew:
         assert stats_to_record(ported) == stats_to_record(direct)
 
     def test_nextline(self, small_app, contract_trace, view):
-        from repro.baselines.nextline import simulate_nextline
+        """The registry's next-line member is the contiguous window of
+        one line."""
+        from repro.baselines.contiguous import simulate_window_prefetcher
 
-        direct = simulate_nextline(
+        direct = simulate_window_prefetcher(
             small_app.program,
             contract_trace,
-            lines_ahead=1,
+            window=1,
+            contiguous=True,
             data_traffic=small_app.data_traffic(seed=small_app.spec.seed + 777),
             warmup=EVAL_WARMUP,
         )
@@ -349,7 +365,6 @@ class TestWindowPlanReplayGap:
     ):
         prefetcher = zoo.get_prefetcher(name)
         assert prefetcher.supports_plan_replay is False
-        assert prefetcher.supports_batch is False
 
         plan = prefetcher.train(view)
         assert len(plan) > 0

@@ -26,7 +26,7 @@ SETTINGS = ExperimentSettings(
 def evaluator():
     # the config's own tracer: the manifest reports only this run's spans
     ev = Evaluator(config=RunConfig(settings=SETTINGS))
-    ev.prewarm(apps=["wordpress"], variants=("baseline", "ispy"))
+    ev.prewarm(apps=["wordpress"], variants=("baseline", "ispy", "contiguous8"))
     return ev
 
 
@@ -89,6 +89,19 @@ class TestCollect:
         ]
         assert sum(manifest.payload["backend_counts"].values()) == len(replays)
         assert manifest.payload["stages"]["sim:replay"]["calls"] == len(replays)
+
+    def test_mechanism_replays_name_their_backend(self, evaluator, manifest):
+        """Fig. 5's window replays count too: every replay span,
+        mechanism members included, names the backend that served it."""
+        replays = [
+            e for e in evaluator.tracer.snapshot()
+            if e["ph"] == "X" and e["name"] == "sim:replay"
+        ]
+        counts = manifest.payload["backend_counts"]
+        assert counts.get("mechanism") == sum(
+            e["args"].get("plan") == "contiguous8" for e in replays
+        ) == 1
+        assert sum(counts.values()) == len(replays)
 
     def test_written_trace_gives_the_same_counts(self, tmp_path):
         """The two sinks come from one stream, so they agree."""

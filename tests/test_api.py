@@ -62,7 +62,7 @@ class TestApiSnapshot:
             "PrefetchInstr",
             # baselines (the prefetcher zoo)
             "Prefetcher", "get_prefetcher", "prefetcher_names",
-            "build_asmdb_plan", "simulate_ideal", "simulate_nextline",
+            "build_asmdb_plan", "simulate_ideal",
             # analysis
             "Evaluator", "ExperimentSettings", "render_table",
             # run configuration & observability
@@ -85,15 +85,16 @@ class TestBaselinesApiSnapshot:
     SNAPSHOT = frozenset(
         {
             # protocol & registry
-            "Footprint", "PlanReplay", "Prefetcher", "ProfileView",
+            "Footprint", "MechanismPrefetcher", "PlanReplay", "Prefetcher",
+            "ProfileView",
             "ReplayContext", "capability_rows", "get_prefetcher",
             "plan_of", "plan_prefetcher_names", "prefetcher_names",
             "register_prefetcher",
             # asmdb
             "ASMDB_FANOUT_THRESHOLD", "AsmDBPrefetcher", "AsmDBResult",
             "build_asmdb_plan",
-            # window limit study
-            "WindowPrefetcher", "build_contiguous_plan",
+            # window limit study and next-N-line
+            "NextLinePrefetcher", "WindowPrefetcher", "build_contiguous_plan",
             "build_noncontiguous_plan", "build_window_plan",
             "simulate_window_prefetcher",
             # fdip
@@ -102,8 +103,6 @@ class TestBaselinesApiSnapshot:
             "IdealPrefetcher", "simulate_ideal",
             # ispy adapter
             "ISpyPrefetcher",
-            # nextline
-            "NextLinePrefetcher", "simulate_nextline",
             # mana
             "ManaPrefetcher", "ManaResult", "ManaTable",
             "build_mana_table", "simulate_mana",
