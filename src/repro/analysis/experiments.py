@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import zlib
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -38,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines.asmdb import AsmDBResult
     from ..core.ispy import ISpyResult
 from ..profiling.profiler import ExecutionProfile, profile_execution
-from ..sim.cpu import CoreSimulator, builds_engine
+from ..sim.cpu import CoreSimulator
 from ..sim.stats import SimStats
 from ..sim.trace import BlockTrace
 from ..workloads.apps import (
@@ -338,56 +339,9 @@ class AppEvaluation:
         trace: TraceArg = None,
     ) -> SimStats:
         """Replay the evaluation trace (or *trace*) under *plan* (fresh
-        caches), unless the result is cached.
-
-        The replay itself is the protocol's shared plan-replay path
-        (:meth:`repro.baselines.protocol.Prefetcher.simulate` via a
-        :class:`~repro.baselines.protocol.PlanReplay` adapter), so
-        every plan-shaped variant inherits the same backends.
+        caches), unless the result is cached: ``run_plans([plan])[0]``.
         """
-        key = self._stats_key(plan, hash_bits, track_exact_context, trace)
-        cached = self._cached_stats(key)
-        if cached is not None:
-            return cached
-        return self._replay_plan(plan, key, hash_bits, track_exact_context, trace)
-
-    def _replay_plan(
-        self,
-        plan: Optional[PrefetchPlan],
-        key: str,
-        hash_bits: int = 16,
-        track_exact_context: bool = False,
-        trace: TraceArg = None,
-    ) -> SimStats:
-        """:meth:`run_plan`'s replay, after its cache lookup missed."""
-        replay = self._replay_trace(trace)
-        replayer = zoo.PlanReplay(plan)
-        with self.span(
-            "sim:replay",
-            app=self.name,
-            plan=plan.name if plan is not None else None,
-            blocks=len(replay.block_ids),
-        ) as span:
-            stats = replayer.simulate(
-                zoo.ProfileView(self.app.program),
-                replay,
-                zoo.ReplayContext(
-                    data_traffic=self._eval_data_traffic(),
-                    warmup=self.settings.warmup,
-                    shard_insns=self.shard_insns,
-                    checkpointer=self._checkpointer(key),
-                    hash_bits=hash_bits,
-                    track_exact_context=track_exact_context,
-                ),
-            )
-            span.set(backend=replayer.last_replay_backend)
-        # Stash the engine's accounting for figures that need run-time
-        # context bookkeeping (Fig. 21 false positives).
-        stats.false_positive_rate = (  # type: ignore[attr-defined]
-            replayer.conditional_false_positive_rate
-        )
-        self._remember_stats(key, stats)
-        return stats
+        return self.run_plans([plan], hash_bits, track_exact_context, trace)[0]
 
     def run_plans(
         self,
@@ -396,102 +350,110 @@ class AppEvaluation:
         track_exact_context: bool = False,
         trace: TraceArg = None,
     ) -> List[SimStats]:
-        """Replay one sweep's worth of plan variants, batched.
+        """Replay plan variants over the evaluation trace (or *trace*),
+        batched: the one plan-replay path of the harness.
 
         *plans* is a list whose items are either a
         :class:`PrefetchPlan` (``None`` for no-prefetch) or a
         ``(plan, overrides)`` pair where *overrides* is a dict of
-        per-variant keyword arguments for :meth:`run_plan`
-        (``hash_bits`` / ``track_exact_context``).  Returns one
-        :class:`SimStats` per item, in order, each bit-identical to
-        the corresponding :meth:`run_plan` call.
+        per-variant keyword arguments (``hash_bits`` /
+        ``track_exact_context``).  Returns one :class:`SimStats` per
+        item, in order.
 
-        Cache hits (memory or store) fill their slots without
-        simulating.  When two or more misses carry prefetches they run
-        as one plan batch over the trace (results are bit-identical
-        either way); a variant the batch does not take — a miss with
-        no prefetches, a single miss, or every variant when the kernel
-        is off — runs its own :meth:`run_plan`.
+        Items with one stats key (the same instructions and overrides)
+        are looked up and replayed once.  Cache hits (memory or store)
+        fill their slots without simulating.  Every miss, ``None`` and
+        empty plans included, runs in one
+        :func:`~repro.sim.streaming.run_plan_batch` pass over the trace
+        (see :meth:`_replay_misses`); with a store and a shard budget
+        each miss runs alone with its own resume checkpointer, since
+        those key on one variant's stats key.  Results are
+        bit-identical however the misses are grouped.
         """
-        requests = []
+        keys = []
+        requests = {}
         for item in plans:
-            if isinstance(item, tuple):
-                plan, overrides = item
-            else:
-                plan, overrides = item, {}
+            plan, overrides = item if isinstance(item, tuple) else (item, {})
             kw = {
                 "hash_bits": hash_bits,
                 "track_exact_context": track_exact_context,
+                **overrides,
             }
-            kw.update(overrides)
-            requests.append((plan, kw))
-
-        results: List[Optional[SimStats]] = [None] * len(requests)
-        keys = []
-        misses = []
-        for i, (plan, kw) in enumerate(requests):
             key = self._stats_key(
                 plan, kw["hash_bits"], kw["track_exact_context"], trace
             )
             keys.append(key)
-            cached = self._cached_stats(key)
-            if cached is not None:
-                results[i] = cached
+            requests.setdefault(key, (plan, kw, key))
+
+        found = {key: self._cached_stats(key) for key in requests}
+        misses = [requests[key] for key, stats in found.items() if stats is None]
+        if self.store is not None and self.shard_insns is not None:
+            groups = [[miss] for miss in misses]
+        else:
+            groups = [misses] if misses else []
+        for group in groups:
+            for (_, _, key), stats in zip(group, self._replay_misses(group, trace)):
+                found[key] = stats
+        return [found[key] for key in keys]
+
+    def _replay_misses(self, misses, trace: TraceArg = None) -> List[SimStats]:
+        """Replay *misses* — ``(plan, simulator kwargs, stats key)``
+        requests whose keys missed every cache — in one
+        :func:`~repro.sim.streaming.run_plan_batch` call, and remember
+        their stats.  One miss is a ``sim:replay``, more a
+        ``sim:batch-sweep``; both spans name the backends that served
+        their replays."""
+        from ..sim.streaming import run_plan_batch
+
+        replay = self._replay_trace(trace)
+        cores = [
+            CoreSimulator(
+                self.app.program,
+                plan=plan,
+                data_traffic=self._eval_data_traffic(),
+                **kw,
+            )
+            for plan, kw, _ in misses
+        ]
+        if len(cores) == 1:
+            plan = misses[0][0]
+            name = "sim:replay"
+            args = {"plan": plan.name if plan is not None else None}
+        else:
+            name, args = "sim:batch-sweep", {"variants": len(cores)}
+        with self.span(
+            name, app=self.name, blocks=len(replay.block_ids), **args
+        ) as span:
+            reasons = run_plan_batch(
+                cores,
+                replay,
+                warmup=self.settings.warmup,
+                shard_insns=self.shard_insns,
+                # None unless a store and a shard budget are set, and
+                # then run_plans replays each miss alone
+                checkpointer=self._checkpointer(misses[0][2]),
+            )
+            if len(cores) == 1:
+                span.set(backend=cores[0].last_replay_backend)
             else:
-                misses.append(i)
-
-        batchable = [i for i in misses if builds_engine(requests[i][0])]
-        # The batch shares one trace pass, so it cannot compose with
-        # the per-replay resume checkpoints (those key on a single
-        # variant's stats key).
-        if len(batchable) >= 2 and not (
-            self.store is not None and self.shard_insns is not None
-        ):
-            from ..sim.streaming import run_plan_batch
-
-            replay = self._replay_trace(trace)
-            with self.span(
-                "sim:batch-sweep",
-                app=self.name,
-                variants=len(batchable),
-                blocks=len(replay.block_ids),
-            ) as span:
-                cores = [
-                    CoreSimulator(
-                        self.app.program,
-                        plan=requests[i][0],
-                        hash_bits=requests[i][1]["hash_bits"],
-                        track_exact_context=requests[i][1][
-                            "track_exact_context"
-                        ],
-                        data_traffic=self._eval_data_traffic(),
-                    )
-                    for i in batchable
-                ]
-                reasons = run_plan_batch(
-                    cores,
-                    replay,
-                    warmup=self.settings.warmup,
-                    shard_insns=self.shard_insns,
+                batched = reasons.count(None)
+                span.set(
+                    replays=batched,
+                    fallbacks=len(cores) - batched,
+                    backends=dict(
+                        Counter(core.last_replay_backend for core in cores)
+                    ),
                 )
-                served = [c for c, r in zip(cores, reasons) if r is None]
-                span.set(replays=len(served), fallbacks=len(cores) - len(served))
-                if served:
-                    span.set(backend=served[0].last_replay_backend)
-            for i, core, reason in zip(batchable, cores, reasons):
-                if reason is not None:
-                    continue
-                stats = core.stats
-                stats.false_positive_rate = (  # type: ignore[attr-defined]
-                    core.engine.conditional_false_positive_rate
-                )
-                self._remember_stats(keys[i], stats)
-                results[i] = stats
-
-        for i, (plan, kw) in enumerate(requests):
-            if results[i] is None:
-                results[i] = self._replay_plan(plan, keys[i], trace=trace, **kw)
-        return results  # type: ignore[return-value]
+        for core, (_, _, key) in zip(cores, misses):
+            # Stash the engine's accounting for figures that need
+            # run-time context bookkeeping (Fig. 21 false positives).
+            core.stats.false_positive_rate = (  # type: ignore[attr-defined]
+                core.engine.conditional_false_positive_rate
+                if core.engine is not None
+                else 0.0
+            )
+            self._remember_stats(key, core.stats)
+        return [core.stats for core in cores]
 
     def run_ideal(self, trace: TraceArg = None) -> SimStats:
         """Replay a trace against the all-hits ideal frontend, unless
@@ -694,7 +656,7 @@ class AppEvaluation:
         Any registered zoo member is a variant (see
         :func:`repro.baselines.prefetcher_names`), plus ``baseline``
         and ``ideal``.  Plan-shaped members replay through
-        :meth:`run_plan` and inherit its backends; mechanism members
+        :meth:`run_plans` and inherit its backends; mechanism members
         (``nextline``, ``fdip``, the window studies, ``mana``) run
         the shared mechanism loop (backend ``mechanism``) behind the
         same store-backed caching.
@@ -713,7 +675,8 @@ class AppEvaluation:
         if variant == "ideal":
             return self._replay_ideal(self._variant_key("ideal"))
         if variant == "baseline":
-            return self._replay_plan(None, self._variant_key("baseline"))
+            key = self._variant_key("baseline")
+            return self._replay_misses([(None, {}, key)])[0]
         prefetcher = self.prefetcher(variant)
         if not (prefetcher.supports_plan_replay and prefetcher.produces_plan):
             return self._variant_stats(variant, prefetcher)
@@ -722,12 +685,12 @@ class AppEvaluation:
             # the plan was not cached: train it, then its replay may
             # still be in the store
             return self.run_plan(zoo.plan_of(self._train_result_for(prefetcher)))
-        return self._replay_plan(self._cached_plan(prefetcher), key)
+        return self._replay_misses([(self._cached_plan(prefetcher), {}, key)])[0]
 
     def _variant_stats(
         self, variant: str, prefetcher: "zoo.Prefetcher"
     ) -> SimStats:
-        """Simulate a member outside run_plan and store its stats."""
+        """Simulate a member outside run_plans and store its stats."""
         trained = (
             self._train_result_for(prefetcher)
             if prefetcher.requires_profile and not prefetcher.produces_plan
@@ -1223,10 +1186,10 @@ def fig16_generalization(
                 evaluator.settings.eval_length,
                 seed=spec.seed + 50_000 + zlib.crc32(input_name.encode()) % 1000,
             )
-            base = evaluation.run_plan(None, trace=trace)
+            base, ispy, asmdb = evaluation.run_plans(
+                [None, ispy_plan, asmdb_plan], trace=trace
+            )
             ideal = evaluation.run_ideal(trace=trace)
-            ispy = evaluation.run_plan(ispy_plan, trace=trace)
-            asmdb = evaluation.run_plan(asmdb_plan, trace=trace)
             rows.append(
                 {
                     "app": name,

@@ -28,7 +28,6 @@ _EXPORTS = {
     # protocol & registry
     "Footprint": "repro.baselines.protocol:Footprint",
     "MechanismPrefetcher": "repro.baselines.protocol:MechanismPrefetcher",
-    "PlanReplay": "repro.baselines.protocol:PlanReplay",
     "Prefetcher": "repro.baselines.protocol:Prefetcher",
     "ProfileView": "repro.baselines.protocol:ProfileView",
     "ReplayContext": "repro.baselines.protocol:ReplayContext",

@@ -219,13 +219,6 @@ class Prefetcher(ABC):
             getattr(self, "_last_core", None), "last_replay_backend", None
         )
 
-    @property
-    def conditional_false_positive_rate(self) -> float:
-        """Run-time context-hash false-positive accounting of the most
-        recent plan-replay simulate call (Fig. 21)."""
-        engine = getattr(getattr(self, "_last_core", None), "engine", None)
-        return engine.conditional_false_positive_rate if engine else 0.0
-
     # -- accounting ----------------------------------------------------
 
     def metadata_bytes(self, trained: object = None) -> int:
@@ -296,30 +289,6 @@ class MechanismPrefetcher(Prefetcher):
             ctx.warmup,
             **self.triggers(view, ctx),
         )
-
-
-class PlanReplay(Prefetcher):
-    """Protocol adapter for a pre-built plan (or no plan at all).
-
-    The harness's :meth:`AppEvaluation.run_plan` drives every
-    plan-shaped replay — including sweep points whose plans came from
-    the artifact store — through one of these, so the shared replay
-    path is literally :meth:`Prefetcher.simulate`.  Not registered:
-    it has no training of its own and no stable identity beyond the
-    plan it wraps.
-    """
-
-    planner = "plan"
-    requires_profile = False
-
-    def __init__(self, plan: Optional["PrefetchPlan"], name: Optional[str] = None):
-        self.plan = plan
-        if name is None:
-            name = plan.name if plan is not None else "baseline"
-        self.name = name
-
-    def train_result(self, view: ProfileView) -> Optional["PrefetchPlan"]:
-        return self.plan
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +377,6 @@ def capability_rows() -> List[Dict[str, object]]:
 __all__ = [
     "Footprint",
     "MechanismPrefetcher",
-    "PlanReplay",
     "Prefetcher",
     "ProfileView",
     "ReplayContext",

@@ -78,7 +78,7 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
     "batch": {
         "sweeps": int,                # batched trace passes executed
         "batched_replays": int,       # variants served by a batched pass
-        "fallbacks": int,             # variants bounced to solo replay
+        "fallbacks": int,             # variants the kernel refused
     },
     "backend_counts": dict,  # replay backend -> replays served
     "stages": dict,          # span name -> {calls, seconds, self_seconds, units}

@@ -341,11 +341,6 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
 # -- the summary every count is derived from ----------------------------------
 
-#: spans that each stand for replays served on their ``backend`` arg: a
-#: ``sim:replay`` is one replay, a ``sim:batch-sweep`` its ``replays``
-REPLAY_SPANS = ("sim:replay", "sim:batch-sweep")
-
-
 @dataclass
 class SpanStats:
     """Every span of one name, folded: calls, inclusive seconds, self
@@ -369,7 +364,8 @@ class TraceSummary:
     stages: Dict[str, SpanStats] = field(default_factory=dict)
     #: ``store:hit`` instants per artifact kind
     store_hits: Dict[str, int] = field(default_factory=dict)
-    #: replays served per backend (see :data:`REPLAY_SPANS`)
+    #: replays served per backend: a ``sim:replay`` span's ``backend``
+    #: arg, and the ``backends`` counts of a ``sim:batch-sweep``
     backend_counts: Dict[str, int] = field(default_factory=dict)
     #: batched plan sweeps: passes, replays they served, slots refused
     batch: Dict[str, int] = field(
@@ -454,9 +450,10 @@ def summarize(events: Iterable[Dict[str, Any]]) -> TraceSummary:
         entry.calls += 1
         entry.seconds += event["dur"] / 1e6
         entry.units += int(args.get("blocks") or 0)
-        if name in REPLAY_SPANS and args.get("backend"):
-            backends[args["backend"]] += int(args.get("replays", 1))
+        if name == "sim:replay" and args.get("backend"):
+            backends[args["backend"]] += 1
         if name == "sim:batch-sweep":
+            backends.update(args.get("backends") or {})
             batch["sweeps"] += 1
             batch["batched_replays"] += int(args.get("replays", 0))
             batch["fallbacks"] += int(args.get("fallbacks", 0))

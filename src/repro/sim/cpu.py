@@ -83,13 +83,6 @@ class _ObservingFetchEngine(FetchEngine):
         return stall
 
 
-def builds_engine(plan: Optional["PrefetchPlan"]) -> bool:
-    """Does a simulator given *plan* build a prefetch engine?  Only a
-    plan with instructions does; ``None`` and an empty plan replay as
-    no-prefetch runs."""
-    return plan is not None and len(plan) > 0
-
-
 class CoreSimulator:
     """One core replaying one program's trace."""
 
@@ -130,7 +123,9 @@ class CoreSimulator:
             block.block_id: block.instruction_count for block in program
         }
 
-        if builds_engine(plan) and not ideal:
+        # Only a plan with instructions builds a prefetch engine; None
+        # and an empty plan replay as no-prefetch runs.
+        if plan is not None and len(plan) > 0 and not ideal:
             # Imported here rather than at module level: `repro.sim` is
             # the substrate `repro.core`'s pipeline builds on, so the
             # module-level dependency points core -> sim only.

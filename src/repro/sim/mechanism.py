@@ -42,6 +42,8 @@ def replay_mechanism(
     """Replay *trace* with the run-time prefetcher given by its
     triggers; ``warmup`` block executions are excluded from the
     statistics."""
+    from .array_replay import _decode_data_stream
+
     machine = machine or MachineParams()
     hierarchy = MemoryHierarchy(machine)
     stats = SimStats()
@@ -49,6 +51,13 @@ def replay_mechanism(
     lines_of = {block.block_id: block.lines for block in program}
     instr_counts = {block.block_id: block.instruction_count for block in program}
     inflight: Dict[int, float] = {}
+    # The data stream decodes up front, memoized and shared with the
+    # columnar kernel; it advances the model as per-block calls would.
+    data_lines, data_counts = _decode_data_stream(
+        data_traffic, [instr_counts[block_id] for block_id in trace]
+    )
+    data_access = hierarchy.data_access
+    data_at = 0
     l1i = hierarchy.l1i
     l1i_access = l1i.access
     fill_request = hierarchy.fill_port.request
@@ -98,7 +107,10 @@ def replay_mechanism(
         program_instructions += count
         now += count * cpi
         if data_traffic is not None:
-            data_traffic.advance(count, hierarchy)
+            end = data_at + data_counts[index]
+            for data_line in data_lines[data_at:end]:
+                data_access(data_line)
+            data_at = end
 
     stats.program_instructions = program_instructions
     stats.compute_cycles = program_instructions * cpi

@@ -1,11 +1,13 @@
 """The replay driver: backend selection, the shard loop, resume.
 
-Every sequential replay of a :class:`~repro.sim.cpu.CoreSimulator`
-runs through :func:`replay`.  It picks the backend — the per-event
-reference loop, the columnar kernel of :mod:`repro.sim.array_replay`
-(a one-slot :class:`~repro.sim.array_replay.PlanBatch`, engine-less
-when the simulator has no prefetch engine), or the two column sums of
-the ideal bound — and streams the trace through it shard by shard:
+Every replay of a :class:`~repro.sim.cpu.CoreSimulator` runs through
+:func:`run_plan_batch` — one or many simulators in one pass of the
+columnar kernel of :mod:`repro.sim.array_replay` (a
+:class:`~repro.sim.array_replay.PlanBatch` slot each, engine-less when
+the simulator has no prefetch engine) — or, when observed or ideal,
+through :func:`replay`.  A simulator the kernel cannot take runs the
+per-event reference loop, and the ideal bound is two column sums.
+Each backend streams the trace shard by shard:
 an in-memory :class:`BlockTrace` cut on the fly, or an on-disk
 :class:`ShardedTrace` materialized one chunk at a time.  A whole-trace
 replay is literally the one-shard case ``[(0, len)]``.
@@ -36,6 +38,7 @@ but does not checkpoint — its state lives across many rich objects
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import kernel
@@ -317,6 +320,11 @@ def _lane_sets_restore(entries: list, geometry) -> list:
     return sets
 
 
+def _kernel_backend(core) -> str:
+    """The backend name of *core*'s slot in the columnar kernel."""
+    return "columnar-plan" if core.engine is not None else "columnar"
+
+
 class _PlanBatchBackend:
     """The columnar kernel (:class:`~repro.sim.array_replay.PlanBatch`).
 
@@ -331,7 +339,7 @@ class _PlanBatchBackend:
         self.batch = batch
         self.eff = eff
         core = batch.slots[0].core
-        self.name = "columnar-plan" if core.engine is not None else "columnar"
+        self.name = _kernel_backend(core)
         self.data_model = core.data_traffic
 
     def step(self, rows, start: int) -> None:
@@ -497,10 +505,13 @@ def replay(
     shard and writes its counters into ``core.stats`` when the last
     shard is done, so the reported :class:`SimStats` and the final
     simulator state (hierarchy, engine, fill port) are independent of
-    the cut.
+    the cut.  Observed and ideal replays run here; every other replay
+    is the one-core call of :func:`run_plan_batch`.
     """
+    if observer is None and not core.ideal:
+        run_plan_batch([core], trace, warmup, shard_insns, checkpointer)
+        return core.stats
     program = core.program
-    tracer = get_tracer()
     if isinstance(trace, ShardedTrace):
         shard_insns = trace.shard_insns
 
@@ -515,17 +526,11 @@ def replay(
         view = columnar_view(program)
         bounds, shard = _columnar_shards(view, trace, shard_insns)
         eff = warmup if 0 < warmup < len(trace) else 0
-        if core.ideal:
-            backend = _IdealBackend(core, view, eff)
-            core.last_replay_backend = "columnar"
-        else:
-            from .array_replay import PlanBatch
-
-            backend = _PlanBatchBackend(PlanBatch([core]), eff)
-            core.last_replay_backend = backend.name
+        backend = _IdealBackend(core, view, eff)
+        core.last_replay_backend = "columnar"
 
     core.last_fallback_reason = fallback
-    with tracer.span(
+    with get_tracer().span(
         "sim:run",
         program=program.name,
         blocks=len(trace),
@@ -581,17 +586,21 @@ def run_plan_batch(
     trace,
     warmup: int = 0,
     shard_insns: Optional[int] = None,
+    checkpointer: Optional[StoreCheckpointer] = None,
 ) -> List[Optional[str]]:
-    """Evaluate every core's plan in one pass over *trace*, optionally
-    shard-streamed.
+    """Replay every core over *trace* in one pass of the columnar
+    kernel, optionally shard-streamed: the entry point of every replay
+    that is neither observed nor ideal.
 
-    *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances, one per
-    plan variant.  Returns per-slot outcomes: ``None`` when the slot was
-    batched — its stats/hierarchy/engine are now bit-identical to
-    ``core.run`` with the same ``shard_insns`` — else the reason the
-    kernel cannot take it (``no-plan`` or a :func:`replay` fallback
-    reason), decided before any state changes; such cores are left
-    untouched.
+    *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances over
+    one program, one per variant: a core with a prefetch engine is a
+    ``columnar-plan`` slot, an engine-less one (no plan, or an empty
+    plan) a ``columnar`` slot.  A core the kernel cannot take — for a
+    :func:`replay` fallback reason, decided before any state changes —
+    replays on its own on the reference loop.  Returns the per-core
+    reasons, ``None`` for a batched core; either way every core's
+    stats, hierarchy and engine end ``==`` its own ``core.run`` with
+    the same arguments.  A *checkpointer* resumes a one-core call only.
 
     The trace is cut on the same greedy instruction bounds as
     :func:`replay`, and the slots run as one :class:`~repro.sim.
@@ -599,36 +608,46 @@ def run_plan_batch(
     carry holds its counters until the batch's ``finish`` writes them
     into the slot's ``core.stats``.
     """
-    from .array_replay import PlanBatch
-    from .columnar import columnar_view
-
+    if checkpointer is not None and len(cores) != 1:
+        raise ValueError("a checkpointer resumes a one-core replay only")
     program = cores[0].program
     tracer = get_tracer()
-    reasons = [
-        "no-plan" if core.engine is None else _fallback_reason(core)
-        for core in cores
-    ]
-    for index, reason in enumerate(reasons):
-        if reason is not None:
-            tracer.instant("sim:batch-fallback", slot=index, reason=reason)
+    if isinstance(trace, ShardedTrace):
+        shard_insns = trace.shard_insns
+    reasons = [_fallback_reason(core) for core in cores]
     live = [core for core, reason in zip(cores, reasons) if reason is None]
-    view = columnar_view(program)
-    bounds, shard = _columnar_shards(view, trace, shard_insns)
-    eff = warmup if 0 < warmup < len(trace) else 0
     with tracer.span(
-        "sim:batch",
+        "sim:run",
         program=program.name,
         blocks=len(trace),
         variants=len(cores),
-        shards=len(bounds),
+        shard_insns=shard_insns,
     ) as span:
         if live:
+            from .array_replay import PlanBatch
+            from .columnar import columnar_view
+
+            view = columnar_view(program)
+            bounds, shard = _columnar_shards(view, trace, shard_insns)
+            eff = warmup if 0 < warmup < len(trace) else 0
             backend = _PlanBatchBackend(PlanBatch(live), eff)
-            _stream(backend, shard, bounds, shard_insns, None)
-        span.set(fallbacks=len(cores) - len(live))
-    for core in live:
-        core.last_replay_backend = "columnar-plan"
-        core.last_fallback_reason = None
+            _stream(backend, shard, bounds, shard_insns, checkpointer)
+        if len(live) < len(cores):
+            bounds, shard = _reference_shards(program, trace, shard_insns)
+        for index, (core, reason) in enumerate(zip(cores, reasons)):
+            if reason is None:
+                core.last_replay_backend = _kernel_backend(core)
+            else:
+                tracer.instant("sim:batch-fallback", slot=index, reason=reason)
+                backend = _ReferenceBackend(core, None, warmup)
+                _stream(backend, shard, bounds, shard_insns, None)
+                core.last_replay_backend = "reference"
+            core.last_fallback_reason = reason
+        span.set(
+            shards=len(bounds),
+            backends=dict(Counter(core.last_replay_backend for core in cores)),
+            fallbacks=len(cores) - len(live),
+        )
     return reasons
 
 

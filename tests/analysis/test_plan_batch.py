@@ -1,6 +1,6 @@
-"""The ``run_plans`` batched sweep entry point: cache interplay,
-eligibility gating, per-variant overrides, and bit-identity against
-the per-variant ``run_plan`` path of a fresh evaluation."""
+"""The ``run_plans`` batched replay entry point: cache interplay,
+which misses share a batch, per-variant overrides, and bit-identity
+against the per-variant ``run_plan`` path of a fresh evaluation."""
 
 import pytest
 
@@ -30,6 +30,16 @@ def _evaluation(**kwargs) -> AppEvaluation:
 def _summary(traced):
     """The span summary of an evaluation's (or evaluator's) tracer."""
     return summarize(traced.tracer.snapshot())
+
+
+def _run_variants(traced):
+    """The ``variants`` arg of every ``sim:run`` span: the cores each
+    :func:`~repro.sim.streaming.run_plan_batch` call replayed."""
+    return [
+        e["args"]["variants"]
+        for e in traced.tracer.snapshot()
+        if e["ph"] == "X" and e["name"] == "sim:run"
+    ]
 
 
 def _sweep_plans(evaluation, minima=(5, 27, 108)):
@@ -88,31 +98,61 @@ class TestEligibility:
         assert _summary(evaluation).batch["batched_replays"] == 2
         assert sweep[0] == evaluation.run_plan(plans[0])
 
-    def test_auto_mode_runs_single_miss_solo(self):
+    def test_single_miss_is_a_one_slot_batch(self):
         evaluation = _evaluation()
         plans = _sweep_plans(evaluation, minima=(13,))
-        evaluation.run_plans(plans)
-        assert _summary(evaluation).batch["sweeps"] == 0
-        assert _summary(evaluation).backend_counts == {"columnar-plan": 1}
+        sweep = evaluation.run_plans(plans)
+        summary = _summary(evaluation)
+        # one miss is a one-slot run_plan_batch call, traced as a replay
+        assert summary.batch["sweeps"] == 0
+        assert summary.backend_counts == {"columnar-plan": 1}
+        assert _run_variants(evaluation) == [1]
+        assert sweep[0] == _evaluation().run_plan(plans[0])
 
-    def test_none_plan_rides_the_solo_path(self):
+    def test_none_plan_rides_the_batch(self):
         evaluation = _evaluation()
         plans = [None] + _sweep_plans(evaluation, minima=(5, 27))
         sweep = evaluation.run_plans(plans)
-        assert sweep[0] == evaluation.baseline_stats
-        assert _summary(evaluation).batch["batched_replays"] == 2
+        summary = _summary(evaluation)
+        assert summary.batch == {
+            "sweeps": 1, "batched_replays": 3, "fallbacks": 0,
+        }
+        # each replay counted once, under the backend that served it
+        assert summary.backend_counts == {"columnar": 1, "columnar-plan": 2}
+        assert _run_variants(evaluation) == [3]
+        solo = _evaluation()
+        for plan, stats in zip(plans, sweep):
+            assert stats == solo.run_plan(plan)
 
-    def test_empty_plans_stay_out_of_the_batch(self):
-        """Plans with no instructions build no engine, so they never
-        enter the batch to bounce off it."""
+    def test_one_key_replays_once(self):
+        """Items with one stats key share one lookup and one replay, as
+        consecutive run_plan calls would."""
+        evaluation = _evaluation()
+        (plan,) = _sweep_plans(evaluation, minima=(27,))
+        renamed = PrefetchPlan("renamed")
+        renamed.extend(plan)
+        sweep = evaluation.run_plans([plan, None, renamed, None])
+        summary = _summary(evaluation)
+        assert summary.batch["batched_replays"] == 2
+        assert sum(summary.backend_counts.values()) == 2
+        assert sweep[0] is sweep[2] and sweep[1] is sweep[3]
+        assert sweep[0] == _evaluation().run_plan(plan)
+
+    def test_empty_plans_ride_the_batch(self):
+        """Plans with no instructions build no engine: they are
+        engine-less slots of the same batch, like ``None``."""
         evaluation = _evaluation()
         plans = [PrefetchPlan("empty"), None] + _sweep_plans(
             evaluation, minima=(5, 27)
         )
         sweep = evaluation.run_plans(plans)
-        assert _summary(evaluation).batch["fallbacks"] == 0
-        assert _summary(evaluation).batch["batched_replays"] == 2
-        assert sweep[0] == _evaluation().run_plan(plans[0])
+        summary = _summary(evaluation)
+        assert summary.batch["fallbacks"] == 0
+        assert summary.batch["batched_replays"] == 4
+        assert summary.backend_counts == {"columnar": 2, "columnar-plan": 2}
+        solo = _evaluation()
+        for plan, stats in zip(plans, sweep):
+            assert stats == solo.run_plan(plan)
 
 
 class TestOverrides:

@@ -3,6 +3,7 @@ at a fast scale — shape assertions live in the benchmarks."""
 
 import pytest
 
+from repro import kernel
 from repro.analysis.experiments import (
     Evaluator,
     ExperimentSettings,
@@ -42,6 +43,30 @@ class TestFig16Machinery:
         for row in rows:
             assert row["app"] == APP
             assert -1.0 < row["ispy_pct_of_ideal"] <= 1.0
+
+    def test_one_batched_pass_per_app_input(self, evaluator):
+        """Each input's baseline, I-SPY and AsmDB replays share one
+        three-slot batch: one sweep per (app, input) when cold."""
+
+        def sweeps():
+            return [
+                e["args"]
+                for e in evaluator.tracer.snapshot()
+                if e["ph"] == "X" and e["name"] == "sim:batch-sweep"
+            ]
+
+        before = len(sweeps())
+        inputs = ("input-3", "input-4")
+        fig16_generalization(evaluator, apps=(APP,), inputs=inputs)
+        cold = sweeps()[before:]
+        assert [(s["app"], s["variants"]) for s in cold] == [(APP, 3)] * 2
+        served = (
+            {"columnar": 1, "columnar-plan": 2}
+            if kernel.numpy_enabled()
+            else {"reference": 3}
+        )
+        for sweep in cold:
+            assert sweep["backends"] == served
 
 
 class TestFig17Machinery:

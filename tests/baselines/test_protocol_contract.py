@@ -45,6 +45,20 @@ def eval_ctx(small_app, **overrides):
     return zoo.ReplayContext(**kwargs)
 
 
+def _replay_plan(small_app, trace, plan):
+    """The plan-replay path, given the same data traffic and warmup as
+    :func:`eval_ctx`."""
+    from repro.sim.cpu import simulate
+
+    return simulate(
+        small_app.program,
+        trace,
+        plan=plan,
+        data_traffic=small_app.data_traffic(seed=small_app.spec.seed + 777),
+        warmup=EVAL_WARMUP,
+    )
+
+
 @pytest.fixture(scope="module")
 def contract_stats(small_app, view, contract_trace):
     """One simulate per registered member, shared by the assertions."""
@@ -325,25 +339,6 @@ class TestDifferentialOldVsNew:
         ported = self._protocol_stats(small_app, view, contract_trace, variant)
         assert stats_to_record(ported) == stats_to_record(direct)
 
-    def test_plan_replay_adapter_is_run_plan(self, small_app, contract_trace):
-        """PlanReplay(None) is exactly the no-prefetch baseline."""
-        from repro.sim.cpu import simulate
-
-        direct = simulate(
-            small_app.program,
-            contract_trace,
-            data_traffic=small_app.data_traffic(seed=small_app.spec.seed + 777),
-            warmup=EVAL_WARMUP,
-        )
-        replayer = zoo.PlanReplay(None)
-        ported = replayer.simulate(
-            zoo.ProfileView(small_app.program),
-            contract_trace,
-            eval_ctx(small_app),
-        )
-        assert stats_to_record(ported) == stats_to_record(direct)
-        assert replayer.last_replay_backend is not None
-
 
 class TestWindowPlanReplayGap:
     """The window prefetchers' two formulations deliberately diverge.
@@ -371,9 +366,7 @@ class TestWindowPlanReplayGap:
         mechanism = prefetcher.simulate(
             view, contract_trace, eval_ctx(small_app)
         )
-        replayed = zoo.PlanReplay(plan).simulate(
-            view, contract_trace, eval_ctx(small_app)
-        )
+        replayed = _replay_plan(small_app, contract_trace, plan)
         # the formulations answer different questions: miss-triggered
         # windows and site-injected windows disagree on both miss
         # count and issue count for this app
@@ -384,9 +377,7 @@ class TestWindowPlanReplayGap:
         # itself is a stable, reproducible quantity
         again = prefetcher.simulate(view, contract_trace, eval_ctx(small_app))
         assert stats_to_record(again) == stats_to_record(mechanism)
-        replay_again = zoo.PlanReplay(plan).simulate(
-            view, contract_trace, eval_ctx(small_app)
-        )
+        replay_again = _replay_plan(small_app, contract_trace, plan)
         assert stats_to_record(replay_again) == stats_to_record(replayed)
 
 

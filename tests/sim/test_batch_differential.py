@@ -7,9 +7,10 @@ successfully batched variant must be ``==`` the same variant replayed
 on its own — every statistic, the final residency of every cache
 level, and the prefetch engine's runtime state — against both the
 reference loop and the columnar backend, for every batch width and
-shard budget.  A variant the batch cannot take must come back with a
-traced reason and untouched stats, and rerunning it solo (fresh
-objects) must produce the independent answer.  Slots fail only when
+shard budget.  Engine-less (no-plan) slots batch like plan slots.  A
+variant the kernel cannot take comes back with a traced reason, after
+the same call replayed it on the reference loop to the answer its own
+``core.run`` gives.  Slots fail only when
 the batch is built: a late pop-miss reruns the slot's shard and a
 degenerate LRU timestamp renumbers its lane, neither bounces the slot.
 
@@ -153,7 +154,8 @@ class TestBatchedMatchesSequential:
 
 
 class TestFallbacks:
-    """Ineligible variants bounce with a reason; the rest still batch."""
+    """Refused cores replay on the reference loop inside the same call;
+    the rest still batch."""
 
     def test_no_plan_and_dirty_engine_slots(self):
         rng = random.Random(11)
@@ -162,40 +164,53 @@ class TestFallbacks:
         good = make_random_plan(rng, program, n_sites=6)
         other = make_random_plan(rng, program, n_sites=3)
 
-        dirty = _core(program, other, None)
-        dirty.run(trace)  # engine state is no longer pristine
+        def dirty_core():
+            core = _core(program, other, None)
+            core.run(trace)  # engine state is no longer pristine
+            return core
 
         cores = [
             _core(program, good, None),
-            _core(program, None, None),  # no plan to batch
-            dirty,
+            _core(program, None, None),  # an engine-less slot
+            dirty_core(),
             _core(program, other, None),
         ]
         with kernel.force_numpy_kernel():
             reasons = run_plan_batch(cores, trace)
         assert reasons[0] is None
-        assert reasons[1] == "no-plan"
-        assert reasons[2] is not None
+        assert reasons[1] is None
+        assert reasons[2] == "state-not-pristine"
         assert reasons[3] is None
+        assert [core.last_replay_backend for core in cores] == [
+            "columnar-plan", "columnar", "reference", "columnar-plan",
+        ]
 
-        # failed slots left their stats untouched
-        assert cores[1].stats == SimStats()
+        # the refused slot was replayed by the call itself, exactly as
+        # core.run replays a core built the same way
+        again = dirty_core()
+        with kernel.force_numpy_kernel():
+            again.run(trace)
+        assert again.last_replay_backend == "reference"
+        assert _snap(cores[2]) == _snap(again)
 
-        # surviving slots are still exact
-        expected = _solo(program, trace, [good, other], "reference")
-        assert [_snap(cores[0]), _snap(cores[3])] == expected
+        # the batched slots are exact
+        expected = _solo(program, trace, [good, None, other], "reference")
+        assert [_snap(cores[i]) for i in (0, 1, 3)] == expected
 
     def test_kernel_disabled_fails_every_slot(self):
+        """With the kernel off every slot is refused, and every slot
+        replays on the reference loop."""
         rng = random.Random(12)
         program = make_random_program(rng, n_blocks=24)
         trace = make_random_trace(rng, 24, length=200)
         plans = [make_random_plan(rng, program, n_sites=4) for _ in range(2)]
-        cores = [_core(program, plan, None) for plan in plans]
+        cores = [_core(program, plan, None) for plan in plans + [None]]
         with kernel.reference_path():
             reasons = run_plan_batch(cores, trace)
-        assert reasons == ["kernel-disabled", "kernel-disabled"]
-        for core in cores:
-            assert core.stats == SimStats()
+        assert reasons == ["kernel-disabled"] * 3
+        assert {core.last_replay_backend for core in cores} == {"reference"}
+        expected = _solo(program, trace, plans + [None], "columnar")
+        assert [_snap(core) for core in cores] == expected
 
 
 class TestNoMidRunFailure:
@@ -305,10 +320,9 @@ class TestNoMidRunFailure:
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_batch_property(data):
-    """Randomized plan sets — including ``None`` (fallback) slots,
-    random widths, warmup and shard budgets — always reproduce the
-    per-variant answers exactly; fallback slots rerun solo from fresh
-    objects land on the independent answer too."""
+    """Randomized plan sets — including ``None`` (engine-less) slots,
+    random widths, warmup and shard budgets — are batched whole and
+    always reproduce the per-variant reference answers exactly."""
     seed = data.draw(st.integers(0, 2**20), label="seed")
     rng = random.Random(seed)
     n_blocks = data.draw(st.sampled_from((12, 48, 96)), label="n_blocks")
@@ -335,15 +349,11 @@ def test_batch_property(data):
     with kernel.force_numpy_kernel():
         reasons = run_plan_batch(cores, trace, warmup=warmup,
                                  shard_insns=shard_insns)
-    for i, (core, reason, plan) in enumerate(zip(cores, reasons, plans)):
-        if plan is None:
-            assert reason == "no-plan"
-        else:
-            assert reason is None, f"slot {i} fell back: {reason}"
-        if reason is not None:
-            # the fallback contract: rerun with fresh objects
-            core = _core(program, plan, traffic_seed)
-            core.run(trace, warmup=warmup, shard_insns=shard_insns)
+    assert reasons == [None] * len(plans)
+    for i, (core, plan) in enumerate(zip(cores, plans)):
+        assert core.last_replay_backend == (
+            "columnar" if plan is None else "columnar-plan"
+        ), f"slot {i}"
         assert _snap(core) == expected[i], f"slot {i}"
 
 

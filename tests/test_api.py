@@ -85,8 +85,7 @@ class TestBaselinesApiSnapshot:
     SNAPSHOT = frozenset(
         {
             # protocol & registry
-            "Footprint", "MechanismPrefetcher", "PlanReplay", "Prefetcher",
-            "ProfileView",
+            "Footprint", "MechanismPrefetcher", "Prefetcher", "ProfileView",
             "ReplayContext", "capability_rows", "get_prefetcher",
             "plan_of", "plan_prefetcher_names", "prefetcher_names",
             "register_prefetcher",

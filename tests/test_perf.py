@@ -158,18 +158,23 @@ class TestBackendCounts:
         assert summary.backend_counts == {"columnar": 1}
 
     def test_batched_sweep_counts_its_replays(self):
+        """A sweep counts each replay once, under the backend that
+        served it: a mixed batch and a refused one alike."""
         summary = summarize(
             [
                 _span_event(
-                    "sim:batch-sweep", 0.1, backend="columnar-plan",
+                    "sim:batch-sweep", 0.1,
+                    backends={"columnar": 1, "columnar-plan": 2},
                     variants=3, replays=3, fallbacks=0,
                 ),
                 _span_event("sim:batch-sweep", 0.1, variants=2, replays=0,
-                            fallbacks=2),
+                            fallbacks=2, backends={"reference": 2}),
                 _span_event("sim:replay", 0.1, backend="columnar-plan"),
             ]
         )
-        assert summary.backend_counts == {"columnar-plan": 4}
+        assert summary.backend_counts == {
+            "columnar": 1, "columnar-plan": 3, "reference": 2,
+        }
         assert summary.batch == {
             "sweeps": 2, "batched_replays": 3, "fallbacks": 2,
         }
