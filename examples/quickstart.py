@@ -64,18 +64,18 @@ def main() -> None:
     # 3. evaluation on an unseen execution
     eval_trace = app.trace(EVAL_BLOCKS, seed=app.spec.seed + 31337)
 
-    def run(plan=None, ideal=False):
+    def run(plan=None):
         return simulate(
             program,
             eval_trace,
             plan=plan,
-            ideal=ideal,
             warmup=WARMUP,
-            data_traffic=None if ideal else app.data_traffic(seed=99),
+            data_traffic=app.data_traffic(seed=99),
         )
 
     base = run()
-    ideal = run(ideal=True)
+    # the ideal cache (every fetch hits) is a projection of the baseline
+    ideal = base.ideal_bound()
     s_ispy = run(plan=ispy.plan)
     s_asmdb = run(plan=asmdb.plan)
 

@@ -291,11 +291,10 @@ class AppEvaluation:
         hash_bits: int,
         track_exact_context: bool,
         trace: TraceArg,
-        ideal: bool = False,
     ) -> str:
         return self._key(
             "stats",
-            plan="ideal" if ideal else repro_io.plan_fingerprint(plan),
+            plan=repro_io.plan_fingerprint(plan),
             hash_bits=hash_bits,
             track_exact_context=track_exact_context,
             trace=self._trace_parts(trace),
@@ -402,8 +401,9 @@ class AppEvaluation:
         :func:`~repro.sim.streaming.run_plan_batch` call, and remember
         their stats.  One miss is a ``sim:replay``, more a
         ``sim:batch-sweep``; both spans name the backends that served
-        their replays."""
-        from ..sim.streaming import run_plan_batch
+        their replays.  A single miss with a shard budget is the
+        one-core :func:`~repro.sim.streaming.run_sharded` call."""
+        from ..sim.streaming import run_plan_batch, run_sharded
 
         replay = self._replay_trace(trace)
         cores = [
@@ -424,15 +424,19 @@ class AppEvaluation:
         with self.span(
             name, app=self.name, blocks=len(replay.block_ids), **args
         ) as span:
-            reasons = run_plan_batch(
-                cores,
-                replay,
-                warmup=self.settings.warmup,
-                shard_insns=self.shard_insns,
-                # None unless a store and a shard budget are set, and
-                # then run_plans replays each miss alone
-                checkpointer=self._checkpointer(misses[0][2]),
-            )
+            # None unless a store and a shard budget are set, and then
+            # run_plans replays each miss alone
+            checkpointer = self._checkpointer(misses[0][2])
+            warmup = self.settings.warmup
+            if len(cores) == 1 and self.shard_insns is not None:
+                run_sharded(
+                    cores[0], replay, warmup=warmup,
+                    shard_insns=self.shard_insns, checkpointer=checkpointer,
+                )
+            else:
+                reasons = run_plan_batch(
+                    cores, replay, warmup, self.shard_insns, checkpointer
+                )
             if len(cores) == 1:
                 span.set(backend=cores[0].last_replay_backend)
             else:
@@ -455,44 +459,14 @@ class AppEvaluation:
             self._remember_stats(key, core.stats)
         return [core.stats for core in cores]
 
-    def run_ideal(self, trace: TraceArg = None) -> SimStats:
-        """Replay a trace against the all-hits ideal frontend, unless
-        the result is cached."""
-        key = self._stats_key(None, 0, False, trace, ideal=True)
-        cached = self._cached_stats(key)
-        if cached is not None:
-            return cached
-        return self._replay_ideal(key, trace)
-
-    def _replay_ideal(self, key: str, trace: TraceArg = None) -> SimStats:
-        """:meth:`run_ideal`'s replay, after its cache lookup missed."""
-        replay = self._replay_trace(trace)
-        ideal = self.prefetcher("ideal")
-        with self.span(
-            "sim:replay",
-            app=self.name,
-            plan="ideal",
-            blocks=len(replay.block_ids),
-        ) as span:
-            stats = ideal.simulate(
-                zoo.ProfileView(self.app.program),
-                replay,
-                zoo.ReplayContext(
-                    warmup=self.settings.warmup,
-                    shard_insns=self.shard_insns,
-                    checkpointer=self._checkpointer(key),
-                ),
-            )
-            span.set(backend=ideal.last_replay_backend)
-        self._remember_stats(key, stats)
-        return stats
-
     @property
     def baseline_stats(self) -> SimStats:
         return self.stats_for("baseline")
 
     @property
     def ideal_stats(self) -> SimStats:
+        """The paper's ideal I-cache: the baseline's
+        :meth:`~repro.sim.stats.SimStats.ideal_bound`."""
         return self.stats_for("ideal")
 
     # -- the prefetcher zoo ----------------------------------------------------
@@ -626,8 +600,6 @@ class AppEvaluation:
         is a plan member whose plan is not cached yet."""
         if variant == "baseline":
             return self._stats_key(None, 16, False, None)
-        if variant == "ideal":
-            return self._stats_key(None, 0, False, None, ideal=True)
         prefetcher = self.prefetcher(variant)
         if prefetcher.supports_plan_replay and prefetcher.produces_plan:
             plan = self._cached_plan(prefetcher)
@@ -640,11 +612,16 @@ class AppEvaluation:
         """:meth:`stats_for` from the caches alone, else None.
 
         Loads at most a plan member's plan and then the statistics;
-        never synthesizes, profiles, trains or simulates.
+        never synthesizes, profiles, trains or simulates.  ``ideal`` is
+        never stored: it is the cached baseline's bound.
         """
         if variant not in self._stats:
-            key = self._variant_key(variant)
-            stats = self._cached_stats(key) if key is not None else None
+            if variant == "ideal":
+                base = self.cached_stats_for("baseline")
+                stats = base.ideal_bound() if base is not None else None
+            else:
+                key = self._variant_key(variant)
+                stats = self._cached_stats(key) if key is not None else None
             if stats is None:
                 return None
             self._stats[variant] = stats
@@ -654,8 +631,10 @@ class AppEvaluation:
         """Evaluation-trace statistics for a named variant.
 
         Any registered zoo member is a variant (see
-        :func:`repro.baselines.prefetcher_names`), plus ``baseline``
-        and ``ideal``.  Plan-shaped members replay through
+        :func:`repro.baselines.prefetcher_names`), plus ``baseline``.
+        ``ideal`` is the baseline's
+        :meth:`~repro.sim.stats.SimStats.ideal_bound`, never a replay
+        of its own.  Plan-shaped members replay through
         :meth:`run_plans` and inherit its backends; mechanism members
         (``nextline``, ``fdip``, the window studies, ``mana``) run
         the shared mechanism loop (backend ``mechanism``) behind the
@@ -673,7 +652,7 @@ class AppEvaluation:
         """*variant*'s statistics after :meth:`cached_stats_for` missed
         (so nothing it looked up is looked up again)."""
         if variant == "ideal":
-            return self._replay_ideal(self._variant_key("ideal"))
+            return self.stats_for("baseline").ideal_bound()
         if variant == "baseline":
             key = self._variant_key("baseline")
             return self._replay_misses([(None, {}, key)])[0]
@@ -851,10 +830,15 @@ class Evaluator:
         variant) simulation runs as an independent job; the parent
         absorbs the results, so subsequent figure calls are cache
         hits.  When every pair hits, no pool starts.  Serial prewarm
-        computes the same artifacts in order.
+        computes the same artifacts in order.  ``ideal`` is never a
+        job: it is the baseline's bound, so ``baseline`` takes its
+        place.
         """
         from .jobs import resolve_jobs, run_prewarm_jobs
 
+        variants = tuple(
+            dict.fromkeys("baseline" if v == "ideal" else v for v in variants)
+        )
         names = list(apps) if apps is not None else list(APP_NAMES)
         n_jobs = resolve_jobs(self.jobs if jobs is None else jobs)
         if n_jobs <= 1 or not names:
@@ -1189,7 +1173,7 @@ def fig16_generalization(
             base, ispy, asmdb = evaluation.run_plans(
                 [None, ispy_plan, asmdb_plan], trace=trace
             )
-            ideal = evaluation.run_ideal(trace=trace)
+            ideal = base.ideal_bound()
             rows.append(
                 {
                     "app": name,

@@ -57,17 +57,21 @@ def _worker_evaluator(
 
 def prepare_app(
     name: str,
+    variants: Sequence[str],
     settings: "ExperimentSettings",
     store_root: str,
     shard_insns: Optional[int] = None,
 ) -> Tuple[str, List[dict]]:
-    """Phase-1 job: persist one app's profile and default plans."""
+    """Phase-1 job: persist one app's profile and the plan of every
+    plan-replayed member among *variants*, so the parent can resolve
+    each variant's stats key."""
     evaluator = _worker_evaluator(settings, store_root, shard_insns)
     with evaluator.tracer.span("job:prepare-app", app=name):
         evaluation = evaluator[name]
         evaluation.profile
-        evaluation.ispy_plan()
-        evaluation.asmdb_plan()
+        for variant in variants:
+            if evaluation._variant_key(variant) is None:
+                evaluation.plan_for(variant)
     return name, evaluator.tracer.snapshot()
 
 
@@ -99,35 +103,46 @@ def run_prewarm_jobs(
     """Fan the (app, variant) simulations of *misses* (app -> the
     variants the caches lack) across *n_jobs* processes.
 
-    Phase 1 builds each app's shared artifacts (profile + default
-    plans) exactly once, so phase 2's per-variant jobs only load them
-    from the store instead of duplicating the planning work.
+    Phase 1 builds each app's shared artifacts (profile + requested
+    plans) exactly once, so phase 2's jobs only load them from the
+    store instead of duplicating the planning work.  Between the
+    phases the parent resolves each variant's stats key: variants
+    whose plans coincide share one key, and so one job, whose stats
+    the parent stores under each of them.
     """
     store_root = str(evaluator.store.root)
     settings = evaluator.settings
     tracer = evaluator.tracer
     shard_insns = evaluator.shard_insns
-    jobs = [
-        (name, variant) for name, variants in misses.items() for variant in variants
-    ]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         with tracer.span("prewarm:prepare", apps=len(misses)):
             prepared = [
-                pool.submit(prepare_app, name, settings, store_root, shard_insns)
-                for name in misses
+                pool.submit(
+                    prepare_app, name, variants, settings, store_root,
+                    shard_insns,
+                )
+                for name, variants in misses.items()
             ]
             for future in prepared:
                 _, events = future.result()
                 tracer.absorb(events)
+        # (app, stats key) -> the variants it serves, first one replayed
+        jobs: Dict[Tuple[str, str], List[str]] = {}
+        for name, variants in misses.items():
+            evaluation = evaluator[name]
+            for variant in variants:
+                key = evaluation._variant_key(variant) or variant
+                jobs.setdefault((name, key), []).append(variant)
         with tracer.span("prewarm:simulate", jobs=len(jobs), workers=n_jobs):
             simulated = [
                 pool.submit(
-                    evaluate_variant, name, variant, settings, store_root,
+                    evaluate_variant, name, variants[0], settings, store_root,
                     shard_insns,
                 )
-                for name, variant in jobs
+                for (name, _), variants in jobs.items()
             ]
-            results = [future.result() for future in simulated]
-            for name, variant, stats, events in results:
+            for future, ((name, _), variants) in zip(simulated, jobs.items()):
+                _, _, stats, events = future.result()
                 tracer.absorb(events)
-                evaluator[name]._stats[variant] = stats
+                for variant in variants:
+                    evaluator[name]._stats[variant] = stats

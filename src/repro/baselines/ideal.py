@@ -26,14 +26,17 @@ def simulate_ideal(
     trace: BlockTrace,
     machine: Optional[MachineParams] = None,
 ) -> SimStats:
-    """Replay *trace* with a perfect I-cache (every fetch hits)."""
-    return simulate(program, trace, machine=machine, ideal=True)
+    """The statistics of a perfect I-cache (every fetch hits) over
+    *trace*: the bound of a no-prefetch replay."""
+    return simulate(program, trace, machine=machine).ideal_bound()
 
 
 class IdealPrefetcher(Prefetcher):
-    """The no-miss bound through the zoo protocol.  It rides the
-    CoreSimulator replay path (ideal mode), so sharded execution
-    applies bit-identically; there is no plan and nothing to train."""
+    """The no-miss bound through the zoo protocol: a no-prefetch replay
+    (no plan, no data traffic) projected onto the all-hits cache by
+    :meth:`~repro.sim.stats.SimStats.ideal_bound`.  It rides the
+    CoreSimulator replay path, so sharded execution applies
+    bit-identically; there is no plan and nothing to train."""
 
     planner = "ideal"
     requires_profile = False
@@ -53,7 +56,7 @@ class IdealPrefetcher(Prefetcher):
         ctx: Optional[ReplayContext] = None,
     ) -> SimStats:
         ctx = ctx or ReplayContext()
-        core = CoreSimulator(view.program, machine=ctx.machine, ideal=True)
+        core = CoreSimulator(view.program, machine=ctx.machine)
         stats = core.run(
             trace,
             warmup=ctx.warmup,
@@ -61,7 +64,7 @@ class IdealPrefetcher(Prefetcher):
             checkpointer=ctx.checkpointer,
         )
         self._last_core = core
-        return stats
+        return stats.ideal_bound()
 
 
 register_prefetcher("ideal", IdealPrefetcher)

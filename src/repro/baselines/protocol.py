@@ -81,8 +81,6 @@ class ReplayContext:
     warmup: int = 0
     shard_insns: Optional[int] = None
     checkpointer: object = None
-    hash_bits: int = 16
-    track_exact_context: bool = False
     trained: object = None
 
 
@@ -197,8 +195,6 @@ class Prefetcher(ABC):
             view.program,
             machine=ctx.machine,
             plan=plan,
-            hash_bits=ctx.hash_bits,
-            track_exact_context=ctx.track_exact_context,
             data_traffic=ctx.data_traffic,
         )
         stats = core.run(

@@ -18,9 +18,6 @@ one-shard case).  Each slot of a batch is one simulation:
   profiler needs (:class:`ReplayEvents`), read off its own phase A
   (which accesses missed) and phase C (when).
 
-The all-hits ideal bound needs no kernel: it is two column sums per
-shard, kept in the streaming driver.
-
 Exactness rests on replaying the reference loop's operations in their
 order, never approximating them:
 
@@ -800,7 +797,7 @@ def _plan_stats(
 # The kernel: PlanBatch
 # ---------------------------------------------------------------------------
 #
-# Every non-ideal columnar replay runs here.  A single simulation is a
+# Every columnar replay runs here.  A single simulation is a
 # one-slot batch; a sweep puts V compiled plan variants into V slots
 # that share one pass over each shard.  An engine-less slot has an
 # empty site table, so its phase A is the plain L1I demand sweep, it

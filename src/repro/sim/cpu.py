@@ -8,8 +8,9 @@ stalls in the critical path of execution".
 
 The simulator optionally executes a :class:`PrefetchPlan` through the
 :class:`PrefetchEngine` — this is how I-SPY, AsmDB and the limit
-prefetchers are all evaluated on identical replay machinery — and can
-run in *ideal* mode where every fetch hits (the paper's upper bound).
+prefetchers are all evaluated on identical replay machinery.  The
+paper's ideal I-cache (every fetch hits) needs no replay of its own: it
+is :meth:`~repro.sim.stats.SimStats.ideal_bound` of a no-prefetch run.
 
 A :class:`TraceObserver` hook exposes per-block and per-miss events;
 the LBR/PEBS profiler is implemented as an observer so profiling and
@@ -91,7 +92,6 @@ class CoreSimulator:
         program: Program,
         machine: Optional[MachineParams] = None,
         plan: Optional["PrefetchPlan"] = None,
-        ideal: bool = False,
         hash_bits: int = 16,
         lbr_depth: int = 32,
         track_exact_context: bool = False,
@@ -101,7 +101,6 @@ class CoreSimulator:
         self.program = program
         self.machine = machine or MachineParams()
         self.plan = plan
-        self.ideal = ideal
         self.hash_bits = hash_bits
         self.lbr_depth = lbr_depth
         self.track_exact_context = track_exact_context
@@ -125,7 +124,7 @@ class CoreSimulator:
 
         # Only a plan with instructions builds a prefetch engine; None
         # and an empty plan replay as no-prefetch runs.
-        if plan is not None and len(plan) > 0 and not ideal:
+        if plan is not None and len(plan) > 0:
             # Imported here rather than at module level: `repro.sim` is
             # the substrate `repro.core`'s pipeline builds on, so the
             # module-level dependency points core -> sim only.
@@ -186,7 +185,7 @@ class CoreSimulator:
         and an optional *checkpointer* (see :mod:`repro.sim.streaming`)
         records per-shard state so a killed run can resume.
         """
-        from .streaming import replay, run_sharded
+        from .streaming import run_plan_batch, run_sharded
 
         if (
             shard_insns is not None
@@ -202,7 +201,8 @@ class CoreSimulator:
                 checkpointer=checkpointer,
             )
         # A whole-trace replay is the driver's one-shard case.
-        return replay(self, trace, observer=observer, warmup=warmup)
+        run_plan_batch([self], trace, warmup, observer=observer)
+        return self.stats
 
     def _make_fetch(self, observer: Optional[TraceObserver]) -> FetchEngine:
         if observer is not None:
@@ -211,13 +211,9 @@ class CoreSimulator:
                 self.hierarchy,
                 self.stats,
                 self.engine,
-                ideal=self.ideal,
                 observer=observer,
             )
-        return FetchEngine(
-            self.program, self.hierarchy, self.stats, self.engine,
-            ideal=self.ideal,
-        )
+        return FetchEngine(self.program, self.hierarchy, self.stats, self.engine)
 
     def _reference_stream(
         self,
@@ -243,7 +239,6 @@ class CoreSimulator:
         cpi = 1.0 / self.machine.base_ipc
         prefetch_cpi = 1.0 / self.machine.issue_width
         instr_counts = self._instr_counts
-        data_traffic = None if self.ideal else self.data_traffic
 
         # Hot-loop setup: resolve every per-iteration attribute lookup
         # once.  The replay loop below runs hundreds of thousands of
@@ -267,6 +262,7 @@ class CoreSimulator:
             execute_site = None
             site_blocks = ()
             retire_block = None
+        data_traffic = self.data_traffic
         advance_data = data_traffic.advance if data_traffic is not None else None
         boundary = warmup_boundary - base_index
 
@@ -320,7 +316,6 @@ def simulate(
     trace: BlockTrace,
     plan: Optional["PrefetchPlan"] = None,
     machine: Optional[MachineParams] = None,
-    ideal: bool = False,
     hash_bits: int = 16,
     lbr_depth: int = 32,
     track_exact_context: bool = False,
@@ -335,7 +330,6 @@ def simulate(
         program,
         machine=machine,
         plan=plan,
-        ideal=ideal,
         hash_bits=hash_bits,
         lbr_depth=lbr_depth,
         track_exact_context=track_exact_context,

@@ -30,13 +30,11 @@ class FetchEngine:
         hierarchy: MemoryHierarchy,
         stats: SimStats,
         engine: Optional[PrefetchEngine] = None,
-        ideal: bool = False,
     ):
         self.program = program
         self.hierarchy = hierarchy
         self.stats = stats
         self.engine = engine
-        self.ideal = ideal
         # Hot-path lookup: block id -> tuple of cache lines.
         self._lines = {block.block_id: block.lines for block in program}
 
@@ -47,10 +45,6 @@ class FetchEngine:
         """
         lines = self._lines[block_id]
         stats = self.stats
-        if self.ideal:
-            # The theoretical upper bound: every access hits.
-            stats.l1i_accesses += len(lines)
-            return 0.0
         if self.engine is None:
             return self._fetch_no_engine(lines, now)
 

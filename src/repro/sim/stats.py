@@ -96,6 +96,27 @@ class SimStats:
             return 0.0
         return self.prefetch_instructions_executed / self.program_instructions
 
+    def ideal_bound(self) -> "SimStats":
+        """The paper's ideal I-cache over this no-prefetch replay's
+        trace and warmup: every fetch hits (Section II's upper bound).
+
+        Such a run's only non-zero counters are the demand accesses,
+        the program instructions and their compute cycles, which a
+        no-prefetch replay already holds — its ``compute_cycles`` is
+        exactly ``program_instructions * cpi``, since it executed no
+        prefetch instruction.
+        """
+        if self.prefetch_instructions_executed:
+            raise ValueError(
+                "the ideal bound is a projection of a no-prefetch "
+                "replay; these stats executed prefetch instructions"
+            )
+        return SimStats(
+            compute_cycles=self.compute_cycles,
+            program_instructions=self.program_instructions,
+            l1i_accesses=self.l1i_accesses,
+        )
+
     def clear(self) -> None:
         """Zero every counter (used at the warmup boundary)."""
         self.compute_cycles = 0.0

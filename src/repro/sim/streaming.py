@@ -4,9 +4,8 @@ Every replay of a :class:`~repro.sim.cpu.CoreSimulator` runs through
 :func:`run_plan_batch` — one or many simulators in one pass of the
 columnar kernel of :mod:`repro.sim.array_replay` (a
 :class:`~repro.sim.array_replay.PlanBatch` slot each, engine-less when
-the simulator has no prefetch engine) — or, when observed or ideal,
-through :func:`replay`.  A simulator the kernel cannot take runs the
-per-event reference loop, and the ideal bound is two column sums.
+the simulator has no prefetch engine).  A simulator the kernel cannot
+take, an observed one among them, runs the per-event reference loop.
 Each backend streams the trace shard by shard:
 an in-memory :class:`BlockTrace` cut on the fly, or an on-disk
 :class:`ShardedTrace` materialized one chunk at a time.  A whole-trace
@@ -251,51 +250,6 @@ class _ReferenceBackend:
         self.core._reference_finish(self.program_instructions)
 
 
-class _IdealBackend:
-    """The all-hits upper bound: counters only, no hierarchy state.
-
-    The carry is ``(l1i_accesses, program_instructions)`` since the
-    last warmup reset."""
-
-    name = "columnar-ideal"
-    data_model = None
-
-    def __init__(self, core, view, eff: int):
-        self.stats = core.stats
-        self.view = view
-        self.eff = eff
-        self.cpi = 1.0 / core.machine.base_ipc
-        self.carry: Tuple[int, int] = (0, 0)
-
-    def step(self, rows, start: int) -> None:
-        accesses, instructions = self.carry
-        reset_local = self.eff - start
-        if 0 <= reset_local < len(rows):
-            rows = rows[reset_local:]
-            accesses = instructions = 0
-        self.carry = (
-            accesses + int(self.view.line_counts[rows].sum()),
-            instructions + int(self.view.instruction_counts[rows].sum()),
-        )
-
-    def finish(self) -> None:
-        stats = self.stats
-        stats.clear()
-        stats.l1i_accesses, stats.program_instructions = self.carry
-        stats.compute_cycles = stats.program_instructions * self.cpi
-
-    def payload(self) -> dict:
-        accesses, instructions = self.carry
-        return {"l1i_accesses": accesses, "program_instructions": instructions}
-
-    @staticmethod
-    def restore(payload: dict) -> Tuple[int, int]:
-        return (
-            int(payload["l1i_accesses"]),
-            int(payload["program_instructions"]),
-        )
-
-
 _PLAN_CARRY_INTS = (
     "late_hits", "sim_misses", "issued", "resident",
     "c2", "c3", "cm",
@@ -421,7 +375,7 @@ class _PlanBatchBackend:
 # -- the driver --------------------------------------------------------------
 
 
-def _fallback_reason(core, observer=None) -> Optional[str]:
+def _fallback_reason(core, observer) -> Optional[str]:
     """Why *core* must take the reference loop, or None.
 
     With no observer there are no per-event hooks to honour, so a
@@ -477,72 +431,16 @@ def run_sharded(
     checkpointer: Optional[StoreCheckpointer] = None,
 ) -> SimStats:
     """Replay *trace* shard by shard on *core* (a
-    :class:`~repro.sim.cpu.CoreSimulator`).
+    :class:`~repro.sim.cpu.CoreSimulator`): the one-core call of
+    :func:`run_plan_batch`, for a trace that is cut.
 
     Accepts an in-memory :class:`BlockTrace` (cut greedily on
     ``shard_insns`` retired instructions) or an on-disk
-    :class:`ShardedTrace` (one chunk materialized at a time); see
-    :func:`replay`.
+    :class:`ShardedTrace` (one chunk materialized at a time).
     """
     if shard_insns is None and not isinstance(trace, ShardedTrace):
         raise ValueError("shard_insns is required to shard an in-memory trace")
-    return replay(core, trace, observer, warmup, shard_insns, checkpointer)
-
-
-def replay(
-    core,
-    trace,
-    observer=None,
-    warmup: int = 0,
-    shard_insns: Optional[int] = None,
-    checkpointer: Optional[StoreCheckpointer] = None,
-) -> SimStats:
-    """Replay *trace* on *core*: the one driver behind every sequential
-    replay.
-
-    An in-memory trace with no ``shard_insns`` is the single shard
-    ``[(0, len(trace))]``.  The backend threads one carry through every
-    shard and writes its counters into ``core.stats`` when the last
-    shard is done, so the reported :class:`SimStats` and the final
-    simulator state (hierarchy, engine, fill port) are independent of
-    the cut.  Observed and ideal replays run here; every other replay
-    is the one-core call of :func:`run_plan_batch`.
-    """
-    if observer is None and not core.ideal:
-        run_plan_batch([core], trace, warmup, shard_insns, checkpointer)
-        return core.stats
-    program = core.program
-    if isinstance(trace, ShardedTrace):
-        shard_insns = trace.shard_insns
-
-    fallback = _fallback_reason(core, observer)
-    if fallback is not None:
-        bounds, shard = _reference_shards(program, trace, shard_insns)
-        backend = _ReferenceBackend(core, observer, warmup)
-        core.last_replay_backend = "reference"
-    else:
-        from .columnar import columnar_view
-
-        view = columnar_view(program)
-        bounds, shard = _columnar_shards(view, trace, shard_insns)
-        eff = warmup if 0 < warmup < len(trace) else 0
-        backend = _IdealBackend(core, view, eff)
-        core.last_replay_backend = "columnar"
-
-    core.last_fallback_reason = fallback
-    with get_tracer().span(
-        "sim:run",
-        program=program.name,
-        blocks=len(trace),
-        ideal=core.ideal,
-        observed=observer is not None,
-        shards=len(bounds),
-        shard_insns=shard_insns,
-    ) as span:
-        _stream(backend, shard, bounds, shard_insns, checkpointer)
-        span.set(backend=core.last_replay_backend)
-        if fallback is not None:
-            span.set(fallback=fallback)
+    run_plan_batch([core], trace, warmup, shard_insns, checkpointer, observer)
     return core.stats
 
 
@@ -587,34 +485,37 @@ def run_plan_batch(
     warmup: int = 0,
     shard_insns: Optional[int] = None,
     checkpointer: Optional[StoreCheckpointer] = None,
+    observer=None,
 ) -> List[Optional[str]]:
-    """Replay every core over *trace* in one pass of the columnar
-    kernel, optionally shard-streamed: the entry point of every replay
-    that is neither observed nor ideal.
+    """Replay every core over *trace*, optionally shard-streamed: the
+    one driver of every :class:`~repro.sim.cpu.CoreSimulator` replay.
 
-    *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances over
-    one program, one per variant: a core with a prefetch engine is a
+    *cores* are simulators over one program, one per variant, run in
+    one pass of the columnar kernel: a core with a prefetch engine is a
     ``columnar-plan`` slot, an engine-less one (no plan, or an empty
     plan) a ``columnar`` slot.  A core the kernel cannot take — for a
-    :func:`replay` fallback reason, decided before any state changes —
+    :func:`_fallback_reason`, decided before any state changes —
     replays on its own on the reference loop.  Returns the per-core
     reasons, ``None`` for a batched core; either way every core's
     stats, hierarchy and engine end ``==`` its own ``core.run`` with
-    the same arguments.  A *checkpointer* resumes a one-core call only.
+    the same arguments.  A *checkpointer* (which resumes the kernel's
+    carry) and an *observer* (which always takes the reference loop,
+    reason ``observer``) apply to a one-core call only.
 
-    The trace is cut on the same greedy instruction bounds as
-    :func:`replay`, and the slots run as one :class:`~repro.sim.
-    array_replay.PlanBatch` through the same shard loop; each slot's
-    carry holds its counters until the batch's ``finish`` writes them
-    into the slot's ``core.stats``.
+    An in-memory trace with no ``shard_insns`` is the single shard
+    ``[(0, len(trace))]``; otherwise it is cut on greedy instruction
+    bounds.  Each slot's carry holds its counters until the batch's
+    ``finish`` writes them into the slot's ``core.stats``, so the
+    reported :class:`SimStats` and the final simulator state are
+    independent of the cut.
     """
-    if checkpointer is not None and len(cores) != 1:
-        raise ValueError("a checkpointer resumes a one-core replay only")
+    if (checkpointer is not None or observer is not None) and len(cores) != 1:
+        raise ValueError("a checkpointer or observer takes a one-core replay only")
     program = cores[0].program
     tracer = get_tracer()
     if isinstance(trace, ShardedTrace):
         shard_insns = trace.shard_insns
-    reasons = [_fallback_reason(core) for core in cores]
+    reasons = [_fallback_reason(core, observer) for core in cores]
     live = [core for core, reason in zip(cores, reasons) if reason is None]
     with tracer.span(
         "sim:run",
@@ -639,7 +540,7 @@ def run_plan_batch(
                 core.last_replay_backend = _kernel_backend(core)
             else:
                 tracer.instant("sim:batch-fallback", slot=index, reason=reason)
-                backend = _ReferenceBackend(core, None, warmup)
+                backend = _ReferenceBackend(core, observer, warmup)
                 _stream(backend, shard, bounds, shard_insns, None)
                 core.last_replay_backend = "reference"
             core.last_fallback_reason = reason

@@ -22,8 +22,8 @@ class TestGapAttribution:
             data_traffic=small_app.data_traffic(seed=1),
         )
         ideal = simulate(
-            small_app.program, small_eval_trace, ideal=True, warmup=4000
-        )
+            small_app.program, small_eval_trace, warmup=4000
+        ).ideal_bound()
         return candidate, ideal
 
     def test_channels_partition_the_gap(self, runs):

@@ -275,7 +275,7 @@ class TestDifferentialOldVsNew:
     def test_ideal(self, small_app, contract_trace, view):
         from repro.sim.cpu import simulate
 
-        direct = simulate(small_app.program, contract_trace, ideal=True)
+        direct = simulate(small_app.program, contract_trace).ideal_bound()
         prefetcher = zoo.get_prefetcher("ideal")
         ported = prefetcher.simulate(
             view, contract_trace, zoo.ReplayContext()

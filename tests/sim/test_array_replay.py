@@ -16,6 +16,8 @@ import pytest
 from repro import kernel
 from repro.sim.cpu import CoreSimulator
 from repro.sim.datatraffic import DataTrafficModel
+from repro.sim.params import MachineParams
+from repro.sim.stats import SimStats
 from repro.sim.trace import BlockTrace
 from repro.workloads.apps import build_app
 
@@ -24,34 +26,31 @@ from ..conftest import hierarchy_state as _hierarchy_state, make_program
 APPS = ("wordpress", "drupal", "finagle-http")
 
 
-def _run(program, trace, backend, data_traffic=None, warmup=0, ideal=False):
+def _run(program, trace, backend, data_traffic=None, warmup=0):
     with backend():
-        core = CoreSimulator(
-            program, data_traffic=data_traffic, ideal=ideal
-        )
+        core = CoreSimulator(program, data_traffic=data_traffic)
         stats = core.run(trace, warmup=warmup)
     return core, stats
 
 
-def _assert_identical(program, trace, data_traffic=None, warmup=0, ideal=False):
+def _assert_identical(program, trace, data_traffic=None, warmup=0):
     ref_core, ref_stats = _run(
         program, trace, kernel.reference_path,
         data_traffic=data_traffic() if data_traffic else None,
-        warmup=warmup, ideal=ideal,
+        warmup=warmup,
     )
     col_core, col_stats = _run(
         program, trace, kernel.force_numpy_kernel,
         data_traffic=data_traffic() if data_traffic else None,
-        warmup=warmup, ideal=ideal,
+        warmup=warmup,
     )
     assert ref_core.last_replay_backend == "reference"
     assert col_core.last_replay_backend == "columnar"
     assert col_stats == ref_stats
-    if not ideal:
-        assert _hierarchy_state(col_core) == _hierarchy_state(ref_core)
-        assert col_core.hierarchy.l1i.stats == ref_core.hierarchy.l1i.stats
-        assert col_core.hierarchy.l2.stats == ref_core.hierarchy.l2.stats
-        assert col_core.hierarchy.l3.stats == ref_core.hierarchy.l3.stats
+    assert _hierarchy_state(col_core) == _hierarchy_state(ref_core)
+    assert col_core.hierarchy.l1i.stats == ref_core.hierarchy.l1i.stats
+    assert col_core.hierarchy.l2.stats == ref_core.hierarchy.l2.stats
+    assert col_core.hierarchy.l3.stats == ref_core.hierarchy.l3.stats
     return ref_stats
 
 
@@ -83,8 +82,17 @@ class TestTinyTraces:
         _assert_identical(program, trace, warmup=len(trace.block_ids) - 1)
 
     def test_ideal_mode(self):
+        """Both kernels' no-prefetch runs project onto the same ideal
+        bound: every line fetched, compute cycles only."""
         program = make_program([64, 320, 64])
-        _assert_identical(program, BlockTrace([0, 1, 2, 1, 0]), ideal=True)
+        trace = BlockTrace([0, 1, 2, 1, 0])
+        bound = _assert_identical(program, trace).ideal_bound()
+        instructions = trace.instruction_count(program)
+        assert bound == SimStats(
+            compute_cycles=instructions * (1.0 / MachineParams().base_ipc),
+            program_instructions=instructions,
+            l1i_accesses=sum(len(program.lines_of(b)) for b in trace),
+        )
 
     def test_single_block_trace(self):
         program = make_program([64, 64])

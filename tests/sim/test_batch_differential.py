@@ -30,7 +30,7 @@ from repro import kernel
 from repro.analysis.experiments import Evaluator, ExperimentSettings
 from repro.core.instructions import PrefetchInstr, PrefetchPlan
 from repro.sim import array_replay
-from repro.sim.cpu import CoreSimulator
+from repro.sim.cpu import CoreSimulator, TraceObserver
 from repro.sim.datatraffic import make_data_traffic
 from repro.sim.params import MachineParams, line_of
 from repro.sim.stats import SimStats
@@ -211,6 +211,33 @@ class TestFallbacks:
         assert {core.last_replay_backend for core in cores} == {"reference"}
         expected = _solo(program, trace, plans + [None], "columnar")
         assert [_snap(core) for core in cores] == expected
+
+
+    def test_observer_takes_a_one_core_call_only(self):
+        """An observed core is refused with ``observer`` and replayed on
+        the reference loop, hooks and all; a wider call is rejected."""
+        rng = random.Random(14)
+        program = make_random_program(rng, n_blocks=24)
+        trace = make_random_trace(rng, 24, length=200)
+        plan = make_random_plan(rng, program, n_sites=4)
+
+        class Blocks(TraceObserver):
+            def __init__(self):
+                self.seen = []
+
+            def on_block(self, index, block_id, cycle):
+                self.seen.append(block_id)
+
+        core, observer = _core(program, plan, None), Blocks()
+        with kernel.force_numpy_kernel():
+            reasons = run_plan_batch([core], trace, observer=observer)
+        assert reasons == ["observer"]
+        assert core.last_replay_backend == "reference"
+        assert observer.seen == list(trace.block_ids)
+        assert [_snap(core)] == _solo(program, trace, [plan], "columnar")
+        cores = [_core(program, plan, None) for _ in range(2)]
+        with pytest.raises(ValueError, match="one-core"):
+            run_plan_batch(cores, trace, observer=Blocks())
 
 
 class TestNoMidRunFailure:

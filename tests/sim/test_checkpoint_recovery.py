@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro import kernel
+from repro.baselines import ProfileView, ReplayContext, get_prefetcher
 from repro.io import ArtifactStore
 from repro.obs.trace import Tracer, use_tracer
 from repro.sim.cpu import CoreSimulator
@@ -68,37 +69,42 @@ CORRUPTIONS = {
 }
 
 
-def _core(program, plan, ideal):
-    traffic = None if ideal else make_data_traffic(
+def _replay(program, variant, plan, trace, **run):
+    """One replay with *run*'s shard budget and checkpointer: the
+    ``ideal`` zoo member (a no-prefetch replay with no data traffic,
+    projected onto the all-hits cache), else a simulator with data
+    traffic."""
+    if variant == "columnar-ideal":
+        return get_prefetcher("ideal").simulate(
+            ProfileView(program), trace, ReplayContext(warmup=200, **run)
+        )
+    traffic = make_data_traffic(
         rate_per_instruction=0.05, working_set_kib=64, seed=5
     )
-    return CoreSimulator(program, plan=plan, ideal=ideal, data_traffic=traffic)
+    core = CoreSimulator(program, plan=plan, data_traffic=traffic)
+    return core.run(trace, warmup=200, **run)
 
 
 @pytest.mark.parametrize(
-    "with_plan, ideal",
-    [(False, False), (True, False), (False, True)],
-    ids=["columnar", "columnar-plan", "columnar-ideal"],
+    "variant", ["columnar", "columnar-plan", "columnar-ideal"]
 )
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-def test_corrupt_checkpoint_replays_from_start(
-    tmp_path, corruption, with_plan, ideal
-):
-    if corruption == "data-model" and ideal:
+def test_corrupt_checkpoint_replays_from_start(tmp_path, corruption, variant):
+    if corruption == "data-model" and variant == "columnar-ideal":
         pytest.skip("ideal replays carry no data-traffic model")
     rng = random.Random(77)
     program = make_random_program(rng, n_blocks=60)
     trace = make_random_trace(rng, 60, length=1_500)
-    plan = make_random_plan(rng, program) if with_plan else None
+    plan = make_random_plan(rng, program) if variant == "columnar-plan" else None
     edit, reason = CORRUPTIONS[corruption]
 
     with kernel.force_numpy_kernel():
-        whole = _core(program, plan, ideal).run(trace, warmup=200)
+        whole = _replay(program, variant, plan, trace)
         store = ArtifactStore(tmp_path)
         parts = {"case": "corrupt-checkpoint"}
         with pytest.raises(KeyboardInterrupt):
-            _core(program, plan, ideal).run(
-                trace, warmup=200, shard_insns=SHARD_INSNS,
+            _replay(
+                program, variant, plan, trace, shard_insns=SHARD_INSNS,
                 checkpointer=KillAfter(store, parts, 3),
             )
         (checkpoint,) = (store.base / "shards").glob("*.json.gz")
@@ -110,8 +116,8 @@ def test_corrupt_checkpoint_replays_from_start(
             checkpoint.write_bytes(gzip.compress(json.dumps(payload).encode()))
         tracer = Tracer()
         with use_tracer(tracer):
-            resumed = _core(program, plan, ideal).run(
-                trace, warmup=200, shard_insns=SHARD_INSNS,
+            resumed = _replay(
+                program, variant, plan, trace, shard_insns=SHARD_INSNS,
                 checkpointer=StoreCheckpointer(store, parts),
             )
 

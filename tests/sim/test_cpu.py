@@ -13,7 +13,7 @@ from ..conftest import make_program
 class TestBasicReplay:
     def test_cycle_accounting_no_misses_is_compute_only(self, tiny_program):
         trace = BlockTrace([0, 1, 2, 3])
-        stats = simulate(tiny_program, trace, ideal=True)
+        stats = simulate(tiny_program, trace).ideal_bound()
         instructions = trace.instruction_count(tiny_program)
         assert stats.cycles == pytest.approx(instructions / 2.0)
         assert stats.l1i_misses == 0
@@ -38,7 +38,7 @@ class TestBasicReplay:
     def test_ideal_faster_than_real(self, tiny_program):
         trace = BlockTrace([0, 1, 2, 3] * 4)
         real = simulate(tiny_program, trace)
-        ideal = simulate(tiny_program, trace, ideal=True)
+        ideal = real.ideal_bound()
         assert ideal.cycles < real.cycles
 
 

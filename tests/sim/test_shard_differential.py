@@ -1,7 +1,7 @@
 """Randomized differential tests: sharded streaming vs whole-trace replay.
 
 Sharding a replay must never change the answer.  For every backend
-(reference loop, ideal, array, plan) and every shard budget — one
+(reference loop, array, plan) and every shard budget — one
 instruction per shard, an awkward prime, one shard for the whole
 trace — the sharded run must be ``==`` the whole-trace run:
 every statistic, every float, the final cache residency, and the
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernel
+from repro.baselines import ProfileView, ReplayContext, get_prefetcher
 from repro.sim.columnar import columnar_view
 from repro.sim.cpu import CoreSimulator
 from repro.sim.datatraffic import make_data_traffic
@@ -52,7 +53,7 @@ def _gate(backend):
     )
 
 
-def _replay(program, trace, backend, plan=None, ideal=False,
+def _replay(program, trace, backend, plan=None,
             traffic_seed=None, warmup=0, shard_insns=None):
     data_traffic = None
     if traffic_seed is not None:
@@ -60,24 +61,22 @@ def _replay(program, trace, backend, plan=None, ideal=False,
             rate_per_instruction=0.05, working_set_kib=64, seed=traffic_seed
         )
     with _gate(backend)():
-        core = CoreSimulator(
-            program, plan=plan, data_traffic=data_traffic, ideal=ideal
-        )
+        core = CoreSimulator(program, plan=plan, data_traffic=data_traffic)
         stats = core.run(trace, warmup=warmup, shard_insns=shard_insns)
     return core, stats
 
 
 def _assert_sharding_invisible(program, trace, backend, plan=None,
-                               ideal=False, traffic_seed=None, warmup=0,
+                               traffic_seed=None, warmup=0,
                                shard_sizes=SHARD_SIZES):
     """Whole-trace and every sharded budget agree exactly."""
     whole_core, whole_stats = _replay(
-        program, trace, backend, plan=plan, ideal=ideal,
+        program, trace, backend, plan=plan,
         traffic_seed=traffic_seed, warmup=warmup,
     )
     for shard_insns in shard_sizes:
         core, stats = _replay(
-            program, trace, backend, plan=plan, ideal=ideal,
+            program, trace, backend, plan=plan,
             traffic_seed=traffic_seed, warmup=warmup,
             shard_insns=shard_insns,
         )
@@ -86,10 +85,7 @@ def _assert_sharding_invisible(program, trace, backend, plan=None,
         assert core.last_replay_backend == whole_core.last_replay_backend, (
             context
         )
-        if not ideal:
-            assert hierarchy_state(core) == hierarchy_state(whole_core), (
-                context
-            )
+        assert hierarchy_state(core) == hierarchy_state(whole_core), context
         assert engine_state(core) == engine_state(whole_core), context
     return whole_stats
 
@@ -127,11 +123,20 @@ class TestBaseline:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_ideal_mode(self, backend):
+        """The ``ideal`` zoo member streams its no-prefetch replay: its
+        bound is the same at every shard budget."""
         rng = random.Random(4)
         program = make_random_program(rng, n_blocks=64)
         trace = make_random_trace(rng, 64, length=500)
-        _assert_sharding_invisible(program, trace, backend, ideal=True,
-                                   warmup=50)
+        ideal = get_prefetcher("ideal")
+        whole = _assert_sharding_invisible(
+            program, trace, backend, warmup=50
+        ).ideal_bound()
+        for shard_insns in SHARD_SIZES:
+            ctx = ReplayContext(warmup=50, shard_insns=shard_insns)
+            with _gate(backend)():
+                stats = ideal.simulate(ProfileView(program), trace, ctx)
+            assert stats == whole, f"shard_insns={shard_insns}"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_data_traffic_rng_continuity(self, backend):

@@ -1,5 +1,7 @@
 """SimStats derived-metric tests."""
 
+import pytest
+
 from repro.sim.stats import SimStats
 
 
@@ -78,3 +80,18 @@ class TestAsDict:
         for key in ("cycles", "ipc", "l1i_mpki", "frontend_bound",
                     "prefetch_accuracy", "dynamic_overhead"):
             assert key in summary
+
+
+class TestIdealBound:
+    def test_keeps_only_the_all_hits_counters(self):
+        stats = populated_stats()
+        stats.prefetch_instructions_executed = 0
+        bound = stats.ideal_bound()
+        assert bound == SimStats(
+            compute_cycles=500.0, program_instructions=1000, l1i_accesses=400
+        )
+        assert bound.cycles == 500.0 and bound.l1i_misses == 0
+
+    def test_refuses_stats_that_executed_prefetches(self):
+        with pytest.raises(ValueError):
+            populated_stats().ideal_bound()

@@ -39,14 +39,13 @@ def small_app_mod():
     return build_app("tomcat", scale=0.3)
 
 
-def run(app, trace, plan=None, ideal=False):
+def run(app, trace, plan=None):
     return simulate(
         app.program,
         trace,
         plan=plan,
-        ideal=ideal,
         warmup=WARMUP,
-        data_traffic=None if ideal else app.data_traffic(seed=2),
+        data_traffic=app.data_traffic(seed=2),
     )
 
 
@@ -56,7 +55,7 @@ class TestPipelineOrderings:
         ispy = build_ispy_plan(app.program, profile).plan
         asmdb = build_asmdb_plan(app.program, profile).plan
         base = run(app, trace)
-        s_ideal = run(app, trace, ideal=True)
+        s_ideal = base.ideal_bound()
         s_ispy = run(app, trace, plan=ispy)
         s_asmdb = run(app, trace, plan=asmdb)
         assert s_ideal.cycles < s_ispy.cycles < base.cycles
@@ -139,7 +138,7 @@ class TestConditionalHardwarePath:
 
     def test_ideal_runner_matches_simulate_ideal(self, pipeline):
         app, _, trace = pipeline
-        a = run(app, trace, ideal=True)
+        a = run(app, trace).ideal_bound()
         b = simulate_ideal(app.program, trace)
         # simulate_ideal has no warmup arg here; compare rates
         assert a.l1i_misses == b.l1i_misses == 0

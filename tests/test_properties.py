@@ -7,13 +7,17 @@ the accounting identities every figure ultimately rests on.
 
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernel
 from repro.core.instructions import PrefetchInstr, PrefetchPlan
 from repro.io import ArtifactStore
 from repro.sim.cpu import CoreSimulator, simulate
+from repro.sim.datatraffic import make_data_traffic
 from repro.sim.params import MachineParams
+from repro.sim.stats import SimStats
 from repro.sim.streaming import StoreCheckpointer
 from repro.sim.trace import BlockInfo, BlockTrace, Program
 
@@ -86,7 +90,7 @@ class TestSimulationInvariants:
     def test_ideal_never_slower(self, case):
         program, trace = case
         real = simulate(program, trace)
-        ideal = simulate(program, trace, ideal=True)
+        ideal = real.ideal_bound()
         assert ideal.cycles <= real.cycles
         assert ideal.l1i_misses == 0
 
@@ -150,6 +154,59 @@ class TestPrefetchedSimulationInvariants:
             program, trace, plan=plan, prefetch_insertion_fraction=fraction
         )
         assert stats.cycles > 0
+
+
+class TestIdealBound:
+    """The ideal I-cache is a projection of the no-prefetch replay: its
+    counters are the post-warmup line and instruction counts of the
+    program's blocks, whatever the kernel, the cut or the data
+    traffic."""
+
+    @given(
+        programs_with_traces(),
+        st.sampled_from(["none", "inside", "beyond"]),
+        st.sampled_from([None, 1, 40]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_is_the_post_warmup_program_counts(
+        self, case, warmup_kind, shard_insns, use_kernel, with_traffic
+    ):
+        program, trace = case
+        length = len(trace)
+        warmup = {"none": 0, "inside": length // 2, "beyond": length + 3}[
+            warmup_kind
+        ]
+        # a warmup that never ends resets nothing: every block counts
+        counted = trace.block_ids[warmup:] if warmup < length else trace.block_ids
+        instructions = sum(program.block(b).instruction_count for b in counted)
+        machine = MachineParams()
+        expected = SimStats(
+            compute_cycles=instructions * (1.0 / machine.base_ipc),
+            program_instructions=instructions,
+            l1i_accesses=sum(len(program.lines_of(b)) for b in counted),
+        )
+        traffic = make_data_traffic(
+            rate_per_instruction=0.05, working_set_kib=64, seed=5
+        ) if with_traffic else None
+        path = kernel.force_numpy_kernel if use_kernel else kernel.reference_path
+        with path():
+            stats = CoreSimulator(program, data_traffic=traffic).run(
+                trace, warmup=warmup, shard_insns=shard_insns
+            )
+        assert stats.ideal_bound() == expected
+
+    @given(programs_traces_plans())
+    @settings(max_examples=40, deadline=None)
+    def test_bound_refuses_a_replay_that_executed_prefetches(self, case):
+        program, trace, plan = case
+        stats = simulate(program, trace, plan=plan)
+        if stats.prefetch_instructions_executed:
+            with pytest.raises(ValueError):
+                stats.ideal_bound()
+        else:
+            assert stats.ideal_bound() == simulate(program, trace).ideal_bound()
 
 
 class TestShardedResumeInvariants:
