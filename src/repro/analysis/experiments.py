@@ -48,6 +48,7 @@ from ..workloads.apps import (
     app_spec,
     cached_app,
     get_app,
+    get_trace,
 )
 from ..workloads.inputs import INPUT_NAMES, InputTrace
 from ..workloads.synthesis import SyntheticApp, scaled_spec
@@ -231,12 +232,16 @@ class AppEvaluation:
 
     @property
     def eval_trace(self) -> BlockTrace:
+        """The evaluation trace, shared process-wide through
+        :func:`~repro.workloads.apps.get_trace` like the app itself."""
         if self._eval_trace is None:
             app = self.app
-            self._eval_trace = app.trace(
+            self._eval_trace = get_trace(
+                self.name,
+                self.settings.scale,
                 self.settings.eval_length,
-                seed=app.spec.seed + 31337,
-                input_name="eval",
+                app.spec.seed + 31337,
+                "eval",
             )
         return self._eval_trace
 

@@ -4,10 +4,12 @@ Jobs are top-level functions (picklable by the default
 ``ProcessPoolExecutor`` machinery); each worker builds its own
 :class:`~repro.analysis.experiments.Evaluator` against the shared
 on-disk artifact store, so cross-process communication is limited to
-content-addressed files plus the returned statistics.  The apps
-themselves come from the process-wide
-:func:`~repro.workloads.apps.get_app` memo, so a worker synthesizes
-each app at most once, however many of its jobs use it.
+content-addressed files plus the returned statistics.  The apps and
+their evaluation traces come from the process-wide
+:func:`~repro.workloads.apps.get_app` and
+:func:`~repro.workloads.apps.get_trace` memos, so a worker synthesizes
+each app and generates its evaluation trace at most once, however many
+of its jobs use them.
 
 Telemetry crosses the same boundary the same way: each job runs under
 its own :class:`~repro.obs.trace.Tracer` and returns one span snapshot

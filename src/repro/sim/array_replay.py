@@ -44,6 +44,7 @@ reference is exact, not approximate — the differential tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -874,6 +875,7 @@ class _LaneCache:
     __slots__ = (
         "num_sets", "ways", "pd", "n_lanes",
         "lines", "ts", "pend", "fill", "touched", "ts_base",
+        "__weakref__",
     )
 
     def __init__(self, n_slots: int, num_sets: int, ways: int, pd: int):
@@ -902,13 +904,15 @@ class _LaneCache:
         self.fill[ids] = fill[sel]
         self.touched[ids] = True
 
-    def export(self, n_slots: int):
-        """Every slot's contents in one vectorized pass over the
-        occupied ways (a lane fills its ways in index order and never
-        frees one): per slot, the touched set indices, their MRU-first
-        line lists, and the pending-prefetch lines."""
-        ns = self.num_sets
-        lanes = np.flatnonzero(self.touched)
+    def export(self, v: int):
+        """Slot *v*'s contents in one vectorized pass over its occupied
+        ways (a lane fills its ways in index order and never frees
+        one): the touched set indices, their MRU-first line lists, and
+        the pending-prefetch lines."""
+        base = v * self.num_sets
+        lanes = base + np.flatnonzero(
+            self.touched[base:base + self.num_sets]
+        )
         counts = self.fill[lanes]
         row = np.repeat(np.arange(len(lanes)), counts)
         ends = np.cumsum(counts)
@@ -920,22 +924,9 @@ class _LaneCache:
         lines = self.lines[lane, way]
         flat = lines.tolist()
         ends = ends.tolist()
-        rows = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        sets = (lanes % ns).tolist()
-        edges = np.searchsorted(lanes, np.arange(n_slots + 1) * ns).tolist()
-        pend = self.pend[lane, way]
-        pend_lines = lines[pend].tolist()
-        pend_edges = np.searchsorted(
-            lane[pend], np.arange(n_slots + 1) * ns
-        ).tolist()
-        return [
-            (
-                sets[edges[v]:edges[v + 1]],
-                rows[edges[v]:edges[v + 1]],
-                pend_lines[pend_edges[v]:pend_edges[v + 1]],
-            )
-            for v in range(n_slots)
-        ]
+        stacks = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        pending = lines[self.pend[lane, way]].tolist()
+        return (lanes - base).tolist(), stacks, pending
 
     def load(self, v: int, entries, pend) -> None:
         """Install slot *v*'s contents from MRU-first ``(set, lines)``
@@ -1444,7 +1435,8 @@ class PlanBatch:
     engine, a pristine engine (:mod:`repro.sim.streaming` checks this).
     A core without an engine is an engine-less slot.
     Feed trace shards through :meth:`run_shard`, then :meth:`finish`
-    writes every slot's stats, hierarchy and engine state.  With
+    writes every slot's stats and engine state and defers its
+    hierarchy's install to first read.  With
     ``record_events`` each slot also keeps its observer view per shard
     in ``slot.events``, and :meth:`finish` writes back only the stats:
     a recording batch serves the profiler's recorded replay
@@ -1669,39 +1661,23 @@ class PlanBatch:
             return rerun
 
     def finish(self) -> None:
-        """Write every slot's stats, hierarchy and engine runtime state
-        (bit-identical to the reference composition), each level's
-        lanes in one vectorized pass."""
+        """Write every slot's stats and engine runtime state, and defer
+        its hierarchy: the slot's caches and fill port are installed
+        (bit-identical to the reference composition) the first time
+        anything reads them (:meth:`MemoryHierarchy.defer`), so a
+        caller that reads only the stats never rebuilds them."""
         with get_tracer().span("batch:finish"):
-            if self.record_events:
-                for slot in self.slots:
-                    _plan_stats(slot.ctx, slot.carry, slot.core.stats)
-                return
-            n = len(self.slots)
-            l2 = self.l2.export(n)
-            l3 = self.l3.export(n)
             for slot in self.slots:
                 core = slot.core
                 carry = slot.carry
-                hierarchy = core.hierarchy
-                l1_ids = [i for i, s in enumerate(carry.l1_sets) if s is not None]
-                _install_cache(
-                    hierarchy.l1i, l1_ids, [carry.l1_sets[i] for i in l1_ids],
-                    carry.l1_pend, carry.l1_dh, carry.l1_dm,
-                    carry.l1_pf, carry.l1_ph, carry.l1_pu, carry.l1_ev,
-                )
-                _install_cache(
-                    hierarchy.l2, *l2[slot.index],
-                    carry.l2_dh, carry.l2_dm,
-                    carry.l2_pf, carry.l2_ph, carry.l2_pu, carry.l2_ev,
-                )
-                _install_cache(
-                    hierarchy.l3, *l3[slot.index],
-                    carry.l3_dh, carry.l3_dm,
-                    carry.l3_pf, carry.l3_ph, carry.l3_pu, carry.l3_ev,
-                )
-                hierarchy.fill_port.busy_until = carry.busy
                 _plan_stats(slot.ctx, carry, core.stats)
+                if self.record_events:
+                    continue
+                # the install holds the carry and the lanes, never the
+                # slot or the core, so no reference cycle forms
+                core.hierarchy.defer(
+                    partial(_install_slot, carry, self.l2, self.l3, slot.index)
+                )
                 if core.engine is not None:
                     core.engine.restore_runtime_state(
                         _inflight_arrivals(carry),
@@ -1710,6 +1686,31 @@ class PlanBatch:
                         carry.tp,
                         carry.fp,
                     )
+
+
+def _install_slot(carry: PlanCarry, l2: _LaneCache, l3: _LaneCache, v: int,
+                  hierarchy: MemoryHierarchy) -> None:
+    """Install slot *v*'s final L1I (from its *carry*) and L2/L3 (from
+    the batch's lanes) contents, counters and fill-port clock into
+    *hierarchy*: the deferred half of :meth:`PlanBatch.finish`."""
+    with get_tracer().span("batch:install"):
+        l1_ids = [i for i, s in enumerate(carry.l1_sets) if s is not None]
+        _install_cache(
+            hierarchy.l1i, l1_ids, [carry.l1_sets[i] for i in l1_ids],
+            carry.l1_pend, carry.l1_dh, carry.l1_dm,
+            carry.l1_pf, carry.l1_ph, carry.l1_pu, carry.l1_ev,
+        )
+        _install_cache(
+            hierarchy.l2, *l2.export(v),
+            carry.l2_dh, carry.l2_dm,
+            carry.l2_pf, carry.l2_ph, carry.l2_pu, carry.l2_ev,
+        )
+        _install_cache(
+            hierarchy.l3, *l3.export(v),
+            carry.l3_dh, carry.l3_dm,
+            carry.l3_pf, carry.l3_ph, carry.l3_pu, carry.l3_ev,
+        )
+        hierarchy.fill_port.busy_until = carry.busy
 
 
 def _replay_events(view, rows, offset, issued, block_cycles, miss_cycles):

@@ -33,6 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .datatraffic import DataTrafficModel
 
 
+def _instruction_counts(program: Program) -> Dict[int, int]:
+    """Block id -> instruction count for the reference loop, built once
+    per (immutable) program and cached on it, like its bit-position
+    tables."""
+    counts = getattr(program, "_instr_counts", None)
+    if counts is None:
+        counts = {block.block_id: block.instruction_count for block in program}
+        setattr(program, "_instr_counts", counts)
+    return counts
+
+
 class TraceObserver:
     """Event hooks invoked during replay.  Base class is a no-op."""
 
@@ -118,9 +129,6 @@ class CoreSimulator:
         #: "engine-state"; None when a columnar path served the run
         self.last_fallback_reason: Optional[str] = None
         self.engine: Optional[PrefetchEngine] = None
-        self._instr_counts: Dict[int, int] = {
-            block.block_id: block.instruction_count for block in program
-        }
 
         # Only a plan with instructions builds a prefetch engine; None
         # and an empty plan replay as no-prefetch runs.
@@ -238,7 +246,7 @@ class CoreSimulator:
         engine = self.engine
         cpi = 1.0 / self.machine.base_ipc
         prefetch_cpi = 1.0 / self.machine.issue_width
-        instr_counts = self._instr_counts
+        instr_counts = _instruction_counts(self.program)
 
         # Hot-loop setup: resolve every per-iteration attribute lookup
         # once.  The replay loop below runs hundreds of thousands of

@@ -20,6 +20,9 @@ from .cache import Cache
 from .params import MachineParams
 from .replacement import InsertionPolicy
 
+#: the attributes :meth:`MemoryHierarchy.defer` holds back until read
+_DEFERRED = ("l1i", "l2", "l3", "fill_port")
+
 
 @dataclass(frozen=True)
 class AccessResult:
@@ -162,16 +165,48 @@ class MemoryHierarchy:
         """True when no fetch, fill, probe or data access has run yet.
 
         The columnar kernel replays a trace from scratch and installs
-        the final state wholesale, so it requires (and checks via this
-        gate) a hierarchy with untouched caches and an idle fill port;
-        anything else composes with prior state and must take the
-        reference loop.
+        the final state wholesale (on first read, see :meth:`defer`),
+        so it requires (and checks via this gate) a hierarchy with
+        untouched caches and an idle fill port; anything else composes
+        with prior state and must take the reference loop.
         """
         return (
             self.l1i.is_pristine()
             and self.l2.is_pristine()
             and self.l3.is_pristine()
             and self.fill_port.busy_until == 0.0
+        )
+
+    # -- deferred install ------------------------------------------------
+
+    def defer(self, install) -> None:
+        """Hold the caches and the fill port back until first read,
+        then call ``install(self)`` to write their state.
+
+        The columnar kernel hands back a replay's stats at once and
+        defers rebuilding its caches, which most callers never read.
+        Until the install runs, ``l1i``, ``l2``, ``l3`` and
+        ``fill_port`` are absent from the instance, so the first read
+        of any of them, through a simulator, its engine or any other
+        reference to this hierarchy, lands in :meth:`__getattr__`,
+        which puts them back and runs *install*.  A present attribute
+        never reaches ``__getattr__``, so the replay loops pay nothing.
+        *install* must not hold this hierarchy: that would be a
+        reference cycle, which only the (paused) cyclic collector
+        frees.
+        """
+        parts = tuple(self.__dict__.pop(name) for name in _DEFERRED)
+        self.__dict__["_deferred"] = (install, parts)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks.
+        if name in _DEFERRED and "_deferred" in self.__dict__:
+            install, parts = self.__dict__.pop("_deferred")
+            self.__dict__.update(zip(_DEFERRED, parts))
+            install(self)
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
     # -- maintenance -----------------------------------------------------

@@ -323,7 +323,7 @@ class _PlanBatchBackend:
             "exact_tail": [int(b) for b in carry.exact_tail],
         }
         for level in ("l2", "l3"):
-            ((sets, stacks, pending),) = getattr(self.batch, level).export(1)
+            sets, stacks, pending = getattr(self.batch, level).export(0)
             payload[f"{level}_sets"] = [list(e) for e in zip(sets, stacks)]
             payload[f"{level}_pend"] = sorted(pending)
         return payload

@@ -22,10 +22,12 @@ The sharing contract: a :class:`SyntheticApp` is immutable once built.
 Its spec, block addresses and sizes, and model terminators never
 change; the only attributes ever set on its ``Program`` afterwards are
 pure derived caches (the columnar view, the bit-position tables, the
-text-line set), which any user of the same app may share.  That is
-what lets :func:`get_app` hand one object to every caller in a
-process — the evaluation harness (``AppEvaluation.app``) included, so
-each pool worker synthesizes an app at most once.
+instruction-count map, the text-line set), which any user of the same
+app may share.  That is what lets :func:`get_app` hand one object to
+every caller in a process — the evaluation harness
+(``AppEvaluation.app``) included, so each pool worker synthesizes an
+app at most once.  The traces :func:`get_trace` memoizes next to the
+apps are read-only on the same terms.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import atexit
 from typing import Dict, List, Optional, Tuple
 
+from ..sim.trace import BlockTrace
 from .adversarial import (
     ADVERSARIAL_APP_NAMES,
     ADVERSARIAL_BUILDERS,
@@ -193,6 +196,8 @@ _CACHE: Dict[Tuple[str, float], SyntheticApp] = {}
 # are walked by its garbage-collection passes (~0.14 s at the exit of a
 # ``repro report --scale 0.05`` on a 2-vCPU Xeon VM).
 atexit.register(_CACHE.clear)
+_TRACES: Dict[Tuple[str, float, int, int, str], BlockTrace] = {}
+atexit.register(_TRACES.clear)
 
 
 def app_spec(name: str) -> AppSpec:
@@ -239,6 +244,21 @@ def get_app(name: str, scale: float = 1.0) -> SyntheticApp:
     if key not in _CACHE:
         _CACHE[key] = build_app(name, scale)
     return _CACHE[key]
+
+
+def get_trace(
+    name: str, scale: float, length: int, seed: int, input_name: str
+) -> BlockTrace:
+    """Memoized ``get_app(name, scale).trace(length, seed=seed,
+    input_name=input_name)``: one shared, read-only trace per key per
+    process, so a pool worker generates an app's evaluation trace once
+    however many of its jobs replay it."""
+    key = (name, scale, length, seed, input_name)
+    if key not in _TRACES:
+        _TRACES[key] = get_app(name, scale).trace(
+            length, seed=seed, input_name=input_name
+        )
+    return _TRACES[key]
 
 
 def cached_app(name: str, scale: float = 1.0) -> Optional[SyntheticApp]:

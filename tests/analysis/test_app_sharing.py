@@ -55,6 +55,29 @@ class TestSharedApp:
         assert _synth_spans(second_tracer) == []
 
 
+    def test_evaluations_share_one_eval_trace(self, monkeypatch):
+        """A worker's jobs each build an evaluation: the trace memo
+        generates the app's evaluation trace once for all of them."""
+        monkeypatch.setattr(apps_mod, "_TRACES", {})
+        app = apps_mod.get_app("kafka", SETTINGS.scale)
+        calls = []
+        real = type(app).trace
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(app), "trace", counted)
+        first = _evaluator()["kafka"].eval_trace
+        second = _evaluator()["kafka"].eval_trace
+        assert first is second
+        assert len(calls) == 1
+        assert first == real(
+            app, SETTINGS.eval_length, seed=app.spec.seed + 31337,
+            input_name="eval",
+        )
+
+
 class TestAppImmutability:
     """A full evaluation must leave the shared app as it was built."""
 
