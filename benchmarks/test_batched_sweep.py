@@ -85,7 +85,7 @@ def _solo_pass(program, evaluation, plans, warmup, shard_insns=None):
         t0 = time.perf_counter()
         for plan in plans:
             core = CoreSimulator(
-                program, plan=plan, data_traffic=evaluation._eval_data_traffic()
+                program, plan=plan, data_traffic=evaluation.eval_data_traffic()
             )
             core.run(
                 evaluation.eval_trace, warmup=warmup, shard_insns=shard_insns
@@ -99,7 +99,7 @@ def _solo_pass(program, evaluation, plans, warmup, shard_insns=None):
 def _batched_pass(program, evaluation, plans, warmup, shard_insns=None):
     cores = [
         CoreSimulator(
-            program, plan=plan, data_traffic=evaluation._eval_data_traffic()
+            program, plan=plan, data_traffic=evaluation.eval_data_traffic()
         )
         for plan in plans
     ]

@@ -55,12 +55,12 @@ def _pipeline_seconds(evaluation, backend) -> tuple:
         plan = build_ispy_plan(app.program, profile, DEFAULT_CONFIG).plan
         t2 = time.perf_counter()
         core = CoreSimulator(
-            app.program, data_traffic=evaluation._eval_data_traffic()
+            app.program, data_traffic=evaluation.eval_data_traffic()
         )
         stats = core.run(eval_trace, warmup=SETTINGS.warmup)
         t3 = time.perf_counter()
         plan_core = CoreSimulator(
-            app.program, plan=plan, data_traffic=evaluation._eval_data_traffic()
+            app.program, plan=plan, data_traffic=evaluation.eval_data_traffic()
         )
         plan_stats = plan_core.run(eval_trace, warmup=SETTINGS.warmup)
         t4 = time.perf_counter()
@@ -194,7 +194,7 @@ def test_replay_throughput(results_dir):
             core = CoreSimulator(
                 evaluation.app.program,
                 plan=plan,
-                data_traffic=evaluation._eval_data_traffic(),
+                data_traffic=evaluation.eval_data_traffic(),
             )
             started = time.perf_counter()
             core.run(trace, warmup=evaluation.settings.warmup)
@@ -278,7 +278,7 @@ def test_telemetry_artifacts_and_overhead(results_dir):
             core = CoreSimulator(
                 evaluation.app.program,
                 plan=plan,
-                data_traffic=evaluation._eval_data_traffic(),
+                data_traffic=evaluation.eval_data_traffic(),
             )
             with use_tracer(tracer):
                 started = time.perf_counter()

@@ -6,7 +6,7 @@ Subpackages
 ``repro.sim``        trace-driven cache/CPU simulator (the ZSim substrate).
 ``repro.workloads``  synthetic data-center applications (the nine apps).
 ``repro.profiling``  LBR/PEBS profiling.
-``repro.cfg``        miss-annotated dynamic CFGs and fan-out analysis.
+``repro.cfg``        fan-out analysis over the profile's dynamic CFG.
 ``repro.core``       the I-SPY contribution: conditional prefetching,
                      prefetch coalescing, the Cprefetch/Lprefetch/
                      CLprefetch instruction family.
@@ -61,7 +61,6 @@ _EXPORTS = {
     "get_prefetcher": "repro.baselines.protocol:get_prefetcher",
     "prefetcher_names": "repro.baselines.protocol:prefetcher_names",
     "build_asmdb_plan": "repro.baselines.asmdb:build_asmdb_plan",
-    "simulate_ideal": "repro.baselines.ideal:simulate_ideal",
     # analysis
     "Evaluator": "repro.analysis.experiments:Evaluator",
     "ExperimentSettings": "repro.analysis.experiments:ExperimentSettings",

@@ -1,7 +1,6 @@
-"""Evaluation harness: metrics, top-down analysis, experiments.
+"""Evaluation harness: metrics, experiments, reporting.
 
 ``metrics``      speedup / MPKI / accuracy / footprint definitions.
-``topdown``      frontend-bound decomposition (Fig. 1).
 ``experiments``  one entry point per paper table/figure.
 ``reporting``    fixed-width table rendering.
 """
@@ -14,15 +13,11 @@ from .experiments import (
     headline_summary,
 )
 from .reporting import render_table, summarize
-from .topdown import TopDownBreakdown, breakdown, frontend_bound_fraction
 
 __all__ = [
     "AppEvaluation",
     "Evaluator",
     "ExperimentSettings",
-    "TopDownBreakdown",
-    "breakdown",
-    "frontend_bound_fraction",
     "headline_summary",
     "metrics",
     "render_table",

@@ -57,9 +57,7 @@ def ablation_replacement_priority(
         core = CoreSimulator(
             evaluation.app.program,
             plan=plan,
-            data_traffic=evaluation.app.data_traffic(
-                seed=evaluation.app.spec.seed + 777
-            ),
+            data_traffic=evaluation.eval_data_traffic(),
             prefetch_insertion_fraction=fraction,
         )
         stats = _replay(evaluation, core, f"insertion-{fraction}")
@@ -137,9 +135,7 @@ def ablation_lbr_depth(
             evaluation.app.program,
             plan=result.plan,
             lbr_depth=depth,
-            data_traffic=evaluation.app.data_traffic(
-                seed=evaluation.app.spec.seed + 777
-            ),
+            data_traffic=evaluation.eval_data_traffic(),
         )
         stats = _replay(evaluation, core, f"lbr-depth-{depth}")
         rows.append(
@@ -170,9 +166,7 @@ def ablation_hardware_prefetcher(
                 zoo.ProfileView(evaluation.app.program),
                 evaluation.eval_trace,
                 zoo.ReplayContext(
-                    data_traffic=evaluation.app.data_traffic(
-                        seed=evaluation.app.spec.seed + 777
-                    ),
+                    data_traffic=evaluation.eval_data_traffic(),
                     warmup=evaluator.settings.warmup,
                 ),
             )

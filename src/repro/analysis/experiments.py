@@ -245,7 +245,10 @@ class AppEvaluation:
             )
         return self._eval_trace
 
-    def _eval_data_traffic(self):
+    def eval_data_traffic(self):
+        """The data traffic of every evaluation replay: a fresh stream
+        whose seed, like the evaluation trace's, derives from the app
+        spec."""
         return self.app.data_traffic(seed=self.app.spec.seed + 777)
 
     # -- cache keys --------------------------------------------------------
@@ -415,7 +418,7 @@ class AppEvaluation:
             CoreSimulator(
                 self.app.program,
                 plan=plan,
-                data_traffic=self._eval_data_traffic(),
+                data_traffic=self.eval_data_traffic(),
                 **kw,
             )
             for plan, kw, _ in misses
@@ -681,7 +684,7 @@ class AppEvaluation:
             else None
         )
         ctx = zoo.ReplayContext(
-            data_traffic=self._eval_data_traffic(),
+            data_traffic=self.eval_data_traffic(),
             warmup=self.settings.warmup,
             trained=trained,
         )

@@ -8,9 +8,8 @@ definitions.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
-from ..core.instructions import PrefetchPlan
 from ..sim.stats import SimStats
 
 
@@ -42,24 +41,9 @@ def mpki_reduction(baseline: SimStats, candidate: SimStats) -> float:
     return 1.0 - candidate.l1i_mpki / baseline.l1i_mpki
 
 
-def miss_coverage(baseline: SimStats, candidate: SimStats) -> float:
-    """Alias for MPKI reduction — the paper uses both terms."""
-    return mpki_reduction(baseline, candidate)
-
-
 def prefetch_accuracy(candidate: SimStats) -> float:
     """Useful prefetches over issued prefetches (Fig. 13)."""
     return candidate.prefetch_accuracy
-
-
-def static_footprint_increase(plan: PrefetchPlan, text_bytes: int) -> float:
-    """Injected bytes relative to the original text segment (Fig. 14)."""
-    return plan.static_increase(text_bytes)
-
-
-def dynamic_footprint_increase(candidate: SimStats) -> float:
-    """Executed prefetch instructions over program instructions (Fig. 15)."""
-    return candidate.dynamic_overhead
 
 
 def gap_attribution(candidate: SimStats, ideal: SimStats, issue_width: int = 4):
@@ -109,18 +93,6 @@ def relative_improvement(first: float, second: float) -> float:
     if second == 0:
         return 0.0
     return (first - second) / abs(second)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    data: List[float] = [v for v in values]
-    if not data:
-        raise ValueError("geometric mean of no values")
-    if any(v <= 0 for v in data):
-        raise ValueError("geometric mean requires positive values")
-    product = 1.0
-    for value in data:
-        product *= value
-    return product ** (1.0 / len(data))
 
 
 def arithmetic_mean(values: Iterable[float]) -> float:

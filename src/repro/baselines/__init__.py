@@ -11,7 +11,9 @@
 ``ispy``        I-SPY itself, as a registered zoo member.
 ``mana``        spatial-region metadata prefetching (MANA).
 
-The run-time members (next-N-line, the windows, MANA and FDIP) are
+Every member is reached through the registry: replay one with
+``get_prefetcher(name).simulate(view, trace, ctx)``.  The run-time
+members (next-N-line, the windows, MANA and FDIP) are
 :class:`~repro.baselines.protocol.MechanismPrefetcher` subclasses: each
 supplies a trigger to the one demand-fetch loop,
 :func:`repro.sim.mechanism.replay_mechanism`.
@@ -45,19 +47,12 @@ _EXPORTS = {
     # window limit study and next-N-line
     "NextLinePrefetcher": "repro.baselines.contiguous:NextLinePrefetcher",
     "WindowPrefetcher": "repro.baselines.contiguous:WindowPrefetcher",
-    "build_contiguous_plan": "repro.baselines.contiguous:build_contiguous_plan",
-    "build_noncontiguous_plan":
-        "repro.baselines.contiguous:build_noncontiguous_plan",
     "build_window_plan": "repro.baselines.contiguous:build_window_plan",
-    "simulate_window_prefetcher":
-        "repro.baselines.contiguous:simulate_window_prefetcher",
     # fdip
     "BimodalBTB": "repro.baselines.fdip:BimodalBTB",
     "FDIPPrefetcher": "repro.baselines.fdip:FDIPPrefetcher",
-    "simulate_fdip": "repro.baselines.fdip:simulate_fdip",
     # ideal
     "IdealPrefetcher": "repro.baselines.ideal:IdealPrefetcher",
-    "simulate_ideal": "repro.baselines.ideal:simulate_ideal",
     # ispy adapter
     "ISpyPrefetcher": "repro.baselines.ispy:ISpyPrefetcher",
     # mana
@@ -65,7 +60,6 @@ _EXPORTS = {
     "ManaResult": "repro.baselines.mana:ManaResult",
     "ManaTable": "repro.baselines.mana:ManaTable",
     "build_mana_table": "repro.baselines.mana:build_mana_table",
-    "simulate_mana": "repro.baselines.mana:simulate_mana",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -30,7 +30,6 @@ from ..core.injection import frequent_miss_lines, select_site
 from ..core.instructions import PrefetchInstr, PrefetchPlan
 from ..profiling.profiler import ExecutionProfile
 from ..sim.mechanism import Targets
-from ..sim.params import MachineParams
 from ..sim.stats import SimStats
 from ..sim.trace import BlockTrace, Program
 from .protocol import (
@@ -50,31 +49,6 @@ def window_targets(window: int, miss_set: Optional[Set[int]] = None) -> Targets:
     return lambda line: [
         target for target in range(line + 1, line + window + 1) if target in miss_set
     ]
-
-
-def simulate_window_prefetcher(
-    program: Program,
-    trace: BlockTrace,
-    profile: Optional[ExecutionProfile] = None,
-    window: int = 8,
-    contiguous: bool = True,
-    machine: Optional[MachineParams] = None,
-    data_traffic=None,
-    warmup: int = 0,
-    config: Optional[ISpyConfig] = None,
-) -> SimStats:
-    """Replay with a miss-triggered n-line window prefetcher.
-
-    On every demand L1I miss of line L, prefetch lines L+1 … L+n —
-    all of them (``contiguous=True``) or only the subset the profile
-    recorded as miss lines (``contiguous=False``; requires *profile*).
-    """
-    prefetcher = WindowPrefetcher(window, contiguous, sim_config=config)
-    return prefetcher.simulate(
-        ProfileView(program, profile),
-        trace,
-        ReplayContext(machine=machine, data_traffic=data_traffic, warmup=warmup),
-    )
 
 
 def _full_vector(window: int) -> int:
@@ -128,24 +102,6 @@ def build_window_plan(
             )
         )
     return plan
-
-
-def build_contiguous_plan(
-    program: Program,
-    profile: ExecutionProfile,
-    window: int = 8,
-    config: Optional[ISpyConfig] = None,
-) -> PrefetchPlan:
-    return build_window_plan(program, profile, window, True, config)
-
-
-def build_noncontiguous_plan(
-    program: Program,
-    profile: ExecutionProfile,
-    window: int = 8,
-    config: Optional[ISpyConfig] = None,
-) -> PrefetchPlan:
-    return build_window_plan(program, profile, window, False, config)
 
 
 class WindowPrefetcher(MechanismPrefetcher):

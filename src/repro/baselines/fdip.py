@@ -27,9 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..sim.mechanism import Targets
-from ..sim.params import MachineParams
-from ..sim.stats import SimStats
-from ..sim.trace import BlockTrace, Program
 from .protocol import (
     MechanismPrefetcher,
     ProfileView,
@@ -103,27 +100,6 @@ class BimodalBTB:
         else:
             self._confidence[block_id] = confidence
         return False
-
-
-def simulate_fdip(
-    program: Program,
-    trace: BlockTrace,
-    runahead: int = 16,
-    machine: Optional[MachineParams] = None,
-    data_traffic=None,
-    warmup: int = 0,
-    btb_capacity: Optional[int] = BimodalBTB.DEFAULT_CAPACITY,
-) -> SimStats:
-    """Replay *trace* with an FDIP-style decoupled frontend.
-
-    ``runahead`` is the fetch-target-queue depth in basic blocks;
-    ``btb_capacity`` bounds the predictor's storage (None = unbounded).
-    """
-    return FDIPPrefetcher(runahead, btb_capacity).simulate(
-        ProfileView(program),
-        trace,
-        ReplayContext(machine=machine, data_traffic=data_traffic, warmup=warmup),
-    )
 
 
 #: storage accounting per BTB entry: tag + target + 2-bit confidence,

@@ -9,26 +9,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim.cpu import CoreSimulator, simulate
-from ..sim.params import MachineParams
+from ..sim.cpu import CoreSimulator
 from ..sim.stats import SimStats
-from ..sim.trace import BlockTrace, Program
+from ..sim.trace import BlockTrace
 from .protocol import (
     Prefetcher,
     ProfileView,
     ReplayContext,
     register_prefetcher,
 )
-
-
-def simulate_ideal(
-    program: Program,
-    trace: BlockTrace,
-    machine: Optional[MachineParams] = None,
-) -> SimStats:
-    """The statistics of a perfect I-cache (every fetch hits) over
-    *trace*: the bound of a no-prefetch replay."""
-    return simulate(program, trace, machine=machine).ideal_bound()
 
 
 class IdealPrefetcher(Prefetcher):
@@ -57,16 +46,14 @@ class IdealPrefetcher(Prefetcher):
     ) -> SimStats:
         ctx = ctx or ReplayContext()
         core = CoreSimulator(view.program, machine=ctx.machine)
-        stats = core.run(
+        return core.run(
             trace,
             warmup=ctx.warmup,
             shard_insns=ctx.shard_insns,
             checkpointer=ctx.checkpointer,
-        )
-        self._last_core = core
-        return stats.ideal_bound()
+        ).ideal_bound()
 
 
 register_prefetcher("ideal", IdealPrefetcher)
 
-__all__ = ["IdealPrefetcher", "simulate_ideal"]
+__all__ = ["IdealPrefetcher"]

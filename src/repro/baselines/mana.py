@@ -20,9 +20,9 @@ both layouts so the comparison matrix reports honest metadata cost.
 Training consumes the same :class:`~repro.profiling.profiler.
 ExecutionProfile` the profile-guided planners use (the sampled miss
 stream stands in for the hardware's observed miss sequence).  At run
-time MANA is a miss trigger, :func:`simulate_mana`'s region walk, on
-the demand-fetch loop every run-time prefetcher shares
-(:func:`repro.sim.mechanism.replay_mechanism`).
+time MANA is a miss trigger (the region walk of
+:meth:`ManaPrefetcher.triggers`) on the demand-fetch loop every
+run-time prefetcher shares (:func:`repro.sim.mechanism.replay_mechanism`).
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.instructions import PrefetchInstr, PrefetchPlan
 from ..profiling.profiler import ExecutionProfile
 from ..sim.mechanism import Targets
-from ..sim.params import MachineParams
-from ..sim.stats import SimStats
-from ..sim.trace import BlockTrace, Program
+from ..sim.trace import Program
 from .protocol import (
     MechanismPrefetcher,
     ProfileView,
@@ -237,28 +235,6 @@ def build_mana_table(
     return ManaResult(table=table, report=report)
 
 
-def simulate_mana(
-    program: Program,
-    trace: BlockTrace,
-    table: ManaTable,
-    lookahead: int = DEFAULT_LOOKAHEAD,
-    machine: Optional[MachineParams] = None,
-    data_traffic=None,
-    warmup: int = 0,
-) -> SimStats:
-    """Replay *trace* with the MANA mechanism over a trained *table*
-    (see :meth:`ManaPrefetcher.triggers`).  ``warmup`` block
-    executions are excluded from the statistics."""
-    return ManaPrefetcher(lookahead=lookahead).simulate(
-        ProfileView(program),
-        trace,
-        ReplayContext(
-            machine=machine, data_traffic=data_traffic, warmup=warmup,
-            trained=table,
-        ),
-    )
-
-
 class ManaPrefetcher(MechanismPrefetcher):
     """Hardware metadata scheme: trains a region table from the
     profile, replays through the shared mechanism loop, injects
@@ -353,5 +329,4 @@ __all__ = [
     "ManaResult",
     "ManaTable",
     "build_mana_table",
-    "simulate_mana",
 ]

@@ -197,22 +197,11 @@ class Prefetcher(ABC):
             plan=plan,
             data_traffic=ctx.data_traffic,
         )
-        stats = core.run(
+        return core.run(
             trace,
             warmup=ctx.warmup,
             shard_insns=ctx.shard_insns,
             checkpointer=ctx.checkpointer,
-        )
-        self._last_core = core
-        return stats
-
-    @property
-    def last_replay_backend(self) -> Optional[str]:
-        """Replay backend of the most recent plan-replay simulate
-        call on this instance (``"mechanism"`` for a
-        :class:`MechanismPrefetcher`)."""
-        return getattr(
-            getattr(self, "_last_core", None), "last_replay_backend", None
         )
 
     # -- accounting ----------------------------------------------------

@@ -1,29 +1,23 @@
-"""Dynamic control-flow graph substrate (paper Fig. 2).
+"""Fan-out analysis over the profile's dynamic control flow (paper
+Fig. 2, Section II-C).
 
-``graph``    weighted, miss-annotated dynamic CFG.
-``builder``  CFG reconstruction from profiles.
 ``fanout``   injection-site fan-out & prefetch-window analysis.
-``render``   Graphviz/DOT export of miss-annotated CFGs.
+
+The dynamic CFG itself is the profile's ``block_counts`` (nodes),
+``edge_counts`` (weighted edges) and ``miss_samples`` (miss
+annotations); the planners read those counters directly.
 """
 
-from .builder import build_dynamic_cfg
 from .fanout import (
     OccurrenceLabels,
     dynamic_fanout,
     label_occurrences,
     sites_in_window,
 )
-from .graph import CFGNode, DynamicCFG
-from .render import to_dot, write_dot
 
 __all__ = [
-    "CFGNode",
-    "DynamicCFG",
     "OccurrenceLabels",
-    "build_dynamic_cfg",
     "dynamic_fanout",
     "label_occurrences",
     "sites_in_window",
-    "to_dot",
-    "write_dot",
 ]

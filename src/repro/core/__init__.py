@@ -9,7 +9,6 @@
 ``coalesce``      prefetch coalescing.
 ``ispy``          the end-to-end offline pipeline.
 ``validate``      linker-style plan sanity checks.
-``online``        Section VII epoch-based online re-planning.
 """
 
 from .bloom import LBRRuntimeHash, exact_history_match

@@ -58,34 +58,23 @@ class TestMpkiReduction:
     def test_zero_baseline(self):
         assert metrics.mpki_reduction(stats_with(1), stats_with(1)) == 0.0
 
-    def test_coverage_alias(self):
-        a, b = stats_with(1, 10), stats_with(1, 5)
-        assert metrics.miss_coverage(a, b) == metrics.mpki_reduction(a, b)
-
 
 class TestFootprints:
     def test_static_increase(self):
         plan = PrefetchPlan()
         plan.add(PrefetchInstr(site_block=1, base_line=10))  # 7 bytes
-        assert metrics.static_footprint_increase(plan, 700) == pytest.approx(0.01)
+        assert plan.static_increase(700) == pytest.approx(0.01)
 
     def test_dynamic_increase(self):
         stats = stats_with(1)
         stats.prefetch_instructions_executed = 100
-        assert metrics.dynamic_footprint_increase(stats) == pytest.approx(0.1)
+        assert stats.dynamic_overhead == pytest.approx(0.1)
 
 
 class TestAggregation:
     def test_relative_improvement(self):
         assert metrics.relative_improvement(0.12, 0.10) == pytest.approx(0.2)
         assert metrics.relative_improvement(0.1, 0.0) == 0.0
-
-    def test_geometric_mean(self):
-        assert metrics.geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            metrics.geometric_mean([])
-        with pytest.raises(ValueError):
-            metrics.geometric_mean([1.0, -1.0])
 
     def test_arithmetic_mean(self):
         assert metrics.arithmetic_mean([1.0, 3.0]) == 2.0

@@ -1,9 +1,8 @@
-"""Reporting and top-down helper tests."""
+"""Reporting helper and top-down (Fig. 1) quantity tests."""
 
 import pytest
 
 from repro.analysis.reporting import format_cell, percent, render_table, summarize
-from repro.analysis.topdown import breakdown, frontend_bound_fraction
 from repro.sim.stats import SimStats
 
 
@@ -57,26 +56,9 @@ class TestSummarize:
 
 
 class TestTopDown:
-    def make_stats(self):
+    def test_frontend_bound_fraction(self):
+        # Fig. 1 reads the quantity straight off the run's statistics
         stats = SimStats()
         stats.compute_cycles = 600.0
         stats.frontend_stall_cycles = 400.0
-        stats.record_miss_level("l2")
-        stats.record_miss_level("l2")
-        stats.record_miss_level("memory")
-        return stats
-
-    def test_frontend_bound_fraction(self):
-        assert frontend_bound_fraction(self.make_stats()) == pytest.approx(0.4)
-
-    def test_breakdown(self):
-        result = breakdown(self.make_stats(), {"l2": 12, "memory": 260})
-        assert result.frontend_bound == pytest.approx(0.4)
-        assert result.retiring == pytest.approx(0.6)
-        assert result.stall_cycles_by_level == {"l2": 24, "memory": 260}
-        assert result.dominant_miss_level() == "memory"
-
-    def test_empty_breakdown(self):
-        result = breakdown(SimStats(), {})
-        assert result.frontend_bound == 0.0
-        assert result.dominant_miss_level() == "none"
+        assert stats.frontend_bound_fraction == pytest.approx(0.4)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.baselines.contiguous import (
-    build_contiguous_plan,
-    build_noncontiguous_plan,
-    build_window_plan,
-)
-from repro.baselines.ideal import simulate_ideal
+from repro.baselines.contiguous import build_window_plan
 from repro.baselines.protocol import ProfileView, ReplayContext, get_prefetcher
 from repro.core.injection import frequent_miss_lines
 from repro.core.config import DEFAULT_CONFIG
@@ -19,13 +14,15 @@ from ..conftest import make_program
 
 class TestWindowPlans:
     def test_contiguous_has_full_vectors(self, small_app, small_profile):
-        plan = build_contiguous_plan(small_app.program, small_profile, window=8)
+        plan = build_window_plan(small_app.program, small_profile, window=8)
         assert len(plan) > 0
         assert all(i.bit_vector == 0xFF for i in plan)
         assert all(len(i.target_lines()) == 9 for i in plan)
 
     def test_noncontiguous_targets_only_miss_lines(self, small_app, small_profile):
-        plan = build_noncontiguous_plan(small_app.program, small_profile, window=8)
+        plan = build_window_plan(
+            small_app.program, small_profile, window=8, contiguous=False
+        )
         miss_lines = {
             line for line, _ in frequent_miss_lines(small_profile, DEFAULT_CONFIG)
         }
@@ -34,8 +31,10 @@ class TestWindowPlans:
                 assert line in miss_lines
 
     def test_noncontiguous_prefetches_fewer_lines(self, small_app, small_profile):
-        contiguous = build_contiguous_plan(small_app.program, small_profile)
-        noncontiguous = build_noncontiguous_plan(small_app.program, small_profile)
+        contiguous = build_window_plan(small_app.program, small_profile)
+        noncontiguous = build_window_plan(
+            small_app.program, small_profile, contiguous=False
+        )
         lines_c = sum(len(i.target_lines()) for i in contiguous)
         lines_n = sum(len(i.target_lines()) for i in noncontiguous)
         assert lines_n < lines_c
@@ -45,7 +44,9 @@ class TestWindowPlans:
             build_window_plan(small_app.program, small_profile, window=0)
 
     def test_window_members_not_reemitted(self, small_app, small_profile):
-        plan = build_noncontiguous_plan(small_app.program, small_profile)
+        plan = build_window_plan(
+            small_app.program, small_profile, contiguous=False
+        )
         bases = [i.base_line for i in plan]
         assert len(bases) == len(set(bases))
 
@@ -86,14 +87,19 @@ class TestNextLine:
         assert stats.prefetches_issued > 0
 
 
+def ideal_replay(program, trace):
+    """The registry's ideal member, replayed on *trace*."""
+    return get_prefetcher("ideal").simulate(ProfileView(program), trace)
+
+
 class TestIdeal:
     def test_no_misses(self, small_app, small_eval_trace):
-        stats = simulate_ideal(small_app.program, small_eval_trace)
+        stats = ideal_replay(small_app.program, small_eval_trace)
         assert stats.l1i_misses == 0
         assert stats.frontend_stall_cycles == 0.0
 
     def test_fastest_possible(self, small_app, small_eval_trace):
-        ideal = simulate_ideal(small_app.program, small_eval_trace)
+        ideal = ideal_replay(small_app.program, small_eval_trace)
         real = simulate(
             small_app.program,
             small_eval_trace,
@@ -102,5 +108,5 @@ class TestIdeal:
         assert ideal.cycles < real.cycles
 
     def test_cycles_equal_compute(self, small_app, small_eval_trace):
-        stats = simulate_ideal(small_app.program, small_eval_trace)
+        stats = ideal_replay(small_app.program, small_eval_trace)
         assert stats.cycles == pytest.approx(stats.compute_cycles)

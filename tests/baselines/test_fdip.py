@@ -2,11 +2,22 @@
 
 import pytest
 
-from repro.baselines.fdip import BimodalBTB, simulate_fdip
+from repro.baselines.fdip import BimodalBTB
+from repro.baselines.protocol import ProfileView, ReplayContext, get_prefetcher
 from repro.sim.cpu import simulate
 from repro.sim.trace import BlockTrace
 
 from ..conftest import make_program
+
+
+def fdip_replay(program, trace, runahead=16, warmup=0, data_traffic=None):
+    """The registry's FDIP member, replayed on *trace*."""
+    prefetcher = get_prefetcher("fdip", runahead=runahead)
+    return prefetcher.simulate(
+        ProfileView(program),
+        trace,
+        ReplayContext(data_traffic=data_traffic, warmup=warmup),
+    )
 
 
 class TestBimodalBTB:
@@ -46,7 +57,7 @@ class TestSimulateFdip:
         program = make_program([64] * 600)
         trace = BlockTrace(list(range(600)) * 5)
         base = simulate(program, trace, warmup=600)
-        fdip = simulate_fdip(program, trace, runahead=16, warmup=600)
+        fdip = fdip_replay(program, trace, runahead=16, warmup=600)
         assert base.l1i_misses > 1000  # the baseline thrashes
         assert fdip.prefetches_issued > 0
         # FDIP hides the bulk of the stall (late arrivals may remain)
@@ -54,19 +65,19 @@ class TestSimulateFdip:
 
     def test_single_block_trace(self):
         program = make_program([64])
-        stats = simulate_fdip(program, BlockTrace([0, 0, 0]))
+        stats = fdip_replay(program, BlockTrace([0, 0, 0]))
         assert stats.l1i_misses == 1
 
     def test_rejects_bad_runahead(self):
         program = make_program([64])
         with pytest.raises(ValueError):
-            simulate_fdip(program, BlockTrace([0]), runahead=0)
+            fdip_replay(program, BlockTrace([0]), runahead=0)
 
     def test_instruction_accounting_matches_baseline(self):
         program = make_program([64] * 6)
         trace = BlockTrace([0, 1, 2, 3, 4, 5] * 3)
         base = simulate(program, trace)
-        fdip = simulate_fdip(program, trace)
+        fdip = fdip_replay(program, trace)
         assert fdip.program_instructions == base.program_instructions
         assert fdip.l1i_accesses == base.l1i_accesses
 
@@ -78,7 +89,7 @@ class TestSimulateFdip:
             small_app.program, trace, warmup=3000,
             data_traffic=small_app.data_traffic(seed=5),
         )
-        fdip = simulate_fdip(
+        fdip = fdip_replay(
             small_app.program, trace, runahead=16, warmup=3000,
             data_traffic=small_app.data_traffic(seed=5),
         )
@@ -89,5 +100,5 @@ class TestSimulateFdip:
     def test_warmup_supported(self):
         program = make_program([64] * 10)
         trace = BlockTrace(list(range(10)) * 4)
-        stats = simulate_fdip(program, trace, warmup=10)
+        stats = fdip_replay(program, trace, warmup=10)
         assert stats.l1i_accesses == 30

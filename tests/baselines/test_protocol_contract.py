@@ -285,28 +285,23 @@ class TestDifferentialOldVsNew:
     def test_nextline(self, small_app, contract_trace, view):
         """The registry's next-line member is the contiguous window of
         one line."""
-        from repro.baselines.contiguous import simulate_window_prefetcher
+        from repro.baselines.contiguous import WindowPrefetcher
 
-        direct = simulate_window_prefetcher(
-            small_app.program,
+        direct = WindowPrefetcher(1, contiguous=True).simulate(
+            zoo.ProfileView(small_app.program),
             contract_trace,
-            window=1,
-            contiguous=True,
-            data_traffic=small_app.data_traffic(seed=small_app.spec.seed + 777),
-            warmup=EVAL_WARMUP,
+            eval_ctx(small_app),
         )
         ported = self._protocol_stats(small_app, view, contract_trace, "nextline")
         assert stats_to_record(ported) == stats_to_record(direct)
 
     def test_fdip(self, small_app, contract_trace, view):
-        from repro.baselines.fdip import simulate_fdip
+        from repro.baselines.fdip import FDIPPrefetcher
 
-        direct = simulate_fdip(
-            small_app.program,
+        direct = FDIPPrefetcher(runahead=16).simulate(
+            zoo.ProfileView(small_app.program),
             contract_trace,
-            runahead=16,
-            data_traffic=small_app.data_traffic(seed=small_app.spec.seed + 777),
-            warmup=EVAL_WARMUP,
+            eval_ctx(small_app),
         )
         ported = self._protocol_stats(small_app, view, contract_trace, "fdip")
         assert stats_to_record(ported) == stats_to_record(direct)
@@ -320,21 +315,18 @@ class TestDifferentialOldVsNew:
     ):
         from dataclasses import replace
 
-        from repro.baselines.contiguous import simulate_window_prefetcher
+        from repro.baselines.contiguous import WindowPrefetcher
 
-        kwargs = {}
+        sim_config = None
         if not contiguous:
             # the Fig. 5 study filters on *all* profiled misses
-            kwargs["config"] = replace(DEFAULT_CONFIG, min_miss_samples=1)
-        direct = simulate_window_prefetcher(
-            small_app.program,
+            sim_config = replace(DEFAULT_CONFIG, min_miss_samples=1)
+        direct = WindowPrefetcher(
+            8, contiguous=contiguous, sim_config=sim_config
+        ).simulate(
+            zoo.ProfileView(small_app.program, small_profile),
             contract_trace,
-            profile=small_profile,
-            window=8,
-            contiguous=contiguous,
-            data_traffic=small_app.data_traffic(seed=small_app.spec.seed + 777),
-            warmup=EVAL_WARMUP,
-            **kwargs,
+            eval_ctx(small_app),
         )
         ported = self._protocol_stats(small_app, view, contract_trace, variant)
         assert stats_to_record(ported) == stats_to_record(direct)

@@ -1,10 +1,9 @@
-"""CFG construction from profiles and fan-out estimation tests."""
+"""The profile's dynamic-CFG counters and fan-out estimation tests."""
 
 from collections import Counter
 
 import pytest
 
-from repro.cfg.builder import build_dynamic_cfg
 from repro.cfg.fanout import dynamic_fanout, label_occurrences, path_fanout
 from repro.profiling.pebs import MissSample
 from repro.profiling.profiler import ExecutionProfile
@@ -26,26 +25,33 @@ def profile_from(block_ids, miss_positions, line=999, cpb=4.0):
     )
 
 
-class TestBuildDynamicCFG:
+def misses_by_block(profile):
+    return Counter(sample.block_id for sample in profile.miss_samples)
+
+
+class TestProfileCFG:
+    """The profile is the miss-annotated dynamic CFG (paper Fig. 2):
+    ``block_counts`` weighs its nodes, ``edge_counts`` its edges and
+    ``miss_samples`` annotates its nodes with misses."""
+
     def test_edge_count_conservation(self, small_profile):
-        cfg = build_dynamic_cfg(small_profile)
-        assert cfg.total_edge_weight() == len(small_profile.block_ids) - 1
+        total = sum(small_profile.edge_counts.values())
+        assert total == len(small_profile.block_ids) - 1
 
     def test_execution_counts_match_trace(self, small_profile):
-        cfg = build_dynamic_cfg(small_profile)
-        total = sum(node.execution_count for node in cfg.nodes())
+        total = sum(small_profile.block_counts.values())
         assert total == len(small_profile.block_ids)
 
     def test_misses_annotated(self, small_profile):
-        cfg = build_dynamic_cfg(small_profile)
-        annotated = sum(node.miss_count for node in cfg.nodes())
-        assert annotated == small_profile.sampled_miss_count
+        annotated = misses_by_block(small_profile)
+        assert sum(annotated.values()) == small_profile.sampled_miss_count
+        # every miss annotates a block the trace executed
+        assert set(annotated) <= set(small_profile.block_counts)
 
     def test_small_synthetic(self):
         profile = profile_from([1, 2, 3, 1, 2, 3], miss_positions=[2, 5])
-        cfg = build_dynamic_cfg(profile)
-        assert cfg.edge_count(1, 2) == 2
-        assert cfg.node(3).miss_count == 2
+        assert profile.edge_counts[(1, 2)] == 2
+        assert misses_by_block(profile)[3] == 2
 
 
 class TestLabelOccurrences:

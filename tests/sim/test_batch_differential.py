@@ -258,7 +258,7 @@ class TestNoMidRunFailure:
         def core():
             return CoreSimulator(
                 program, plan=plan,
-                data_traffic=evaluation._eval_data_traffic(),
+                data_traffic=evaluation.eval_data_traffic(),
                 prefetch_insertion_fraction=0.75,
             )
 

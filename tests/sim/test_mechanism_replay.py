@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernel
-from repro.baselines.contiguous import simulate_window_prefetcher
+from repro.baselines.contiguous import WindowPrefetcher
 from repro.baselines.protocol import ProfileView, ReplayContext, get_prefetcher
 from repro.sim.cpu import CoreSimulator
 from repro.sim.datatraffic import make_data_traffic
@@ -104,13 +104,10 @@ class TestNextLineIsTheContiguousWindow:
     @pytest.mark.parametrize("lines_ahead", (1, 2, 4, 8))
     def test_window_of_n(self, lines_ahead, warmup, traffic_seed):
         program, trace = _random_case(7, 400)
-        window = simulate_window_prefetcher(
-            program,
+        window = WindowPrefetcher(lines_ahead, contiguous=True).simulate(
+            ProfileView(program),
             trace,
-            window=lines_ahead,
-            contiguous=True,
-            data_traffic=_traffic(traffic_seed),
-            warmup=warmup,
+            ReplayContext(data_traffic=_traffic(traffic_seed), warmup=warmup),
         )
         assert window.prefetches_issued > 0
         assert _nextline(

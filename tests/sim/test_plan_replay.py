@@ -222,7 +222,7 @@ class TestAppPlans:
             evaluation.app.program,
             evaluation.eval_trace,
             plan,
-            data_traffic=evaluation._eval_data_traffic,
+            data_traffic=evaluation.eval_data_traffic,
             warmup=evaluation.settings.warmup,
         )
         # The workload must actually exercise the interesting paths:
@@ -246,7 +246,7 @@ class TestAppPlans:
             evaluation.app.program,
             evaluation.eval_trace,
             plan,
-            data_traffic=evaluation._eval_data_traffic,
+            data_traffic=evaluation.eval_data_traffic,
             warmup=evaluation.settings.warmup,
             track_exact_context=True,
         )
@@ -258,7 +258,7 @@ class TestAppPlans:
             evaluation.app.program,
             evaluation.eval_trace,
             evaluation.ispy_plan(),
-            data_traffic=evaluation._eval_data_traffic,
+            data_traffic=evaluation.eval_data_traffic,
             warmup=evaluation.settings.warmup,
             prefetch_insertion_fraction=fraction,
         )

@@ -62,7 +62,7 @@ class TestApiSnapshot:
             "PrefetchInstr",
             # baselines (the prefetcher zoo)
             "Prefetcher", "get_prefetcher", "prefetcher_names",
-            "build_asmdb_plan", "simulate_ideal",
+            "build_asmdb_plan",
             # analysis
             "Evaluator", "ExperimentSettings", "render_table",
             # run configuration & observability
@@ -93,18 +93,16 @@ class TestBaselinesApiSnapshot:
             "ASMDB_FANOUT_THRESHOLD", "AsmDBPrefetcher", "AsmDBResult",
             "build_asmdb_plan",
             # window limit study and next-N-line
-            "NextLinePrefetcher", "WindowPrefetcher", "build_contiguous_plan",
-            "build_noncontiguous_plan", "build_window_plan",
-            "simulate_window_prefetcher",
+            "NextLinePrefetcher", "WindowPrefetcher", "build_window_plan",
             # fdip
-            "BimodalBTB", "FDIPPrefetcher", "simulate_fdip",
+            "BimodalBTB", "FDIPPrefetcher",
             # ideal
-            "IdealPrefetcher", "simulate_ideal",
+            "IdealPrefetcher",
             # ispy adapter
             "ISpyPrefetcher",
             # mana
             "ManaPrefetcher", "ManaResult", "ManaTable",
-            "build_mana_table", "simulate_mana",
+            "build_mana_table",
         }
     )
 

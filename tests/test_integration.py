@@ -9,12 +9,8 @@ establishes.
 import pytest
 
 from repro.baselines.asmdb import build_asmdb_plan
-from repro.baselines.contiguous import (
-    build_contiguous_plan,
-    build_noncontiguous_plan,
-)
-from repro.baselines.ideal import simulate_ideal
-from repro.cfg.builder import build_dynamic_cfg
+from repro.baselines.contiguous import build_window_plan
+from repro.baselines.protocol import ProfileView, get_prefetcher
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.ispy import ISpy, build_ispy_plan
 from repro.profiling.profiler import profile_execution
@@ -90,8 +86,8 @@ class TestPipelineOrderings:
 class TestWindowLimitStudy:
     def test_noncontiguous_prefetches_fewer_lines_for_same_misses(self, pipeline):
         app, profile, trace = pipeline
-        contiguous = build_contiguous_plan(app.program, profile)
-        noncontiguous = build_noncontiguous_plan(app.program, profile)
+        contiguous = build_window_plan(app.program, profile)
+        noncontiguous = build_window_plan(app.program, profile, contiguous=False)
         s_c = run(app, trace, plan=contiguous)
         s_n = run(app, trace, plan=noncontiguous)
         assert s_n.prefetches_issued < s_c.prefetches_issued
@@ -108,10 +104,12 @@ class TestProfilingConsistency:
         assert profile.sampled_miss_count == profile.baseline_stats.l1i_misses
 
     def test_cfg_reconstruction(self, pipeline):
+        # the profile's counters are the dynamic CFG: its nodes, its
+        # weighted edges and its miss annotations
         app, profile, _ = pipeline
-        cfg = build_dynamic_cfg(profile)
-        assert len(cfg) <= len(app.program)
-        assert cfg.total_edge_weight() == len(profile.block_ids) - 1
+        assert len(profile.block_counts) <= len(app.program)
+        assert sum(profile.block_counts.values()) == len(profile.block_ids)
+        assert sum(profile.edge_counts.values()) == len(profile.block_ids) - 1
 
 
 class TestConditionalHardwarePath:
@@ -136,9 +134,9 @@ class TestConditionalHardwarePath:
         )
         assert total > 0
 
-    def test_ideal_runner_matches_simulate_ideal(self, pipeline):
+    def test_ideal_runner_matches_ideal_member(self, pipeline):
         app, _, trace = pipeline
         a = run(app, trace).ideal_bound()
-        b = simulate_ideal(app.program, trace)
-        # simulate_ideal has no warmup arg here; compare rates
+        b = get_prefetcher("ideal").simulate(ProfileView(app.program), trace)
+        # the member replays with no warmup here; compare rates
         assert a.l1i_misses == b.l1i_misses == 0
