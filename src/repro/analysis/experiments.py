@@ -21,12 +21,15 @@ Methodology (fixed across all experiments, Section V):
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from .. import io as repro_io
 from ..obs import trace as trace_mod
@@ -48,6 +51,7 @@ from ..workloads.apps import (
     app_spec,
     cached_app,
     get_app,
+    get_profile,
     get_trace,
 )
 from ..workloads.inputs import INPUT_NAMES, InputTrace
@@ -65,6 +69,14 @@ GENERALIZATION_APPS: Tuple[str, ...] = ("drupal", "mediawiki", "wordpress")
 #: A replay's trace: None for the evaluation trace, a built trace, or
 #: an input's trace by its generating parameters (built only to replay)
 TraceArg = Union[None, BlockTrace, InputTrace]
+
+#: One ``run_plans`` call of a sweep figure: its items and its trace
+SweepRun = Tuple[list, TraceArg]
+
+
+class PlanNotStored(LookupError):
+    """A plan accessor missed the caches inside
+    :meth:`AppEvaluation.stored_plans`, where it may not train."""
 
 
 @dataclass(frozen=True)
@@ -142,6 +154,8 @@ class AppEvaluation:
         #: the input trace built last, shared by that input's replays
         self._input_trace: Optional[Tuple[InputTrace, BlockTrace]] = None
         self._base_parts: Optional[Dict[str, object]] = None
+        #: False inside :meth:`stored_plans`
+        self._may_train = True
 
     @contextmanager
     def span(self, name: str, **args):
@@ -212,7 +226,7 @@ class AppEvaluation:
             store = self.store
             key = self._key("profile") if store is not None else ""
             if store is not None:
-                cached = store.load_profile(key)
+                cached = get_profile(store, key)
                 if cached is not None:
                     self.tracer.instant("store:hit", kind="profile", app=self.name)
                     self._profile = cached
@@ -379,18 +393,11 @@ class AppEvaluation:
         """
         keys = []
         requests = {}
-        for item in plans:
-            plan, overrides = item if isinstance(item, tuple) else (item, {})
-            kw = {
-                "hash_bits": hash_bits,
-                "track_exact_context": track_exact_context,
-                **overrides,
-            }
-            key = self._stats_key(
-                plan, kw["hash_bits"], kw["track_exact_context"], trace
-            )
-            keys.append(key)
-            requests.setdefault(key, (plan, kw, key))
+        for request in self._requests(
+            plans, hash_bits, track_exact_context, trace
+        ):
+            keys.append(request[2])
+            requests.setdefault(request[2], request)
 
         found = {key: self._cached_stats(key) for key in requests}
         misses = [requests[key] for key, stats in found.items() if stats is None]
@@ -402,6 +409,67 @@ class AppEvaluation:
             for (_, _, key), stats in zip(group, self._replay_misses(group, trace)):
                 found[key] = stats
         return [found[key] for key in keys]
+
+    def _requests(
+        self,
+        plans,
+        hash_bits: int = 16,
+        track_exact_context: bool = False,
+        trace: TraceArg = None,
+    ) -> List[Tuple[Optional[PrefetchPlan], Dict[str, object], str]]:
+        """Each :meth:`run_plans` item as a ``(plan, simulator kwargs,
+        stats key)`` request."""
+        requests = []
+        for item in plans:
+            plan, overrides = item if isinstance(item, tuple) else (item, {})
+            kw = {
+                "hash_bits": hash_bits,
+                "track_exact_context": track_exact_context,
+                **overrides,
+            }
+            key = self._stats_key(
+                plan, kw["hash_bits"], kw["track_exact_context"], trace
+            )
+            requests.append((plan, kw, key))
+        return requests
+
+    def run_sweep(self, runs: Sequence[SweepRun]) -> List[List[SimStats]]:
+        """:meth:`run_plans` over each ``(items, trace)`` run of a sweep
+        figure's request function."""
+        return [self.run_plans(items, trace=trace) for items, trace in runs]
+
+    def sweep_misses(
+        self, served: Sequence[str] = ()
+    ) -> List[Tuple[TraceArg, List[Tuple[object, str]]]]:
+        """The report sweeps' items on this app (:func:`sweep_requests`)
+        whose stats no cache holds, one per key and none whose key is
+        in *served*, as ``(trace, [(item, stats key), ...])`` batches.
+
+        A trace's items are cut into batches no wider than the widest
+        sweep run, so no batch holds more replays (and so more cache
+        state) than a figure replays at once by itself.  Loads plans and
+        statistics only; raises :class:`PlanNotStored` when a sweep
+        plan is not stored yet.
+        """
+        with self.stored_plans():
+            runs = sweep_requests(self)
+        seen = set(served)
+        misses: Dict[TraceArg, List[Tuple[object, str]]] = {}
+        for items, trace in runs:
+            for item, (_, _, key) in zip(items, self._requests(items, trace=trace)):
+                if key in seen or self._cached_stats(key) is not None:
+                    continue
+                seen.add(key)
+                misses.setdefault(trace, []).append((item, key))
+        width = max((len(items) for items, _ in runs), default=1)
+        batches = []
+        for trace, pairs in misses.items():
+            # the fewest batches of that width, evened out
+            size = math.ceil(len(pairs) / math.ceil(len(pairs) / width))
+            batches += [
+                (trace, pairs[i:i + size]) for i in range(0, len(pairs), size)
+            ]
+        return batches
 
     def _replay_misses(self, misses, trace: TraceArg = None) -> List[SimStats]:
         """Replay *misses* — ``(plan, simulator kwargs, stats key)``
@@ -541,8 +609,20 @@ class AppEvaluation:
         """The member's plan: cached (:meth:`_cached_plan`), else trained."""
         plan = self._cached_plan(prefetcher)
         if plan is None:
+            if not self._may_train:
+                raise PlanNotStored(prefetcher.name)
             plan = zoo.plan_of(self._train_result_for(prefetcher))
         return plan
+
+    @contextmanager
+    def stored_plans(self):
+        """A block in which the plan accessors only read the caches and
+        raise :class:`PlanNotStored` where they would train."""
+        self._may_train = False
+        try:
+            yield
+        finally:
+            self._may_train = True
 
     def _summary_for(self, prefetcher: "zoo.Prefetcher") -> TrainSummary:
         """The summary of the member's training report: the store's
@@ -723,7 +803,8 @@ class AppEvaluation:
 
 
 #: Variants prewarmed by default — every per-app variant the non-sweep
-#: figures (1, 4, 5, 10-15) consume.
+#: figures (1, 4, 5, 10-15) consume.  The sweep figures' replays are
+#: prewarmed through their request functions (:data:`SWEEPS`).
 DEFAULT_PREWARM_VARIANTS: Tuple[str, ...] = (
     "baseline",
     "ideal",
@@ -828,19 +909,22 @@ class Evaluator:
         apps: Optional[Sequence[str]] = None,
         variants: Sequence[str] = DEFAULT_PREWARM_VARIANTS,
         jobs: Optional[int] = None,
+        sweeps: bool = False,
     ) -> None:
-        """Compute (app, variant) statistics up front.
+        """Compute (app, variant) statistics up front, and with
+        *sweeps* every replay of the report's sweep figures
+        (:data:`SWEEPS`, on their own default apps, whose baselines
+        join the variants).
 
         With more than one job, every pair is first looked up in the
-        caches (:meth:`AppEvaluation.cached_stats_for`); only the misses
-        go to worker processes.  Profiles and plans are built once per
-        app with a miss in a first wave, then every missing (app,
-        variant) simulation runs as an independent job; the parent
-        absorbs the results, so subsequent figure calls are cache
-        hits.  When every pair hits, no pool starts.  Serial prewarm
-        computes the same artifacts in order.  ``ideal`` is never a
-        job: it is the baseline's bound, so ``baseline`` takes its
-        place.
+        caches (:meth:`AppEvaluation.cached_stats_for`), and every sweep
+        item through :meth:`AppEvaluation.sweep_misses`; only the misses
+        go to worker processes (:func:`~repro.analysis.jobs.run_prewarm_jobs`).
+        The parent absorbs the results, so subsequent figure calls are
+        cache hits.  When everything hits, no pool starts.  Serial
+        prewarm computes the same artifacts in order, through the same
+        request functions.  ``ideal`` is never a job: it is the
+        baseline's bound, so ``baseline`` takes its place.
         """
         from .jobs import resolve_jobs, run_prewarm_jobs
 
@@ -848,26 +932,41 @@ class Evaluator:
             dict.fromkeys("baseline" if v == "ideal" else v for v in variants)
         )
         names = list(apps) if apps is not None else list(APP_NAMES)
+        wanted = {name: variants for name in names}
+        swept = SWEEP_APP_NAMES if sweeps else ()
+        for name in swept:
+            wanted[name] = tuple(dict.fromkeys(wanted.get(name, ()) + ("baseline",)))
         n_jobs = resolve_jobs(self.jobs if jobs is None else jobs)
-        if n_jobs <= 1 or not names:
-            for name in names:
+        if n_jobs <= 1 or not wanted:
+            for name, wanted_variants in wanted.items():
                 evaluation = self[name]
-                for variant in variants:
+                for variant in wanted_variants:
                     evaluation.stats_for(variant)
+            for name in swept:
+                self[name].run_sweep(sweep_requests(self[name]))
             return
         misses: Dict[str, Tuple[str, ...]] = {}
-        for name in names:
+        for name, wanted_variants in wanted.items():
             evaluation = self[name]
             missing = tuple(
                 variant
-                for variant in variants
+                for variant in wanted_variants
                 if evaluation.cached_stats_for(variant) is None
             )
             if missing:
                 misses[name] = missing
-        if misses:
+        pending = [name for name in swept if self._sweep_pending(name)]
+        if misses or pending:
             self._ensure_store()
-            run_prewarm_jobs(self, misses, n_jobs)
+            run_prewarm_jobs(self, misses, pending, n_jobs)
+
+    def _sweep_pending(self, name: str) -> bool:
+        """Whether a sweep item of app *name* misses the caches (or its
+        plan is not stored yet)."""
+        try:
+            return bool(self[name].sweep_misses())
+        except PlanNotStored:
+            return True
 
 
 # ---------------------------------------------------------------------------
@@ -922,14 +1021,24 @@ def fig01_frontend_bound(
 # ---------------------------------------------------------------------------
 
 
+FIG03_THRESHOLDS: Tuple[float, ...] = (0.20, 0.50, 0.80, 0.90, 0.95, 0.99)
+
+
+def fig03_requests(
+    evaluation: AppEvaluation, thresholds: Sequence[float] = FIG03_THRESHOLDS
+) -> List[SweepRun]:
+    """Fig. 3's replays on one app: AsmDB at each fan-out threshold."""
+    return [([evaluation.asmdb_plan(t) for t in thresholds], None)]
+
+
 def fig03_fanout_tradeoff(
     evaluator: Evaluator,
     app: str = "wordpress",
-    thresholds: Sequence[float] = (0.20, 0.50, 0.80, 0.90, 0.95, 0.99),
+    thresholds: Sequence[float] = FIG03_THRESHOLDS,
 ) -> List[Dict[str, object]]:
     """Sweep AsmDB's fan-out threshold on one application."""
     evaluation = evaluator[app]
-    sweep = evaluation.run_plans([evaluation.asmdb_plan(t) for t in thresholds])
+    (sweep,) = evaluation.run_sweep(fig03_requests(evaluation, thresholds))
     rows = []
     for threshold, stats in zip(thresholds, sweep):
         rows.append(
@@ -1152,35 +1261,45 @@ def fig15_dynamic_footprint(
 # ---------------------------------------------------------------------------
 
 
+def fig16_requests(
+    evaluation: AppEvaluation, inputs: Sequence[str] = INPUT_NAMES
+) -> List[SweepRun]:
+    """Fig. 16's replays on one app: the baseline, I-SPY and AsmDB on
+    each input.
+
+    Each input's trace is named by its generating parameters, so cached
+    replays are found without building it.
+    """
+    spec = evaluation.spec
+    plans = [None, evaluation.ispy_plan(), evaluation.asmdb_plan()]
+    # crc32, not hash(): the latter is salted per process, which would
+    # make these seeds differ between runs (and between parallel
+    # workers and the parent).
+    return [
+        (
+            plans,
+            InputTrace(
+                spec,
+                input_name,
+                evaluation.settings.eval_length,
+                seed=spec.seed + 50_000 + zlib.crc32(input_name.encode()) % 1000,
+            ),
+        )
+        for input_name in inputs
+    ]
+
+
 def fig16_generalization(
     evaluator: Evaluator,
     apps: Sequence[str] = GENERALIZATION_APPS,
     inputs: Sequence[str] = INPUT_NAMES,
 ) -> List[Dict[str, object]]:
-    """Profile on the default input, evaluate on five inputs.
-
-    Each input's trace is named by its generating parameters, so cached
-    replays are found without building it.
-    """
+    """Profile on the default input, evaluate on five inputs."""
     rows = []
     for name in apps:
         evaluation = evaluator[name]
-        spec = evaluation.spec
-        ispy_plan = evaluation.ispy_plan()
-        asmdb_plan = evaluation.asmdb_plan()
-        for input_name in inputs:
-            # crc32, not hash(): the latter is salted per process, which
-            # would make these seeds differ between runs (and between
-            # parallel workers and the parent).
-            trace = InputTrace(
-                spec,
-                input_name,
-                evaluator.settings.eval_length,
-                seed=spec.seed + 50_000 + zlib.crc32(input_name.encode()) % 1000,
-            )
-            base, ispy, asmdb = evaluation.run_plans(
-                [None, ispy_plan, asmdb_plan], trace=trace
-            )
+        sweeps = evaluation.run_sweep(fig16_requests(evaluation, inputs))
+        for input_name, (base, ispy, asmdb) in zip(inputs, sweeps):
             ideal = base.ideal_bound()
             rows.append(
                 {
@@ -1200,17 +1319,14 @@ def fig16_generalization(
 # ---------------------------------------------------------------------------
 
 
-def fig17_predecessors(
-    evaluator: Evaluator,
-    counts: Sequence[int] = (1, 2, 4, 8),
-    apps: Sequence[str] = SWEEP_APPS,
-) -> List[Dict[str, object]]:
-    """Conditional-prefetching performance vs context size.
+FIG17_COUNTS: Tuple[int, ...] = (1, 2, 4, 8)
 
-    The paper sweeps 1..32; the combination search is exponential in
-    the predecessor count (the paper reports tens of minutes beyond
-    4), so the default sweep stops at 8.
-    """
+
+def fig17_requests(
+    evaluation: AppEvaluation, counts: Sequence[int] = FIG17_COUNTS
+) -> List[SweepRun]:
+    """Fig. 17's replays on one app: conditional-only I-SPY at each
+    context size, in one batched trace pass."""
     configs = [
         replace(
             DEFAULT_CONFIG,
@@ -1220,11 +1336,22 @@ def fig17_predecessors(
         )
         for count in counts
     ]
-    # One batched trace pass per app covering every context size.
+    return [([evaluation.ispy_plan(config) for config in configs], None)]
+
+
+def fig17_predecessors(
+    evaluator: Evaluator,
+    counts: Sequence[int] = FIG17_COUNTS,
+    apps: Sequence[str] = SWEEP_APPS,
+) -> List[Dict[str, object]]:
+    """Conditional-prefetching performance vs context size.
+
+    The paper sweeps 1..32; the combination search is exponential in
+    the predecessor count (the paper reports tens of minutes beyond
+    4), so the default sweep stops at 8.
+    """
     sweeps = {
-        name: evaluator[name].run_plans(
-            [evaluator[name].ispy_plan(config) for config in configs]
-        )
+        name: evaluator[name].run_sweep(fig17_requests(evaluator[name], counts))[0]
         for name in apps
     }
     rows = []
@@ -1251,29 +1378,48 @@ def fig17_predecessors(
 # ---------------------------------------------------------------------------
 
 
-def fig18_distance(
-    evaluator: Evaluator,
-    minima: Sequence[float] = (5, 13, 27, 54, 108),
-    maxima: Sequence[float] = (54, 100, 200, 400, 800),
-    apps: Sequence[str] = SWEEP_APPS,
-) -> List[Dict[str, object]]:
-    """Sweep the minimum (max fixed) and maximum (min fixed) distance."""
-    points = [
+FIG18_MINIMA: Tuple[float, ...] = (5, 13, 27, 54, 108)
+FIG18_MAXIMA: Tuple[float, ...] = (54, 100, 200, 400, 800)
+
+
+def _fig18_points(
+    minima: Sequence[float], maxima: Sequence[float]
+) -> List[Tuple[str, float, ISpyConfig]]:
+    return [
         ("min", m, DEFAULT_CONFIG.with_window(m, DEFAULT_CONFIG.max_prefetch_distance))
         for m in minima
     ] + [
         ("max", m, DEFAULT_CONFIG.with_window(DEFAULT_CONFIG.min_prefetch_distance, m))
         for m in maxima
     ]
-    # One batched trace pass per app covering both distance sweeps.
+
+
+def fig18_requests(
+    evaluation: AppEvaluation,
+    minima: Sequence[float] = FIG18_MINIMA,
+    maxima: Sequence[float] = FIG18_MAXIMA,
+) -> List[SweepRun]:
+    """Fig. 18's replays on one app: both distance sweeps in one
+    batched trace pass."""
+    points = _fig18_points(minima, maxima)
+    return [([evaluation.ispy_plan(config) for _, _, config in points], None)]
+
+
+def fig18_distance(
+    evaluator: Evaluator,
+    minima: Sequence[float] = FIG18_MINIMA,
+    maxima: Sequence[float] = FIG18_MAXIMA,
+    apps: Sequence[str] = SWEEP_APPS,
+) -> List[Dict[str, object]]:
+    """Sweep the minimum (max fixed) and maximum (min fixed) distance."""
     sweeps = {
-        name: evaluator[name].run_plans(
-            [evaluator[name].ispy_plan(config) for _, _, config in points]
-        )
+        name: evaluator[name].run_sweep(
+            fig18_requests(evaluator[name], minima, maxima)
+        )[0]
         for name in apps
     }
     rows = []
-    for i, (sweep, distance, _) in enumerate(points):
+    for i, (sweep, distance, _) in enumerate(_fig18_points(minima, maxima)):
         rows.append(
             {
                 "sweep": sweep,
@@ -1296,18 +1442,26 @@ def fig18_distance(
 # ---------------------------------------------------------------------------
 
 
+FIG19_BITS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
+
+
+def fig19_requests(
+    evaluation: AppEvaluation, bits: Sequence[int] = FIG19_BITS
+) -> List[SweepRun]:
+    """Fig. 19's replays on one app: I-SPY at each coalescing bitmask
+    width, in one batched trace pass."""
+    configs = [replace(DEFAULT_CONFIG, coalesce_bits=size) for size in bits]
+    return [([evaluation.ispy_plan(config) for config in configs], None)]
+
+
 def fig19_coalesce_size(
     evaluator: Evaluator,
-    bits: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
+    bits: Sequence[int] = FIG19_BITS,
     apps: Sequence[str] = SWEEP_APPS,
 ) -> List[Dict[str, object]]:
-    configs = [replace(DEFAULT_CONFIG, coalesce_bits=size) for size in bits]
-    # One batched trace pass per app covering every bitmask width.
-    plans = {
-        name: [evaluator[name].ispy_plan(config) for config in configs]
-        for name in apps
-    }
-    sweeps = {name: evaluator[name].run_plans(plans[name]) for name in apps}
+    runs = {name: fig19_requests(evaluator[name], bits) for name in apps}
+    plans = {name: runs[name][0][0] for name in apps}
+    sweeps = {name: evaluator[name].run_sweep(runs[name])[0] for name in apps}
     rows = []
     for i, size in enumerate(bits):
         fractions = [
@@ -1366,27 +1520,42 @@ def fig20_coalesce_profile(
 # ---------------------------------------------------------------------------
 
 
+FIG21_BITS: Tuple[int, ...] = (4, 8, 16, 32, 64)
+
+
+def fig21_requests(
+    evaluation: AppEvaluation, bits: Sequence[int] = FIG21_BITS
+) -> List[SweepRun]:
+    """Fig. 21's replays on one app: I-SPY at each context-hash width,
+    in one batched pass; the hash width varies per slot via overrides."""
+    return [
+        (
+            [
+                (
+                    evaluation.ispy_plan(
+                        replace(DEFAULT_CONFIG, context_hash_bits=size)
+                    ),
+                    {"hash_bits": size, "track_exact_context": True},
+                )
+                for size in bits
+            ],
+            None,
+        )
+    ]
+
+
 def fig21_hash_size(
     evaluator: Evaluator,
-    bits: Sequence[int] = (4, 8, 16, 32, 64),
+    bits: Sequence[int] = FIG21_BITS,
     app: str = "wordpress",
 ) -> List[Dict[str, object]]:
     """False-positive rate and static footprint vs hash width."""
     evaluation = evaluator[app]
     text = evaluation.text_bytes
-    plans = [
-        evaluation.ispy_plan(replace(DEFAULT_CONFIG, context_hash_bits=size))
-        for size in bits
-    ]
-    # One batched pass; the hash width varies per slot via overrides.
-    sweep = evaluation.run_plans(
-        [
-            (plan, {"hash_bits": size, "track_exact_context": True})
-            for plan, size in zip(plans, bits)
-        ]
-    )
+    runs = fig21_requests(evaluation, bits)
+    (sweep,) = evaluation.run_sweep(runs)
     rows = []
-    for size, plan, stats in zip(bits, plans, sweep):
+    for size, (plan, _), stats in zip(bits, runs[0][0], sweep):
         rows.append(
             {
                 "hash_bits": size,
@@ -1395,6 +1564,41 @@ def fig21_hash_size(
             }
         )
     return rows
+
+
+#: The report's sweep figures at their defaults: (the apps a figure
+#: sweeps, its per-app request function).  The figures and
+#: :meth:`Evaluator.prewarm` both go through the request functions.
+SWEEPS: Tuple[
+    Tuple[Tuple[str, ...], Callable[[AppEvaluation], List[SweepRun]]], ...
+] = (
+    (("wordpress",), fig03_requests),
+    (GENERALIZATION_APPS, fig16_requests),
+    (SWEEP_APPS, fig17_requests),
+    (SWEEP_APPS, fig18_requests),
+    (SWEEP_APPS, fig19_requests),
+    (("wordpress",), fig21_requests),
+)
+
+#: Every app a report sweep replays, those in the most sweeps (so with
+#: the most plans to train) first.
+SWEEP_APP_NAMES: Tuple[str, ...] = tuple(
+    sorted(
+        dict.fromkeys(name for apps, _ in SWEEPS for name in apps),
+        key=lambda name: -sum(name in apps for apps, _ in SWEEPS),
+    )
+)
+
+
+def sweep_requests(evaluation: AppEvaluation) -> List[SweepRun]:
+    """Every ``run_plans`` call the report's sweeps make on
+    *evaluation*'s app."""
+    return [
+        run
+        for apps, request in SWEEPS
+        if evaluation.name in apps
+        for run in request(evaluation)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,20 @@ Jobs are top-level functions (picklable by the default
 ``ProcessPoolExecutor`` machinery); each worker builds its own
 :class:`~repro.analysis.experiments.Evaluator` against the shared
 on-disk artifact store, so cross-process communication is limited to
-content-addressed files plus the returned statistics.  The apps and
-their evaluation traces come from the process-wide
-:func:`~repro.workloads.apps.get_app` and
-:func:`~repro.workloads.apps.get_trace` memos, so a worker synthesizes
-each app and generates its evaluation trace at most once, however many
-of its jobs use them.
+content-addressed files, the returned statistics and, for a sweep
+job, the plans it replays.  The apps, their evaluation traces and
+their stored profiles come from the process-wide
+:func:`~repro.workloads.apps.get_app`,
+:func:`~repro.workloads.apps.get_trace` and
+:func:`~repro.workloads.apps.get_profile` memos, so a worker
+synthesizes each app, generates its evaluation trace and loads its
+profile at most once, however many of its jobs use them.
+
+A prewarm runs in two phases (:func:`run_prewarm_jobs`):
+:func:`prepare_app` jobs build and store each app's profile and plans,
+the report's sweep plans included; then :func:`evaluate_variant` jobs
+replay one (app, variant) each and :func:`evaluate_sweep` jobs replay
+one batch of an app's missing sweep items over one trace each.
 
 Telemetry crosses the same boundary the same way: each job runs under
 its own :class:`~repro.obs.trace.Tracer` and returns one span snapshot
@@ -31,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..sim.stats import SimStats
-    from .experiments import Evaluator, ExperimentSettings
+    from .experiments import Evaluator, ExperimentSettings, TraceArg
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -63,10 +71,14 @@ def prepare_app(
     settings: "ExperimentSettings",
     store_root: str,
     shard_insns: Optional[int] = None,
+    sweeps: bool = False,
 ) -> Tuple[str, List[dict]]:
-    """Phase-1 job: persist one app's profile and the plan of every
-    plan-replayed member among *variants*, so the parent can resolve
-    each variant's stats key."""
+    """Phase-1 job: persist one app's profile, the plan of every
+    plan-replayed member among *variants* and, with *sweeps*, every
+    plan of the report's sweeps on the app, so the parent can resolve
+    each replay's stats key."""
+    from .experiments import sweep_requests
+
     evaluator = _worker_evaluator(settings, store_root, shard_insns)
     with evaluator.tracer.span("job:prepare-app", app=name):
         evaluation = evaluator[name]
@@ -74,6 +86,8 @@ def prepare_app(
         for variant in variants:
             if evaluation._variant_key(variant) is None:
                 evaluation.plan_for(variant)
+        if sweeps:
+            sweep_requests(evaluation)
     return name, evaluator.tracer.snapshot()
 
 
@@ -97,33 +111,62 @@ def evaluate_variant(
     return name, variant, stats, evaluator.tracer.snapshot()
 
 
+def evaluate_sweep(
+    name: str,
+    items: list,
+    trace: "TraceArg",
+    settings: "ExperimentSettings",
+    store_root: str,
+    shard_insns: Optional[int] = None,
+) -> Tuple[List["SimStats"], List[dict]]:
+    """Phase-2 job: replay one app's missing sweep *items* over one
+    trace, as one :meth:`~repro.analysis.experiments.AppEvaluation.run_plans`
+    call (so one batch, or one sharded replay per item)."""
+    evaluator = _worker_evaluator(settings, store_root, shard_insns)
+    with evaluator.tracer.span(
+        "job:evaluate-sweep", app=name, variants=len(items)
+    ):
+        stats = evaluator[name].run_plans(items, trace=trace)
+    return stats, evaluator.tracer.snapshot()
+
+
 def run_prewarm_jobs(
     evaluator: "Evaluator",
     misses: Dict[str, Sequence[str]],
+    sweep_apps: Sequence[str],
     n_jobs: int,
 ) -> None:
     """Fan the (app, variant) simulations of *misses* (app -> the
-    variants the caches lack) across *n_jobs* processes.
+    variants the caches lack) and the missing sweep replays of
+    *sweep_apps* across *n_jobs* processes.
 
-    Phase 1 builds each app's shared artifacts (profile + requested
-    plans) exactly once, so phase 2's jobs only load them from the
-    store instead of duplicating the planning work.  Between the
-    phases the parent resolves each variant's stats key: variants
-    whose plans coincide share one key, and so one job, whose stats
-    the parent stores under each of them.
+    Phase 1 builds each app's shared artifacts (profile, requested
+    plans and sweep plans) exactly once, so phase 2's jobs only load
+    them from the store instead of duplicating the planning work.
+    Between the phases the parent resolves each replay's stats key:
+    variants whose plans coincide share one key, and so one job, whose
+    stats the parent stores under each of them; a sweep item whose key
+    a variant job or an earlier sweep item already serves is dropped.
+    Phase 2 then runs one job per (app, stats key) of the variants and
+    one batched job per (app, trace) of the remaining sweep items, cut
+    where it would be wider than the widest sweep run
+    (:meth:`~repro.analysis.experiments.AppEvaluation.sweep_misses`).
     """
     store_root = str(evaluator.store.root)
     settings = evaluator.settings
     tracer = evaluator.tracer
     shard_insns = evaluator.shard_insns
+    # the sweep apps first: they train the most plans
+    prepare = {name: misses.get(name, ()) for name in sweep_apps}
+    prepare.update((name, variants) for name, variants in misses.items())
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        with tracer.span("prewarm:prepare", apps=len(misses)):
+        with tracer.span("prewarm:prepare", apps=len(prepare)):
             prepared = [
                 pool.submit(
                     prepare_app, name, variants, settings, store_root,
-                    shard_insns,
+                    shard_insns, name in sweep_apps,
                 )
-                for name, variants in misses.items()
+                for name, variants in prepare.items()
             ]
             for future in prepared:
                 _, events = future.result()
@@ -135,7 +178,24 @@ def run_prewarm_jobs(
             for variant in variants:
                 key = evaluation._variant_key(variant) or variant
                 jobs.setdefault((name, key), []).append(variant)
-        with tracer.span("prewarm:simulate", jobs=len(jobs), workers=n_jobs):
+        # (app, trace, the (item, stats key) pairs of one batch)
+        batches: List[Tuple[str, "TraceArg", List[Tuple[object, str]]]] = []
+        for name in sweep_apps:
+            served = [key for app, key in jobs if app == name]
+            batches += [
+                (name, trace, pairs)
+                for trace, pairs in evaluator[name].sweep_misses(served)
+            ]
+        with tracer.span(
+            "prewarm:simulate", jobs=len(batches) + len(jobs), workers=n_jobs
+        ):
+            swept = [
+                pool.submit(
+                    evaluate_sweep, name, [item for item, _ in pairs], trace,
+                    settings, store_root, shard_insns,
+                )
+                for name, trace, pairs in batches
+            ]
             simulated = [
                 pool.submit(
                     evaluate_variant, name, variants[0], settings, store_root,
@@ -143,8 +203,16 @@ def run_prewarm_jobs(
                 )
                 for (name, _), variants in jobs.items()
             ]
-            for future, ((name, _), variants) in zip(simulated, jobs.items()):
+            for future, (name, _, pairs) in zip(swept, batches):
+                stats, events = future.result()
+                tracer.absorb(events)
+                for (_, key), item_stats in zip(pairs, stats):
+                    evaluator[name]._sim_cache[key] = item_stats
+            for future, ((name, key), variants) in zip(simulated, jobs.items()):
                 _, _, stats, events = future.result()
                 tracer.absorb(events)
+                evaluation = evaluator[name]
+                if key not in variants:  # a stats key, not the fallback
+                    evaluation._sim_cache[key] = stats
                 for variant in variants:
-                    evaluator[name]._stats[variant] = stats
+                    evaluation._stats[variant] = stats

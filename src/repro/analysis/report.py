@@ -35,10 +35,10 @@ def generate_report(
     evaluator = evaluator or exp.Evaluator(exp.ExperimentSettings.medium())
     settings = evaluator.settings
     started = time.time()
-    # Bulk-compute the per-app variants first: with jobs > 1 this fans
-    # the simulations across worker processes; the figure calls below
-    # then consume the warmed caches.
-    evaluator.prewarm(apps)
+    # Bulk-compute the per-app variants and the sweeps' replays first:
+    # with jobs > 1 this fans the simulations across worker processes;
+    # the figure calls below then consume the warmed caches.
+    evaluator.prewarm(apps, sweeps=include_sweeps)
     parts: List[str] = []
 
     parts.append("# I-SPY reproduction report\n")

@@ -144,9 +144,13 @@ class PrefetchPlan:
         self.name = name
         self._by_site: Dict[int, List[PrefetchInstr]] = {}
         self._compiled: Optional[Tuple[int, Dict[int, Tuple[CompiledPrefetch, ...]]]] = None
+        #: :func:`repro.io.plan_fingerprint`'s content hash, cached
+        #: until the next :meth:`add`
+        self.fingerprint: Optional[str] = None
 
     def add(self, instr: PrefetchInstr) -> None:
         self._by_site.setdefault(instr.site_block, []).append(instr)
+        self.fingerprint = None
 
     def extend(self, instrs: Iterable[PrefetchInstr]) -> None:
         for instr in instrs:

@@ -419,15 +419,18 @@ def plan_fingerprint(plan: Optional[PrefetchPlan]) -> str:
 
     Two plans built from different configurations hash differently
     even when their provenance metadata looks alike, which is what
-    keys simulation results by *what actually ran*.
+    keys simulation results by *what actually ran*.  The hash is cached
+    on the plan (``plan.fingerprint``) until its next ``add``.
     """
     if plan is None:
         return "no-plan"
-    payload = plan_to_dict(plan)
-    # the display name doesn't change what the simulator executes
-    payload.pop("name", None)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:32]
+    if plan.fingerprint is None:
+        payload = plan_to_dict(plan)
+        # the display name doesn't change what the simulator executes
+        payload.pop("name", None)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        plan.fingerprint = hashlib.sha256(canonical.encode()).hexdigest()[:32]
+    return plan.fingerprint
 
 
 class ArtifactStore:

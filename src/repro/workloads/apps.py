@@ -27,13 +27,14 @@ app may share.  That is what lets :func:`get_app` hand one object to
 every caller in a process — the evaluation harness
 (``AppEvaluation.app``) included, so each pool worker synthesizes an
 app at most once.  The traces :func:`get_trace` memoizes next to the
-apps are read-only on the same terms.
+apps, and the stored profiles :func:`get_profile` memoizes, are
+read-only on the same terms.
 """
 
 from __future__ import annotations
 
 import atexit
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..sim.trace import BlockTrace
 from .adversarial import (
@@ -42,6 +43,10 @@ from .adversarial import (
     ADVERSARIAL_SPECS,
 )
 from .synthesis import AppSpec, SyntheticApp, scaled_spec, synthesize
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from ..io import ArtifactStore
+    from ..profiling.profiler import ExecutionProfile
 
 #: Canonical evaluation order (matches the paper's figure x-axes).
 APP_NAMES: Tuple[str, ...] = (
@@ -198,6 +203,8 @@ _CACHE: Dict[Tuple[str, float], SyntheticApp] = {}
 atexit.register(_CACHE.clear)
 _TRACES: Dict[Tuple[str, float, int, int, str], BlockTrace] = {}
 atexit.register(_TRACES.clear)
+_PROFILES: Dict[Tuple[str, str], "ExecutionProfile"] = {}
+atexit.register(_PROFILES.clear)
 
 
 def app_spec(name: str) -> AppSpec:
@@ -259,6 +266,20 @@ def get_trace(
             length, seed=seed, input_name=input_name
         )
     return _TRACES[key]
+
+
+def get_profile(store: "ArtifactStore", key: str) -> Optional["ExecutionProfile"]:
+    """Memoized ``store.load_profile(key)``: one shared, read-only
+    profile per store and key per process, so a pool worker loads an
+    app's profile once however many of its jobs train on it (and they
+    share the profile's analysis memo).  A miss is not remembered."""
+    memo_key = (str(store.root), key)
+    profile = _PROFILES.get(memo_key)
+    if profile is None:
+        profile = store.load_profile(key)
+        if profile is not None:
+            _PROFILES[memo_key] = profile
+    return profile
 
 
 def cached_app(name: str, scale: float = 1.0) -> Optional[SyntheticApp]:

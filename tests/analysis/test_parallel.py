@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
 import shutil
 import zlib
 from collections import Counter
@@ -217,10 +218,10 @@ BUILD_SPANS = ("app:synthesize", "profiling:execution")
 BUILD_PREFIXES = ("plan:", "sim:", "prewarm:")
 
 
-def _report(cache):
-    """One ``repro report --jobs 2 --cache`` run, in process."""
+def _report(cache, jobs=2):
+    """One ``repro report --jobs N --cache`` run, in process."""
     config = RunConfig(
-        settings=REPORT_SETTINGS, store=cache, jobs=2, command="report"
+        settings=REPORT_SETTINGS, store=cache, jobs=jobs, command="report"
     )
     with config.session() as evaluator:
         text = generate_report(evaluator, apps=REPORT_APPS)
@@ -234,12 +235,89 @@ def _body(text):
     ]
 
 
+def _log_profile_loads(patch, log):
+    """Patch the store so that every profile it loads appends ``<pid>
+    <key>`` to *log*, from forked workers too (a lookup that misses is
+    not a load)."""
+    log.touch()
+    load_profile = ArtifactStore.load_profile
+
+    def logged(store, key):
+        profile = load_profile(store, key)
+        if profile is not None:
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {key}\n")
+        return profile
+
+    patch.setattr(ArtifactStore, "load_profile", logged)
+    return log
+
+
 @pytest.fixture(scope="module")
 def filled_cache(tmp_path_factory):
-    """A store filled by one cold report, and that report's text."""
-    cache = tmp_path_factory.mktemp("report") / "cache"
-    text, _ = _report(cache)
-    return cache, text
+    """A store filled by one cold ``--jobs 2`` report, that report's
+    text and events, and how often each process loaded each profile
+    from the store (``(pid, key) -> loads``)."""
+    root = tmp_path_factory.mktemp("report")
+    cache = root / "cache"
+    with pytest.MonkeyPatch.context() as patch:
+        log = _log_profile_loads(patch, root / "profile-loads")
+        text, events = _report(cache)
+    loads = Counter(tuple(line.split()) for line in log.read_text().splitlines())
+    return cache, text, events, loads
+
+
+@pytest.fixture(scope="module")
+def serial_report(tmp_path_factory):
+    """The text and events of a cold ``--jobs 1`` report."""
+    return _report(tmp_path_factory.mktemp("serial") / "cache", jobs=1)
+
+
+class TestParallelReport:
+    """A cold ``--jobs 2`` report runs the sweeps in the pool: the
+    parent only reads what the workers stored."""
+
+    def test_body_equals_serial(self, filled_cache, serial_report):
+        assert _body(filled_cache[1]) == _body(serial_report[0])
+
+    def test_parent_builds_nothing_after_the_pool(self, filled_cache):
+        spans = [e for e in filled_cache[2] if e["ph"] == "X"]
+        assert any(e["name"] == "job:evaluate-sweep" for e in spans)
+        (simulate,) = [e for e in spans if e["name"] == "prewarm:simulate"]
+        end = simulate["ts"] + simulate["dur"]
+        late = [
+            e["name"] for e in spans
+            # the parent's own thread: absorbed worker spans carry the
+            # worker's pid as their tid
+            if e["tid"] == e["pid"] and e["ts"] >= end
+            and e["name"].startswith(("plan:", "sim:"))
+        ]
+        assert late == []
+
+    def test_sweep_jobs_are_no_wider_than_a_figure_run(self, filled_cache):
+        """A worker holds no more replays' cache state at once than a
+        figure's own ``run_plans`` call does."""
+        config = RunConfig(settings=REPORT_SETTINGS, store=filled_cache[0])
+        evaluation = Evaluator(config=config)["kafka"]
+        with evaluation.stored_plans():
+            runs = exp_mod.sweep_requests(evaluation)
+        widest = max(len(items) for items, _ in runs)
+        widths = [
+            e["args"]["variants"] for e in filled_cache[2]
+            if e["ph"] == "X" and e["name"] == "job:evaluate-sweep"
+        ]
+        assert max(widths) <= widest, (widths, widest)
+
+    def test_replays_per_backend_equal_serial(self, filled_cache, serial_report):
+        """Each stats key is replayed once, in whichever process."""
+        parallel = summarize(filled_cache[2]).backend_counts
+        assert parallel == summarize(serial_report[1]).backend_counts
+        assert parallel
+
+    def test_workers_load_each_profile_at_most_once(self, filled_cache):
+        loads = filled_cache[3]
+        assert loads, "no process loaded a profile"
+        assert max(loads.values()) == 1, loads.most_common(3)
 
 
 class TestWarmReport:
@@ -493,6 +571,27 @@ class TestKeyGranularity:
         # cached stats entries (no aliasing between sweep points)
         assert stats_to_record(low) != stats_to_record(high)
         assert summarize(evaluator.tracer.snapshot()).stage("sim:replay").calls == 2
+
+
+def test_a_worker_loads_each_profile_once(tmp_path, monkeypatch):
+    """The jobs one worker runs share one load of a stored profile,
+    however many of them train on it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.analysis import jobs
+
+    store = str(tmp_path / "cache")
+    log = _log_profile_loads(monkeypatch, tmp_path / "profile-loads")
+    with ProcessPoolExecutor(max_workers=1) as worker:
+        worker.submit(
+            jobs.prepare_app, "wordpress", (), REPORT_SETTINGS, store
+        ).result()
+        for variant in ("contiguous8", "noncontiguous8"):
+            worker.submit(
+                jobs.evaluate_variant, "wordpress", variant, REPORT_SETTINGS,
+                store,
+            ).result()
+    assert len(log.read_text().splitlines()) == 1
 
 
 def test_resolve_jobs():

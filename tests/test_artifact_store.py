@@ -80,6 +80,20 @@ class TestKeys:
         b.add(PrefetchInstr(site_block=9, base_line=50))
         assert plan_fingerprint(a) != plan_fingerprint(b)
 
+    def test_plan_fingerprint_is_cached_until_add(self, monkeypatch):
+        plan = make_plan("a")
+        first = plan_fingerprint(plan)
+
+        def unreachable(plan):
+            raise AssertionError("the cached fingerprint was re-encoded")
+
+        monkeypatch.setattr(repro_io, "plan_to_dict", unreachable)
+        assert plan_fingerprint(plan) == first
+        plan.add(PrefetchInstr(site_block=9, base_line=50))
+        assert plan.fingerprint is None
+        monkeypatch.undo()
+        assert plan_fingerprint(plan) != first
+
 
 class TestStatsRecord:
     def test_roundtrip_is_lossless(self):
