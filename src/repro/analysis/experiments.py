@@ -8,6 +8,10 @@ application — the synthesized program, the LBR/PEBS profile, the
 prefetch plans and the simulation runs — so a full harness pass costs
 each simulation once.
 
+:data:`FIGURES` lists every figure once, with its report title, its
+apps and what it reads; the report, ``repro figure`` and
+:meth:`Evaluator.prewarm` all read that table.
+
 Methodology (fixed across all experiments, Section V):
 
 * profile on the app's default input (seeded trace A, seeded data
@@ -22,11 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
@@ -57,6 +61,7 @@ from ..workloads.apps import (
 from ..workloads.inputs import INPUT_NAMES, InputTrace
 from ..workloads.synthesis import SyntheticApp, scaled_spec
 from . import metrics
+from .reporting import percent, render_table
 
 #: Apps used for the expensive parameter sweeps (the paper also uses
 #: subsets for its sensitivity studies).
@@ -439,11 +444,12 @@ class AppEvaluation:
         return [self.run_plans(items, trace=trace) for items, trace in runs]
 
     def sweep_misses(
-        self, served: Sequence[str] = ()
+        self, figures: Sequence["Figure"], served: Sequence[str] = ()
     ) -> List[Tuple[TraceArg, List[Tuple[object, str]]]]:
-        """The report sweeps' items on this app (:func:`sweep_requests`)
-        whose stats no cache holds, one per key and none whose key is
-        in *served*, as ``(trace, [(item, stats key), ...])`` batches.
+        """The items of *figures*' sweeps on this app
+        (:func:`sweep_requests`) whose stats no cache holds, one per key
+        and none whose key is in *served*, as ``(trace, [(item, stats
+        key), ...])`` batches.
 
         A trace's items are cut into batches no wider than the widest
         sweep run, so no batch holds more replays (and so more cache
@@ -452,7 +458,7 @@ class AppEvaluation:
         plan is not stored yet.
         """
         with self.stored_plans():
-            runs = sweep_requests(self)
+            runs = sweep_requests(self, figures)
         seen = set(served)
         misses: Dict[TraceArg, List[Tuple[object, str]]] = {}
         for items, trace in runs:
@@ -638,19 +644,31 @@ class AppEvaluation:
     def footprint_for(self, variant: str) -> "zoo.Footprint":
         """Static + metadata deployment footprint of *variant*.
 
-        A plan member's footprint is its plan's, stored or trained; other
-        profile-guided members train for their metadata tables.
+        A plan member's footprint is its plan's, stored or trained.  A
+        profile-guided member with no plan trains for its metadata
+        tables, so its footprint is stored, keyed like its statistics.
+        Any other member's needs neither the app nor a profile.
         """
         if variant == "baseline":
             return zoo.Footprint()
         prefetcher = self.prefetcher(variant)
-        trained = None
         if prefetcher.produces_plan:
-            trained = self._plan_for(prefetcher)
-        elif prefetcher.requires_profile:
-            trained = self._train_result_for(prefetcher)
-        view = self._view(prefetcher) if trained is None else None
-        return prefetcher.static_footprint(view, trained)
+            plan = self._plan_for(prefetcher)
+            view = self._view(prefetcher) if plan is None else None
+            return prefetcher.static_footprint(view, plan)
+        if not prefetcher.requires_profile:
+            return prefetcher.static_footprint(None)
+        key = self._key("footprint", variant=variant)
+        footprint = self.store.load_footprint(key) if self.store else None
+        if footprint is not None:
+            self.tracer.instant("store:hit", kind="footprint", app=self.name)
+            return footprint
+        footprint = prefetcher.static_footprint(
+            None, self._train_result_for(prefetcher)
+        )
+        if self.store is not None:
+            self.store.save_footprint(key, footprint)
+        return footprint
 
     def ispy_result(self, config: ISpyConfig = DEFAULT_CONFIG) -> "ISpyResult":
         """Full planning result (plan + report) for *config*.
@@ -802,32 +820,15 @@ class AppEvaluation:
         )
 
 
-#: Variants prewarmed by default — every per-app variant the non-sweep
-#: figures (1, 4, 5, 10-15) consume.  The sweep figures' replays are
-#: prewarmed through their request functions (:data:`SWEEPS`).
-DEFAULT_PREWARM_VARIANTS: Tuple[str, ...] = (
-    "baseline",
-    "ideal",
-    "asmdb",
-    "ispy",
-    "ispy-conditional",
-    "ispy-coalescing",
-    "contiguous8",
-    "noncontiguous8",
-)
-
-
 class Evaluator:
     """Cache of :class:`AppEvaluation` objects, one harness pass.
 
-    The preferred construction is from a :class:`repro.RunConfig`
-    (``Evaluator(config=cfg)`` or ``cfg.evaluator()``), which carries
-    every run-level decision — settings, the persistent ``store``, the
-    worker ``jobs`` count, the kernel gate and the telemetry sinks —
-    in one place.  ``Evaluator(settings)`` remains a supported
-    shorthand; the old *scattered* ``store``/``jobs``
-    keywords were removed after their deprecation cycle and now raise
-    :class:`TypeError` with a migration hint.
+    It is built from a :class:`repro.RunConfig` (``Evaluator(config=cfg)``
+    or ``cfg.evaluator()``), which carries every run-level decision —
+    settings, the persistent ``store``, the worker ``jobs`` count, the
+    kernel gate and the telemetry sinks — in one place.
+    ``Evaluator(settings)`` is the shorthand for a config with only
+    those settings.
 
     ``store`` (a directory path or :class:`~repro.io.ArtifactStore`)
     makes every expensive artifact — profiles, prefetch plans and
@@ -842,23 +843,11 @@ class Evaluator:
     """
 
     def __init__(
-        self,
-        settings: Optional[ExperimentSettings] = None,
-        store: Union[None, str, "os.PathLike", ArtifactStore] = None,
-        jobs: int = 1,
-        *,
-        config=None,
+        self, settings: Optional[ExperimentSettings] = None, *, config=None
     ):
         from .. import runconfig as runconfig_mod
 
         if config is None:
-            if store is not None or jobs != 1:
-                raise TypeError(
-                    "Evaluator(store=..., jobs=...) was removed; "
-                    "build a repro.RunConfig(store=..., jobs=...) "
-                    "and use RunConfig.evaluator() or Evaluator(config=cfg) "
-                    "instead"
-                )
             config = runconfig_mod.RunConfig(settings=settings)
         self.config = config
         self.settings = config.settings
@@ -907,43 +896,57 @@ class Evaluator:
     def prewarm(
         self,
         apps: Optional[Sequence[str]] = None,
-        variants: Sequence[str] = DEFAULT_PREWARM_VARIANTS,
+        variants: Optional[Sequence[str]] = None,
         jobs: Optional[int] = None,
-        sweeps: bool = False,
+        figures: Sequence["Figure"] = (),
     ) -> None:
-        """Compute (app, variant) statistics up front, and with
-        *sweeps* every replay of the report's sweep figures
-        (:data:`SWEEPS`, on their own default apps, whose baselines
-        join the variants).
+        """Compute up front the statistics of *variants* on *apps*, and
+        the demand of each of *figures*: the variants it reads on its
+        apps (its own, else *apps*) and every replay of its sweep.  The
+        plans it alone reads are trained up front only in the pool.
 
+        *apps* defaults to the nine paper apps, and *variants* to none
+        when *figures* are given, else to :data:`DEFAULT_PREWARM_VARIANTS`.
         With more than one job, every pair is first looked up in the
         caches (:meth:`AppEvaluation.cached_stats_for`), and every sweep
         item through :meth:`AppEvaluation.sweep_misses`; only the misses
-        go to worker processes (:func:`~repro.analysis.jobs.run_prewarm_jobs`).
+        go to worker processes (:func:`~repro.analysis.jobs.run_prewarm_jobs`),
+        whose variant jobs also store what a figure's footprints train.
         The parent absorbs the results, so subsequent figure calls are
         cache hits.  When everything hits, no pool starts.  Serial
-        prewarm computes the same artifacts in order, through the same
+        prewarm computes the same statistics in order, through the same
         request functions.  ``ideal`` is never a job: it is the
         baseline's bound, so ``baseline`` takes its place.
         """
         from .jobs import resolve_jobs, run_prewarm_jobs
 
-        variants = tuple(
-            dict.fromkeys("baseline" if v == "ideal" else v for v in variants)
-        )
-        names = list(apps) if apps is not None else list(APP_NAMES)
-        wanted = {name: variants for name in names}
-        swept = SWEEP_APP_NAMES if sweeps else ()
-        for name in swept:
-            wanted[name] = tuple(dict.fromkeys(wanted.get(name, ()) + ("baseline",)))
+        if variants is None:
+            variants = () if figures else DEFAULT_PREWARM_VARIANTS
+        names = tuple(apps) if apps is not None else APP_NAMES
+        wanted = {name: tuple(variants) for name in names}
+        planned: Dict[str, Tuple[str, ...]] = {}
+        #: the (app, variant) pairs whose footprints a figure reads
+        sized = set()
+        for figure in figures:
+            for name in names if figure.apps is None else figure.apps:
+                wanted[name] = wanted.get(name, ()) + figure.variants
+                planned[name] = planned.get(name, ()) + figure.plans
+                if figure.footprints:
+                    sized.update((name, variant) for variant in figure.variants)
+        wanted = {
+            name: tuple(dict.fromkeys("baseline" if v == "ideal" else v for v in vs))
+            for name, vs in wanted.items()
+        }
+        sweeps = [figure for figure in figures if figure.requests is not None]
+        swept = sweep_apps(sweeps)
         n_jobs = resolve_jobs(self.jobs if jobs is None else jobs)
-        if n_jobs <= 1 or not wanted:
+        if n_jobs <= 1:
             for name, wanted_variants in wanted.items():
                 evaluation = self[name]
                 for variant in wanted_variants:
                     evaluation.stats_for(variant)
             for name in swept:
-                self[name].run_sweep(sweep_requests(self[name]))
+                self[name].run_sweep(sweep_requests(self[name], sweeps))
             return
         misses: Dict[str, Tuple[str, ...]] = {}
         for name, wanted_variants in wanted.items():
@@ -955,16 +958,22 @@ class Evaluator:
             )
             if missing:
                 misses[name] = missing
-        pending = [name for name in swept if self._sweep_pending(name)]
-        if misses or pending:
+        pending = [name for name in swept if self._sweep_pending(name, sweeps)]
+        unplanned = {
+            name: plans for name, plans in planned.items()
+            if any(self[name]._variant_key(variant) is None for variant in plans)
+        }
+        if misses or pending or unplanned:
             self._ensure_store()
-            run_prewarm_jobs(self, misses, pending, n_jobs)
+            run_prewarm_jobs(
+                self, misses, pending, sweeps, sized, unplanned, n_jobs
+            )
 
-    def _sweep_pending(self, name: str) -> bool:
-        """Whether a sweep item of app *name* misses the caches (or its
-        plan is not stored yet)."""
+    def _sweep_pending(self, name: str, sweeps: Sequence["Figure"]) -> bool:
+        """Whether an item of *sweeps* on app *name* misses the caches
+        (or its plan is not stored yet)."""
         try:
-            return bool(self[name].sweep_misses())
+            return bool(self[name].sweep_misses(sweeps))
         except PlanNotStored:
             return True
 
@@ -999,21 +1008,26 @@ def table1_system() -> List[Dict[str, object]]:
 # ---------------------------------------------------------------------------
 
 
+Row = Dict[str, object]
+
+
+def _per_app(
+    evaluator: Evaluator,
+    apps: Optional[Sequence[str]],
+    row: Callable[[AppEvaluation], Row],
+) -> List[Row]:
+    """One ``{"app": name, **row(evaluation)}`` row per app of *apps*."""
+    return [{"app": e.name, **row(e)} for e in evaluator.apps(apps)]
+
+
 def fig01_frontend_bound(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
+) -> List[Row]:
     """Frontend-bound pipeline-slot fraction per application."""
-    rows = []
-    for evaluation in evaluator.apps(apps):
-        stats = evaluation.baseline_stats
-        rows.append(
-            {
-                "app": evaluation.name,
-                "frontend_bound": stats.frontend_bound_fraction,
-                "l1i_mpki": stats.l1i_mpki,
-            }
-        )
-    return rows
+    return _per_app(evaluator, apps, lambda e: {
+        "frontend_bound": e.baseline_stats.frontend_bound_fraction,
+        "l1i_mpki": e.baseline_stats.l1i_mpki,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1066,19 +1080,11 @@ def fig03_fanout_tradeoff(
 
 def fig04_asmdb_footprint(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
-    rows = []
-    for evaluation in evaluator.apps(apps):
-        plan = evaluation.plan_for("asmdb")
-        stats = evaluation.stats_for("asmdb")
-        rows.append(
-            {
-                "app": evaluation.name,
-                "static_increase": plan.static_increase(evaluation.text_bytes),
-                "dynamic_increase": stats.dynamic_overhead,
-            }
-        )
-    return rows
+) -> List[Row]:
+    return _per_app(evaluator, apps, lambda e: {
+        "static_increase": e.plan_for("asmdb").static_increase(e.text_bytes),
+        "dynamic_increase": e.stats_for("asmdb").dynamic_overhead,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1088,20 +1094,17 @@ def fig04_asmdb_footprint(
 
 def fig05_noncontiguous(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
-    rows = []
-    for evaluation in evaluator.apps(apps):
+) -> List[Row]:
+    def row(evaluation: AppEvaluation) -> Row:
         contiguous = evaluation.speedup("contiguous8")
         noncontiguous = evaluation.speedup("noncontiguous8")
-        rows.append(
-            {
-                "app": evaluation.name,
-                "contiguous8_speedup": contiguous,
-                "noncontiguous8_speedup": noncontiguous,
-                "noncontiguous_advantage": noncontiguous / contiguous - 1.0,
-            }
-        )
-    return rows
+        return {
+            "contiguous8_speedup": contiguous,
+            "noncontiguous8_speedup": noncontiguous,
+            "noncontiguous_advantage": noncontiguous / contiguous - 1.0,
+        }
+
+    return _per_app(evaluator, apps, row)
 
 
 # ---------------------------------------------------------------------------
@@ -1111,20 +1114,14 @@ def fig05_noncontiguous(
 
 def fig10_speedup(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
-    rows = []
-    for evaluation in evaluator.apps(apps):
-        rows.append(
-            {
-                "app": evaluation.name,
-                "ideal_speedup": evaluation.speedup("ideal"),
-                "asmdb_speedup": evaluation.speedup("asmdb"),
-                "ispy_speedup": evaluation.speedup("ispy"),
-                "ispy_pct_of_ideal": evaluation.percent_of_ideal("ispy"),
-                "asmdb_pct_of_ideal": evaluation.percent_of_ideal("asmdb"),
-            }
-        )
-    return rows
+) -> List[Row]:
+    return _per_app(evaluator, apps, lambda e: {
+        "ideal_speedup": e.speedup("ideal"),
+        "asmdb_speedup": e.speedup("asmdb"),
+        "ispy_speedup": e.speedup("ispy"),
+        "ispy_pct_of_ideal": e.percent_of_ideal("ispy"),
+        "asmdb_pct_of_ideal": e.percent_of_ideal("asmdb"),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1134,25 +1131,18 @@ def fig10_speedup(
 
 def fig11_mpki(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
-    rows = []
-    for evaluation in evaluator.apps(apps):
-        base = evaluation.baseline_stats
-        rows.append(
-            {
-                "app": evaluation.name,
-                "baseline_mpki": base.l1i_mpki,
-                "asmdb_mpki": evaluation.stats_for("asmdb").l1i_mpki,
-                "ispy_mpki": evaluation.stats_for("ispy").l1i_mpki,
-                "asmdb_reduction": metrics.mpki_reduction(
-                    base, evaluation.stats_for("asmdb")
-                ),
-                "ispy_reduction": metrics.mpki_reduction(
-                    base, evaluation.stats_for("ispy")
-                ),
-            }
-        )
-    return rows
+) -> List[Row]:
+    return _per_app(evaluator, apps, lambda e: {
+        "baseline_mpki": e.baseline_stats.l1i_mpki,
+        "asmdb_mpki": e.stats_for("asmdb").l1i_mpki,
+        "ispy_mpki": e.stats_for("ispy").l1i_mpki,
+        "asmdb_reduction": metrics.mpki_reduction(
+            e.baseline_stats, e.stats_for("asmdb")
+        ),
+        "ispy_reduction": metrics.mpki_reduction(
+            e.baseline_stats, e.stats_for("ispy")
+        ),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1162,10 +1152,10 @@ def fig11_mpki(
 
 def fig12_ablation(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
+) -> List[Row]:
     """Speedup of each I-SPY mechanism (and both) over AsmDB."""
-    rows = []
-    for evaluation in evaluator.apps(apps):
+
+    def row(evaluation: AppEvaluation) -> Row:
         # Warm the stats cache with one batched pass over all four
         # ablation variants; the speedup() accessors below hit it.
         evaluation.run_plans(
@@ -1177,19 +1167,16 @@ def fig12_ablation(
             ]
         )
         asmdb = evaluation.speedup("asmdb")
-        rows.append(
-            {
-                "app": evaluation.name,
-                "conditional_over_asmdb": evaluation.speedup("ispy-conditional")
-                / asmdb
-                - 1.0,
-                "coalescing_over_asmdb": evaluation.speedup("ispy-coalescing")
-                / asmdb
-                - 1.0,
-                "combined_over_asmdb": evaluation.speedup("ispy") / asmdb - 1.0,
-            }
-        )
-    return rows
+        return {
+            f"{arm}_over_asmdb": evaluation.speedup(variant) / asmdb - 1.0
+            for arm, variant in (
+                ("conditional", "ispy-conditional"),
+                ("coalescing", "ispy-coalescing"),
+                ("combined", "ispy"),
+            )
+        }
+
+    return _per_app(evaluator, apps, row)
 
 
 # ---------------------------------------------------------------------------
@@ -1199,17 +1186,11 @@ def fig12_ablation(
 
 def fig13_accuracy(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
-    rows = []
-    for evaluation in evaluator.apps(apps):
-        rows.append(
-            {
-                "app": evaluation.name,
-                "asmdb_accuracy": evaluation.stats_for("asmdb").prefetch_accuracy,
-                "ispy_accuracy": evaluation.stats_for("ispy").prefetch_accuracy,
-            }
-        )
-    return rows
+) -> List[Row]:
+    return _per_app(evaluator, apps, lambda e: {
+        "asmdb_accuracy": e.stats_for("asmdb").prefetch_accuracy,
+        "ispy_accuracy": e.stats_for("ispy").prefetch_accuracy,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1219,41 +1200,22 @@ def fig13_accuracy(
 
 def fig14_static_footprint(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
-    rows = []
-    for evaluation in evaluator.apps(apps):
-        text = evaluation.text_bytes
-        rows.append(
-            {
-                "app": evaluation.name,
-                "asmdb_static_increase": evaluation.plan_for("asmdb").static_increase(
-                    text
-                ),
-                "ispy_static_increase": evaluation.plan_for("ispy").static_increase(
-                    text
-                ),
-            }
+) -> List[Row]:
+    return _per_app(evaluator, apps, lambda e: {
+        f"{variant}_static_increase": e.plan_for(variant).static_increase(
+            e.text_bytes
         )
-    return rows
+        for variant in ("asmdb", "ispy")
+    })
 
 
 def fig15_dynamic_footprint(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
-) -> List[Dict[str, object]]:
-    rows = []
-    for evaluation in evaluator.apps(apps):
-        rows.append(
-            {
-                "app": evaluation.name,
-                "asmdb_dynamic_increase": evaluation.stats_for(
-                    "asmdb"
-                ).dynamic_overhead,
-                "ispy_dynamic_increase": evaluation.stats_for(
-                    "ispy"
-                ).dynamic_overhead,
-            }
-        )
-    return rows
+) -> List[Row]:
+    return _per_app(evaluator, apps, lambda e: {
+        f"{variant}_dynamic_increase": e.stats_for(variant).dynamic_overhead
+        for variant in ("asmdb", "ispy")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1354,23 +1316,31 @@ def fig17_predecessors(
         name: evaluator[name].run_sweep(fig17_requests(evaluator[name], counts))[0]
         for name in apps
     }
-    rows = []
-    for i, count in enumerate(counts):
-        fractions = [
-            metrics.percent_of_ideal(
-                evaluator[name].baseline_stats,
-                sweeps[name][i],
-                evaluator[name].ideal_stats,
-            )
-            for name in apps
-        ]
-        rows.append(
-            {
-                "predecessors": count,
-                "mean_pct_of_ideal": metrics.arithmetic_mean(fractions),
-            }
+    return [
+        {
+            "predecessors": count,
+            "mean_pct_of_ideal": _mean_pct_of_ideal(evaluator, apps, sweeps, i),
+        }
+        for i, count in enumerate(counts)
+    ]
+
+
+def _mean_pct_of_ideal(
+    evaluator: Evaluator,
+    apps: Sequence[str],
+    sweeps: Dict[str, List[SimStats]],
+    i: int,
+) -> float:
+    """The mean over *apps* of the %-of-ideal of each app's *i*-th
+    sweep point."""
+    return metrics.arithmetic_mean(
+        metrics.percent_of_ideal(
+            evaluator[name].baseline_stats,
+            sweeps[name][i],
+            evaluator[name].ideal_stats,
         )
-    return rows
+        for name in apps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1418,23 +1388,14 @@ def fig18_distance(
         )[0]
         for name in apps
     }
-    rows = []
-    for i, (sweep, distance, _) in enumerate(_fig18_points(minima, maxima)):
-        rows.append(
-            {
-                "sweep": sweep,
-                "distance": distance,
-                "mean_pct_of_ideal": metrics.arithmetic_mean(
-                    metrics.percent_of_ideal(
-                        evaluator[name].baseline_stats,
-                        sweeps[name][i],
-                        evaluator[name].ideal_stats,
-                    )
-                    for name in apps
-                ),
-            }
-        )
-    return rows
+    return [
+        {
+            "sweep": sweep,
+            "distance": distance,
+            "mean_pct_of_ideal": _mean_pct_of_ideal(evaluator, apps, sweeps, i),
+        }
+        for i, (sweep, distance, _) in enumerate(_fig18_points(minima, maxima))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1462,25 +1423,16 @@ def fig19_coalesce_size(
     runs = {name: fig19_requests(evaluator[name], bits) for name in apps}
     plans = {name: runs[name][0][0] for name in apps}
     sweeps = {name: evaluator[name].run_sweep(runs[name])[0] for name in apps}
-    rows = []
-    for i, size in enumerate(bits):
-        fractions = [
-            metrics.percent_of_ideal(
-                evaluator[name].baseline_stats,
-                sweeps[name][i],
-                evaluator[name].ideal_stats,
-            )
-            for name in apps
-        ]
-        instr_counts = [len(plans[name][i]) for name in apps]
-        rows.append(
-            {
-                "coalesce_bits": size,
-                "mean_pct_of_ideal": metrics.arithmetic_mean(fractions),
-                "mean_plan_instructions": metrics.arithmetic_mean(instr_counts),
-            }
-        )
-    return rows
+    return [
+        {
+            "coalesce_bits": size,
+            "mean_pct_of_ideal": _mean_pct_of_ideal(evaluator, apps, sweeps, i),
+            "mean_plan_instructions": metrics.arithmetic_mean(
+                len(plans[name][i]) for name in apps
+            ),
+        }
+        for i, size in enumerate(bits)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1492,8 +1444,6 @@ def fig20_coalesce_profile(
     evaluator: Evaluator, apps: Optional[Sequence[str]] = None
 ) -> Dict[str, object]:
     """Aggregate coalescing statistics across applications."""
-    from collections import Counter
-
     distance_hist: Counter = Counter()
     lines_hist: Counter = Counter()
     for evaluation in evaluator.apps(apps):
@@ -1564,41 +1514,6 @@ def fig21_hash_size(
             }
         )
     return rows
-
-
-#: The report's sweep figures at their defaults: (the apps a figure
-#: sweeps, its per-app request function).  The figures and
-#: :meth:`Evaluator.prewarm` both go through the request functions.
-SWEEPS: Tuple[
-    Tuple[Tuple[str, ...], Callable[[AppEvaluation], List[SweepRun]]], ...
-] = (
-    (("wordpress",), fig03_requests),
-    (GENERALIZATION_APPS, fig16_requests),
-    (SWEEP_APPS, fig17_requests),
-    (SWEEP_APPS, fig18_requests),
-    (SWEEP_APPS, fig19_requests),
-    (("wordpress",), fig21_requests),
-)
-
-#: Every app a report sweep replays, those in the most sweeps (so with
-#: the most plans to train) first.
-SWEEP_APP_NAMES: Tuple[str, ...] = tuple(
-    sorted(
-        dict.fromkeys(name for apps, _ in SWEEPS for name in apps),
-        key=lambda name: -sum(name in apps for apps, _ in SWEEPS),
-    )
-)
-
-
-def sweep_requests(evaluation: AppEvaluation) -> List[SweepRun]:
-    """Every ``run_plans`` call the report's sweeps make on
-    *evaluation*'s app."""
-    return [
-        run
-        for apps, request in SWEEPS
-        if evaluation.name in apps
-        for run in request(evaluation)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1709,3 +1624,148 @@ def matrix_prefetchers(
             }
         )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The figure table
+# ---------------------------------------------------------------------------
+
+
+def _fig20_text(coalesce: Dict[str, object]) -> str:
+    rows = [
+        {"line_distance": d, "probability": p}
+        for d, p in coalesce["distance_distribution"].items()
+    ]
+    return render_table(rows, precision=4) + (
+        f"\nfraction of coalesced instructions bringing in < 4 lines: "
+        f"{percent(coalesce['fraction_below_4_lines'])}"
+    )
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One paper figure as the report, ``repro figure`` and
+    :meth:`Evaluator.prewarm` read it: an entry of :data:`FIGURES`."""
+
+    #: its ``repro figure`` name
+    name: str
+    #: its report section's title; None when the report leaves it out
+    title: Optional[str]
+    #: the name of its function in this module, looked up at each call,
+    #: so a wrapper rebound over that name (the benchmark's layer
+    #: timer) sees every call
+    function: str
+    #: its own apps; None for the report's; () for none (no evaluator)
+    apps: Optional[Tuple[str, ...]] = None
+    #: the variants whose statistics it reads on them
+    variants: Tuple[str, ...] = ()
+    #: its per-app sweep request function (a sweep has its own apps)
+    requests: Optional[Callable[[AppEvaluation], List[SweepRun]]] = None
+    #: the variants whose plans or train summaries alone it reads
+    plans: Tuple[str, ...] = ()
+    #: whether it reads its variants' deployment footprints
+    footprints: bool = False
+    #: whether it is in the report's sweep block (``--no-sweeps``)
+    sweep: bool = False
+    #: its report section's body, from its result
+    render: Callable[[object], str] = partial(render_table, precision=4)
+
+    def result(self, evaluator: Optional[Evaluator], apps=None):
+        """Its function's result, on the report's *apps* unless it has
+        apps of its own."""
+        function = globals()[self.function]
+        if self.apps is None:
+            return function(evaluator, apps)
+        return function(evaluator) if self.apps else function()
+
+
+_FINE = partial(render_table, precision=5)
+_BASE = ("baseline", "ideal")
+
+#: Every figure, in the report's order: the core figures, the sweep
+#: block, then what the report leaves out.  The report's sections,
+#: ``repro figure``'s names and the prewarm's demand all come from here.
+FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
+    Figure("table1", "Table I — simulated system", "table1_system", apps=()),
+    Figure("fig01", "Fig. 1 — frontend-bound fractions", "fig01_frontend_bound",
+           variants=("baseline",)),
+    Figure("fig10", "Fig. 10 — speedup vs ideal and AsmDB", "fig10_speedup",
+           variants=_BASE + ("asmdb", "ispy")),
+    Figure("fig11", "Fig. 11 — MPKI reduction", "fig11_mpki",
+           variants=("baseline", "asmdb", "ispy")),
+    Figure("fig12", "Fig. 12 — mechanism ablation (gain over AsmDB)",
+           "fig12_ablation", variants=(
+               "baseline", "asmdb", "ispy", "ispy-conditional", "ispy-coalescing",
+           )),
+    Figure("fig13", "Fig. 13 — prefetch accuracy", "fig13_accuracy",
+           variants=("asmdb", "ispy")),
+    Figure("fig14", "Fig. 14 — static footprint increase",
+           "fig14_static_footprint", plans=("asmdb", "ispy"), render=_FINE),
+    Figure("fig15", "Fig. 15 — dynamic footprint increase",
+           "fig15_dynamic_footprint", variants=("asmdb", "ispy")),
+    Figure("fig04", "Fig. 4 — AsmDB footprints", "fig04_asmdb_footprint",
+           variants=("asmdb",)),
+    Figure("fig05", "Fig. 5 — Contiguous-8 vs Non-contiguous-8",
+           "fig05_noncontiguous",
+           variants=("baseline", "contiguous8", "noncontiguous8")),
+    Figure("fig03", "Fig. 3 — AsmDB fan-out threshold (wordpress)",
+           "fig03_fanout_tradeoff", ("wordpress",), _BASE, fig03_requests,
+           sweep=True),
+    Figure("fig16", "Fig. 16 — generalization across inputs",
+           "fig16_generalization", GENERALIZATION_APPS, (), fig16_requests,
+           sweep=True),
+    Figure("fig17", "Fig. 17 — context predecessors", "fig17_predecessors",
+           SWEEP_APPS, _BASE, fig17_requests, sweep=True),
+    Figure("fig18", "Fig. 18 — prefetch distances", "fig18_distance",
+           SWEEP_APPS, _BASE, fig18_requests, sweep=True),
+    Figure("fig19", "Fig. 19 — coalescing size", "fig19_coalesce_size",
+           SWEEP_APPS, _BASE, fig19_requests, sweep=True),
+    Figure("fig20", "Fig. 20 — coalesced line distances",
+           "fig20_coalesce_profile", plans=("ispy",), sweep=True,
+           render=_fig20_text),
+    Figure("fig21", "Fig. 21 — context-hash size (wordpress)", "fig21_hash_size",
+           ("wordpress",), (), fig21_requests, sweep=True, render=_FINE),
+    Figure("matrix", None, "matrix_prefetchers", variants=MATRIX_PREFETCHERS,
+           footprints=True),
+)}
+
+
+def report_figures(include_sweeps: bool = True) -> List[Figure]:
+    """The report's figures in order: the core ones, then, with
+    *include_sweeps*, the sweep block."""
+    return [
+        figure for figure in FIGURES.values()
+        if figure.title is not None and (include_sweeps or not figure.sweep)
+    ]
+
+
+#: What :meth:`Evaluator.prewarm` computes by default: every variant
+#: the report's core figures read.
+DEFAULT_PREWARM_VARIANTS: Tuple[str, ...] = tuple(
+    dict.fromkeys(
+        variant
+        for figure in report_figures(include_sweeps=False)
+        for variant in figure.variants
+    )
+)
+
+
+def sweep_requests(
+    evaluation: AppEvaluation, figures: Sequence[Figure]
+) -> List[SweepRun]:
+    """Every ``run_plans`` call the sweeps of *figures* make on
+    *evaluation*'s app."""
+    return [
+        run
+        for figure in figures
+        if figure.requests is not None and evaluation.name in figure.apps
+        for run in figure.requests(evaluation)
+    ]
+
+
+def sweep_apps(figures: Sequence[Figure]) -> Tuple[str, ...]:
+    """Every app the sweeps of *figures* replay, those in the most
+    sweeps (so with the most plans to train) first."""
+    swept = [figure.apps for figure in figures if figure.requests is not None]
+    names = dict.fromkeys(name for apps in swept for name in apps)
+    return tuple(sorted(names, key=lambda name: -sum(name in a for a in swept)))

@@ -15,9 +15,11 @@ profile at most once, however many of its jobs use them.
 
 A prewarm runs in two phases (:func:`run_prewarm_jobs`):
 :func:`prepare_app` jobs build and store each app's profile and plans,
-the report's sweep plans included; then :func:`evaluate_variant` jobs
-replay one (app, variant) each and :func:`evaluate_sweep` jobs replay
-one batch of an app's missing sweep items over one trace each.
+the plans of the prewarmed figures' sweeps included; then
+:func:`evaluate_variant` jobs replay one (app, variant) each and
+:func:`evaluate_sweep` jobs replay one batch of an app's missing sweep
+items over one trace each.  An app whose only missing variant is its
+baseline needs no profile, and so no phase-1 job.
 
 Telemetry crosses the same boundary the same way: each job runs under
 its own :class:`~repro.obs.trace.Tracer` and returns one span snapshot
@@ -35,11 +37,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..sim.stats import SimStats
-    from .experiments import Evaluator, ExperimentSettings, TraceArg
+    from .experiments import Evaluator, ExperimentSettings, Figure, TraceArg
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -71,13 +73,14 @@ def prepare_app(
     settings: "ExperimentSettings",
     store_root: str,
     shard_insns: Optional[int] = None,
-    sweeps: bool = False,
+    figures: Sequence[str] = (),
 ) -> Tuple[str, List[dict]]:
     """Phase-1 job: persist one app's profile, the plan of every
-    plan-replayed member among *variants* and, with *sweeps*, every
-    plan of the report's sweeps on the app, so the parent can resolve
-    each replay's stats key."""
-    from .experiments import sweep_requests
+    plan-replayed member among *variants* and every plan the sweeps of
+    *figures* (names in :data:`~repro.analysis.experiments.FIGURES`)
+    replay on the app, so the parent can resolve each replay's stats
+    key."""
+    from .experiments import FIGURES, sweep_requests
 
     evaluator = _worker_evaluator(settings, store_root, shard_insns)
     with evaluator.tracer.span("job:prepare-app", app=name):
@@ -86,8 +89,7 @@ def prepare_app(
         for variant in variants:
             if evaluation._variant_key(variant) is None:
                 evaluation.plan_for(variant)
-        if sweeps:
-            sweep_requests(evaluation)
+        sweep_requests(evaluation, [FIGURES[figure] for figure in figures])
     return name, evaluator.tracer.snapshot()
 
 
@@ -97,8 +99,10 @@ def evaluate_variant(
     settings: "ExperimentSettings",
     store_root: str,
     shard_insns: Optional[int] = None,
+    footprint: bool = False,
 ) -> Tuple[str, str, "SimStats", List[dict]]:
-    """Phase-2 job: simulate one (app, variant) pair.
+    """Phase-2 job: simulate one (app, variant) pair and, with
+    *footprint*, store what its deployment footprint trains.
 
     Workers inherit the parent's shard budget: each replay streams its
     trace shard by shard and checkpoints into the shared store, so a
@@ -108,6 +112,8 @@ def evaluate_variant(
     evaluator = _worker_evaluator(settings, store_root, shard_insns)
     with evaluator.tracer.span("job:evaluate-variant", app=name, variant=variant):
         stats = evaluator[name].stats_for(variant)
+        if footprint:
+            evaluator[name].footprint_for(variant)
     return name, variant, stats, evaluator.tracer.snapshot()
 
 
@@ -134,11 +140,16 @@ def run_prewarm_jobs(
     evaluator: "Evaluator",
     misses: Dict[str, Sequence[str]],
     sweep_apps: Sequence[str],
+    sweeps: Sequence["Figure"],
+    sized: Set[Tuple[str, str]],
+    unplanned: Dict[str, Sequence[str]],
     n_jobs: int,
 ) -> None:
     """Fan the (app, variant) simulations of *misses* (app -> the
-    variants the caches lack) and the missing sweep replays of
-    *sweep_apps* across *n_jobs* processes.
+    variants the caches lack) and the missing replays of *sweeps* on
+    *sweep_apps* across *n_jobs* processes; a variant job of a pair in
+    *sized* also stores what the variant's footprint trains, and phase 1
+    also trains the plans of *unplanned* (app -> plan variants).
 
     Phase 1 builds each app's shared artifacts (profile, requested
     plans and sweep plans) exactly once, so phase 2's jobs only load
@@ -156,15 +167,22 @@ def run_prewarm_jobs(
     settings = evaluator.settings
     tracer = evaluator.tracer
     shard_insns = evaluator.shard_insns
-    # the sweep apps first: they train the most plans
+    figures = tuple(figure.name for figure in sweeps)
+    # the sweep apps first: they train the most plans; a baseline needs
+    # no profile, so no phase-1 job
     prepare = {name: misses.get(name, ()) for name in sweep_apps}
-    prepare.update((name, variants) for name, variants in misses.items())
+    prepare.update(
+        (name, variants) for name, variants in misses.items()
+        if set(variants) - {"baseline"}
+    )
+    for name, variants in unplanned.items():
+        prepare[name] = prepare.get(name, ()) + variants
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         with tracer.span("prewarm:prepare", apps=len(prepare)):
             prepared = [
                 pool.submit(
                     prepare_app, name, variants, settings, store_root,
-                    shard_insns, name in sweep_apps,
+                    shard_insns, figures if name in sweep_apps else (),
                 )
                 for name, variants in prepare.items()
             ]
@@ -184,7 +202,7 @@ def run_prewarm_jobs(
             served = [key for app, key in jobs if app == name]
             batches += [
                 (name, trace, pairs)
-                for trace, pairs in evaluator[name].sweep_misses(served)
+                for trace, pairs in evaluator[name].sweep_misses(sweeps, served)
             ]
         with tracer.span(
             "prewarm:simulate", jobs=len(batches) + len(jobs), workers=n_jobs
@@ -199,7 +217,7 @@ def run_prewarm_jobs(
             simulated = [
                 pool.submit(
                     evaluate_variant, name, variants[0], settings, store_root,
-                    shard_insns,
+                    shard_insns, (name, variants[0]) in sized,
                 )
                 for (name, _), variants in jobs.items()
             ]

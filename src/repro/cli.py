@@ -8,7 +8,8 @@ Commands
 ``evaluate``    run baseline / ideal / AsmDB / I-SPY on one app
                 (``--prefetcher`` adds any other registered variant).
 ``matrix``      every registered prefetcher on one yardstick.
-``figure``      regenerate one paper figure table (e.g. ``fig10``).
+``figure``      regenerate one paper figure table (e.g. ``fig10``),
+                computing only what that figure reads.
 ``headline``    the abstract's aggregate numbers over all nine apps.
 ``report``      generate a full markdown evaluation report.
 ``ingest``      land an external instruction trace (ChampSim-style
@@ -25,6 +26,10 @@ The ``--prefetcher`` names come from the zoo registry
 (:func:`repro.baselines.prefetcher_names`); any prefetcher registered
 through :func:`repro.baselines.register_prefetcher` is immediately
 addressable from every command here.
+
+``figure`` and ``report`` read the figures from one table,
+:data:`repro.analysis.experiments.FIGURES`, and every command that reads
+statistics first computes them with ``Evaluator.prewarm``.
 
 Every evaluating command shares one set of run-configuration flags
 (scale, jobs, cache, kernel gate, telemetry) registered by
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .analysis import experiments as exp
@@ -61,29 +67,6 @@ from .analysis.reporting import percent, render_table
 from .baselines import protocol as zoo
 from .runconfig import RunConfig, add_run_arguments, positive_int
 from .workloads.apps import ALL_APP_NAMES, APP_NAMES
-
-#: figure name -> experiments function (single-table figures only)
-FIGURES = {
-    "matrix": exp.matrix_prefetchers,
-    "table1": exp.table1_system,
-    "fig01": exp.fig01_frontend_bound,
-    "fig03": exp.fig03_fanout_tradeoff,
-    "fig04": exp.fig04_asmdb_footprint,
-    "fig05": exp.fig05_noncontiguous,
-    "fig10": exp.fig10_speedup,
-    "fig11": exp.fig11_mpki,
-    "fig12": exp.fig12_ablation,
-    "fig13": exp.fig13_accuracy,
-    "fig14": exp.fig14_static_footprint,
-    "fig15": exp.fig15_dynamic_footprint,
-    "fig16": exp.fig16_generalization,
-    "fig17": exp.fig17_predecessors,
-    "fig18": exp.fig18_distance,
-    "fig19": exp.fig19_coalesce_size,
-    "fig20": exp.fig20_coalesce_profile,
-    "fig21": exp.fig21_hash_size,
-}
-
 
 def cmd_apps(args: argparse.Namespace) -> int:
     from .workloads.apps import build_app
@@ -204,8 +187,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             exp.MATRIX_PREFETCHERS
         )
         apps = tuple(args.apps) if args.apps else exp.SWEEP_APPS
-        if args.jobs != 1:
-            evaluator.prewarm(apps=apps, variants=prefetchers)
+        # the matrix figure's demand (footprints too), on these rows
+        matrix = replace(exp.FIGURES["matrix"], variants=prefetchers)
+        evaluator.prewarm(apps=apps, figures=[matrix])
         rows = exp.matrix_prefetchers(evaluator, apps=apps, prefetchers=prefetchers)
         print(
             render_table(
@@ -244,21 +228,20 @@ def _figure_rows(result) -> List[dict]:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    function = FIGURES.get(args.name)
-    if function is None:
+    figure = exp.FIGURES.get(args.name)
+    if figure is None:
         print(
             f"unknown figure {args.name!r}; choose from: "
-            f"{', '.join(sorted(FIGURES))}",
+            f"{', '.join(sorted(exp.FIGURES))}",
             file=sys.stderr,
         )
         return 2
-    if args.name == "table1":
-        print(render_table(function(), title="Table I"))
+    if figure.apps == ():  # Table I reads no app
+        print(render_table(figure.result(None), title="Table I"))
         return 0
     with RunConfig.from_args(args).session() as evaluator:
-        if args.jobs != 1:
-            evaluator.prewarm()
-        rows = _figure_rows(function(evaluator))
+        evaluator.prewarm(figures=[figure])
+        rows = _figure_rows(figure.result(evaluator))
         print(render_table(rows, title=args.name, precision=4))
     return 0
 

@@ -16,8 +16,8 @@ This module provides the interchange formats for those hand-offs:
 * :class:`TrainSummary` / :class:`AppSummary` — the few numbers the
   figures read from a planner's report and from a synthesized app;
 * :class:`ArtifactStore` — a versioned, content-addressed on-disk
-  cache of profiles, plans, train and app summaries and simulation
-  results, so repeated harness runs share artifacts instead of
+  cache of profiles, plans, train and app summaries, footprints and
+  simulation results, so repeated harness runs share artifacts instead of
   recomputing them.
 
 All formats are versioned JSON; unknown versions are rejected rather
@@ -35,7 +35,7 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from .core.coalesce import CoalesceStats
 from .core.instructions import PrefetchInstr, PrefetchPlan
@@ -43,6 +43,9 @@ from .profiling.pebs import MissSample
 from .profiling.profiler import ExecutionProfile
 from .sim.stats import SimStats
 from .workloads.synthesis import AppSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .baselines.protocol import Footprint
 
 FORMAT_VERSION = 1
 
@@ -391,6 +394,13 @@ def app_summary_from_record(payload: dict) -> AppSummary:
     return AppSummary(text_bytes=payload["text_bytes"])
 
 
+def footprint_from_record(payload: dict) -> "Footprint":
+    from .baselines.protocol import Footprint
+
+    _check(payload, "footprint")
+    return Footprint(payload["injected_bytes"], payload["metadata_bytes"])
+
+
 # -- the persistent artifact store -------------------------------------------
 
 
@@ -443,6 +453,7 @@ class ArtifactStore:
             plans/<key>.json
             trains/<key>.json      train summary, under its plan's key
             apps/<key>.json        app summary
+            footprints/<key>.json  a trained member's deployment footprint
             stats/<key>.json
 
     Keys come from :func:`artifact_key`; the schema version appears in
@@ -456,7 +467,8 @@ class ArtifactStore:
     def __init__(self, root: PathLike):
         self.root = Path(root)
         self.base = self.root / f"v{CACHE_SCHEMA_VERSION}"
-        for sub in ("profiles", "plans", "trains", "apps", "stats", "shards"):
+        for sub in ("profiles", "plans", "trains", "apps", "footprints",
+                    "stats", "shards"):
             (self.base / sub).mkdir(parents=True, exist_ok=True)
         # per-kind lookup accounting; the run manifest reports these as
         # the store's hit rate (a worker process counts its own store
@@ -568,6 +580,18 @@ class ArtifactStore:
 
     def load_app_summary(self, key: str) -> Optional[AppSummary]:
         return self._load("apps", key, app_summary_from_record, "app")
+
+    # -- deployment footprints -----------------------------------------
+
+    def save_footprint(self, key: str, footprint: "Footprint") -> None:
+        self._save("footprints", key, {
+            "format": "footprint",
+            "version": FORMAT_VERSION,
+            **dataclasses.asdict(footprint),
+        })
+
+    def load_footprint(self, key: str) -> Optional["Footprint"]:
+        return self._load("footprints", key, footprint_from_record, "footprint")
 
     # -- simulation results --------------------------------------------
 

@@ -206,6 +206,39 @@ class TestPersistentWarmRun:
             ) == stats_to_record(cold["wordpress"].stats_for(variant)), variant
 
 
+    def test_warm_matrix_builds_nothing(self, tmp_path, monkeypatch, capsys):
+        """A second ``repro matrix`` over one store only reads it: the
+        footprint MANA trains for is stored like its statistics."""
+        import json
+
+        from repro.cli import main
+        from repro.obs.trace import read_trace
+
+        argv = [
+            "matrix", "--apps", "wordpress", "--scale", "0.05",
+            "--profile-blocks", "4000", "--eval-blocks", "2000",
+            "--warmup", "500", "--cache", str(tmp_path / "cache"),
+        ]
+        assert main(argv + ["--json", str(tmp_path / "cold.json")]) == 0
+        # a fresh process's view: nothing memoized, only the store
+        monkeypatch.setattr(apps_mod, "_CACHE", {})
+        trace = tmp_path / "warm.jsonl"
+        warm = argv + ["--json", str(tmp_path / "warm.json"), "--trace", str(trace)]
+        assert main(warm) == 0
+        capsys.readouterr()
+        spans = Counter(e["name"] for e in read_trace(trace) if e["ph"] == "X")
+        built = {
+            name: calls for name, calls in spans.items()
+            if name in BUILD_SPANS or name.startswith(BUILD_PREFIXES)
+        }
+        assert built == {}
+        rows = [
+            json.loads((tmp_path / f"{run}.json").read_text())
+            for run in ("cold", "warm")
+        ]
+        assert rows[0] == rows[1]
+
+
 #: a report small enough for the tier-1 suite; the per-app figures run
 #: on two apps, the sweeps on their own default apps
 REPORT_SETTINGS = ExperimentSettings(
@@ -280,6 +313,15 @@ class TestParallelReport:
     def test_body_equals_serial(self, filled_cache, serial_report):
         assert _body(filled_cache[1]) == _body(serial_report[0])
 
+    def test_section_titles_in_order(self, filled_cache):
+        from tests.analysis.test_report import (
+            CORE_SECTIONS, SWEEP_SECTIONS, section_titles,
+        )
+
+        assert section_titles(filled_cache[1]) == (
+            CORE_SECTIONS + SWEEP_SECTIONS + ["Headline summary"]
+        )
+
     def test_parent_builds_nothing_after_the_pool(self, filled_cache):
         spans = [e for e in filled_cache[2] if e["ph"] == "X"]
         assert any(e["name"] == "job:evaluate-sweep" for e in spans)
@@ -300,7 +342,7 @@ class TestParallelReport:
         config = RunConfig(settings=REPORT_SETTINGS, store=filled_cache[0])
         evaluation = Evaluator(config=config)["kafka"]
         with evaluation.stored_plans():
-            runs = exp_mod.sweep_requests(evaluation)
+            runs = exp_mod.sweep_requests(evaluation, exp_mod.report_figures())
         widest = max(len(items) for items, _ in runs)
         widths = [
             e["args"]["variants"] for e in filled_cache[2]

@@ -9,7 +9,6 @@ import warnings
 
 import pytest
 
-import repro.runconfig as runconfig_mod
 from repro import kernel
 from repro.analysis.experiments import Evaluator, ExperimentSettings
 from repro.cli import build_parser
@@ -35,6 +34,24 @@ def _restore_global_tracer():
 
 
 class TestDefaults:
+    def test_settings_only_construction_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Evaluator(SETTINGS)
+            Evaluator()
+
+    def test_config_construction_is_silent(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluator = Evaluator(
+                config=RunConfig(
+                    settings=SETTINGS, store=tmp_path / "cache", jobs=2
+                )
+            )
+        assert evaluator.jobs == 2
+        assert evaluator.store is not None
+        assert evaluator.config.settings == SETTINGS
+
     def test_defaults(self):
         config = RunConfig()
         assert config.settings == ExperimentSettings()
@@ -324,38 +341,6 @@ class TestCollectorPolicy:
         gc.collect()
         evaluate("wordpress")
         assert gc.collect() == 0
-
-
-class TestScatteredKwargsRemoved:
-    """The PR 4 deprecation cycle is over: scattered kwargs now raise."""
-
-    def test_scattered_kwargs_raise_type_error(self, tmp_path):
-        with pytest.raises(TypeError, match="RunConfig"):
-            Evaluator(SETTINGS, store=tmp_path / "cache")
-        with pytest.raises(TypeError, match="RunConfig"):
-            Evaluator(SETTINGS, jobs=2)
-
-    def test_shim_is_gone_from_the_module(self):
-        assert not hasattr(runconfig_mod, "warn_scattered_kwargs")
-        assert "warn_scattered_kwargs" not in runconfig_mod.__all__
-
-    def test_settings_only_construction_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Evaluator(SETTINGS)
-            Evaluator()
-
-    def test_config_construction_is_silent(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            evaluator = Evaluator(
-                config=RunConfig(
-                    settings=SETTINGS, store=tmp_path / "cache", jobs=2
-                )
-            )
-        assert evaluator.jobs == 2
-        assert evaluator.store is not None
-        assert evaluator.config.settings == SETTINGS
 
 
 class TestTracingIsInert:
