@@ -345,18 +345,6 @@ class AppEvaluation:
         if self.store is not None:
             self.store.save_stats(key, stats)
 
-    def _checkpointer(self, stats_key: str):
-        """A per-shard resume checkpointer for one replay, when both a
-        store and a shard budget are configured."""
-        if self.store is None or self.shard_insns is None:
-            return None
-        from ..sim.streaming import StoreCheckpointer
-
-        return StoreCheckpointer(
-            self.store,
-            {"stats_key": stats_key, "shard_insns": self.shard_insns},
-        )
-
     def run_plan(
         self,
         plan: Optional[PrefetchPlan],
@@ -391,9 +379,10 @@ class AppEvaluation:
         fill their slots without simulating.  Every miss, ``None`` and
         empty plans included, runs in one
         :func:`~repro.sim.streaming.run_plan_batch` pass over the trace
-        (see :meth:`_replay_misses`); with a store and a shard budget
-        each miss runs alone with its own resume checkpointer, since
-        those key on one variant's stats key.  Results are
+        (see :meth:`_replay_misses`); with a shard budget each miss
+        runs alone, as one :func:`~repro.sim.streaming.run_sharded`
+        stream with its own resume checkpointer when a store is set,
+        since a checkpoint keys on one variant's stats key.  Results are
         bit-identical however the misses are grouped.
         """
         keys = []
@@ -406,7 +395,7 @@ class AppEvaluation:
 
         found = {key: self._cached_stats(key) for key in requests}
         misses = [requests[key] for key, stats in found.items() if stats is None]
-        if self.store is not None and self.shard_insns is not None:
+        if self.shard_insns is not None:
             groups = [[miss] for miss in misses]
         else:
             groups = [misses] if misses else []
@@ -443,33 +432,40 @@ class AppEvaluation:
         figure's request function."""
         return [self.run_plans(items, trace=trace) for items, trace in runs]
 
-    def sweep_misses(
-        self, figures: Sequence["Figure"], served: Sequence[str] = ()
+    def plan_misses(
+        self, variants: Sequence[str] = (), figures: Sequence["Figure"] = ()
     ) -> List[Tuple[TraceArg, List[Tuple[object, str]]]]:
-        """The items of *figures*' sweeps on this app
-        (:func:`sweep_requests`) whose stats no cache holds, one per key
-        and none whose key is in *served*, as ``(trace, [(item, stats
-        key), ...])`` batches.
+        """The :meth:`run_plans` items whose stats no cache holds, one
+        per key, as ``(trace, [(item, stats key), ...])`` batches: the
+        evaluation replays of the plan-replayed *variants*
+        (:meth:`replays_plan`), then the items of *figures*' sweeps on
+        this app (:func:`sweep_requests`).
 
-        A trace's items are cut into batches no wider than the widest
-        sweep run, so no batch holds more replays (and so more cache
-        state) than a figure replays at once by itself.  Loads plans and
-        statistics only; raises :class:`PlanNotStored` when a sweep
-        plan is not stored yet.
+        The variants count as one more run, on the evaluation trace.
+        The variants' misses and a trace's sweep misses are cut apart
+        into batches no wider than the widest run, so no batch holds
+        more replays (and so more cache state) than a figure replays at
+        once by itself.  Loads plans and statistics only; raises
+        :class:`PlanNotStored` when a plan is not stored yet.
         """
         with self.stored_plans():
-            runs = sweep_requests(self, figures)
-        seen = set(served)
-        misses: Dict[TraceArg, List[Tuple[object, str]]] = {}
-        for items, trace in runs:
+            planned = [
+                None if variant == "baseline" else self.plan_for(variant)
+                for variant in variants if self.replays_plan(variant)
+            ]
+            runs = [(planned, None), *sweep_requests(self, figures)]
+        seen = set()
+        # (whether they are the variants', trace) -> (item, key) pairs
+        misses: Dict[Tuple[bool, TraceArg], List[Tuple[object, str]]] = {}
+        for index, (items, trace) in enumerate(runs):
             for item, (_, _, key) in zip(items, self._requests(items, trace=trace)):
                 if key in seen or self._cached_stats(key) is not None:
                     continue
                 seen.add(key)
-                misses.setdefault(trace, []).append((item, key))
-        width = max((len(items) for items, _ in runs), default=1)
+                misses.setdefault((index == 0, trace), []).append((item, key))
+        width = max(len(items) for items, _ in runs)
         batches = []
-        for trace, pairs in misses.items():
+        for (_, trace), pairs in misses.items():
             # the fewest batches of that width, evened out
             size = math.ceil(len(pairs) / math.ceil(len(pairs) / width))
             batches += [
@@ -483,9 +479,10 @@ class AppEvaluation:
         :func:`~repro.sim.streaming.run_plan_batch` call, and remember
         their stats.  One miss is a ``sim:replay``, more a
         ``sim:batch-sweep``; both spans name the backends that served
-        their replays.  A single miss with a shard budget is the
-        one-core :func:`~repro.sim.streaming.run_sharded` call."""
-        from ..sim.streaming import run_plan_batch, run_sharded
+        their replays.  With a shard budget there is one miss (see
+        :meth:`run_plans`), streamed by
+        :func:`~repro.sim.streaming.run_sharded`."""
+        from ..sim.streaming import StoreCheckpointer, run_plan_batch, run_sharded
 
         replay = self._replay_trace(trace)
         cores = [
@@ -506,19 +503,20 @@ class AppEvaluation:
         with self.span(
             name, app=self.name, blocks=len(replay.block_ids), **args
         ) as span:
-            # None unless a store and a shard budget are set, and then
-            # run_plans replays each miss alone
-            checkpointer = self._checkpointer(misses[0][2])
             warmup = self.settings.warmup
-            if len(cores) == 1 and self.shard_insns is not None:
+            if self.shard_insns is not None:
+                # with a store, a per-shard resume checkpointer
+                checkpointer = None if self.store is None else StoreCheckpointer(
+                    self.store,
+                    {"stats_key": misses[0][2], "shard_insns": self.shard_insns},
+                )
+                (core,) = cores
                 run_sharded(
-                    cores[0], replay, warmup=warmup,
-                    shard_insns=self.shard_insns, checkpointer=checkpointer,
+                    core, replay, warmup=warmup, shard_insns=self.shard_insns,
+                    checkpointer=checkpointer,
                 )
             else:
-                reasons = run_plan_batch(
-                    cores, replay, warmup, self.shard_insns, checkpointer
-                )
+                reasons = run_plan_batch(cores, replay, warmup)
             if len(cores) == 1:
                 span.set(backend=cores[0].last_replay_backend)
             else:
@@ -701,13 +699,21 @@ class AppEvaluation:
     def asmdb_summary(self, threshold: Optional[float] = None) -> TrainSummary:
         return self._summary_for(self._asmdb(threshold))
 
+    def replays_plan(self, variant: str) -> bool:
+        """Whether *variant*'s evaluation replay is a :meth:`run_plans`
+        item: ``baseline`` and the members that replay their plan."""
+        if variant == "baseline":
+            return True
+        prefetcher = self.prefetcher(variant)
+        return prefetcher.supports_plan_replay and prefetcher.produces_plan
+
     def _variant_key(self, variant: str) -> Optional[str]:
         """The stats key of *variant*'s evaluation replay; None when it
         is a plan member whose plan is not cached yet."""
         if variant == "baseline":
             return self._stats_key(None, 16, False, None)
         prefetcher = self.prefetcher(variant)
-        if prefetcher.supports_plan_replay and prefetcher.produces_plan:
+        if self.replays_plan(variant):
             plan = self._cached_plan(prefetcher)
             if plan is None:
                 return None
@@ -763,7 +769,7 @@ class AppEvaluation:
             key = self._variant_key("baseline")
             return self._replay_misses([(None, {}, key)])[0]
         prefetcher = self.prefetcher(variant)
-        if not (prefetcher.supports_plan_replay and prefetcher.produces_plan):
+        if not self.replays_plan(variant):
             return self._variant_stats(variant, prefetcher)
         key = self._variant_key(variant)
         if key is None:
@@ -902,21 +908,21 @@ class Evaluator:
     ) -> None:
         """Compute up front the statistics of *variants* on *apps*, and
         the demand of each of *figures*: the variants it reads on its
-        apps (its own, else *apps*) and every replay of its sweep.  The
-        plans it alone reads are trained up front only in the pool.
+        apps (its own, else *apps*), every replay of its sweep and the
+        plans it alone reads.
 
         *apps* defaults to the nine paper apps, and *variants* to none
         when *figures* are given, else to :data:`DEFAULT_PREWARM_VARIANTS`.
-        With more than one job, every pair is first looked up in the
-        caches (:meth:`AppEvaluation.cached_stats_for`), and every sweep
-        item through :meth:`AppEvaluation.sweep_misses`; only the misses
-        go to worker processes (:func:`~repro.analysis.jobs.run_prewarm_jobs`),
-        whose variant jobs also store what a figure's footprints train.
-        The parent absorbs the results, so subsequent figure calls are
-        cache hits.  When everything hits, no pool starts.  Serial
-        prewarm computes the same statistics in order, through the same
-        request functions.  ``ideal`` is never a job: it is the
-        baseline's bound, so ``baseline`` takes its place.
+        Every pair is first looked up in the caches
+        (:meth:`AppEvaluation.cached_stats_for`), and every sweep item
+        through :meth:`AppEvaluation.plan_misses`; only the misses become
+        jobs (:func:`~repro.analysis.jobs.run_prewarm_jobs`), run in a
+        pool of *jobs* worker processes, or in this process with one
+        job.  The mechanism members' jobs also store what a figure's
+        footprints train.  Every stats key a job returns lands in the
+        memory cache, so subsequent figure calls are cache hits.  When
+        everything hits, no job runs.  ``ideal`` is never a job: it is
+        the baseline's bound, so ``baseline`` takes its place.
         """
         from .jobs import resolve_jobs, run_prewarm_jobs
 
@@ -933,47 +939,38 @@ class Evaluator:
                 planned[name] = planned.get(name, ()) + figure.plans
                 if figure.footprints:
                     sized.update((name, variant) for variant in figure.variants)
-        wanted = {
-            name: tuple(dict.fromkeys("baseline" if v == "ideal" else v for v in vs))
-            for name, vs in wanted.items()
-        }
         sweeps = [figure for figure in figures if figure.requests is not None]
-        swept = sweep_apps(sweeps)
-        n_jobs = resolve_jobs(self.jobs if jobs is None else jobs)
-        if n_jobs <= 1:
-            for name, wanted_variants in wanted.items():
-                evaluation = self[name]
-                for variant in wanted_variants:
-                    evaluation.stats_for(variant)
-            for name in swept:
-                self[name].run_sweep(sweep_requests(self[name], sweeps))
-            return
         misses: Dict[str, Tuple[str, ...]] = {}
         for name, wanted_variants in wanted.items():
             evaluation = self[name]
             missing = tuple(
                 variant
-                for variant in wanted_variants
+                for variant in dict.fromkeys(
+                    "baseline" if v == "ideal" else v for v in wanted_variants
+                )
                 if evaluation.cached_stats_for(variant) is None
             )
             if missing:
                 misses[name] = missing
-        pending = [name for name in swept if self._sweep_pending(name, sweeps)]
+        pending = [
+            name for name in sweep_apps(sweeps)
+            if self._sweep_pending(name, sweeps)
+        ]
         unplanned = {
             name: plans for name, plans in planned.items()
             if any(self[name]._variant_key(variant) is None for variant in plans)
         }
         if misses or pending or unplanned:
-            self._ensure_store()
             run_prewarm_jobs(
-                self, misses, pending, sweeps, sized, unplanned, n_jobs
+                self, misses, pending, sweeps, sized, unplanned,
+                resolve_jobs(self.jobs if jobs is None else jobs),
             )
 
     def _sweep_pending(self, name: str, sweeps: Sequence["Figure"]) -> bool:
         """Whether an item of *sweeps* on app *name* misses the caches
         (or its plan is not stored yet)."""
         try:
-            return bool(self[name].sweep_misses(sweeps))
+            return bool(self[name].plan_misses(figures=sweeps))
         except PlanNotStored:
             return True
 

@@ -1,31 +1,28 @@
-"""Process-parallel fan-out for the evaluation harness.
+"""The prewarm's jobs, run in a worker pool or in process.
 
-Jobs are top-level functions (picklable by the default
-``ProcessPoolExecutor`` machinery); each worker builds its own
-:class:`~repro.analysis.experiments.Evaluator` against the shared
-on-disk artifact store, so cross-process communication is limited to
-content-addressed files, the returned statistics and, for a sweep
-job, the plans it replays.  The apps, their evaluation traces and
-their stored profiles come from the process-wide
-:func:`~repro.workloads.apps.get_app`,
+A prewarm (:func:`run_prewarm_jobs`) builds one list of jobs from its
+demand and runs it one way at any job count: with more than one job
+each goes to a ``ProcessPoolExecutor`` worker, else it is called in
+process on the prewarming evaluator itself.  A job is a top-level
+function over an :class:`~repro.analysis.experiments.Evaluator`
+(picklable by the default ``ProcessPoolExecutor`` machinery); a worker
+builds its own evaluator against the shared on-disk artifact store, so
+cross-process communication is limited to content-addressed files, the
+returned statistics and the plans a replay job replays.  The apps,
+their evaluation traces and their stored profiles come from the
+process-wide :func:`~repro.workloads.apps.get_app`,
 :func:`~repro.workloads.apps.get_trace` and
 :func:`~repro.workloads.apps.get_profile` memos, so a worker
 synthesizes each app, generates its evaluation trace and loads its
 profile at most once, however many of its jobs use them.
 
-A prewarm runs in two phases (:func:`run_prewarm_jobs`):
-:func:`prepare_app` jobs build and store each app's profile and plans,
-the plans of the prewarmed figures' sweeps included; then
-:func:`evaluate_variant` jobs replay one (app, variant) each and
-:func:`evaluate_sweep` jobs replay one batch of an app's missing sweep
-items over one trace each.  An app whose only missing variant is its
-baseline needs no profile, and so no phase-1 job.
-
-Telemetry crosses the same boundary the same way: each job runs under
-its own :class:`~repro.obs.trace.Tracer` and returns one span snapshot
-with its result; the parent :meth:`~repro.obs.trace.Tracer.absorb`\\ s
-it onto one synthetic thread per worker pid, so the run's summary
-(``--timing``, the manifest) counts worker work like its own.
+Telemetry crosses the process boundary the same way: each worker job
+runs under its own :class:`~repro.obs.trace.Tracer` and returns one
+span snapshot with its result; the parent
+:meth:`~repro.obs.trace.Tracer.absorb`\\ s it onto one synthetic thread
+per worker pid, so the run's summary (``--timing``, the manifest)
+counts worker work like its own.  An in-process job records onto the
+run's tracer directly.
 
 Determinism: every seed in the pipeline derives from the app spec, so
 a worker computes exactly what the parent would have — parallel
@@ -37,6 +34,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -51,38 +49,46 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return int(jobs)
 
 
-def _worker_evaluator(
+def in_worker(
+    job,
+    args: tuple,
     settings: "ExperimentSettings",
     store_root: str,
     shard_insns: Optional[int] = None,
 ):
+    """Run ``job(evaluator, *args)`` on a fresh evaluator over the store
+    at *store_root*: its result and its span snapshot.
+
+    Workers inherit the parent's shard budget: each replay streams its
+    trace shard by shard and checkpoints into the shared store, so a
+    killed prewarm re-invoked with the same configuration resumes
+    every in-flight simulation from its last completed shard.
+    """
     from ..obs.trace import Tracer
     from ..runconfig import RunConfig
 
-    return RunConfig(
+    evaluator = RunConfig(
         settings=settings,
         store=store_root,
         tracer=Tracer(process_label="repro-worker"),
         shard_insns=shard_insns,
     ).evaluator()
+    return job(evaluator, *args), evaluator.tracer.snapshot()
 
 
 def prepare_app(
+    evaluator: "Evaluator",
     name: str,
     variants: Sequence[str],
-    settings: "ExperimentSettings",
-    store_root: str,
-    shard_insns: Optional[int] = None,
     figures: Sequence[str] = (),
-) -> Tuple[str, List[dict]]:
-    """Phase-1 job: persist one app's profile, the plan of every
+) -> None:
+    """Phase-1 job: build one app's profile, the plan of every
     plan-replayed member among *variants* and every plan the sweeps of
     *figures* (names in :data:`~repro.analysis.experiments.FIGURES`)
     replay on the app, so the parent can resolve each replay's stats
     key."""
     from .experiments import FIGURES, sweep_requests
 
-    evaluator = _worker_evaluator(settings, store_root, shard_insns)
     with evaluator.tracer.span("job:prepare-app", app=name):
         evaluation = evaluator[name]
         evaluation.profile
@@ -90,50 +96,57 @@ def prepare_app(
             if evaluation._variant_key(variant) is None:
                 evaluation.plan_for(variant)
         sweep_requests(evaluation, [FIGURES[figure] for figure in figures])
-    return name, evaluator.tracer.snapshot()
+
+
+def replay_plans(
+    evaluator: "Evaluator", name: str, items: list, trace: "TraceArg"
+) -> List["SimStats"]:
+    """Phase-2 job: replay one app's missing ``run_plans`` *items* over
+    one trace, as one
+    :meth:`~repro.analysis.experiments.AppEvaluation.run_plans` call
+    (so one batch, or one sharded replay per item)."""
+    with evaluator.tracer.span("job:replay-plans", app=name, variants=len(items)):
+        return evaluator[name].run_plans(items, trace=trace)
 
 
 def evaluate_variant(
-    name: str,
-    variant: str,
-    settings: "ExperimentSettings",
-    store_root: str,
-    shard_insns: Optional[int] = None,
-    footprint: bool = False,
-) -> Tuple[str, str, "SimStats", List[dict]]:
-    """Phase-2 job: simulate one (app, variant) pair and, with
-    *footprint*, store what its deployment footprint trains.
-
-    Workers inherit the parent's shard budget: each replay streams its
-    trace shard by shard and checkpoints into the shared store, so a
-    killed prewarm re-invoked with the same configuration resumes
-    every in-flight simulation from its last completed shard.
-    """
-    evaluator = _worker_evaluator(settings, store_root, shard_insns)
+    evaluator: "Evaluator", name: str, variant: str, footprint: bool = False
+) -> "SimStats":
+    """Phase-2 job: simulate one mechanism member on one app and, with
+    *footprint*, store what its deployment footprint trains."""
     with evaluator.tracer.span("job:evaluate-variant", app=name, variant=variant):
         stats = evaluator[name].stats_for(variant)
         if footprint:
             evaluator[name].footprint_for(variant)
-    return name, variant, stats, evaluator.tracer.snapshot()
+    return stats
 
 
-def evaluate_sweep(
-    name: str,
-    items: list,
-    trace: "TraceArg",
-    settings: "ExperimentSettings",
-    store_root: str,
-    shard_insns: Optional[int] = None,
-) -> Tuple[List["SimStats"], List[dict]]:
-    """Phase-2 job: replay one app's missing sweep *items* over one
-    trace, as one :meth:`~repro.analysis.experiments.AppEvaluation.run_plans`
-    call (so one batch, or one sharded replay per item)."""
-    evaluator = _worker_evaluator(settings, store_root, shard_insns)
-    with evaluator.tracer.span(
-        "job:evaluate-sweep", app=name, variants=len(items)
-    ):
-        stats = evaluator[name].run_plans(items, trace=trace)
-    return stats, evaluator.tracer.snapshot()
+@contextmanager
+def _runner(evaluator: "Evaluator", n_jobs: int):
+    """A function that runs a list of ``(job, args)`` pairs and returns
+    their results in order: in a pool of *n_jobs* workers over the
+    evaluator's store (an ephemeral one when it has none), or in
+    process with one job."""
+    if n_jobs <= 1:
+        yield lambda jobs: [job(evaluator, *args) for job, args in jobs]
+        return
+    tracer = evaluator.tracer
+    store_root = str(evaluator._ensure_store().root)
+    config = (evaluator.settings, store_root, evaluator.shard_insns)
+
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        def run(jobs):
+            futures = [
+                pool.submit(in_worker, job, args, *config) for job, args in jobs
+            ]
+            results = []
+            for future in futures:
+                result, events = future.result()
+                tracer.absorb(events)
+                results.append(result)
+            return results
+
+        yield run
 
 
 def run_prewarm_jobs(
@@ -145,28 +158,23 @@ def run_prewarm_jobs(
     unplanned: Dict[str, Sequence[str]],
     n_jobs: int,
 ) -> None:
-    """Fan the (app, variant) simulations of *misses* (app -> the
+    """Compute the (app, variant) statistics of *misses* (app -> the
     variants the caches lack) and the missing replays of *sweeps* on
-    *sweep_apps* across *n_jobs* processes; a variant job of a pair in
-    *sized* also stores what the variant's footprint trains, and phase 1
-    also trains the plans of *unplanned* (app -> plan variants).
+    *sweep_apps*, in a pool of *n_jobs* workers or, with one job, in
+    process; a mechanism job of a pair in *sized* also stores what the
+    variant's footprint trains.
 
-    Phase 1 builds each app's shared artifacts (profile, requested
-    plans and sweep plans) exactly once, so phase 2's jobs only load
-    them from the store instead of duplicating the planning work.
-    Between the phases the parent resolves each replay's stats key:
-    variants whose plans coincide share one key, and so one job, whose
-    stats the parent stores under each of them; a sweep item whose key
-    a variant job or an earlier sweep item already serves is dropped.
-    Phase 2 then runs one job per (app, stats key) of the variants and
-    one batched job per (app, trace) of the remaining sweep items, cut
-    where it would be wider than the widest sweep run
-    (:meth:`~repro.analysis.experiments.AppEvaluation.sweep_misses`).
+    Phase 1 runs one :func:`prepare_app` job per app that needs a
+    profile, so each app's profile, plans (those of *unplanned*, app ->
+    plan variants, included) and sweep plans are built exactly once.
+    Between the phases the parent resolves each replay's stats key
+    (:meth:`~repro.analysis.experiments.AppEvaluation.plan_misses`).
+    Phase 2 runs one :func:`replay_plans` job per batch of an app's
+    missing items (its plan variants, or its sweep items on one
+    trace), and one :func:`evaluate_variant` job per missing mechanism
+    member.  Every stats key a job returns is stored in its app's
+    memory cache.
     """
-    store_root = str(evaluator.store.root)
-    settings = evaluator.settings
-    tracer = evaluator.tracer
-    shard_insns = evaluator.shard_insns
     figures = tuple(figure.name for figure in sweeps)
     # the sweep apps first: they train the most plans; a baseline needs
     # no profile, so no phase-1 job
@@ -177,60 +185,40 @@ def run_prewarm_jobs(
     )
     for name, variants in unplanned.items():
         prepare[name] = prepare.get(name, ()) + variants
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    tracer = evaluator.tracer
+    with _runner(evaluator, n_jobs) as run:
         with tracer.span("prewarm:prepare", apps=len(prepare)):
-            prepared = [
-                pool.submit(
-                    prepare_app, name, variants, settings, store_root,
-                    shard_insns, figures if name in sweep_apps else (),
-                )
+            run([
+                (prepare_app, (name, variants, figures if name in sweep_apps else ()))
                 for name, variants in prepare.items()
-            ]
-            for future in prepared:
-                _, events = future.result()
-                tracer.absorb(events)
-        # (app, stats key) -> the variants it serves, first one replayed
-        jobs: Dict[Tuple[str, str], List[str]] = {}
-        for name, variants in misses.items():
-            evaluation = evaluator[name]
-            for variant in variants:
-                key = evaluation._variant_key(variant) or variant
-                jobs.setdefault((name, key), []).append(variant)
+            ])
         # (app, trace, the (item, stats key) pairs of one batch)
         batches: List[Tuple[str, "TraceArg", List[Tuple[object, str]]]] = []
-        for name in sweep_apps:
-            served = [key for app, key in jobs if app == name]
+        # (app, mechanism variant)
+        members: List[Tuple[str, str]] = []
+        for name in dict.fromkeys((*sweep_apps, *misses)):
+            evaluation = evaluator[name]
+            variants = misses.get(name, ())
+            own = sweeps if name in sweep_apps else ()
             batches += [
                 (name, trace, pairs)
-                for trace, pairs in evaluator[name].sweep_misses(sweeps, served)
+                for trace, pairs in evaluation.plan_misses(variants, own)
             ]
-        with tracer.span(
-            "prewarm:simulate", jobs=len(batches) + len(jobs), workers=n_jobs
-        ):
-            swept = [
-                pool.submit(
-                    evaluate_sweep, name, [item for item, _ in pairs], trace,
-                    settings, store_root, shard_insns,
-                )
-                for name, trace, pairs in batches
+            members += [
+                (name, variant) for variant in variants
+                if not evaluation.replays_plan(variant)
             ]
-            simulated = [
-                pool.submit(
-                    evaluate_variant, name, variants[0], settings, store_root,
-                    shard_insns, (name, variants[0]) in sized,
-                )
-                for (name, _), variants in jobs.items()
-            ]
-            for future, (name, _, pairs) in zip(swept, batches):
-                stats, events = future.result()
-                tracer.absorb(events)
-                for (_, key), item_stats in zip(pairs, stats):
-                    evaluator[name]._sim_cache[key] = item_stats
-            for future, ((name, key), variants) in zip(simulated, jobs.items()):
-                _, _, stats, events = future.result()
-                tracer.absorb(events)
-                evaluation = evaluator[name]
-                if key not in variants:  # a stats key, not the fallback
-                    evaluation._sim_cache[key] = stats
-                for variant in variants:
-                    evaluation._stats[variant] = stats
+        jobs = [
+            (replay_plans, (name, [item for item, _ in pairs], trace))
+            for name, trace, pairs in batches
+        ] + [
+            (evaluate_variant, (name, variant, (name, variant) in sized))
+            for name, variant in members
+        ]
+        with tracer.span("prewarm:simulate", jobs=len(jobs), workers=n_jobs):
+            results = run(jobs)
+    for (name, _, pairs), stats in zip(batches, results):
+        for (_, key), item_stats in zip(pairs, stats):
+            evaluator[name]._sim_cache[key] = item_stats
+    for (name, variant), stats in zip(members, results[len(batches):]):
+        evaluator[name]._sim_cache[evaluator[name]._variant_key(variant)] = stats

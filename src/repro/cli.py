@@ -65,7 +65,7 @@ from typing import List, Optional
 from .analysis import experiments as exp
 from .analysis.reporting import percent, render_table
 from .baselines import protocol as zoo
-from .runconfig import RunConfig, add_run_arguments, positive_int
+from .runconfig import RunConfig, add_run_arguments, positive_float, positive_int
 from .workloads.apps import ALL_APP_NAMES, APP_NAMES
 
 def cmd_apps(args: argparse.Namespace) -> int:
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_apps = commands.add_parser("apps", help="list the applications")
-    p_apps.add_argument("--scale", type=float, default=0.3)
+    p_apps.add_argument("--scale", type=positive_float, default=0.3)
     p_apps.set_defaults(func=cmd_apps)
 
     p_profile = commands.add_parser("profile", help="profile one application")

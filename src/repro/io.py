@@ -533,7 +533,9 @@ class ArtifactStore:
     def _save(self, sub: str, key: str, payload: dict) -> None:
         data = json.dumps(payload).encode()
         if sub == "profiles":
-            data = gzip.compress(data)
+            # level 1 compresses ~20x faster than the default 9, for a
+            # file ~15% larger; reading does not depend on the level
+            data = gzip.compress(data, compresslevel=1)
         self._write_atomic(self._path(sub, key), data)
 
     def _load(self, sub: str, key: str, decode, kind: str):

@@ -32,6 +32,7 @@ statistics of a run are bit-identical whatever the sinks.
 from __future__ import annotations
 
 import gc
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -224,6 +225,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for finite sizes that must be above 0."""
+    import argparse
+
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
 def add_run_arguments(
     parser: "argparse.ArgumentParser",
     jobs_default: int = 1,
@@ -237,11 +248,11 @@ def add_run_arguments(
     """
     scale = parser.add_argument_group("workload scale")
     scale.add_argument(
-        "--scale", type=float, default=0.6,
+        "--scale", type=positive_float, default=0.6,
         help="workload scale factor (1.0 = benchmark size)",
     )
-    scale.add_argument("--profile-blocks", type=int, default=60_000)
-    scale.add_argument("--eval-blocks", type=int, default=80_000)
+    scale.add_argument("--profile-blocks", type=positive_int, default=60_000)
+    scale.add_argument("--eval-blocks", type=positive_int, default=80_000)
     scale.add_argument("--warmup", type=int, default=16_000)
 
     run = parser.add_argument_group("execution")

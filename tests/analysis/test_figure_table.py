@@ -17,10 +17,10 @@ SETTINGS = ExperimentSettings(
 APPS = ("wordpress",)
 
 
-def _cold_figure(figure, cache):
-    """Prewarm *figure* with two workers on an empty store, then run
+def _cold_figure(figure, cache, jobs=2):
+    """Prewarm *figure* with *jobs* workers on an empty store, then run
     it: the run's events."""
-    config = RunConfig(settings=SETTINGS, store=cache, jobs=2)
+    config = RunConfig(settings=SETTINGS, store=cache, jobs=jobs)
     with config.session() as evaluator:
         evaluator.prewarm(APPS, figures=[figure])
         figure.result(evaluator, APPS)
@@ -45,7 +45,7 @@ def test_the_pool_computes_everything_the_figure_reads(name, tmp_path):
     assert late == []
     jobs = {
         e["args"]["app"] for e in events
-        if e["name"] in ("job:prepare-app", "job:evaluate-variant")
+        if e["name"].startswith("job:")
     }
     assert jobs <= set(figure.apps or APPS)
 
@@ -56,7 +56,22 @@ def test_a_baseline_figure_needs_no_profile(tmp_path):
     names = [e["name"] for e in events]
     assert "job:prepare-app" not in names
     assert "profiling:execution" not in names
-    assert names.count("job:evaluate-variant") == len(APPS)
+    jobs = [
+        (e["name"], e["args"]["app"], e["args"].get("variants"))
+        for e in events if e["name"].startswith("job:")
+    ]
+    assert jobs == [("job:replay-plans", name, 1) for name in APPS], jobs
+
+
+def test_a_serial_figure_batches_its_plan_variants(tmp_path):
+    """With one job the prewarm runs the same jobs in process: each
+    app's Fig. 12 variants replay as one batch, none as one slot."""
+    events = _cold_figure(FIGURES["fig12"], tmp_path / "cache", jobs=1)
+    names = [e["name"] for e in events]
+    assert "sim:replay" not in names
+    assert names.count("sim:batch-sweep") == names.count(
+        "job:replay-plans"
+    ) == len(APPS)
 
 
 def test_report_figures_are_the_titled_entries_in_order():

@@ -89,16 +89,16 @@ class TestParallelEqualsSerial:
     def test_parallel_prewarm_populates_memory_caches(self):
         evaluator = Evaluator(config=RunConfig(settings=SETTINGS, jobs=2))
         evaluator.prewarm(apps=["wordpress"], variants=VARIANTS)
-        replays = summarize(evaluator.tracer.snapshot()).stage("sim:replay")
+        replays = summarize(evaluator.tracer.snapshot()).backend_counts
         # the workers' replays were absorbed into the parent's tracer;
         # ideal is the baseline's bound, never a replay
-        assert replays.calls == len(VARIANTS) - 1
+        assert sum(replays.values()) == len(VARIANTS) - 1
         # every variant must now come from the in-memory/persistent
         # caches — no further simulation in the parent
         for variant in VARIANTS:
             evaluator["wordpress"].stats_for(variant)
-        after = summarize(evaluator.tracer.snapshot()).stage("sim:replay")
-        assert after.calls == replays.calls
+        after = summarize(evaluator.tracer.snapshot()).backend_counts
+        assert after == replays
 
     def test_workers_synthesize_each_app_at_most_once(self, monkeypatch):
         # an empty memo, so forked workers cannot inherit the parent's apps
@@ -126,8 +126,8 @@ class TestParallelEqualsSerial:
 
     def test_variants_sharing_a_stats_key_replay_once(self, monkeypatch):
         """Two members that train one plan share its stats key: a
-        two-worker prewarm replays that key in one job and stores the
-        stats under both variants, run after run."""
+        two-worker prewarm replays that key once, and both variants
+        read the one stats object stored under it, run after run."""
         from repro.baselines import protocol
         from repro.baselines.ispy import ISpyPrefetcher
 
@@ -147,7 +147,9 @@ class TestParallelEqualsSerial:
             assert evaluation._variant_key("ispy") == evaluation._variant_key(
                 "ispy-twin"
             )
-            assert evaluation._stats["ispy"] is evaluation._stats["ispy-twin"]
+            assert evaluation.cached_stats_for(
+                "ispy"
+            ) is evaluation.cached_stats_for("ispy-twin")
 
 
 class TestPersistentWarmRun:
@@ -160,7 +162,7 @@ class TestPersistentWarmRun:
         cold.prewarm(apps=["wordpress"], variants=VARIANTS)
         cold_summary = summarize(cold.tracer.snapshot())
         # ideal is the baseline's bound: neither replayed nor stored
-        assert cold_summary.stage("sim:replay").calls == len(VARIANTS) - 1
+        assert sum(cold_summary.backend_counts.values()) == len(VARIANTS) - 1
         assert cold_summary.stage("profiling:execution").calls == 1
 
         warm = Evaluator(
@@ -324,7 +326,7 @@ class TestParallelReport:
 
     def test_parent_builds_nothing_after_the_pool(self, filled_cache):
         spans = [e for e in filled_cache[2] if e["ph"] == "X"]
-        assert any(e["name"] == "job:evaluate-sweep" for e in spans)
+        assert any(e["name"] == "job:replay-plans" for e in spans)
         (simulate,) = [e for e in spans if e["name"] == "prewarm:simulate"]
         end = simulate["ts"] + simulate["dur"]
         late = [
@@ -346,9 +348,33 @@ class TestParallelReport:
         widest = max(len(items) for items, _ in runs)
         widths = [
             e["args"]["variants"] for e in filled_cache[2]
-            if e["ph"] == "X" and e["name"] == "job:evaluate-sweep"
+            if e["ph"] == "X" and e["name"] == "job:replay-plans"
         ]
         assert max(widths) <= widest, (widths, widest)
+
+    def test_jobs_do_not_depend_on_the_job_count(
+        self, filled_cache, serial_report
+    ):
+        """One job list, run in the pool or in process: the same jobs,
+        by name, app and width, and only on the report's apps and the
+        sweeps' own."""
+        def jobs(events):
+            return Counter(
+                (e["name"], e["args"]["app"], e["args"].get("variants"),
+                 e["args"].get("variant"))
+                for e in events
+                if e["ph"] == "X" and e["name"].startswith("job:")
+            )
+
+        parallel = jobs(filled_cache[2])
+        assert parallel == jobs(serial_report[1])
+        names = {name for name, *_ in parallel}
+        assert names == {
+            "job:prepare-app", "job:replay-plans", "job:evaluate-variant",
+        }, names
+        apps = {app for _, app, *_ in parallel}
+        swept = exp_mod.sweep_apps(exp_mod.report_figures())
+        assert apps <= set(REPORT_APPS + swept), apps
 
     def test_replays_per_backend_equal_serial(self, filled_cache, serial_report):
         """Each stats key is replayed once, in whichever process."""
@@ -626,12 +652,13 @@ def test_a_worker_loads_each_profile_once(tmp_path, monkeypatch):
     log = _log_profile_loads(monkeypatch, tmp_path / "profile-loads")
     with ProcessPoolExecutor(max_workers=1) as worker:
         worker.submit(
-            jobs.prepare_app, "wordpress", (), REPORT_SETTINGS, store
+            jobs.in_worker, jobs.prepare_app, ("wordpress", ()),
+            REPORT_SETTINGS, store,
         ).result()
         for variant in ("contiguous8", "noncontiguous8"):
             worker.submit(
-                jobs.evaluate_variant, "wordpress", variant, REPORT_SETTINGS,
-                store,
+                jobs.in_worker, jobs.evaluate_variant, ("wordpress", variant),
+                REPORT_SETTINGS, store,
             ).result()
     assert len(log.read_text().splitlines()) == 1
 

@@ -6,10 +6,12 @@ import pytest
 
 from repro import kernel
 from repro.analysis.experiments import (
+    FIGURES,
     AppEvaluation,
     Evaluator,
     ExperimentSettings,
     fig18_distance,
+    sweep_requests,
 )
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.instructions import PrefetchPlan
@@ -186,3 +188,29 @@ class TestEvaluatorPlumbing:
         assert rows_on == rows_off
         assert _summary(on).batch["sweeps"] == 1
         assert _summary(off).batch["sweeps"] == 0
+
+    def test_a_shard_budget_replays_each_miss_alone(self):
+        """Store or no store, a shard budget streams each miss on its
+        own: one sharded replay per stats key, no batch."""
+        evaluation = _evaluation(shard_insns=50_000)
+        plans = _sweep_plans(evaluation)
+        evaluation.run_plans(plans)
+        summary = _summary(evaluation)
+        assert summary.stage("sim:replay").calls == len(plans)
+        assert summary.batch["sweeps"] == 0
+
+    def test_the_variants_do_not_widen_the_sweep_batches(self):
+        """The prewarm replays an app's plan variants as a batch of
+        their own: merged into Figs. 18 and 19's evaluation-trace
+        batches they would widen them, and so a worker's peak RSS."""
+        evaluation = _evaluation()
+        sweeps = [FIGURES["fig18"], FIGURES["fig19"]]
+        variants = ("baseline", "asmdb", "ispy", "ispy-conditional",
+                    "ispy-coalescing")
+        sweep_requests(evaluation, sweeps)  # trains the sweep plans
+        for variant in variants[1:]:
+            evaluation.plan_for(variant)
+        alone = evaluation.plan_misses(figures=sweeps)
+        (trace, pairs), *swept = evaluation.plan_misses(variants, sweeps)
+        assert trace is None and len(pairs) == len(variants)
+        assert max(len(p) for _, p in swept) <= max(len(p) for _, p in alone)

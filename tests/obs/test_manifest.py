@@ -26,7 +26,11 @@ SETTINGS = ExperimentSettings(
 def evaluator():
     # the config's own tracer: the manifest reports only this run's spans
     ev = Evaluator(config=RunConfig(settings=SETTINGS))
-    ev.prewarm(apps=["wordpress"], variants=("baseline", "ispy", "contiguous8"))
+    variants = ("baseline", "ispy", "contiguous8")
+    ev.prewarm(apps=["wordpress"], variants=variants)
+    # the manifest records the variants a run read, as `evaluate` does
+    for variant in variants:
+        ev["wordpress"].stats_for(variant)
     return ev
 
 
@@ -82,26 +86,29 @@ class TestCollect:
         sections = summarize(evaluator.tracer.snapshot()).manifest_sections()
         for name in ("stages", "backend_counts", "batch"):
             assert manifest.payload[name] == sections[name], name
-        replays = [
-            e["args"]["backend"]
-            for e in evaluator.tracer.snapshot()
-            if e["ph"] == "X" and e["name"] == "sim:replay"
-        ]
-        assert sum(manifest.payload["backend_counts"].values()) == len(replays)
+        spans = [e for e in evaluator.tracer.snapshot() if e["ph"] == "X"]
+        replays = [e["args"]["backend"] for e in spans if e["name"] == "sim:replay"]
+        batched = sum(
+            e["args"]["variants"] for e in spans if e["name"] == "sim:batch-sweep"
+        )
+        assert sum(manifest.payload["backend_counts"].values()) == (
+            len(replays) + batched
+        )
         assert manifest.payload["stages"]["sim:replay"]["calls"] == len(replays)
 
     def test_mechanism_replays_name_their_backend(self, evaluator, manifest):
         """Fig. 5's window replays count too: every replay span,
         mechanism members included, names the backend that served it."""
-        replays = [
-            e for e in evaluator.tracer.snapshot()
-            if e["ph"] == "X" and e["name"] == "sim:replay"
-        ]
+        spans = [e for e in evaluator.tracer.snapshot() if e["ph"] == "X"]
+        replays = [e for e in spans if e["name"] == "sim:replay"]
+        batched = sum(
+            e["args"]["variants"] for e in spans if e["name"] == "sim:batch-sweep"
+        )
         counts = manifest.payload["backend_counts"]
         assert counts.get("mechanism") == sum(
             e["args"].get("plan") == "contiguous8" for e in replays
         ) == 1
-        assert sum(counts.values()) == len(replays)
+        assert sum(counts.values()) == len(replays) + batched
 
     def test_written_trace_gives_the_same_counts(self, tmp_path):
         """The two sinks come from one stream, so they agree."""

@@ -30,6 +30,26 @@ class TestParser:
         assert f"argument --shard-insns: must be at least 1, got {value}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--scale", "0", "must be above 0"),
+            ("--scale", "-0.5", "must be above 0"),
+            ("--scale", "nan", "must be above 0"),
+            ("--profile-blocks", "0", "must be at least 1"),
+            ("--eval-blocks", "0", "must be at least 1"),
+        ],
+    )
+    def test_nonpositive_sizes_rejected(self, flag, value, message, capsys):
+        """A size of 0 would fail deep in synthesis or trace generation;
+        it is one usage line instead."""
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "wordpress", *FAST, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}, got {value}" in err
+        assert "Traceback" not in err
+
     def test_runconfig_rejects_nonpositive_shard_insns(self):
         from repro.runconfig import RunConfig
 
@@ -199,7 +219,7 @@ class TestTelemetryFlags:
         spans = [e for e in events if e["ph"] == "X"]
         names = {e["name"] for e in spans}
         assert "run:evaluate" in names          # parent root span
-        assert "job:evaluate-variant" in names  # shipped back from workers
+        assert "job:replay-plans" in names  # shipped back from workers
         assert len({e["tid"] for e in spans}) >= 2, (
             "expected worker spans on their own timeline rows"
         )
@@ -228,8 +248,9 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert out == summarize(read_trace(trace_path)).report() + "\n"
         # the run's stages, its replay backends and the self-time total
+        # (evaluate replays its plan variants as one batch)
         assert "run:evaluate" in out
-        assert "sim:replay" in out
+        assert "sim:batch-sweep" in out
         assert "analysis:context-discovery" in out
         assert "replay backends:" in out
         assert "total" in out
@@ -246,6 +267,6 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         # the table is the run's span summary: replay spans, their
         # backends, and the self-time total
-        assert "sim:replay" in out
+        assert "sim:batch-sweep" in out
         assert "replay backends:" in out
         assert "total" in out
