@@ -16,8 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .. import kernel
-
 
 @dataclass(frozen=True)
 class PlannedPrefetch:
@@ -101,43 +99,20 @@ def coalesce_prefetches(
     stats = CoalesceStats()
     result: List[CoalescedGroup] = []
 
-    use_array = kernel.numpy_enabled()
-    if use_array:
-        import numpy as np
-
     for (site, context), members in groups.items():
         by_line: Dict[int, List[PlannedPrefetch]] = {}
         for member in members:
             by_line.setdefault(member.line, []).append(member)
         lines = sorted(by_line)
-        # Lines are distinct and sorted, so a window's content is the
-        # slice up to the first line beyond ``base + coalesce_bits`` —
-        # ``searchsorted`` finds that boundary in one probe where the
-        # reference walks it element by element (integer comparisons
-        # either way, so the windows are identical).
-        line_array = (
-            np.asarray(lines, dtype=np.int64)
-            if use_array and len(lines) > 2
-            else None
-        )
 
         index = 0
         while index < len(lines):
             base = lines[index]
-            if line_array is not None:
-                end = int(
-                    np.searchsorted(
-                        line_array, base + coalesce_bits, side="right"
-                    )
-                )
-                window = lines[index:end]
-                index = end
-            else:
-                window = [base]
+            window = [base]
+            index += 1
+            while index < len(lines) and lines[index] - base <= coalesce_bits:
+                window.append(lines[index])
                 index += 1
-                while index < len(lines) and lines[index] - base <= coalesce_bits:
-                    window.append(lines[index])
-                    index += 1
 
             bit_vector = 0
             for line in window[1:]:

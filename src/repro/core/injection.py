@@ -69,12 +69,6 @@ def rank_candidates(
     samples = profile.samples_for_line(line)
     if not samples:
         return []
-    if kernel.numpy_enabled():
-        ranked = rank_lines(
-            profile, [line], config, max_candidates, distance_estimator
-        )
-        return list(ranked[line])
-
     appearance: Counter = Counter()
     distance_sum: Dict[int, float] = {}
     for sample in samples:

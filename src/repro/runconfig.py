@@ -3,14 +3,11 @@
 Before this module, every entry point re-plumbed the same knobs by
 hand — the CLI through ``_add_scale_options``/``_add_perf_options``
 duplicated per subcommand, the :class:`~repro.analysis.experiments.
-Evaluator` through scattered keyword arguments, and the kernel gate
-through direct ``repro.kernel`` calls.  :class:`RunConfig` is the
-single carrier for all of it:
+Evaluator` through scattered keyword arguments.  :class:`RunConfig` is
+the single carrier for all of it:
 
 * experiment settings (trace lengths, workload scale);
 * execution (worker ``jobs``, the persistent artifact ``store``);
-* the columnar-kernel gate (tri-state: force on, force off, defer to
-  the environment);
 * telemetry — the run's live span :class:`~repro.obs.trace.Tracer`,
   whose events ``--trace`` writes to a file, whose
   :func:`~repro.obs.trace.summarize` view ``--timing`` prints, and
@@ -38,7 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from . import kernel
 from .obs.manifest import RunManifest
 from .obs.trace import NullTracer, Tracer, set_tracer, summarize
 
@@ -62,9 +58,6 @@ class RunConfig:
     #: persistent artifact cache: a directory path, an
     #: :class:`~repro.io.ArtifactStore`, or None for in-memory only
     store: Union[None, PathLike, "ArtifactStore"] = None
-    #: columnar-kernel gate: True forces it on, False forces the
-    #: reference paths, None defers to ``REPRO_NUMPY_KERNEL``/default
-    numpy_kernel: Optional[bool] = None
     #: stream evaluation traces in shards of this many retired
     #: instructions (bounded memory, per-shard resume checkpoints when
     #: a store is configured); None replays whole traces.  An execution
@@ -116,7 +109,6 @@ class RunConfig:
             settings=settings,
             jobs=getattr(args, "jobs", 1),
             store=store,
-            numpy_kernel=False if getattr(args, "no_numpy_kernel", False) else None,
             shard_insns=getattr(args, "shard_insns", None),
             timing=getattr(args, "timing", False),
             trace_path=getattr(args, "trace", None),
@@ -134,11 +126,6 @@ class RunConfig:
         if self._gc_saved is None:
             self._gc_saved = (gc.isenabled(), _gc_collections())
         gc.disable()
-        if self.numpy_kernel is not None:
-            kernel.set_numpy_kernel(self.numpy_kernel)
-            # Simulation workers are separate processes; the environment
-            # variable carries the choice across the spawn boundary.
-            os.environ[kernel.NUMPY_KERNEL_ENV] = "1" if self.numpy_kernel else "0"
         set_tracer(self.tracer)
         if self.command and self._root_span is None:
             self._root_span = self.tracer.start_span(f"run:{self.command}")
@@ -269,11 +256,6 @@ def add_run_arguments(
     run.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent artifact cache",
-    )
-    run.add_argument(
-        "--no-numpy-kernel", action="store_true",
-        help="force the pure-Python reference paths (disables the "
-        "columnar NumPy kernel; results are identical either way)",
     )
     run.add_argument(
         "--shard-insns", type=positive_int, default=None, metavar="N",

@@ -54,47 +54,6 @@ class TraceObserver:
         """Fetching *block_id* missed the L1I on *line* at *cycle*."""
 
 
-class _ObservingFetchEngine(FetchEngine):
-    """FetchEngine variant that reports misses to an observer."""
-
-    def __init__(self, *args, observer: TraceObserver, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._observer = observer
-        self._index = 0
-        self._block = 0
-
-    def set_position(self, index: int, block_id: int) -> None:
-        self._index = index
-        self._block = block_id
-
-    def fetch_block(self, block_id: int, now: float) -> float:
-        stats = self.stats
-        hierarchy = self.hierarchy
-        engine = self.engine
-        l1i_access = hierarchy.l1i.access
-        lines = self._lines[block_id]
-        stats.l1i_accesses += len(lines)
-        stall = 0.0
-        for line in lines:
-            arrival = engine.arrival_of(line) if engine is not None else None
-            if arrival is not None and arrival > now + stall:
-                remainder = arrival - (now + stall)
-                stall += remainder
-                stats.late_prefetch_hits += 1
-                stats.late_prefetch_stall_cycles += remainder
-                l1i_access(line)
-                continue
-            if l1i_access(line):
-                continue
-            level = hierarchy.fill_after_l1_miss(line)
-            stats.l1i_misses += 1
-            stats.record_miss_level(level)
-            completion = hierarchy.fill_port.request(now + stall, level)
-            stall = completion - now
-            self._observer.on_miss(self._index, block_id, line, now + stall)
-        return stall
-
-
 class CoreSimulator:
     """One core replaying one program's trace."""
 
@@ -212,21 +171,9 @@ class CoreSimulator:
         run_plan_batch([self], trace, warmup, observer=observer)
         return self.stats
 
-    def _make_fetch(self, observer: Optional[TraceObserver]) -> FetchEngine:
-        if observer is not None:
-            return _ObservingFetchEngine(
-                self.program,
-                self.hierarchy,
-                self.stats,
-                self.engine,
-                observer=observer,
-            )
-        return FetchEngine(self.program, self.hierarchy, self.stats, self.engine)
-
     def _reference_stream(
         self,
         fetch: FetchEngine,
-        observer: Optional[TraceObserver],
         block_ids,
         base_index: int,
         warmup_boundary: int,
@@ -239,43 +186,20 @@ class CoreSimulator:
         Returns the updated ``(now, program_instructions)`` pair so a
         sharded caller (:mod:`repro.sim.streaming`) can thread them
         through shard after shard; the whole-trace replay is the
-        single-call case.  Observer callbacks always receive global
+        single-call case.  *fetch*'s observer, if any, receives global
         trace indices.
         """
         stats = self.stats
+        hierarchy = self.hierarchy
         engine = self.engine
+        observer = fetch.observer
+        data_traffic = self.data_traffic
         cpi = 1.0 / self.machine.base_ipc
         prefetch_cpi = 1.0 / self.machine.issue_width
         instr_counts = _instruction_counts(self.program)
 
-        # Hot-loop setup: resolve every per-iteration attribute lookup
-        # once.  The replay loop below runs hundreds of thousands of
-        # times per experiment; the sequence of simulated events is
-        # exactly the readable one-lookup-per-step formulation.
-        hierarchy = self.hierarchy
-        fetch_block = fetch.fetch_block
-        on_block = observer.on_block if observer is not None else None
-        set_position = (
-            fetch.set_position if isinstance(fetch, _ObservingFetchEngine) else None
-        )
-        if engine is not None:
-            execute_site = engine.execute_site
-            site_blocks = engine.site_blocks
-            # retire_block only maintains conditional-prefetch history;
-            # for unconditional plans it is a per-block no-op — skip it.
-            retire_block = (
-                engine.retire_block if engine.needs_retire_events else None
-            )
-        else:
-            execute_site = None
-            site_blocks = ()
-            retire_block = None
-        data_traffic = self.data_traffic
-        advance_data = data_traffic.advance if data_traffic is not None else None
-        boundary = warmup_boundary - base_index
-
-        for index, block_id in enumerate(block_ids):
-            if index == boundary:
+        for index, block_id in enumerate(block_ids, base_index):
+            if index == warmup_boundary:
                 # Steady state begins: drop the warmup counters but
                 # keep every piece of microarchitectural state.
                 stats.clear()
@@ -283,25 +207,20 @@ class CoreSimulator:
                 hierarchy.l2.stats.reset()
                 hierarchy.l3.stats.reset()
                 program_instructions = 0
-            if on_block is not None:
-                on_block(base_index + index, block_id, now)
-                if set_position is not None:
-                    set_position(base_index + index, block_id)
-            if execute_site is not None and block_id in site_blocks:
-                executed = execute_site(block_id, now)
-                if executed:
-                    now += executed * prefetch_cpi
-            stall = fetch_block(block_id, now)
-            if stall:
-                stats.frontend_stall_cycles += stall
-                now += stall
+            if observer is not None:
+                observer.on_block(index, block_id, now)
+            if engine is not None:
+                now += engine.execute_site(block_id, now) * prefetch_cpi
+            stall = fetch.fetch_block(block_id, now, index)
+            stats.frontend_stall_cycles += stall
+            now += stall
             count = instr_counts[block_id]
             program_instructions += count
             now += count * cpi
-            if retire_block is not None:
-                retire_block(block_id)
-            if advance_data is not None:
-                advance_data(count, hierarchy)
+            if engine is not None:
+                engine.retire_block(block_id)
+            if data_traffic is not None:
+                data_traffic.advance(count, hierarchy)
         return now, program_instructions
 
     def _reference_finish(self, program_instructions: int) -> SimStats:

@@ -13,16 +13,24 @@ which the top-down frontend-bound fraction of Fig. 1 is derived.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .hierarchy import MemoryHierarchy
 from .prefetch_engine import PrefetchEngine
 from .stats import SimStats
 from .trace import Program
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from .cpu import TraceObserver
+
 
 class FetchEngine:
-    """Per-block fetch with prefetch-aware stall accounting."""
+    """Per-block fetch with prefetch-aware stall accounting.
+
+    Without a prefetch *engine* no line is ever in flight; with an
+    *observer* every demand miss is reported, at its fill's completion
+    cycle, through ``on_miss``.
+    """
 
     def __init__(
         self,
@@ -30,32 +38,33 @@ class FetchEngine:
         hierarchy: MemoryHierarchy,
         stats: SimStats,
         engine: Optional[PrefetchEngine] = None,
+        observer: Optional["TraceObserver"] = None,
     ):
         self.program = program
         self.hierarchy = hierarchy
         self.stats = stats
         self.engine = engine
-        # Hot-path lookup: block id -> tuple of cache lines.
+        self.observer = observer
+        # Block id -> tuple of cache lines.
         self._lines = {block.block_id: block.lines for block in program}
 
-    def fetch_block(self, block_id: int, now: float) -> float:
-        """Fetch all lines of *block_id* starting at cycle *now*.
+    def fetch_block(self, block_id: int, now: float, index: int = 0) -> float:
+        """Fetch all lines of *block_id* starting at cycle *now*; *index*
+        is the block's global trace position, reported to the observer.
 
         Returns the stall cycles incurred.
         """
         lines = self._lines[block_id]
         stats = self.stats
-        if self.engine is None:
-            return self._fetch_no_engine(lines, now)
-
         hierarchy = self.hierarchy
-        arrival_of = self.engine.arrival_of
+        engine = self.engine
+        observer = self.observer
         l1i_access = hierarchy.l1i.access
         stall = 0.0
 
         stats.l1i_accesses += len(lines)
         for line in lines:
-            arrival = arrival_of(line)
+            arrival = engine.arrival_of(line) if engine is not None else None
             if arrival is not None and arrival > now + stall:
                 # Prefetch still in flight: pay only the remainder.
                 remainder = arrival - (now + stall)
@@ -73,26 +82,6 @@ class FetchEngine:
             # behind by earlier (possibly useless) prefetch fills
             completion = hierarchy.fill_port.request(now + stall, level)
             stall = completion - now
-        return stall
-
-    def _fetch_no_engine(self, lines, now: float) -> float:
-        """No-prefetch-plan fast path: demand fetches only.
-
-        With no engine there are no in-flight arrivals to consult, so
-        the per-line work collapses to one L1I probe; miss handling is
-        identical to the engine path.
-        """
-        stats = self.stats
-        stats.l1i_accesses += len(lines)
-        hierarchy = self.hierarchy
-        l1i_access = hierarchy.l1i.access
-        stall = 0.0
-        for line in lines:
-            if l1i_access(line):
-                continue
-            level = hierarchy.fill_after_l1_miss(line)
-            stats.l1i_misses += 1
-            stats.record_miss_level(level)
-            completion = hierarchy.fill_port.request(now + stall, level)
-            stall = completion - now
+            if observer is not None:
+                observer.on_miss(index, block_id, line, now + stall)
         return stall

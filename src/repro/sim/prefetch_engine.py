@@ -51,10 +51,6 @@ class PrefetchEngine:
         #: line -> cycle at which a previously issued prefetch arrives
         self.inflight: Dict[int, float] = {}
         self._site_table = plan.site_table()
-        #: blocks that carry injected instructions — the replay loop
-        #: consults this set so non-site blocks (the vast majority)
-        #: skip the per-block call entirely
-        self.site_blocks = frozenset(self._site_table)
 
         self.track_exact_context = track_exact_context
         self._exact_history: Optional[Deque[int]] = (
@@ -118,16 +114,6 @@ class PrefetchEngine:
                 inflight[line] = arrival
 
     # -- history maintenance ----------------------------------------------
-
-    @property
-    def needs_retire_events(self) -> bool:
-        """Whether :meth:`retire_block` does anything for this plan.
-
-        Only conditional plans maintain runtime-hash / exact-context
-        history; for unconditional plans the replay loop can skip the
-        per-block call.
-        """
-        return self.tracker is not None or self._exact_history is not None
 
     def retire_block(self, block_id: int) -> None:
         """Push a retired block into the LBR-based runtime-hash."""

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import kernel
 from ..obs.trace import get_tracer
+from .frontend import FetchEngine
 from .stats import SimStats
 from .trace import BlockTrace, ShardedTrace, trace_shard_bounds
 
@@ -229,8 +230,9 @@ class _ReferenceBackend:
 
     def __init__(self, core, observer, warmup: int):
         self.core = core
-        self.observer = observer
-        self.fetch = core._make_fetch(observer)
+        self.fetch = FetchEngine(
+            core.program, core.hierarchy, core.stats, core.engine, observer
+        )
         self.warmup_boundary = warmup if warmup > 0 else -1
         self.now = 0.0
         self.program_instructions = 0
@@ -238,7 +240,6 @@ class _ReferenceBackend:
     def step(self, block_ids, start: int) -> None:
         self.now, self.program_instructions = self.core._reference_stream(
             self.fetch,
-            self.observer,
             block_ids,
             start,
             self.warmup_boundary,

@@ -21,7 +21,12 @@ import pytest
 
 from repro import kernel
 from repro.core.config import DEFAULT_CONFIG, ISpyConfig
-from repro.core.injection import frequent_miss_lines, rank_candidates, select_site
+from repro.core.injection import (
+    frequent_miss_lines,
+    rank_candidates,
+    rank_lines,
+    select_site,
+)
 from repro.io import profile_from_dict, profile_to_dict
 from repro.profiling.pebs import MissSample
 from repro.profiling.profiler import ExecutionProfile, profile_execution
@@ -59,6 +64,12 @@ def _sampled_lines(profile, config):
     return frequent + rare[:10]
 
 
+def _ranked(profile, line, config, estimator):
+    """The columnar ranking of one *line*, as the reference's list."""
+    ranked = rank_lines(profile, [line], config, distance_estimator=estimator)
+    return list(ranked[line])
+
+
 def _selections(profile, lines, config, **kwargs):
     return [select_site(profile, line, config, **kwargs) for line in lines]
 
@@ -71,14 +82,10 @@ class TestRealProfiles:
         lines = _sampled_lines(real_profile, config)
         assert lines
         for line in lines:
-            with kernel.reference_path():
-                ref = rank_candidates(
-                    real_profile, line, config, distance_estimator=estimator
-                )
-            with kernel.force_numpy_kernel():
-                col = rank_candidates(
-                    real_profile, line, config, distance_estimator=estimator
-                )
+            ref = rank_candidates(
+                real_profile, line, config, distance_estimator=estimator
+            )
+            col = _ranked(real_profile, line, config, estimator)
             assert col == ref, line
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -169,14 +176,10 @@ def _assert_identical(profile, lines, config=EDGE_CONFIG):
     rankings = {}
     for estimator in ESTIMATORS:
         for line in lines:
-            with kernel.reference_path():
-                ref = rank_candidates(
-                    profile, line, config, distance_estimator=estimator
-                )
-            with kernel.force_numpy_kernel():
-                col = rank_candidates(
-                    profile, line, config, distance_estimator=estimator
-                )
+            ref = rank_candidates(
+                profile, line, config, distance_estimator=estimator
+            )
+            col = _ranked(profile, line, config, estimator)
             assert col == ref, (estimator, line)
             if estimator == "cycles":
                 rankings[line] = ref

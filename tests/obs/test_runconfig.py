@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import warnings
 
 import pytest
 
-from repro import kernel
 from repro.analysis.experiments import Evaluator, ExperimentSettings
 from repro.cli import build_parser
 from repro.io import stats_to_record
@@ -57,7 +55,6 @@ class TestDefaults:
         assert config.settings == ExperimentSettings()
         assert config.jobs == 1
         assert config.store is None
-        assert config.numpy_kernel is None
         # every run records spans; --trace only decides whether they
         # are written
         assert isinstance(config.tracer, Tracer)
@@ -106,16 +103,13 @@ class TestFromArgs:
         )
         assert RunConfig.from_args(args).store is None
 
-    def test_no_numpy_kernel_flag(self):
-        args = self.parse(["evaluate", "wordpress", *FAST, "--no-numpy-kernel"])
-        assert RunConfig.from_args(args).numpy_kernel is False
-        args = self.parse(["evaluate", "wordpress", *FAST])
-        assert RunConfig.from_args(args).numpy_kernel is None
-
-    @pytest.mark.parametrize("flag", ("--plan-batch", "--no-plan-batch"))
+    @pytest.mark.parametrize(
+        "flag", ("--plan-batch", "--no-plan-batch", "--no-numpy-kernel")
+    )
     def test_plan_batch_flags_are_gone(self, flag, capsys):
         """One plan kernel serves every replay, so there is no batching
-        choice to make."""
+        choice to make; ``REPRO_NUMPY_KERNEL=0`` is the one kernel
+        switch."""
         with pytest.raises(SystemExit):
             self.parse(["evaluate", "wordpress", *FAST, flag])
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -175,22 +169,6 @@ class TestApply:
         config.apply()
         assert config._root_span is root
         config.finalize()
-
-    def test_kernel_gate(self):
-        forced_before = kernel._forced
-        env_before = os.environ.get(kernel.NUMPY_KERNEL_ENV)
-        config = RunConfig(settings=SETTINGS, numpy_kernel=False)
-        try:
-            config.apply()
-            assert not kernel.numpy_enabled()
-            assert os.environ[kernel.NUMPY_KERNEL_ENV] == "0"
-        finally:
-            config.finalize()
-            kernel.set_numpy_kernel(forced_before)
-            if env_before is None:
-                os.environ.pop(kernel.NUMPY_KERNEL_ENV, None)
-            else:
-                os.environ[kernel.NUMPY_KERNEL_ENV] = env_before
 
 
 class TestFinalize:

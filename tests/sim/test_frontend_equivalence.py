@@ -1,12 +1,11 @@
 """Observer-variant equivalence and frontend behaviors.
 
-The profiling path uses `_ObservingFetchEngine`; the evaluation path
-uses the plain `FetchEngine`.  Timing and statistics must be
-bit-identical between them, or profiles would describe a different
-machine than the one being optimized.
+An observed replay (the reference profiler's view) and a plain one run
+the same `FetchEngine.fetch_block` loop, the observed one with an
+observer attached.  Timing and statistics must be bit-identical
+between them, or profiles would describe a different machine than the
+one being optimized.
 """
-
-import pytest
 
 from repro.core.instructions import PrefetchInstr, PrefetchPlan
 from repro.sim.cpu import TraceObserver, simulate
@@ -20,12 +19,14 @@ class _CountingObserver(TraceObserver):
     def __init__(self):
         self.blocks = 0
         self.misses = 0
+        self.missed = []
 
     def on_block(self, index, block_id, cycle):
         self.blocks += 1
 
     def on_miss(self, index, block_id, line, cycle):
         self.misses += 1
+        self.missed.append((index, block_id, line))
 
 
 def compare(program, trace, plan=None):
@@ -63,8 +64,28 @@ class TestObserverEquivalence:
     def test_identical_on_real_app(self, small_app):
         trace = small_app.trace(5000)
         plain, observed, _ = compare(small_app.program, trace)
-        assert plain.cycles == pytest.approx(observed.cycles)
-        assert plain.l1i_mpki == pytest.approx(observed.l1i_mpki)
+        assert plain == observed
+
+    def test_identical_with_a_late_prefetch(self):
+        """A prefetch still in flight at the demand fetch: both replays
+        pay the same remainder, and the late hit is no miss."""
+        # One 64-byte line per block; blocks 3 + 64j share line 3's
+        # L1I set, so the eight after block 3 evict it.  Block 0 stays
+        # resident and re-issues the prefetch from L2, and block 3
+        # demands it before the fill lands.
+        program = make_program([64] * 600)
+        line = program.block(3).lines[0]
+        plan = PrefetchPlan()
+        plan.add(PrefetchInstr(site_block=0, base_line=line))
+        evictors = [3 + 64 * j for j in range(1, 9)]
+        trace = BlockTrace([0, 3] + evictors + [0, 3])
+        plain, observed, observer = compare(program, trace, plan)
+        assert plain == observed
+        assert plain.late_prefetch_hits == 1
+        assert plain.late_prefetch_stall_cycles > 0
+        assert observer.misses == plain.l1i_misses
+        assert all(block != 3 for _, block, _ in observer.missed)
+        assert all(missed != line for _, _, missed in observer.missed)
 
 
 class TestDeterminismAcrossRuns:
